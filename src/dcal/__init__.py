@@ -10,13 +10,23 @@ simulation harness and a screening CLI round out the package.
 """
 
 from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
-from .core import CorrelationResult, DataPair, OlsFit, loo_predictions, ols_fit, pearson
+from .core import (
+    CorrelationResult,
+    DataPair,
+    OlsFit,
+    loo_predictions,
+    ols_fit,
+    pearson,
+    pearson_rows,
+)
 from .engine import (
+    DcalBatch,
     DcalResult,
     OosScheme,
     X_FROM_Y,
     Y_FROM_X,
     dcal_in_sample_check,
+    dcal_matrix,
     dcal_test,
     oos_predict,
 )
@@ -57,16 +67,19 @@ __all__ = [
     "CorrelationResult",
     "OlsFit",
     "pearson",
+    "pearson_rows",
     "ols_fit",
     "loo_predictions",
     "student_t_cdf",
     "regularized_incomplete_beta",
     "OosScheme",
     "DcalResult",
+    "DcalBatch",
     "Y_FROM_X",
     "X_FROM_Y",
     "oos_predict",
     "dcal_test",
+    "dcal_matrix",
     "dcal_in_sample_check",
     "pcal_sellke",
     "pcal_bickel",

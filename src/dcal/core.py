@@ -1,5 +1,9 @@
 """Foundational numerics: Pearson correlation, simple OLS, and fast leave-one-out.
 
+Pearson correlation and leave-one-out prediction each have one row-wise
+kernel: every row of a matrix against a shared sample or against its own
+row.  The single-pair functions are one-row calls of those kernels.
+
 All operations are pure functions of immutable inputs and safe to call from
 multiple threads.
 """
@@ -19,20 +23,21 @@ __all__ = [
     "CorrelationResult",
     "OlsFit",
     "pearson",
+    "pearson_rows",
     "ols_fit",
     "loo_predictions",
 ]
 
 # 1 - leverage below this is treated as an exactly degenerate leave-one-out
 # subset (the remaining predictor values carry no usable spread)
-_LEVERAGE_GUARD = 1e-10
+LEVERAGE_GUARD = 1e-10
 
 
 def _as_sample(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -57,9 +62,10 @@ class DataPair:
             raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
         if x.shape[0] < 4:
             raise InsufficientDataError(f"need at least 4 samples, got {x.shape[0]}")
-        if np.ptp(x) == 0.0:
+        # max == min, without np.ptp's wrapper: pairs are built once per test
+        if np.maximum.reduce(x) == np.minimum.reduce(x):
             raise DegenerateVarianceError("x has zero variance")
-        if np.ptp(y) == 0.0:
+        if np.maximum.reduce(y) == np.minimum.reduce(y):
             raise DegenerateVarianceError("y has zero variance")
         x.flags.writeable = False
         y.flags.writeable = False
@@ -92,33 +98,76 @@ class OlsFit:
         return self.intercept + self.slope * np.asarray(predictor, dtype=np.float64)
 
 
-def pearson(pair: DataPair) -> CorrelationResult:
-    """Pearson correlation with the exact two-sided t-test p-value.
+def centred(values: np.ndarray) -> np.ndarray:
+    """Values minus their mean along the last axis.
 
-    The p-value is the Student-t tail probability of
+    After a large common offset the mean is off by its rounding; centring
+    the result once more removes that residue where an identity needs rows
+    whose mean is zero (leave-one-out).
+    """
+    return values - np.add.reduce(values, axis=-1, keepdims=True) / values.shape[-1]
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # pairwise summation along each row: a row's result does not depend on
+    # its place in the matrix (BLAS products can)
+    return np.add.reduce(a * b, axis=-1)
+
+
+def centred_sums(xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise (sxx, syy, sxy) of mean-centred rows (either may be shared)."""
+    return _dot_rows(xc, xc), _dot_rows(yc, yc), _dot_rows(xc, yc)
+
+
+def correlation_from_sums(sxx, syy, sxy) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise r and 1 - r**2 from centred sums of squares and products.
+
+    Evaluated per row with the single-pair float formulas (a numpy call per
+    step costs more than the step itself at one row).  A row without spread,
+    or with non-finite sums, gives NaN for both.
+    """
+    r, rest = [], []
+    for denom2, s in zip((sxx * syy).tolist(), sxy.tolist()):
+        if 0.0 < denom2 < math.inf:
+            r.append(max(-1.0, min(1.0, s / math.sqrt(denom2))))
+            # 1 - r^2 computed from the sums directly; exact 0 for collinear input
+            rest.append(max(0.0, (denom2 - s * s) / denom2))
+        else:
+            r.append(math.nan)
+            rest.append(math.nan)
+    return np.array(r), np.array(rest)
+
+
+def t_pvalues(r: np.ndarray, one_minus_r2: np.ndarray, df: int) -> np.ndarray:
+    """Exact two-sided p of each correlation, one t-tail evaluation per row."""
+    out = np.zeros(len(r))
+    for i, (rv, rest) in enumerate(zip(r.tolist(), one_minus_r2.tolist())):
+        if rest != 0.0:
+            out[i] = min(1.0, student_t_sf_two_sided(rv * rv * df / rest, df))
+    return out
+
+
+def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r and exact two-sided p of every row of ``X`` against ``y``.
+
+    ``X`` is (m, n); ``y`` is one shared sample (n,) or one sample per row
+    (m, n).  The p-value is the Student-t tail probability of
     t = r * sqrt((n - 2) / (1 - r^2)) at n - 2 degrees of freedom, evaluated
     through the incomplete beta identity so that near-perfect correlations do
-    not lose precision to cancellation.
+    not lose precision to cancellation.  Inputs are not validated; see
+    :class:`DataPair` for the conditions the statistic needs.
     """
-    x = pair.x
-    y = pair.y
-    n = pair.n
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    sxy = float(np.dot(xc, yc))
-    denom2 = sxx * syy
-    r = max(-1.0, min(1.0, sxy / math.sqrt(denom2)))
-    df = n - 2
-    # 1 - r^2 computed from the sums directly; exact 0 for collinear input
-    one_minus_r2 = max(0.0, (denom2 - sxy * sxy) / denom2)
-    if one_minus_r2 == 0.0:
-        p = 0.0
-    else:
-        t_squared = r * r * df / one_minus_r2
-        p = min(1.0, student_t_sf_two_sided(t_squared, df))
-    return CorrelationResult(r=r, p=p, n=n, df=df)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    r, one_minus_r2 = correlation_from_sums(*centred_sums(centred(X), centred(y)))
+    return r, t_pvalues(r, one_minus_r2, X.shape[-1] - 2)
+
+
+def pearson(pair: DataPair) -> CorrelationResult:
+    """Pearson correlation with the exact two-sided t-test p-value
+    (:func:`pearson_rows` on one row)."""
+    r, p = pearson_rows(pair.x[None, :], pair.y)
+    return CorrelationResult(r=float(r[0]), p=float(p[0]), n=pair.n, df=pair.n - 2)
 
 
 def ols_fit(predictor, response) -> OlsFit:
@@ -138,13 +187,28 @@ def ols_fit(predictor, response) -> OlsFit:
     sxx = float(np.dot(xc, xc))
     if sxx == 0.0:
         raise DegenerateVarianceError("predictor has zero variance")
-    slope = float(np.dot(xc, y)) / sxx
-    intercept = float(y.mean()) - slope * float(xbar)
+    ybar = y.mean()
+    slope = float(np.dot(xc, y - ybar)) / sxx
+    intercept = float(ybar) - slope * float(xbar)
     residuals = y - (intercept + slope * x)
     leverages = 1.0 / n + xc * xc / sxx
     residuals.flags.writeable = False
     leverages.flags.writeable = False
     return OlsFit(intercept=intercept, slope=slope, residuals=residuals, leverages=leverages)
+
+
+def loo_residuals(xc: np.ndarray, yc: np.ndarray, sxx, sxy) -> tuple[np.ndarray, np.ndarray]:
+    """Full-fit residuals and 1 - leverage for each row of mean-centred data.
+
+    ``xc`` (predictor) and ``yc`` (response) are (m, n) rows or one shared
+    (n,) sample, with their centred sums ``sxx`` and ``sxy``.  The
+    leave-one-out prediction of each response value is
+    ``response - residual / margin``.
+    """
+    n = xc.shape[-1]
+    sxx = sxx[..., None]
+    margin = 1.0 - (1.0 / n + xc * xc / sxx)
+    return yc - (sxy[..., None] / sxx) * xc, margin
 
 
 def loo_predictions(predictor, response) -> np.ndarray:
@@ -158,11 +222,17 @@ def loo_predictions(predictor, response) -> np.ndarray:
     x = _as_sample(predictor, "predictor")
     if x.shape[0] < 4:
         raise InsufficientDataError(f"need at least 4 points for LOO, got {x.shape[0]}")
-    fit = ols_fit(x, response)
-    margin = 1.0 - fit.leverages
-    if np.any(margin <= _LEVERAGE_GUARD):
+    y = _as_sample(response, "response")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    xc, yc = centred(centred(x)), centred(centred(y))
+    sxx, _, sxy = centred_sums(xc, yc)
+    if sxx == 0.0:
+        raise DegenerateVarianceError("predictor has zero variance")
+    residuals, margin = loo_residuals(xc, yc, sxx, sxy)
+    if np.any(margin <= LEVERAGE_GUARD):
         bad = int(np.argmin(margin))
         raise DegenerateVarianceError(
             f"leave-one-out subset excluding index {bad} has zero predictor variance"
         )
-    return np.asarray(response, dtype=np.float64) - fit.residuals / margin
+    return y - residuals / margin

@@ -26,6 +26,11 @@ raw draws:
 Independent substreams come from :func:`derive`, which folds integer path
 components (repetition index, column index, ...) into a new seed through the
 same finalizer.  Distinct key tuples give distinct seeds by construction.
+
+:func:`derive_array` and :func:`raw_block` are the array forms of one
+``derive`` step and of the first draws of many streams; the batched engine
+uses them to draw every row's resampling words in one call, bit for bit the
+words the per-stream methods return.
 """
 
 from __future__ import annotations
@@ -72,6 +77,46 @@ def derive(seed: int, *keys: int) -> int:
     return s
 
 
+def derive_array(seeds, keys) -> np.ndarray:
+    """``derive(seed, key)`` elementwise over broadcast uint64 arrays.
+
+    Seeds and keys must lie in [0, 2**64); the result is bit-identical to the
+    scalar :func:`derive` with one key.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    k = np.asarray(keys, dtype=np.uint64)
+    shape = np.broadcast_shapes(s.shape, k.shape)
+    # at least 1-d: numpy scalar arithmetic would warn on the intended wraparound
+    out = _mix_array((np.atleast_1d(s) + _U_GOLDEN) ^ _mix_array(np.atleast_1d(k)))
+    return out.reshape(shape)
+
+
+def raw_block(seeds, count: int) -> np.ndarray:
+    """First ``count`` raw words of the stream seeded by each entry of ``seeds``.
+
+    The result has shape ``seeds.shape + (count,)``; its last axis equals
+    ``Stream(seed).raw(count)`` for the matching seed.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    ks = np.arange(1, count + 1, dtype=np.uint64)
+    return _mix_array(s[..., None] + ks * _U_GOLDEN)
+
+
+def uniforms_of(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from raw words (the stream's uniform recipe)."""
+    return (raw >> _U11).astype(np.float64) * _TWO_NEG_53
+
+
+def integers_of(raw: np.ndarray, bound: int) -> np.ndarray:
+    """Integers uniform on [0, bound) from raw words (the stream's recipe)."""
+    return (uniforms_of(raw) * bound).astype(np.int64)
+
+
+def permutation_of(raw: np.ndarray) -> np.ndarray:
+    """Permutations along the last axis of raw words (stable argsort)."""
+    return np.argsort(raw, axis=-1, kind="stable")
+
+
 def derive_text(seed: int, text: str) -> int:
     """Fold a string (e.g. a feature name) into ``seed``.
 
@@ -102,7 +147,7 @@ class Stream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` float64 uniforms in [0, 1)."""
-        return (self.raw(count) >> _U11).astype(np.float64) * _TWO_NEG_53
+        return uniforms_of(self.raw(count))
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` standard normal draws via Box-Muller pairs."""
@@ -119,10 +164,10 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of ``range(n)`` (stable sort of raw keys)."""
-        return np.argsort(self.raw(n), kind="stable")
+        return permutation_of(self.raw(n))
 
     def integers(self, count: int, bound: int) -> np.ndarray:
         """``count`` int64 draws uniform on [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return (self.uniforms(count) * bound).astype(np.int64)
+        return integers_of(self.raw(count), bound)

@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
-from .core import DataPair, pearson
-from .engine import OosScheme, dcal_test
+from .core import DataPair, pearson, pearson_rows
+from .engine import OosScheme, dcal_matrix, dcal_test, map_ordered
 from .errors import DcalError
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .robust import skipped_correlation
-from .rng import Stream, derive
-from .special import student_t_sf_two_sided
+from .rng import Stream, derive, derive_array
 
 __all__ = [
     "OutlierKind",
@@ -77,6 +75,10 @@ class NullBattery:
     n: int
     seed: int
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"a null battery needs m >= 1 columns, got {self.m}")
+
 
 @dataclass(frozen=True)
 class CorrelatedBattery:
@@ -87,6 +89,13 @@ class CorrelatedBattery:
     rho: float
     n: int
     seed: int
+
+    def __post_init__(self):
+        if self.m_true < 0 or self.m_null < 0 or self.m_true + self.m_null < 1:
+            raise ValueError(
+                "need m_true, m_null >= 0 and at least one column, "
+                f"got {self.m_true}, {self.m_null}"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,13 +205,6 @@ def gen_contaminated(
     return DataPair(x, y)
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _battery_columns(design, rep: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Generate one repetition's battery; returns (X, y, m_true, base_seed)."""
     base = derive(design.seed, rep)
@@ -221,26 +223,6 @@ def _battery_columns(design, rep: int) -> tuple[np.ndarray, np.ndarray, int, int
         g = Stream(derive(base, j + 1)).normals(n)
         X[j] = rho * y + mix * g if j < m_true else g
     return X, y, m_true, base
-
-
-def _classical_stats(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column Pearson r and exact two-sided p against the shared y."""
-    n = y.shape[0]
-    df = n - 2
-    Xc = X - X.mean(axis=1, keepdims=True)
-    yc = y - y.mean()
-    sxy = Xc @ yc
-    sxx = (Xc * Xc).sum(axis=1)
-    syy = float(np.dot(yc, yc))
-    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
-    one_minus_r2 = np.maximum(0.0, (sxx * syy - sxy * sxy) / (sxx * syy))
-    p = np.empty_like(r)
-    for j in range(r.shape[0]):
-        if one_minus_r2[j] == 0.0:
-            p[j] = 0.0
-        else:
-            p[j] = student_t_sf_two_sided(r[j] * r[j] * df / one_minus_r2[j], df)
-    return r, np.minimum(1.0, p)
 
 
 BATTERY_METHODS = (
@@ -279,7 +261,7 @@ def _battery_scores(
     fast: bool,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-method (score, estimate) vectors; reject where score < alpha."""
-    r, p = _classical_stats(X, y)
+    r, p = pearson_rows(X, y)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     perm_cache: tuple[np.ndarray, np.ndarray] | None = None
     for method in methods:
@@ -296,18 +278,7 @@ def _battery_scores(
                 )
             out[method] = (perm_cache[0] if method == "perm" else perm_cache[1], r)
         elif method == "dcal":
-            scores = np.empty(X.shape[0])
-            estimates = np.empty(X.shape[0])
-            for j in range(X.shape[0]):
-                res = dcal_test(
-                    DataPair(X[j], y),
-                    alpha=alpha,
-                    fast=fast,
-                    scheme=scheme.reseeded(derive(base, _KEY_SCHEME + j)),
-                )
-                scores[j] = res.p_dcal
-                estimates[j] = res.r_dcal
-            out[method] = (scores, estimates)
+            out[method] = _dcal_scores(X, y, base, alpha, scheme, fast)
         elif method == "pcal_sellke":
             out[method] = (np.array([pcal_sellke(v) for v in p]), r)
         elif method == "pcal_bickel":
@@ -318,6 +289,18 @@ def _battery_scores(
             )
             out[method] = (scores, r)
     return out
+
+
+def _dcal_scores(
+    X: np.ndarray, y: np.ndarray, base: int, alpha: float, scheme: OosScheme, fast: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_dcal, r_dcal) per column; column j resamples from (base, _KEY_SCHEME + j)."""
+    seeds = derive_array(base, _KEY_SCHEME + np.arange(X.shape[0], dtype=np.uint64))
+    batch = dcal_matrix(X, y, scheme, seeds, alpha, fast)
+    for error in batch.errors:
+        if error is not None:
+            raise error
+    return batch.p_dcal, batch.r_dcal
 
 
 class _Accumulator:
@@ -404,7 +387,7 @@ def run_battery_experiment(
         except DcalError:
             return None
 
-    results = _map_ordered(one_rep, range(repetitions), threads)
+    results = list(map_ordered(one_rep, range(repetitions), threads))
     acc = _Accumulator(methods)
     errors = 0
     m_true = design.m_true if isinstance(design, CorrelatedBattery) else 0
@@ -452,30 +435,22 @@ def run_oos_comparison(
     schemes = list(schemes)
     if not schemes:
         raise ValueError("schemes must be nonempty")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
 
     def one_rep(rep: int):
         try:
             X, y, m_true, base = _battery_columns(design, rep)
-            scores = {}
-            for scheme in schemes:
-                ss = np.empty(X.shape[0])
-                ee = np.empty(X.shape[0])
-                for j in range(X.shape[0]):
-                    res = dcal_test(
-                        DataPair(X[j], y),
-                        alpha=alpha,
-                        fast=False,
-                        scheme=scheme.reseeded(derive(base, _KEY_SCHEME + j)),
-                    )
-                    ss[j] = res.p_dcal
-                    ee[j] = res.r_dcal
-                scores[f"dcal-{scheme.label}"] = (ss, ee)
+            scores = {
+                f"dcal-{scheme.label}": _dcal_scores(X, y, base, alpha, scheme, False)
+                for scheme in schemes
+            }
             return scores, m_true
         except DcalError:
             return None
 
     labels = [f"dcal-{s.label}" for s in schemes]
-    results = _map_ordered(one_rep, range(repetitions), threads)
+    results = list(map_ordered(one_rep, range(repetitions), threads))
     acc = _Accumulator(labels)
     errors = 0
     for item in results:
@@ -522,6 +497,8 @@ def run_effect_grid(
     distribution is observed, not just its rejections.
     """
     methods = _check_methods(methods, PAIR_METHODS)
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     cells = [(rho, n) for rho in design.rho_list for n in design.n_list]
 
     def one_cell(args):
@@ -548,7 +525,7 @@ def run_effect_grid(
                 sums[m][3] += score < alpha
         return sums
 
-    results = _map_ordered(one_cell, list(enumerate(cells)), threads)
+    results = list(map_ordered(one_cell, list(enumerate(cells)), threads))
     report = ExperimentReport(
         meta={
             "design": "effect_grid",
@@ -583,6 +560,8 @@ def run_outlier_suite(
     for name in methods:
         if name not in ("pearson", "dcal", "skipped"):
             raise ValueError(f"unknown outlier-suite method {name!r}")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
 
     def one_cell(args):
         ci, cell = args
@@ -614,7 +593,7 @@ def run_outlier_suite(
                     sums[m][2] += 1
         return sums, errors
 
-    results = _map_ordered(one_cell, list(enumerate(cells)), threads)
+    results = list(map_ordered(one_cell, list(enumerate(cells)), threads))
     report = ExperimentReport(
         meta={
             "design": "outlier_suite",
@@ -634,6 +613,8 @@ def run_outlier_suite(
             f",n={cell_design.n}{extra}"
         )
         done = repetitions - errors
+        if done == 0:
+            raise DcalError(f"every repetition of outlier-suite cell {cell} failed")
         for m in methods:
             est_sum, est_sig_sum, n_sig = sums[m]
             report.add("outlier_suite", cell, m, "mean_estimate", est_sum / done)

@@ -1,0 +1,228 @@
+"""Frozen per-pair reference of the calibrated test, kept as a test oracle.
+
+This is the per-pair implementation that the batched engine replaced: one
+``ols_fit`` refit per k-fold training set, gathered bootstrap samples per
+replicate, and one Pearson evaluation per pair.  It is copied unchanged
+except that it calls the library's ``ols_fit``, ``DataPair`` and t tail, and
+that names are made module-local.  Tests compare ``dcal_matrix`` with it row
+by row.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from dcal.core import CorrelationResult, DataPair, _as_sample, ols_fit
+from dcal.engine import X_FROM_Y, Y_FROM_X, DcalResult, OosScheme
+from dcal.errors import (
+    DegenerateVarianceError,
+    InsufficientDataError,
+    ResampleCoverageError,
+)
+from dcal.rng import Stream, derive
+from dcal.special import student_t_sf_two_sided
+
+_LEVERAGE_GUARD = 1e-10
+_W_IN = 0.368
+_W_OOB = 0.632
+_MAX_COVERAGE_RETRIES = 10
+
+
+def pearson(pair: DataPair) -> CorrelationResult:
+    """Pearson correlation with the exact two-sided t-test p-value.
+
+    The p-value is the Student-t tail probability of
+    t = r * sqrt((n - 2) / (1 - r^2)) at n - 2 degrees of freedom, evaluated
+    through the incomplete beta identity so that near-perfect correlations do
+    not lose precision to cancellation.
+    """
+    x = pair.x
+    y = pair.y
+    n = pair.n
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(np.dot(xc, xc))
+    syy = float(np.dot(yc, yc))
+    sxy = float(np.dot(xc, yc))
+    denom2 = sxx * syy
+    r = max(-1.0, min(1.0, sxy / math.sqrt(denom2)))
+    df = n - 2
+    # 1 - r^2 computed from the sums directly; exact 0 for collinear input
+    one_minus_r2 = max(0.0, (denom2 - sxy * sxy) / denom2)
+    if one_minus_r2 == 0.0:
+        p = 0.0
+    else:
+        t_squared = r * r * df / one_minus_r2
+        p = min(1.0, student_t_sf_two_sided(t_squared, df))
+    return CorrelationResult(r=r, p=p, n=n, df=df)
+
+
+def loo_predictions(predictor, response) -> np.ndarray:
+    """Leave-one-out predictions of ``response`` at each ``predictor`` value.
+
+    Uses the hat-matrix shortcut yhat_i = y_i - e_i / (1 - h_ii), which is the
+    full n-refit answer in O(n) total.  A leverage of (numerically) 1 means
+    the remaining points have no predictor spread, i.e. the leave-one-out fit
+    itself would be degenerate, and raises accordingly.
+    """
+    x = _as_sample(predictor, "predictor")
+    if x.shape[0] < 4:
+        raise InsufficientDataError(f"need at least 4 points for LOO, got {x.shape[0]}")
+    fit = ols_fit(x, response)
+    margin = 1.0 - fit.leverages
+    if np.any(margin <= _LEVERAGE_GUARD):
+        bad = int(np.argmin(margin))
+        raise DegenerateVarianceError(
+            f"leave-one-out subset excluding index {bad} has zero predictor variance"
+        )
+    return np.asarray(response, dtype=np.float64) - fit.residuals / margin
+
+
+def _kfold_predictions(predictor: np.ndarray, response: np.ndarray, scheme: OosScheme) -> np.ndarray:
+    n = predictor.shape[0]
+    if scheme.folds > n:
+        raise ValueError(f"folds={scheme.folds} exceeds sample size {n}")
+    largest_fold = -(-n // scheme.folds)
+    if n - largest_fold < 3:
+        raise InsufficientDataError(
+            f"k-fold training sets would have {n - largest_fold} points; need >= 3"
+        )
+    sizes = [n // scheme.folds + (1 if i < n % scheme.folds else 0) for i in range(scheme.folds)]
+    blocks = np.empty((scheme.repeats, n))
+    for rep in range(scheme.repeats):
+        # the partition depends only on (seed, repeat): both prediction
+        # directions of one test see the same folds
+        order = Stream(derive(scheme.seed, rep)).permutation(n)
+        preds = blocks[rep]
+        start = 0
+        for size in sizes:
+            fold = order[start : start + size]
+            start += size
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            fit = ols_fit(predictor[mask], response[mask])
+            preds[fold] = fit.predict(predictor[fold])
+    return blocks.reshape(-1)
+
+
+def _boot632_predictions(predictor: np.ndarray, response: np.ndarray, scheme: OosScheme) -> np.ndarray:
+    n = predictor.shape[0]
+    draws = [Stream(derive(scheme.seed, b)).integers(n, n) for b in range(scheme.replicates)]
+    idx = np.vstack(draws)
+
+    oob_sum = np.zeros(n)
+    oob_count = np.zeros(n, dtype=np.int64)
+
+    def accumulate(index_rows: np.ndarray) -> None:
+        xs = predictor[index_rows]
+        ys = response[index_rows]
+        mx = xs.mean(axis=1, keepdims=True)
+        my = ys.mean(axis=1, keepdims=True)
+        sxx = ((xs - mx) ** 2).sum(axis=1)
+        if np.any(sxx == 0.0):
+            raise DegenerateVarianceError("bootstrap training sample has zero predictor variance")
+        slope = ((xs - mx) * (ys - my)).sum(axis=1) / sxx
+        intercept = my[:, 0] - slope * mx[:, 0]
+        rows = index_rows.shape[0]
+        flat = index_rows + (np.arange(rows) * n)[:, None]
+        in_bag = np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n) > 0
+        preds = intercept[:, None] + slope[:, None] * predictor[None, :]
+        np.add(oob_sum, np.where(~in_bag, preds, 0.0).sum(axis=0), out=oob_sum)
+        np.add(oob_count, (~in_bag).sum(axis=0), out=oob_count)
+
+    accumulate(idx)
+    extra = 0
+    while np.any(oob_count == 0) and extra < _MAX_COVERAGE_RETRIES:
+        more = Stream(derive(scheme.seed, scheme.replicates + extra)).integers(n, n)
+        accumulate(more[None, :])
+        extra += 1
+    if np.any(oob_count == 0):
+        missing = int(np.flatnonzero(oob_count == 0)[0])
+        raise ResampleCoverageError(
+            f"sample {missing} was never out-of-bag in "
+            f"{scheme.replicates + extra} bootstrap replicates"
+        )
+
+    full = ols_fit(predictor, response)
+    return _W_IN * full.predict(predictor) + _W_OOB * (oob_sum / oob_count)
+
+
+def oos_predict(pair: DataPair, direction: str, scheme: OosScheme) -> np.ndarray:
+    """Out-of-sample predictions in the requested direction.
+
+    ``loo`` and ``boot632`` return one value per sample.  ``kfold`` returns
+    ``repeats`` stacked blocks of per-sample values (repeat-major, original
+    sample order); averaging the blocks would wash out the repeat-to-repeat
+    spread that the calibrated test is supposed to see.  Deterministic given
+    ``(pair, direction, scheme)``; resampling consumes only streams derived
+    from ``scheme.seed``.
+    """
+    if direction == Y_FROM_X:
+        predictor, response = pair.x, pair.y
+    elif direction == X_FROM_Y:
+        predictor, response = pair.y, pair.x
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    if scheme.kind == "loo":
+        return loo_predictions(predictor, response)
+    if scheme.kind == "kfold":
+        return _kfold_predictions(predictor, response, scheme)
+    return _boot632_predictions(predictor, response, scheme)
+
+
+def _sign(v: float) -> int:
+    if v > 0.0:
+        return 1
+    if v < 0.0:
+        return -1
+    return 0
+
+
+def dcal_test(
+    pair: DataPair,
+    alpha: float = 0.05,
+    fast: bool = False,
+    scheme: OosScheme = OosScheme.loo(),
+) -> DcalResult:
+    """Run the calibrated correlation test on one pair.
+
+    Computes the classical (r, p) first.  Unless ``fast`` is set and the
+    classical test is already non-significant at ``alpha``, both mutual
+    out-of-sample prediction vectors are computed and correlated; a
+    calibrated sign that is zero or contradicts the classical sign resets the
+    calibrated result to the (0.0, 0.5) sentinel with the flip flag set.
+
+    A degenerate out-of-sample step (a leave-one-out or bootstrap training
+    subset without predictor spread, or prediction vectors with no variance)
+    means the relationship has no generalizable support; it is reported as a
+    sign flip rather than an error.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    classical = pearson(pair)
+    r_dcal, p_dcal = 0.0, 0.5
+    flipped = False
+    skipped = bool(fast and not (classical.p < alpha))
+    if not skipped:
+        try:
+            y_hat = oos_predict(pair, Y_FROM_X, scheme)
+            x_hat = oos_predict(pair, X_FROM_Y, scheme)
+            calibrated = pearson(DataPair(x_hat, y_hat))
+        except DegenerateVarianceError:
+            flipped = True
+        else:
+            if calibrated.r == 0.0 or _sign(calibrated.r) != _sign(classical.r):
+                flipped = True
+            else:
+                r_dcal, p_dcal = calibrated.r, calibrated.p
+    return DcalResult(
+        r=classical.r,
+        p=classical.p,
+        r_dcal=r_dcal,
+        p_dcal=p_dcal,
+        sign_flip_triggered=flipped,
+        skipped_by_fast_flag=skipped,
+        scheme=scheme,
+    )

@@ -177,6 +177,18 @@ class TestScreen:
         b = screen(matrix, "target", threads=3)
         assert [row for row in a.rows] == [row for row in b.rows]
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_progress_after_each_chunk(self, threads):
+        # 700 features of 60 samples span several row chunks
+        matrix = _synthetic_matrix(n_features=700)
+        calls = []
+        report = screen(matrix, "target", threads=threads, progress=lambda *a: calls.append(a))
+        done = [d for d, _ in calls]
+        assert len(calls) > 1
+        assert done == sorted(set(done))
+        assert all(total == 700 for _, total in calls)
+        assert calls[-1] == (700, 700) and len(report.rows) == 700
+
     def test_perm_corrections_attach(self):
         matrix = _synthetic_matrix(n_features=10, n_true=3, n=40)
         report = screen(matrix, "target", corrections=("perm", "perm_max"))

@@ -112,12 +112,15 @@ class TestCmdScreen:
         assert rc == 2
 
     def test_byte_identical_runs_across_threads(self, tmp_path):
-        matrix = _matrix_file(tmp_path)
-        out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+        # enough features for several row chunks, so threads share the work
+        matrix = _matrix_file(tmp_path, n_features=700)
         args = ["screen", "--matrix", matrix, "--target", "target", "--seed", "7"]
-        assert main(args + ["--output", str(out1), "--threads", "1"]) == 0
-        assert main(args + ["--output", str(out2), "--threads", "2"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        reports = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"r{threads}.csv"
+            assert main(args + ["--output", str(out), "--threads", str(threads)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_json_format(self, tmp_path):
         matrix = _matrix_file(tmp_path, n_features=8)
@@ -161,6 +164,36 @@ class TestCmdSimulate:
         rc = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")])
         assert rc == 2
         assert "wibble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            # skipped correlation needs n >= 10, so every repetition fails
+            (
+                "design = outlier_suite\nkinds = univariate\nrho_list = 0.5\n"
+                "fraction = 0.25\nn = 8\nrepetitions = 3\n",
+                [],
+            ),
+            ("design = null_battery\nm = 0\nn = 20\nmethods = uncorrected\n", []),
+            ("design = effect_grid\nrho_list = 0.5\nn_list = 20\n", ["--repetitions", "0"]),
+        ],
+    )
+    def test_empty_results_exit_2_without_traceback(self, tmp_path, capsys, config, extra):
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(config)
+        rc = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_all_failed_outlier_cell_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "outlier.cfg"
+        cfg.write_text(
+            "design = outlier_suite\nkinds = univariate\nrho_list = 0.5\n"
+            "fraction = 0.25\nn = 8\nrepetitions = 3\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "kind=univariate,rho=0.5,fraction=0.25,n=8" in capsys.readouterr().err
 
     def test_repeat_runs_identical(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from dcal import (
     loo_predictions,
     ols_fit,
     pearson,
+    pearson_rows,
 )
-from dcal.rng import derive
+from dcal.rng import Stream, derive
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair
 
@@ -87,6 +90,25 @@ class TestPearson:
             assert res.p == pytest.approx(ref_p, rel=1e-10)
 
 
+class TestPearsonRows:
+    def test_rows_equal_single_pair_calls(self):
+        stream = Stream(derive(913, 0))
+        X = stream.normals(7 * 30).reshape(7, 30)
+        y = stream.normals(30)
+        r, p = pearson_rows(X, y)
+        for j in range(7):
+            res = pearson(DataPair(X[j], y))
+            assert (r[j], p[j]) == (res.r, res.p)
+        # one sample per row is the same statistic
+        r_own, p_own = pearson_rows(X, np.tile(y, (7, 1)))
+        assert np.array_equal(r_own, r) and np.array_equal(p_own, p)
+
+    def test_collinear_rows_have_zero_p(self):
+        y = np.arange(8.0)
+        r, p = pearson_rows(np.vstack([2 * y + 1, -y]), y)
+        assert list(r) == [1.0, -1.0] and list(p) == [0.0, 0.0]
+
+
 class TestOlsFit:
     def test_exact_line(self):
         fit = ols_fit([1, 2, 3], [2, 4, 6])
@@ -120,6 +142,17 @@ class TestOlsFit:
     def test_zero_variance_predictor(self):
         with pytest.raises(DegenerateVarianceError):
             ols_fit([3, 3, 3, 3], [1, 2, 3, 4])
+
+    def test_slope_exact_far_from_zero(self):
+        # exact rational slope of the floats actually passed in
+        stream = Stream(derive(912, 0))
+        x = stream.normals(50)
+        y = 0.5 * x + stream.normals(50)
+        x, y = x + 1e6, y + 1e6
+        fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        mx, my = sum(fx) / 50, sum(fy) / 50
+        exact = sum((a - mx) * (b - my) for a, b in zip(fx, fy)) / sum((a - mx) ** 2 for a in fx)
+        assert abs(Fraction(ols_fit(x, y).slope) - exact) <= Fraction(1, 10 ** 12) * abs(exact)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pairwise_reference
 from dcal import (
     DataPair,
+    DcalError,
+    DegenerateVarianceError,
+    InsufficientDataError,
     OosScheme,
+    ResampleCoverageError,
     UndefinedSignError,
     X_FROM_Y,
     Y_FROM_X,
     dcal_in_sample_check,
+    dcal_matrix,
     dcal_test,
+    gen_pair,
     loo_predictions,
     oos_predict,
     pearson,
@@ -218,3 +227,192 @@ class TestInSampleCheck:
         for k in range(100):
             pair = seeded_pair(20, 0.4, derive(908, k))
             assert abs(dcal_in_sample_check(pair) - pearson(pair).r) <= 1e-10
+
+
+def _generic_battery(seed: int, m: int, n: int, binary_share: float):
+    """y plus m rows: 0/1 features, planted correlates and independent noise.
+
+    Values come from seeded streams, so exact ties occur only in the 0/1
+    rows; those give constant training predictors in some folds and bootstrap
+    samples.
+    """
+    y = Stream(derive(seed, 0)).normals(n)
+    rows = []
+    for j in range(m):
+        stream = Stream(derive(seed, 1, j))
+        u = stream.uniforms(2)
+        if u[0] < binary_share:
+            rows.append((stream.uniforms(n) < 0.1 + 0.8 * u[1]).astype(float))
+        elif u[0] < binary_share + (1.0 - binary_share) / 2:
+            rho = 1.8 * u[1] - 0.9
+            rows.append(rho * y + np.sqrt(1.0 - rho * rho) * stream.normals(n))
+        else:
+            rows.append(stream.normals(n))
+    return np.vstack(rows), y
+
+
+@st.composite
+def _schemes(draw, n):
+    kind = draw(st.sampled_from(["loo", "kfold", "boot632"]))
+    if kind == "loo":
+        return OosScheme.loo()
+    if kind == "kfold":
+        # folds that leave every training set at least 3 points
+        valid = [k for k in range(2, min(10, n) + 1) if n - -(-n // k) >= 3]
+        return OosScheme.repeated_kfold(draw(st.sampled_from(valid)), draw(st.integers(1, 3)))
+    return OosScheme.boot632(draw(st.integers(1, 30)))
+
+
+def _close(a: float, b: float, rtol: float, atol: float = 0.0) -> bool:
+    return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
+
+
+# Correlations lie in [-1, 1], and two correct summation orders differ by a
+# few units in the last place at that scale.  A calibrated r of 2.8e-5 has
+# differed by 5.6e-17 between the kernel and the reference, so correlations
+# get this absolute floor under their relative tolerance.
+_R_ATOL = 1e-15
+
+
+def _close_p(a: float, b: float, rtol: float) -> bool:
+    """Relative closeness of p-values, on the log scale below 1/e.
+
+    Near |r| = 1 the rounding of 1 - r**2 moves a tiny p by a relative amount
+    that grows with |log p|: at df = 16 a p of 8.0e-24 has differed by 2e-12
+    relative, 4e-14 of its logarithm.
+    """
+    if a == b:
+        return True
+    if min(a, b) <= 0.0:
+        return False
+    return abs(np.log(a) - np.log(b)) <= rtol * max(1.0, -np.log(min(a, b)))
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except DcalError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestDcalMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 40),
+        n=st.integers(6, 80),
+        seed=st.integers(0, 2 ** 64 - 1),
+        binary_share=st.sampled_from([0.0, 0.5, 1.0]),
+        alpha=st.sampled_from([0.05, 0.3]),
+        fast=st.booleans(),
+    )
+    def test_matches_per_pair_reference(self, data, m, n, seed, binary_share, alpha, fast):
+        scheme = data.draw(_schemes(n))
+        X, y = _generic_battery(seed, m, n, binary_share)
+        seeds = [derive(seed, 2, j) for j in range(m)]
+        batch = dcal_matrix(X, y, scheme, seeds, alpha, fast)
+        for j in range(m):
+            want, want_error = _outcome(
+                lambda: pairwise_reference.dcal_test(
+                    DataPair(X[j], y), alpha, fast, scheme.reseeded(seeds[j])
+                )
+            )
+            got_error = batch.errors[j]
+            assert want_error == (None if got_error is None else (type(got_error), str(got_error)))
+            if want is None:
+                assert np.isnan([batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]]).all()
+                continue
+            assert (batch.sign_flip[j], batch.skipped[j]) == (
+                want.sign_flip_triggered, want.skipped_by_fast_flag
+            )
+            for got, expected in ((batch.r[j], want.r), (batch.r_dcal[j], want.r_dcal)):
+                assert _close(got, expected, 1e-12, _R_ATOL), (j, got, expected)
+            for got, expected in ((batch.p[j], want.p), (batch.p_dcal[j], want.p_dcal)):
+                assert _close_p(got, expected, 1e-12), (j, got, expected)
+        # a row's result does not depend on the other rows of its call
+        for j in {0, m - 1}:
+            alone = dcal_matrix(X[j : j + 1], y, scheme, seeds[j : j + 1], alpha, fast)
+            assert (alone.r[0], alone.p[0], alone.r_dcal[0], alone.p_dcal[0]) == (
+                batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]
+            ) or batch.errors[j] is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        rho=st.floats(-0.9, 0.9),
+        shift=st.integers(-(10 ** 6) * 2 ** 10, 10 ** 6 * 2 ** 10),
+        n=st.integers(12, 60),
+        kind=st.sampled_from(["loo", "kfold", "boot632"]),
+    )
+    def test_shift_invariance(self, seed, rho, shift, n, kind):
+        # values on a 2**-20 grid and shifts on a 2**-10 grid, so x + c is
+        # exact and only the algorithm's own rounding can move the result
+        pair = gen_pair(n, rho, seed)
+        x = np.round(pair.x * 2 ** 20) / 2 ** 20
+        y = np.round(pair.y * 2 ** 20) / 2 ** 20
+        c = shift / 2 ** 10
+        scheme = {
+            "loo": OosScheme.loo(),
+            "kfold": OosScheme.repeated_kfold(5, 2, seed),
+            "boot632": OosScheme.boot632(30, seed),
+        }[kind]
+        base = dcal_test(DataPair(x, y), scheme=scheme)
+        moved = dcal_test(DataPair(x + c, y + c), scheme=scheme)
+        assert moved.sign_flip_triggered == base.sign_flip_triggered
+        assert _close(moved.r_dcal, base.r_dcal, 1e-8)
+
+    def test_one_row_call_is_dcal_test(self):
+        X, y = _generic_battery(17, 6, 30, 0.3)
+        scheme = OosScheme.boot632(20, 4)
+        batch = dcal_matrix(X, y, scheme, [4] * 6)
+        for j in range(6):
+            res = dcal_test(DataPair(X[j], y), scheme=scheme)
+            assert (res.r, res.p, res.r_dcal, res.p_dcal) == (
+                batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]
+            )
+
+    def test_invalid_rows_carry_their_errors(self):
+        y = Stream(3).normals(12)
+        X = np.vstack([Stream(4).normals(12), np.full(12, 2.0)])
+        batch = dcal_matrix(X, y, OosScheme.loo(), [0, 0])
+        assert batch.errors[0] is None
+        assert isinstance(batch.errors[1], DegenerateVarianceError)
+        assert str(batch.errors[1]) == "x has zero variance"
+        assert np.isnan(batch.r[1]) and not batch.sign_flip[1]
+        flat = dcal_matrix(X[:1], np.ones(12), OosScheme.loo(), [0])
+        assert str(flat.errors[0]) == "y has zero variance"
+        short = dcal_matrix(X[:, :3], y[:3], OosScheme.loo(), [0, 0])
+        assert all(isinstance(e, InsufficientDataError) for e in short.errors)
+
+    def test_kfold_layout_errors(self):
+        X, y = _generic_battery(5, 3, 5, 0.0)
+        small = dcal_matrix(X, y, OosScheme.repeated_kfold(2, 1), [0, 1, 2])
+        assert all(isinstance(e, InsufficientDataError) for e in small.errors)
+        with pytest.raises(ValueError, match="exceeds sample size"):
+            dcal_matrix(X, y, OosScheme.repeated_kfold(6, 1), [0, 1, 2])
+        # rows the fast guard skips never reach the out-of-sample step
+        skipped = dcal_matrix(X, y, OosScheme.repeated_kfold(6, 1), [0, 1, 2], 1e-9, True)
+        assert skipped.skipped.all() and skipped.errors == (None, None, None)
+
+    def test_bootstrap_coverage_error_matches_reference(self):
+        # a single replicate at n = 6 leaves some sample in every bag often
+        # enough that one of these seeds fails the coverage retries
+        X, y = _generic_battery(8, 40, 6, 0.0)
+        scheme = OosScheme.boot632(1)
+        seeds = list(range(40))
+        batch = dcal_matrix(X, y, scheme, seeds)
+        failures = [e for e in batch.errors if e is not None]
+        assert failures and all(isinstance(e, ResampleCoverageError) for e in failures)
+        for j, error in enumerate(batch.errors):
+            if error is not None:
+                with pytest.raises(ResampleCoverageError, match=str(error)):
+                    pairwise_reference.dcal_test(DataPair(X[j], y), scheme=scheme.reseeded(j))
+
+    def test_input_validation(self):
+        y = Stream(3).normals(8)
+        with pytest.raises(ValueError, match="alpha"):
+            dcal_matrix(np.ones((1, 8)), y, OosScheme.loo(), [0], alpha=1.0)
+        with pytest.raises(ValueError, match="one seed per row"):
+            dcal_matrix(Stream(4).normals(16).reshape(2, 8), y, OosScheme.loo(), [0])
+        with pytest.raises(ValueError, match="non-finite"):
+            dcal_matrix(np.full((1, 8), np.nan), y, OosScheme.loo(), [0])

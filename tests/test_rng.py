@@ -1,0 +1,31 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcal.rng import Stream, derive, derive_array, raw_block
+
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1))
+KEYS = st.one_of(st.sampled_from([0, 2 ** 35]), st.integers(0, 2 ** 35))
+
+
+class TestArrayForms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=20), st.lists(KEYS, min_size=1, max_size=5))
+    def test_derive_array_is_scalar_derive(self, seeds, keys):
+        got = derive_array(np.array(seeds, dtype=np.uint64)[:, None], np.array(keys, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), len(keys))
+        assert got.tolist() == [[derive(s, k) for k in keys] for s in seeds]
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS, KEYS)
+    def test_derive_array_on_scalars(self, seed, key):
+        got = derive_array(seed, key)
+        assert got.shape == () and int(got) == derive(seed, key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=12), st.integers(0, 70))
+    def test_raw_block_is_first_stream_draws(self, seeds, count):
+        block = raw_block(np.array(seeds, dtype=np.uint64), count)
+        assert block.shape == (len(seeds), count)
+        for seed, row in zip(seeds, block):
+            assert np.array_equal(row, Stream(seed).raw(count))
