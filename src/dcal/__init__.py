@@ -42,7 +42,7 @@ from .errors import (
     UndefinedSignError,
 )
 from .batchio import FeatureMatrix, FeatureRow, ScreenReport, load_matrix, screen, write_report
-from .multitest import PermutationPlan, bh_adjust, holm_adjust, perm_test, permutation_pvalues
+from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .robust import SkippedResult, detect_bivariate_outliers, skipped_correlation
 from .simulate import (
     Contaminated,
@@ -88,7 +88,6 @@ __all__ = [
     "PermutationPlan",
     "holm_adjust",
     "bh_adjust",
-    "perm_test",
     "permutation_pvalues",
     "SkippedResult",
     "detect_bivariate_outliers",

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import OosScheme, chunk_rows, dcal_matrix, map_ordered
+from .engine import OosScheme, chunk_rows, dcal_matrix
 from .errors import InsufficientDataError, ParseError, TargetError
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .rng import derive, derive_text
@@ -224,7 +224,6 @@ def screen(
     corrections: Iterable[str] = ("holm", "bh"),
     fast: bool = True,
     plan: PermutationPlan = PermutationPlan(),
-    threads: int = 1,
     progress=None,
 ) -> ScreenReport:
     """Screen every non-target feature against the target.
@@ -239,9 +238,9 @@ def screen(
     classical p-values of the successfully tested features only.
     Per-feature failures are recorded in their rows, not raised.
 
-    Features are tested in row chunks, on up to ``threads`` threads;
-    ``progress(done, total)`` is called after each chunk, in feature order.
-    The report does not depend on ``threads``.
+    Features are tested in row chunks, in order; ``progress(done, total)``
+    is called after each chunk.  The report does not depend on the chunking
+    or on the order of the matrix rows.
     """
     corrections = tuple(corrections)
     for corr in corrections:
@@ -256,9 +255,9 @@ def screen(
 
     feature_ids = [j for j in range(len(matrix.feature_names)) if j != target_idx]
     step = chunk_rows(matrix.sample_count)
-    chunks = [feature_ids[k : k + step] for k in range(0, len(feature_ids), step)]
-
-    def test_chunk(ids: list[int]) -> list[FeatureRow]:
+    rows: list[FeatureRow] = []
+    for k in range(0, len(feature_ids), step):
+        ids = feature_ids[k : k + step]
         names = [matrix.feature_names[j] for j in ids]
         # per-feature seeds follow the feature NAME, so permuting matrix
         # rows permutes report rows with identical values
@@ -268,18 +267,14 @@ def screen(
             batch.r.tolist(), batch.p.tolist(), batch.r_dcal.tolist(), batch.p_dcal.tolist(),
             batch.sign_flip.tolist(), batch.skipped.tolist(), batch.errors,
         )
-        return [
+        rows.extend(
             FeatureRow(name=name, error=str(error)) if error is not None
             else FeatureRow(
                 name=name, r=r, p=p, r_dcal=r_dcal, p_dcal=p_dcal,
                 sign_flip=flip, fast_skipped=skip,
             )
             for name, (r, p, r_dcal, p_dcal, flip, skip, error) in zip(names, numbers)
-        ]
-
-    rows: list[FeatureRow] = []
-    for chunk in map_ordered(test_chunk, chunks, threads):
-        rows.extend(chunk)
+        )
         if progress:
             progress(len(rows), len(feature_ids))
 

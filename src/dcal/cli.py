@@ -3,15 +3,14 @@ the bundled quartet demonstration.
 
 Every command is reproducible from its flags and seed alone.  Output files
 never embed timestamps, so identical invocations produce byte-identical
-reports.  ``DCAL_THREADS`` is the only recognized environment variable; it
-sets the default worker count.
+reports.  No command starts worker threads: ``--threads`` and the
+``DCAL_THREADS`` environment variable are accepted and have no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from importlib import resources
@@ -53,14 +52,6 @@ def _scheme_from_name(name: str, seed: int) -> OosScheme:
     raise ParseError(f"unknown scheme {name!r}")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("DCAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
@@ -69,10 +60,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="out-of-sample prediction scheme",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads (default: DCAL_THREADS or 1)",
-    )
+    parser.add_argument("--threads", type=int, default=None, help="accepted and ignored")
 
 
 def _read_pair_file(path: str) -> DataPair:
@@ -156,7 +144,6 @@ def cmd_test(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     corrections = tuple(c.strip() for c in args.corrections.split(",") if c.strip())
     matrix = load_matrix(
         args.matrix,
@@ -180,7 +167,6 @@ def cmd_screen(args) -> int:
         corrections=corrections,
         fast=args.fast,
         plan=PermutationPlan(args.permutations, args.seed),
-        threads=threads,
         progress=progress,
     )
     write_report(report, args.output, format=args.format)
@@ -245,11 +231,64 @@ def _cfg_list(cfg: dict, key: str, default=None) -> list[str]:
         if default is None:
             raise ParseError(f"config key {key!r} is required")
         return default
-    return [tok.strip() for tok in cfg[key].split(",") if tok.strip()]
+    items = [tok.strip() for tok in cfg[key].split(",") if tok.strip()]
+    if not items:
+        raise ParseError(f"config key {key!r}: expected at least one item")
+    return items
+
+
+def _battery_design(cfg: dict, design_name: str, seed: int) -> NullBattery | CorrelatedBattery:
+    """The battery of a battery design; an oos_comparison with no planted
+    columns (the default) is a null battery."""
+    if design_name == "null_battery":
+        return NullBattery(m=_cfg_int(cfg, "m"), n=_cfg_int(cfg, "n"), seed=seed)
+    planted = design_name == "correlated_battery"
+    design = CorrelatedBattery(
+        m_true=_cfg_int(cfg, "m_true", None if planted else 0),
+        m_null=_cfg_int(cfg, "m_null"),
+        rho=_cfg_float(cfg, "rho", None if planted else 0.0),
+        n=_cfg_int(cfg, "n"),
+        seed=seed,
+    )
+    if not planted and design.m_true == 0:
+        return NullBattery(m=design.m_null, n=design.n, seed=seed)
+    return design
+
+
+def _outlier_cells(cfg: dict, seed: int) -> list[Contaminated]:
+    """Outlier-suite cells: one per sd in ``sd_list`` for high_variance, one
+    per rho in ``rho_list`` for univariate and bivariate, in ``kinds`` order."""
+    kinds = _cfg_list(cfg, "kinds")
+    fraction = _cfg_float(cfg, "fraction", 0.1)
+    magnitude = _cfg_float(cfg, "magnitude", 8.0)
+    n = _cfg_int(cfg, "n")
+    cells: list[Contaminated] = []
+    for kind in kinds:
+        if kind == "high_variance":
+            rho = _cfg_float(cfg, "rho", 0.5)
+            for sd in _cfg_list(cfg, "sd_list", ["2", "3", "5"]):
+                cells.append(
+                    Contaminated(
+                        rho=rho,
+                        outlier=OutlierKind("high_variance", sd_outlier=float(sd)),
+                        fraction=fraction, n=n, seed=seed,
+                    )
+                )
+        elif kind in ("univariate", "bivariate"):
+            for rho in _cfg_list(cfg, "rho_list"):
+                cells.append(
+                    Contaminated(
+                        rho=float(rho),
+                        outlier=OutlierKind(kind, magnitude=magnitude),
+                        fraction=fraction, n=n, seed=seed,
+                    )
+                )
+        else:
+            raise ParseError(f"config key 'kinds': unknown outlier kind {kind!r}")
+    return cells
 
 
 def cmd_simulate(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     cfg = _parse_config(args.config)
     design_name = cfg["design"]
     seed = args.seed if args.seed is not None else _cfg_int(cfg, "seed", 0)
@@ -259,38 +298,21 @@ def cmd_simulate(args) -> int:
     )
     permutations = _cfg_int(cfg, "permutations", 999)
 
-    if design_name == "null_battery":
-        design = NullBattery(m=_cfg_int(cfg, "m"), n=_cfg_int(cfg, "n"), seed=seed)
-        methods = _cfg_list(cfg, "methods", ["uncorrected", "holm", "bh", "dcal"])
-        scheme = _scheme_from_name(cfg.get("scheme", "loo"), seed)
-        report = run_battery_experiment(
-            design, methods, alpha=alpha, repetitions=repetitions, scheme=scheme,
-            plan=PermutationPlan(permutations, seed), threads=threads,
-        )
-    elif design_name == "correlated_battery":
-        design = CorrelatedBattery(
-            m_true=_cfg_int(cfg, "m_true"), m_null=_cfg_int(cfg, "m_null"),
-            rho=_cfg_float(cfg, "rho"), n=_cfg_int(cfg, "n"), seed=seed,
-        )
-        methods = _cfg_list(cfg, "methods", ["uncorrected", "holm", "bh", "dcal"])
-        scheme = _scheme_from_name(cfg.get("scheme", "loo"), seed)
-        report = run_battery_experiment(
-            design, methods, alpha=alpha, repetitions=repetitions, scheme=scheme,
-            plan=PermutationPlan(permutations, seed), threads=threads,
-        )
-    elif design_name == "oos_comparison":
-        design = CorrelatedBattery(
-            m_true=_cfg_int(cfg, "m_true", 0), m_null=_cfg_int(cfg, "m_null"),
-            rho=_cfg_float(cfg, "rho", 0.0), n=_cfg_int(cfg, "n"), seed=seed,
-        )
-        if design.m_true == 0:
-            design = NullBattery(m=design.m_null, n=design.n, seed=seed)
-        schemes = [
-            _scheme_from_name(name, seed) for name in _cfg_list(cfg, "schemes", list(SCHEME_NAMES))
-        ]
-        report = run_oos_comparison(
-            design, schemes, alpha=alpha, repetitions=repetitions, threads=threads
-        )
+    if design_name in ("null_battery", "correlated_battery", "oos_comparison"):
+        design = _battery_design(cfg, design_name, seed)
+        if design_name == "oos_comparison":
+            schemes = [
+                _scheme_from_name(name, seed)
+                for name in _cfg_list(cfg, "schemes", list(SCHEME_NAMES))
+            ]
+            report = run_oos_comparison(design, schemes, alpha=alpha, repetitions=repetitions)
+        else:
+            methods = _cfg_list(cfg, "methods", ["uncorrected", "holm", "bh", "dcal"])
+            scheme = _scheme_from_name(cfg.get("scheme", "loo"), seed)
+            report = run_battery_experiment(
+                design, methods, alpha=alpha, repetitions=repetitions, scheme=scheme,
+                plan=PermutationPlan(permutations, seed),
+            )
     elif design_name == "effect_grid":
         design = EffectGrid(
             rho_list=tuple(float(v) for v in _cfg_list(cfg, "rho_list")),
@@ -298,41 +320,11 @@ def cmd_simulate(args) -> int:
             seed=seed,
         )
         methods = _cfg_list(cfg, "methods", list(PAIR_METHODS))
-        report = run_effect_grid(
-            design, methods, alpha=alpha, repetitions=repetitions, threads=threads
-        )
+        report = run_effect_grid(design, methods, alpha=alpha, repetitions=repetitions)
     elif design_name == "outlier_suite":
-        kinds = _cfg_list(cfg, "kinds")
-        fraction = _cfg_float(cfg, "fraction", 0.1)
-        magnitude = _cfg_float(cfg, "magnitude", 8.0)
-        n = _cfg_int(cfg, "n")
-        cells: list[Contaminated] = []
-        for kind in kinds:
-            if kind == "high_variance":
-                rho = _cfg_float(cfg, "rho", 0.5)
-                for sd in _cfg_list(cfg, "sd_list", ["2", "3", "5"]):
-                    cells.append(
-                        Contaminated(
-                            rho=rho,
-                            outlier=OutlierKind("high_variance", sd_outlier=float(sd)),
-                            fraction=fraction, n=n, seed=seed,
-                        )
-                    )
-            elif kind in ("univariate", "bivariate"):
-                for rho in _cfg_list(cfg, "rho_list"):
-                    cells.append(
-                        Contaminated(
-                            rho=float(rho),
-                            outlier=OutlierKind(kind, magnitude=magnitude),
-                            fraction=fraction, n=n, seed=seed,
-                        )
-                    )
-            else:
-                raise ParseError(f"config key 'kinds': unknown outlier kind {kind!r}")
+        cells = _outlier_cells(cfg, seed)
         methods = _cfg_list(cfg, "methods", ["pearson", "dcal", "skipped"])
-        report = run_outlier_suite(
-            cells, methods, alpha=alpha, repetitions=repetitions, threads=threads
-        )
+        report = run_outlier_suite(cells, methods, alpha=alpha, repetitions=repetitions)
     else:
         raise ParseError(f"config key 'design': unknown design {design_name!r}")
 
@@ -456,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--repetitions", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--threads", type=int, default=None)
+    p_sim.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ans = sub.add_parser("anscombe", help="print the bundled quartet analysis")

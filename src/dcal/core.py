@@ -4,8 +4,7 @@ Pearson correlation and leave-one-out prediction each have one row-wise
 kernel: every row of a matrix against a shared sample or against its own
 row.  The single-pair functions are one-row calls of those kernels.
 
-All operations are pure functions of immutable inputs and safe to call from
-multiple threads.
+All operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations

@@ -31,9 +31,8 @@ flat in the number of rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -174,16 +173,6 @@ class DcalBatch(NamedTuple):
 def chunk_rows(per_row: int) -> int:
     """Rows per chunk when each row needs ``per_row`` values of work space."""
     return max(1, CHUNK_ELEMENTS // max(1, per_row))
-
-
-def map_ordered(fn: Callable, items: Sequence, threads: int) -> Iterator:
-    """Yield ``fn(item)`` for every item, in order, on up to ``threads`` threads."""
-    if threads <= 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)
 
 
 def _kfold_layout(n: int, scheme: OosScheme) -> tuple[list[int], np.ndarray]:

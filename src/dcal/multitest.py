@@ -9,11 +9,10 @@ p-values dominate the per-test ones exactly, not just in expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import DataPair
 from .errors import DegenerateVarianceError
 from .rng import Stream, derive
 
@@ -21,7 +20,6 @@ __all__ = [
     "PermutationPlan",
     "holm_adjust",
     "bh_adjust",
-    "perm_test",
     "permutation_pvalues",
 ]
 
@@ -85,9 +83,8 @@ def permutation_pvalues(
 
     ``columns`` is (m, n); every row is tested against the shared ``target``.
     Permutation b shuffles the target with the stream derived from
-    ``(plan.seed, b)``, so results do not depend on evaluation order or
-    thread count.  P-values use the add-one convention
-    (1 + #{more extreme}) / (B + 1).
+    ``(plan.seed, b)``, so results do not depend on evaluation order.
+    P-values use the add-one convention (1 + #{more extreme}) / (B + 1).
     """
     X = np.asarray(columns, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
@@ -116,23 +113,3 @@ def permutation_pvalues(
     max_stat = (1.0 + count_max) / (B + 1.0)
     return per_test, max_stat
 
-
-def perm_test(
-    battery: Sequence[DataPair],
-    plan: PermutationPlan,
-    mode: Literal["per_test", "max_stat"] = "per_test",
-) -> np.ndarray:
-    """Permutation p-values for a battery of pairs sharing one y variable."""
-    if len(battery) == 0:
-        raise ValueError("battery is empty")
-    y = battery[0].y
-    for i, pair in enumerate(battery[1:], start=1):
-        if not np.array_equal(pair.y, y):
-            raise ValueError(f"pair {i} does not share the battery's y variable")
-    X = np.vstack([pair.x for pair in battery])
-    per_test, max_stat = permutation_pvalues(X, y, plan)
-    if mode == "per_test":
-        return per_test
-    if mode == "max_stat":
-        return max_stat
-    raise ValueError(f"unknown mode {mode!r}")

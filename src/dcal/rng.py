@@ -1,7 +1,7 @@
 """Deterministic 64-bit random stream used by every seeded component.
 
 The generator is counter-based so that draws depend only on ``(seed, draw
-index)`` and never on platform, thread count, or numpy version.  Draw ``k``
+index)`` and never on platform, evaluation order, or numpy version.  Draw ``k``
 (0-based) from a stream with seed ``s`` is::
 
     raw_k = mix64((s + (k + 1) * GOLDEN) mod 2**64)

@@ -2,9 +2,8 @@
 
 Every random draw comes from a stream seeded by
 ``derive(master_seed, repetition, column, ...)``, so a report is a pure
-function of its design and runs identically at any thread count.  Reports
-are tidy long-format tables (one row per design cell x method x metric)
-serializable to CSV and JSON.
+function of its design.  Reports are tidy long-format tables (one row per
+design cell x method x metric) serializable to CSV and JSON.
 """
 
 from __future__ import annotations
@@ -12,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
 from .core import DataPair, pearson, pearson_rows
-from .engine import OosScheme, dcal_matrix, dcal_test, map_ordered
+from .engine import OosScheme, dcal_matrix, dcal_test
 from .errors import DcalError
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .robust import skipped_correlation
@@ -205,24 +204,17 @@ def gen_contaminated(
     return DataPair(x, y)
 
 
-def _battery_columns(design, rep: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Generate one repetition's battery; returns (X, y, m_true, base_seed)."""
-    base = derive(design.seed, rep)
-    n = design.n
+def _battery_columns(
+    base: int, n: int, m_true: int, m_null: int, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One repetition's battery (X, y): the first m_true rows correlate with y at rho."""
     y = Stream(derive(base, _KEY_TARGET)).normals(n)
-    if isinstance(design, NullBattery):
-        m_true, m_null = 0, design.m
-        rho = 0.0
-    else:
-        m_true, m_null = design.m_true, design.m_null
-        rho = design.rho
-    m = m_true + m_null
-    X = np.empty((m, n))
+    X = np.empty((m_true + m_null, n))
     mix = math.sqrt(1.0 - rho * rho)
-    for j in range(m):
+    for j in range(m_true + m_null):
         g = Stream(derive(base, j + 1)).normals(n)
         X[j] = rho * y + mix * g if j < m_true else g
-    return X, y, m_true, base
+    return X, y
 
 
 BATTERY_METHODS = (
@@ -360,114 +352,48 @@ class _Accumulator:
             report.add(design_name, cell, method, "mean_r_significant", mean_sig)
 
 
-def run_battery_experiment(
-    design: NullBattery | CorrelatedBattery,
-    methods: Iterable[str] = ("uncorrected", "holm", "bh", "dcal"),
-    alpha: float = 0.05,
-    repetitions: int = 1,
-    scheme: OosScheme = OosScheme.loo(),
-    plan: PermutationPlan = PermutationPlan(),
-    fast: bool = False,
-    threads: int = 1,
-) -> ExperimentReport:
-    """Generate batteries, run every method, and aggregate rejection counts.
+def _check_run(alpha: float, repetitions: int) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
 
-    The calibrated test runs without any additional correction; its score is
-    p_dcal itself.  Repetitions that abort with a toolkit error are excluded
-    from the averages and counted in the report metadata.
+
+def _run_battery(
+    design: NullBattery | CorrelatedBattery,
+    name: str,
+    labels: list[str],
+    score_rep: Callable[[np.ndarray, np.ndarray, int], dict],
+    alpha: float,
+    repetitions: int,
+    meta: dict,
+) -> ExperimentReport:
+    """Score every repetition's battery with ``score_rep(X, y, base)`` and
+    aggregate the per-label rejections into a report for design ``name``.
+
+    Repetitions that abort with a toolkit error are excluded from the
+    averages and counted in the report metadata; ``meta`` adds run keys.
     """
-    methods = _check_methods(methods, BATTERY_METHODS)
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-
-    def one_rep(rep: int):
-        try:
-            X, y, m_true, base = _battery_columns(design, rep)
-            return _battery_scores(X, y, methods, base, alpha, scheme, plan, fast), m_true
-        except DcalError:
-            return None
-
-    results = list(map_ordered(one_rep, range(repetitions), threads))
-    acc = _Accumulator(methods)
-    errors = 0
-    m_true = design.m_true if isinstance(design, CorrelatedBattery) else 0
-    m_null = design.m_null if isinstance(design, CorrelatedBattery) else design.m
-    for item in results:
-        if item is None:
-            errors += 1
-        else:
-            acc.add(item[0], item[1], alpha)
-    if acc.reps == 0:
-        raise DcalError("every repetition failed")
-
     if isinstance(design, NullBattery):
-        name, cell = "null_battery", f"m={design.m},n={design.n}"
+        m_true, m_null, rho = 0, design.m, 0.0
+        cell = f"m={design.m},n={design.n}"
     else:
-        name = "correlated_battery"
+        m_true, m_null, rho = design.m_true, design.m_null, design.rho
         cell = f"m_true={design.m_true},m_null={design.m_null},rho={design.rho},n={design.n}"
-    report = ExperimentReport(
-        meta={
-            "design": name,
-            "cell": cell,
-            "alpha": alpha,
-            "seed": design.seed,
-            "repetitions_requested": repetitions,
-            "repetitions_completed": acc.reps,
-            "errors": errors,
-            "methods": methods,
-            "scheme": scheme.label,
-            "n_permutations": plan.n_permutations,
-            "fast": fast,
-        }
-    )
-    acc.emit(report, name, cell, m_true, m_null)
-    return report
-
-
-def run_oos_comparison(
-    design: NullBattery | CorrelatedBattery,
-    schemes: Iterable[OosScheme],
-    alpha: float = 0.05,
-    repetitions: int = 1,
-    threads: int = 1,
-) -> ExperimentReport:
-    """Same battery, calibrated test only, one method entry per OOS scheme."""
-    schemes = list(schemes)
-    if not schemes:
-        raise ValueError("schemes must be nonempty")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-
-    def one_rep(rep: int):
-        try:
-            X, y, m_true, base = _battery_columns(design, rep)
-            scores = {
-                f"dcal-{scheme.label}": _dcal_scores(X, y, base, alpha, scheme, False)
-                for scheme in schemes
-            }
-            return scores, m_true
-        except DcalError:
-            return None
-
-    labels = [f"dcal-{s.label}" for s in schemes]
-    results = list(map_ordered(one_rep, range(repetitions), threads))
     acc = _Accumulator(labels)
     errors = 0
-    for item in results:
-        if item is None:
+    for rep in range(repetitions):
+        base = derive(design.seed, rep)
+        try:
+            X, y = _battery_columns(base, design.n, m_true, m_null, rho)
+            scores = score_rep(X, y, base)
+        except DcalError:
             errors += 1
-        else:
-            acc.add(item[0], item[1], alpha)
+            continue
+        acc.add(scores, m_true, alpha)
     if acc.reps == 0:
         raise DcalError("every repetition failed")
 
-    if isinstance(design, NullBattery):
-        name, cell = "oos_comparison", f"m={design.m},n={design.n}"
-        m_true, m_null = 0, design.m
-    else:
-        name = "oos_comparison"
-        cell = f"m_true={design.m_true},m_null={design.m_null},rho={design.rho},n={design.n}"
-        m_true, m_null = design.m_true, design.m_null
     report = ExperimentReport(
         meta={
             "design": name,
@@ -478,10 +404,59 @@ def run_oos_comparison(
             "repetitions_completed": acc.reps,
             "errors": errors,
             "methods": labels,
+            **meta,
         }
     )
     acc.emit(report, name, cell, m_true, m_null)
     return report
+
+
+def run_battery_experiment(
+    design: NullBattery | CorrelatedBattery,
+    methods: Iterable[str] = ("uncorrected", "holm", "bh", "dcal"),
+    alpha: float = 0.05,
+    repetitions: int = 1,
+    scheme: OosScheme = OosScheme.loo(),
+    plan: PermutationPlan = PermutationPlan(),
+    fast: bool = False,
+) -> ExperimentReport:
+    """Generate batteries, run every method, and aggregate rejection counts.
+
+    The calibrated test runs without any additional correction; its score is
+    p_dcal itself.  Repetitions that abort with a toolkit error are excluded
+    from the averages and counted in the report metadata.
+    """
+    methods = _check_methods(methods, BATTERY_METHODS)
+    _check_run(alpha, repetitions)
+    name = "null_battery" if isinstance(design, NullBattery) else "correlated_battery"
+    return _run_battery(
+        design, name, methods,
+        lambda X, y, base: _battery_scores(X, y, methods, base, alpha, scheme, plan, fast),
+        alpha, repetitions,
+        {"scheme": scheme.label, "n_permutations": plan.n_permutations, "fast": fast},
+    )
+
+
+def run_oos_comparison(
+    design: NullBattery | CorrelatedBattery,
+    schemes: Iterable[OosScheme],
+    alpha: float = 0.05,
+    repetitions: int = 1,
+) -> ExperimentReport:
+    """Same battery, calibrated test only, one method entry per OOS scheme."""
+    schemes = list(schemes)
+    if not schemes:
+        raise ValueError("schemes must be nonempty")
+    _check_run(alpha, repetitions)
+    labels = [f"dcal-{scheme.label}" for scheme in schemes]
+
+    def score_rep(X, y, base):
+        return {
+            label: _dcal_scores(X, y, base, alpha, scheme, False)
+            for label, scheme in zip(labels, schemes)
+        }
+
+    return _run_battery(design, "oos_comparison", labels, score_rep, alpha, repetitions, {})
 
 
 def run_effect_grid(
@@ -489,7 +464,6 @@ def run_effect_grid(
     methods: Iterable[str] = PAIR_METHODS,
     alpha: float = 0.05,
     repetitions: int = 100,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Single-pair sweep over (rho, n) cells; means of scores and estimates.
 
@@ -497,12 +471,20 @@ def run_effect_grid(
     distribution is observed, not just its rejections.
     """
     methods = _check_methods(methods, PAIR_METHODS)
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_run(alpha, repetitions)
+    report = ExperimentReport(
+        meta={
+            "design": "effect_grid",
+            "alpha": alpha,
+            "seed": design.seed,
+            "repetitions": repetitions,
+            "methods": methods,
+            "rho_list": list(design.rho_list),
+            "n_list": list(design.n_list),
+        }
+    )
     cells = [(rho, n) for rho in design.rho_list for n in design.n_list]
-
-    def one_cell(args):
-        ci, (rho, n) = args
+    for ci, (rho, n) in enumerate(cells):
         sums = {m: [0.0, 0.0, 0.0, 0] for m in methods}  # score, est, |est|, rejections
         for rep in range(repetitions):
             pair = gen_pair(n, rho, derive(design.seed, ci, rep))
@@ -523,21 +505,6 @@ def run_effect_grid(
                 sums[m][1] += est
                 sums[m][2] += abs(est)
                 sums[m][3] += score < alpha
-        return sums
-
-    results = list(map_ordered(one_cell, list(enumerate(cells)), threads))
-    report = ExperimentReport(
-        meta={
-            "design": "effect_grid",
-            "alpha": alpha,
-            "seed": design.seed,
-            "repetitions": repetitions,
-            "methods": methods,
-            "rho_list": list(design.rho_list),
-            "n_list": list(design.n_list),
-        }
-    )
-    for (rho, n), sums in zip(cells, results):
         cell = f"rho={rho},n={n}"
         for m in methods:
             score_sum, est_sum, abs_sum, rejected = sums[m]
@@ -553,23 +520,37 @@ def run_outlier_suite(
     methods: Iterable[str] = ("pearson", "dcal", "skipped"),
     alpha: float = 0.05,
     repetitions: int = 100,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Contaminated-pair sweep comparing classical, calibrated, and skipped."""
     methods = list(methods)
     for name in methods:
         if name not in ("pearson", "dcal", "skipped"):
             raise ValueError(f"unknown outlier-suite method {name!r}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-
-    def one_cell(args):
-        ci, cell = args
+    _check_run(alpha, repetitions)
+    report = ExperimentReport(
+        meta={
+            "design": "outlier_suite",
+            "alpha": alpha,
+            "repetitions": repetitions,
+            "methods": methods,
+            "errors": 0,
+        }
+    )
+    for ci, cell_design in enumerate(cells):
+        kind = cell_design.outlier
+        extra = (
+            f",sd={kind.sd_outlier}" if kind.kind == "high_variance" else f",mag={kind.magnitude}"
+        )
+        cell = (
+            f"kind={kind.kind},rho={cell_design.rho},fraction={cell_design.fraction}"
+            f",n={cell_design.n}{extra}"
+        )
         sums = {m: [0.0, 0.0, 0] for m in methods}  # est, est among sig, n sig
         errors = 0
         for rep in range(repetitions):
             pair = gen_contaminated(
-                cell.n, cell.rho, cell.outlier, cell.fraction, derive(cell.seed, ci, rep)
+                cell_design.n, cell_design.rho, kind, cell_design.fraction,
+                derive(cell_design.seed, ci, rep),
             )
             try:
                 per_method = {}
@@ -591,30 +572,10 @@ def run_outlier_suite(
                 if score < alpha:
                     sums[m][1] += est
                     sums[m][2] += 1
-        return sums, errors
-
-    results = list(map_ordered(one_cell, list(enumerate(cells)), threads))
-    report = ExperimentReport(
-        meta={
-            "design": "outlier_suite",
-            "alpha": alpha,
-            "repetitions": repetitions,
-            "methods": methods,
-            "errors": sum(err for _, err in results),
-        }
-    )
-    for cell_design, (sums, errors) in zip(cells, results):
-        kind = cell_design.outlier
-        extra = (
-            f",sd={kind.sd_outlier}" if kind.kind == "high_variance" else f",mag={kind.magnitude}"
-        )
-        cell = (
-            f"kind={kind.kind},rho={cell_design.rho},fraction={cell_design.fraction}"
-            f",n={cell_design.n}{extra}"
-        )
         done = repetitions - errors
         if done == 0:
             raise DcalError(f"every repetition of outlier-suite cell {cell} failed")
+        report.meta["errors"] += errors
         for m in methods:
             est_sum, est_sig_sum, n_sig = sums[m]
             report.add("outlier_suite", cell, m, "mean_estimate", est_sum / done)

@@ -14,6 +14,8 @@ from dcal import (
     screen,
     write_report,
 )
+from dcal.batchio import CORRECTIONS
+from dcal.engine import chunk_rows
 from dcal.rng import Stream, derive
 
 
@@ -171,23 +173,24 @@ class TestScreen:
         sets = report.significant_sets()
         assert sets["holm"] <= sets["bh"]
 
-    def test_threads_deterministic(self):
-        matrix = _synthetic_matrix(n_features=15)
-        a = screen(matrix, "target", threads=1)
-        b = screen(matrix, "target", threads=3)
-        assert [row for row in a.rows] == [row for row in b.rows]
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_progress_after_each_chunk(self, threads):
+    def test_repeat_runs_deterministic(self):
         # 700 features of 60 samples span several row chunks
         matrix = _synthetic_matrix(n_features=700)
+        a = screen(matrix, "target", scheme=OosScheme.boot632(20, 3), corrections=CORRECTIONS)
+        b = screen(matrix, "target", scheme=OosScheme.boot632(20, 3), corrections=CORRECTIONS)
+        assert a.rows == b.rows and a.summary == b.summary
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_progress_after_each_chunk(self, chunks):
+        # the last row chunk is partly filled
+        step = chunk_rows(60)
+        n_features = (chunks - 1) * step + step // 2 + 1
+        matrix = _synthetic_matrix(n_features=n_features)
         calls = []
-        report = screen(matrix, "target", threads=threads, progress=lambda *a: calls.append(a))
-        done = [d for d, _ in calls]
-        assert len(calls) > 1
-        assert done == sorted(set(done))
-        assert all(total == 700 for _, total in calls)
-        assert calls[-1] == (700, 700) and len(report.rows) == 700
+        report = screen(matrix, "target", progress=lambda *a: calls.append(a))
+        expected = [min(k * step, n_features) for k in range(1, chunks + 1)]
+        assert calls == [(done, n_features) for done in expected]
+        assert len(report.rows) == n_features
 
     def test_perm_corrections_attach(self):
         matrix = _synthetic_matrix(n_features=10, n_true=3, n=40)

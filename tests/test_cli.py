@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcal.cli import main
 from dcal.rng import Stream, derive
@@ -112,7 +118,8 @@ class TestCmdScreen:
         assert rc == 2
 
     def test_byte_identical_runs_across_threads(self, tmp_path):
-        # enough features for several row chunks, so threads share the work
+        # --threads is accepted and has no effect; 700 features span
+        # several row chunks
         matrix = _matrix_file(tmp_path, n_features=700)
         args = ["screen", "--matrix", matrix, "--target", "target", "--seed", "7"]
         reports = []
@@ -144,6 +151,68 @@ repetitions = 2
 alpha = 0.05
 methods = uncorrected,holm,dcal
 """
+
+
+# keys each design cannot run without, and a small config that runs
+REQUIRED_KEYS = {
+    "null_battery": ("m", "n"),
+    "correlated_battery": ("m_true", "m_null", "rho", "n"),
+    "oos_comparison": ("m_null", "n"),
+    "effect_grid": ("rho_list", "n_list"),
+    "outlier_suite": ("kinds", "rho_list", "n"),
+}
+COMPLETE_CONFIGS = {
+    "null_battery": {"m": 6, "n": 20},
+    "correlated_battery": {"m_true": 2, "m_null": 4, "rho": 0.5, "n": 20},
+    "oos_comparison": {"m_null": 4, "n": 20, "schemes": "loo,boot632"},
+    "effect_grid": {"rho_list": "0.3", "n_list": 20},
+    "outlier_suite": {"kinds": "univariate", "rho_list": "0.5", "n": 20},
+}
+
+_NUMBERS = ("-1", "0", "1", "2", "4", "5", "12", "0.5", "nan", "inf", "-inf", "x", "")
+_FUZZ_VALUES = {
+    **dict.fromkeys(("m", "m_true", "m_null"), st.sampled_from(_NUMBERS)),
+    "n": st.sampled_from(_NUMBERS + ("10", "30")),
+    "repetitions": st.sampled_from(_NUMBERS[:5] + ("3", "nan", "x")),
+    "permutations": st.sampled_from(("-5", "0", "99", "100", "150", "x")),
+    "seed": st.sampled_from(("0", "-3", "7", "x", "1e3")),
+    **dict.fromkeys(
+        ("alpha", "rho", "fraction", "magnitude"),
+        st.sampled_from(_NUMBERS + ("0.05", "0.25", "0.99")),
+    ),
+}
+_FUZZ_LISTS = {
+    "rho_list": _NUMBERS + ("0.3", "-0.5"),
+    "n_list": _NUMBERS + ("10", "30"),
+    "sd_list": _NUMBERS + ("3",),
+    "kinds": ("high_variance", "univariate", "bivariate", "bogus", ""),
+    "methods": (
+        "uncorrected", "holm", "bh", "perm", "perm_max", "dcal", "pcal_sellke",
+        "pcal_bickel", "ppbf", "pearson", "skipped", "bogus", "",
+    ),
+    "schemes": ("loo", "cv10x10", "boot632", "bogus", ""),
+    "scheme": ("loo", "cv10x10", "boot632", "bogus", ""),
+}
+
+
+def _config_text(design, keys):
+    return f"design = {design}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """A small working config with keys dropped and up to four keys set to
+    small, negative, non-finite, non-numeric or unknown values."""
+    values = dict(_FUZZ_VALUES)
+    for key, items in _FUZZ_LISTS.items():
+        values[key] = st.lists(st.sampled_from(items), max_size=3).map(",".join)
+    design = draw(st.sampled_from(sorted(COMPLETE_CONFIGS)))
+    keys = dict(COMPLETE_CONFIGS[design])
+    for key in draw(st.sets(st.sampled_from(sorted(keys)))):
+        del keys[key]
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=4)):
+        keys[key] = draw(values[key])
+    return _config_text(design, keys)
 
 
 class TestCmdSimulate:
@@ -185,6 +254,60 @@ class TestCmdSimulate:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            # no method calls the calibrated test, which checks alpha itself
+            pytest.param(
+                "design = null_battery\nm = 5\nn = 20\nmethods = uncorrected\nalpha = 2\n",
+                "alpha", id="battery-alpha",
+            ),
+            pytest.param(
+                "design = effect_grid\nrho_list = 0.5\nn_list = 20\nalpha = 0\n"
+                "methods = uncorrected,pcal_sellke\n",
+                "alpha", id="grid-alpha",
+            ),
+            pytest.param(
+                "design = effect_grid\nrho_list = ,\nn_list = 20\n", "'rho_list'", id="empty-list",
+            ),
+            pytest.param("design = outlier_suite\nkinds = ,\nn = 20\n", "'kinds'", id="empty-kinds"),
+        ],
+    )
+    def test_invalid_value_exits_2_naming_it(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "invalid.cfg"
+        cfg.write_text(config)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "design, key",
+        [(design, key) for design, keys in REQUIRED_KEYS.items() for key in keys],
+    )
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, design, key):
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text(
+            _config_text(design, {k: v for k, v in COMPLETE_CONFIGS[design].items() if k != key})
+        )
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert f"config key {key!r} is required" in capsys.readouterr().err
+
+    def test_complete_configs_run(self, tmp_path):
+        for design, keys in COMPLETE_CONFIGS.items():
+            cfg = tmp_path / f"{design}.cfg"
+            cfg.write_text(_config_text(design, keys))
+            assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / design)]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=_fuzzed_config())
+    def test_fuzzed_configs_exit_cleanly(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_text(config)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main(["simulate", "--config", str(cfg), "--output", str(Path(tmp) / "o")])
+        assert rc in (0, 2, 3)
 
     def test_all_failed_outlier_cell_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "outlier.cfg"

@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcal import (
-    DataPair,
     DegenerateVarianceError,
     PermutationPlan,
     bh_adjust,
     holm_adjust,
-    perm_test,
     permutation_pvalues,
 )
 from dcal.rng import Stream, derive
 
-from conftest import brute_bh, brute_holm, seeded_pair
+from conftest import brute_bh, brute_holm
 
 
 class TestHolm:
@@ -73,37 +71,32 @@ class TestAgainstBruteForce:
         assert np.all(np.diff(bh[order]) >= -1e-15)
 
 
-def _battery(m, n, seed, rho=0.0):
+def _battery(m, n, seed):
+    """(m, n) null columns and their shared target."""
     y = Stream(derive(seed, 0)).normals(n)
-    pairs = []
-    for j in range(m):
-        g = Stream(derive(seed, j + 1)).normals(n)
-        x = rho * y + np.sqrt(1 - rho**2) * g if rho else g
-        pairs.append(DataPair(x, y))
-    return pairs
+    X = np.array([Stream(derive(seed, j + 1)).normals(n) for j in range(m)])
+    return X, y
 
 
 class TestPermTest:
     def test_extreme_statistic(self):
         values = Stream(4321).normals(60)
-        pair = DataPair(values, values)
-        got = perm_test([pair], PermutationPlan(999, 5))
-        assert got[0] == pytest.approx(1.0 / 1000.0, abs=1e-15)
+        per, mx = permutation_pvalues(values[None, :], values, PermutationPlan(999, 5))
+        assert per[0] == pytest.approx(1.0 / 1000.0, abs=1e-15)
+        assert mx[0] == pytest.approx(1.0 / 1000.0, abs=1e-15)
 
     def test_maxstat_dominates_per_test(self):
-        pairs = _battery(25, 40, 888)
-        plan = PermutationPlan(199, 17)
-        per = perm_test(pairs, plan, mode="per_test")
-        mx = perm_test(pairs, plan, mode="max_stat")
+        per, mx = permutation_pvalues(*_battery(25, 40, 888), PermutationPlan(199, 17))
         assert np.all(mx >= per)
 
     def test_bounds_and_determinism(self):
-        pairs = _battery(10, 30, 901)
+        X, y = _battery(10, 30, 901)
         plan = PermutationPlan(299, 3)
-        first = perm_test(pairs, plan)
-        second = perm_test(pairs, plan)
-        assert np.array_equal(first, second)
-        assert np.all(first >= 1.0 / 300.0) and np.all(first <= 1.0)
+        first = permutation_pvalues(X, y, plan)
+        second = permutation_pvalues(X, y, plan)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+            assert np.all(a >= 1.0 / 300.0) and np.all(a <= 1.0)
 
     def test_degenerate_column_names_index(self):
         y = Stream(7).normals(20)
@@ -112,12 +105,6 @@ class TestPermTest:
         with pytest.raises(DegenerateVarianceError, match="column 1"):
             permutation_pvalues(X, y, PermutationPlan(199, 1))
 
-    def test_mismatched_y_rejected(self):
-        a = seeded_pair(20, 0.0, 1)
-        b = seeded_pair(20, 0.0, 2)
-        with pytest.raises(ValueError):
-            perm_test([a, b], PermutationPlan(199, 1))
-
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             PermutationPlan(99, 0)
@@ -125,15 +112,7 @@ class TestPermTest:
     def test_null_battery_calibration(self):
         # under the null, per-test rejections track alpha while the
         # max-statistic correction rejects (almost) nothing
-        pairs = _battery(100, 50, 777)
-        plan = PermutationPlan(499, 11)
-        per = perm_test(pairs, plan)
-        mx = perm_test(pairs, plan, mode="max_stat")
+        per, mx = permutation_pvalues(*_battery(100, 50, 777), PermutationPlan(499, 11))
         rejected = int((per < 0.05).sum())
         assert rejected <= 12  # 100 tests at alpha=.05: binomial, mean 5
         assert int((mx < 0.05).sum()) <= 1
-
-    def test_unknown_mode(self):
-        pairs = _battery(3, 20, 5)
-        with pytest.raises(ValueError):
-            perm_test(pairs, PermutationPlan(199, 1), mode="bogus")

@@ -113,8 +113,7 @@ class TestBatteryExperiment:
         )
         first = run_battery_experiment(design, **kwargs)
         second = run_battery_experiment(design, **kwargs)
-        threaded = run_battery_experiment(design, threads=3, **kwargs)
-        assert first.records == second.records == threaded.records
+        assert first.records == second.records and first.meta == second.meta
         assert first.meta["repetitions_completed"] == 3
         fpr = first.value("uncorrected", "fpr")
         assert 0.0 <= fpr <= 0.2
@@ -153,12 +152,12 @@ class TestOosComparison:
         for label in ("dcal-loo", "dcal-cv10x10", "dcal-boot632"):
             assert report.value(label, "sensitivity") >= 0.8, label
 
-    def test_deterministic_across_threads(self):
+    def test_repeat_runs_deterministic(self):
         design = NullBattery(m=10, n=40, seed=22)
         schemes = [OosScheme.loo(), OosScheme.boot632(20, 0)]
-        a = run_oos_comparison(design, schemes, repetitions=2, threads=1)
-        b = run_oos_comparison(design, schemes, repetitions=2, threads=2)
-        assert a.records == b.records
+        a = run_oos_comparison(design, schemes, repetitions=2)
+        b = run_oos_comparison(design, schemes, repetitions=2)
+        assert a.records == b.records and a.meta == b.meta
 
 
 class TestEffectGrid:
@@ -175,8 +174,8 @@ class TestEffectGrid:
     def test_determinism(self):
         design = EffectGrid(rho_list=(0.5,), n_list=(25,), seed=32)
         a = run_effect_grid(design, repetitions=10)
-        b = run_effect_grid(design, repetitions=10, threads=2)
-        assert a.records == b.records
+        b = run_effect_grid(design, repetitions=10)
+        assert a.records == b.records and a.meta == b.meta
 
 
 class TestOutlierSuite:
