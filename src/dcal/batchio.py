@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+import math
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -74,16 +77,36 @@ class FeatureMatrix:
             raise TargetError(f"feature {name!r} not found in matrix") from None
 
 
-def _parse_cell(token: str, line_no: int, col_no: int) -> float | None:
+def _parse_cell(token: str, line_no: int, col_no: int) -> float:
+    """One cell as a finite float, or NaN for a missing cell."""
     stripped = token.strip()
     if stripped.lower() in _MISSING_TOKENS:
-        return None
+        return math.nan
     try:
-        return float(stripped)
+        value = float(stripped)
     except ValueError:
         raise ParseError(
             f"line {line_no}, column {col_no}: {stripped!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {line_no}, column {col_no}: {stripped!r} is not a finite number")
+    return value
+
+
+def _parse_row(cells: list[str], line_no: int) -> np.ndarray:
+    """A row's data cells as floats, NaN marking a missing cell.
+
+    numpy converts each token with Python's ``float``; only a row that fails
+    to convert or holds a non-finite value is parsed again cell by cell, to
+    mark its missing cells or to name its first bad cell.
+    """
+    try:
+        values = np.array(cells, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_cell(tok, line_no, c) for c, tok in enumerate(cells, start=2)])
 
 
 def load_matrix(
@@ -100,60 +123,64 @@ def load_matrix(
     ``drop_feature`` removes the affected feature with a warning, ``fail``
     raises.  Constant-valued features are always excluded with a warning,
     since they cannot participate in any correlation test.
+
+    Rows are read one at a time into float arrays.  Errors come in file
+    order first -- a row of the wrong width, a cell that is not a number or
+    not finite (``inf``, ``-nan``) -- then a duplicate feature name, then a
+    missing cell under the ``fail`` policy.
     """
     if orientation not in ("features_in_rows", "samples_in_rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if missing_policy not in ("drop_feature", "fail"):
         raise ValueError(f"unknown missing policy {missing_policy!r}")
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    if not rows:
-        raise ParseError(f"{path}: file is empty")
-    header = rows[0]
-    if len(header) < 2:
-        raise ParseError(f"line 1: expected a name column plus data columns")
-    width = len(header)
-    axis_names = tuple(cell.strip() for cell in header[1:])
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
 
     names: list[str] = []
-    data: list[list[float | None]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
-        names.append(row[0].strip())
-        data.append([_parse_cell(tok, line_no, c + 2) for c, tok in enumerate(row[1:])])
+    rows: list[np.ndarray] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: file is empty")
+            if len(header) < 2:
+                raise ParseError("line 1: expected a name column plus data columns")
+            width = len(header)
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
+                names.append(row[0].strip())
+                rows.append(_parse_row(row[1:], line_no))
+        except csv.Error as exc:
+            raise ParseError(f"line {reader.line_num}: {exc}") from None
+    axis_names = tuple(cell.strip() for cell in header[1:])
+    values = np.array(rows).reshape(len(rows), width - 1)
 
     if orientation == "features_in_rows":
         feature_names, sample_names = names, axis_names
-        cells = data
     else:
         feature_names, sample_names = list(axis_names), tuple(names)
-        cells = [list(col) for col in zip(*data)] if data else [[] for _ in axis_names]
+        values = values.T
 
-    dupes = {n for n in feature_names if feature_names.count(n) > 1}
+    dupes = sorted(name for name, count in Counter(feature_names).items() if count > 1)
     if dupes:
-        raise ParseError(f"duplicate feature name {sorted(dupes)[0]!r}")
+        raise ParseError(f"duplicate feature name {dupes[0]!r}")
 
-    kept_names: list[str] = []
-    kept_rows: list[list[float]] = []
-    warnings: list[str] = []
-    for name, row in zip(feature_names, cells):
-        if any(v is None for v in row):
-            if missing_policy == "fail":
-                raise ParseError(f"feature {name!r} has missing values")
-            warnings.append(f"feature {name!r} dropped: missing values")
-            continue
-        if len(row) and min(row) == max(row):
-            warnings.append(f"feature {name!r} excluded: constant value")
-            continue
-        kept_names.append(name)
-        kept_rows.append(row)
-
-    values = np.asarray(kept_rows, dtype=np.float64) if kept_rows else np.empty((0, len(sample_names)))
+    missing = np.isnan(values).any(axis=1)
+    if missing_policy == "fail" and missing.any():
+        raise ParseError(f"feature {feature_names[int(np.argmax(missing))]!r} has missing values")
+    constant = values.min(axis=1, initial=np.inf) == values.max(axis=1, initial=-np.inf)
+    warnings = [
+        f"feature {name!r} dropped: missing values" if gap
+        else f"feature {name!r} excluded: constant value"
+        for name, gap, flat in zip(feature_names, missing.tolist(), constant.tolist())
+        if gap or flat
+    ]
+    keep = ~(missing | constant)
     return FeatureMatrix(
-        feature_names=tuple(kept_names),
-        values=values,
+        feature_names=tuple(compress(feature_names, keep.tolist())),
+        values=values[keep],
         sample_names=tuple(sample_names),
         warnings=tuple(warnings),
     )
@@ -255,7 +282,8 @@ def screen(
 
     feature_ids = [j for j in range(len(matrix.feature_names)) if j != target_idx]
     step = chunk_rows(matrix.sample_count)
-    rows: list[FeatureRow] = []
+    # per feature: (name, r, p, r_dcal, p_dcal, sign_flip, fast_skipped, error)
+    results: list[tuple] = []
     for k in range(0, len(feature_ids), step):
         ids = feature_ids[k : k + step]
         names = [matrix.feature_names[j] for j in ids]
@@ -263,41 +291,37 @@ def screen(
         # rows permutes report rows with identical values
         seeds = [derive_text(scheme.seed, name) for name in names]
         batch = dcal_matrix(matrix.values[ids], y, scheme, seeds, alpha, fast)
-        numbers = zip(
-            batch.r.tolist(), batch.p.tolist(), batch.r_dcal.tolist(), batch.p_dcal.tolist(),
-            batch.sign_flip.tolist(), batch.skipped.tolist(), batch.errors,
-        )
-        rows.extend(
-            FeatureRow(name=name, error=str(error)) if error is not None
-            else FeatureRow(
-                name=name, r=r, p=p, r_dcal=r_dcal, p_dcal=p_dcal,
-                sign_flip=flip, fast_skipped=skip,
-            )
-            for name, (r, p, r_dcal, p_dcal, flip, skip, error) in zip(names, numbers)
-        )
+        results.extend(zip(
+            names, batch.r.tolist(), batch.p.tolist(), batch.r_dcal.tolist(),
+            batch.p_dcal.tolist(), batch.sign_flip.tolist(), batch.skipped.tolist(),
+            batch.errors,
+        ))
         if progress:
-            progress(len(rows), len(feature_ids))
+            progress(len(results), len(feature_ids))
 
-    ok = [i for i, row in enumerate(rows) if not row.error]
+    ok = [i for i, res in enumerate(results) if res[-1] is None]
+    adjusted: dict[int, tuple[float, ...]] = {}
     if ok and corrections:
-        pvec = np.array([rows[i].p for i in ok])
-        adjusted: dict[str, np.ndarray] = {}
+        pvec = np.array([results[i][2] for i in ok])
+        columns: dict[str, np.ndarray] = {}
         if "holm" in corrections:
-            adjusted["holm"] = holm_adjust(pvec)
+            columns["holm"] = holm_adjust(pvec)
         if "bh" in corrections:
-            adjusted["bh"] = bh_adjust(pvec)
+            columns["bh"] = bh_adjust(pvec)
         if "perm" in corrections or "perm_max" in corrections:
-            X = np.vstack([matrix.values[feature_ids[i]] for i in ok])
-            per, mx = permutation_pvalues(
+            X = matrix.values[[feature_ids[i] for i in ok]]
+            columns["perm"], columns["perm_max"] = permutation_pvalues(
                 X, y, PermutationPlan(plan.n_permutations, derive(scheme.seed, _KEY_SCREEN_PERM))
             )
-            adjusted["perm"] = per
-            adjusted["perm_max"] = mx
-        for pos, i in enumerate(ok):
-            rows[i] = replace(
-                rows[i],
-                adjusted={corr: float(adjusted[corr][pos]) for corr in corrections},
-            )
+        adjusted = dict(zip(ok, zip(*(columns[corr].tolist() for corr in corrections))))
+    rows = [
+        FeatureRow(name=name, error=str(error)) if error is not None
+        else FeatureRow(
+            name=name, r=r, p=p, r_dcal=r_dcal, p_dcal=p_dcal, sign_flip=flip,
+            fast_skipped=skip, adjusted=dict(zip(corrections, adjusted.get(i, ()))),
+        )
+        for i, (name, r, p, r_dcal, p_dcal, flip, skip, error) in enumerate(results)
+    ]
 
     report = ScreenReport(
         target=target,

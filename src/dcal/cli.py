@@ -143,6 +143,14 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
+def _permutation_plan(methods, permutations: int, seed: int) -> PermutationPlan:
+    """The plan of a run; ``permutations`` is checked only when a method
+    shuffles (the default plan is passed otherwise and never used)."""
+    if "perm" in methods or "perm_max" in methods:
+        return PermutationPlan(permutations, seed)
+    return PermutationPlan()
+
+
 def cmd_screen(args) -> int:
     corrections = tuple(c.strip() for c in args.corrections.split(",") if c.strip())
     matrix = load_matrix(
@@ -166,7 +174,7 @@ def cmd_screen(args) -> int:
         scheme=scheme,
         corrections=corrections,
         fast=args.fast,
-        plan=PermutationPlan(args.permutations, args.seed),
+        plan=_permutation_plan(corrections, args.permutations, args.seed),
         progress=progress,
     )
     write_report(report, args.output, format=args.format)
@@ -296,7 +304,6 @@ def cmd_simulate(args) -> int:
     repetitions = (
         args.repetitions if args.repetitions is not None else _cfg_int(cfg, "repetitions", 1)
     )
-    permutations = _cfg_int(cfg, "permutations", 999)
 
     if design_name in ("null_battery", "correlated_battery", "oos_comparison"):
         design = _battery_design(cfg, design_name, seed)
@@ -311,7 +318,7 @@ def cmd_simulate(args) -> int:
             scheme = _scheme_from_name(cfg.get("scheme", "loo"), seed)
             report = run_battery_experiment(
                 design, methods, alpha=alpha, repetitions=repetitions, scheme=scheme,
-                plan=PermutationPlan(permutations, seed),
+                plan=_permutation_plan(methods, _cfg_int(cfg, "permutations", 999), seed),
             )
     elif design_name == "effect_grid":
         design = EffectGrid(

@@ -4,6 +4,9 @@ The permutation test shuffles the shared target once per permutation and
 recomputes |r| for every column, so the per-test and max-statistic p-values
 of one plan come from the same shuffles; that makes the max-statistic
 p-values dominate the per-test ones exactly, not just in expectation.
+Shuffles are drawn and scored in blocks: one matrix product scores a whole
+block, and a block holds at most ``PERMUTATION_BLOCK_ELEMENTS`` statistics,
+so memory stays flat in the number of shuffles.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .rng import Stream, derive
+from .rng import derive_array, permutation_of, raw_block
 
 __all__ = [
     "PermutationPlan",
@@ -22,6 +25,9 @@ __all__ = [
     "bh_adjust",
     "permutation_pvalues",
 ]
+
+# statistics per block of shuffles (m columns x block shuffles)
+PERMUTATION_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,8 @@ def permutation_pvalues(
     """
     X = np.asarray(columns, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != y.shape[0]:
-        raise ValueError("columns must be (m, n) with n matching the target length")
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != y.shape[0]:
+        raise ValueError("columns must be (m, n), m >= 1, with n matching the target length")
     m, n = X.shape
     sd_x = X.std(axis=1)
     for j in np.flatnonzero(sd_x == 0.0):
@@ -102,14 +108,34 @@ def permutation_pvalues(
     observed = np.abs(Xs @ ys) / n
 
     B = plan.n_permutations
+    block = max(1, PERMUTATION_BLOCK_ELEMENTS // m)
+    # Two summation orders of one statistic differ by less than ``tol``
+    # (|x . y| <= n for standardized rows).  A shuffle with a statistic or
+    # its maximum that close to an observed statistic is rescored with the
+    # matrix-vector product the observed statistics came from, so ties
+    # count exactly as when the shuffles are scored one at a time.
+    tol = 8.0 * n * np.finfo(np.float64).eps
+    ordered = np.sort(observed)
     count_per = np.zeros(m, dtype=np.int64)
-    count_max = np.zeros(m, dtype=np.int64)
-    for b in range(B):
-        shuffled = ys[Stream(derive(plan.seed, b)).permutation(n)]
-        stats = np.abs(Xs @ shuffled) / n
-        count_per += stats >= observed
-        count_max += stats.max() >= observed
+    peaks = np.empty(B)
+    for start in range(0, B, block):
+        keys = np.arange(start, min(start + block, B), dtype=np.uint64)
+        perms = permutation_of(raw_block(derive_array(plan.seed, keys), n))
+        stats = ys[perms] @ Xs.T  # (shuffles, m)
+        np.abs(stats, out=stats)
+        stats /= n
+        peak = stats.max(axis=1)
+        stats -= observed  # >= 0 exactly where the statistic reaches the observed one
+        near = np.abs(stats).min(axis=1) <= tol
+        at = np.minimum(np.searchsorted(ordered, peak - tol), m - 1)
+        near |= np.abs(ordered[at] - peak) <= tol
+        for j in np.flatnonzero(near):
+            exact = np.abs(Xs @ ys[perms[j]]) / n
+            peak[j] = exact.max()
+            stats[j] = exact - observed
+        count_per += np.count_nonzero(stats >= 0.0, axis=0)
+        peaks[start : start + len(keys)] = peak
+    count_max = B - np.searchsorted(np.sort(peaks), observed, side="left")
     per_test = (1.0 + count_per) / (B + 1.0)
     max_stat = (1.0 + count_max) / (B + 1.0)
     return per_test, max_stat
-

@@ -5,8 +5,12 @@ refit per fold through np.polyfit (SVD least squares), and the step-down /
 step-up adjustments follow their textbook definitions with explicit loops.
 """
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dcal import DataPair, gen_pair
 
@@ -83,3 +87,71 @@ def brute_bh(p):
 
 def seeded_pair(n, rho, seed):
     return gen_pair(n, rho, seed)
+
+
+# Cell tokens for generated feature-matrix CSVs.  Missing tokens come in
+# every spelling the loader accepts, padded or not; numbers include
+# underscores, full-width digits, signed zero and values near the float
+# limits; names include the delimiters, which the writer then quotes.
+CSV_NUMBERS = (
+    "0", "1", "-2.5", "3", "1e-3", "7", " 4 ", "1_0", "-0", "+.5e1", "１２",
+    "1e308", "-1e308", "1e-320", "0.1", "2", "-7.25", "1000000.5",
+)
+CSV_MISSING = ("", " ", "NA", "na", "Na", "nan", "NaN", "NAN", " nan ", "null", "NULL", "Null")
+CSV_BAD = ("x", "1.2.3", "--1", "0x10", "1,5", "1 2", "nan(1)", "1__0")
+CSV_NONFINITE = ("inf", "-inf", "Infinity", " -INF ", "-nan", "+nan", "1e999")
+CSV_NAMES = ("g1", "g2", "g3", " g1 ", "a,b", "a;b", "t\tab", 'q"t', "ä", "")
+
+
+@st.composite
+def csv_tables(draw, max_rows=6, max_cols=6):
+    """(text, delimiter, names, has_nonfinite) of a small delimited table.
+
+    Half the tables are plain: unique names (``f<i>`` for rows, ``s<j>``
+    for columns) and rows that are numeric, constant or numeric with
+    missing cells.  The others draw names from a pool (duplicates, empty
+    names, names holding a delimiter) and may also hold mixed rows (any
+    token kind) and ragged rows (one cell short or long).  A table may be
+    header-only, or the file empty.  ``names`` holds the stripped row names
+    and column names, the feature names of either orientation.
+    """
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    if draw(st.integers(0, 30)) == 0:
+        return "", delimiter, ([], []), False
+    plain = draw(st.booleans())
+    number = st.one_of(
+        st.sampled_from(CSV_NUMBERS),
+        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    )
+    kinds = ["number"] * 4 + ["missing", "bad", "nonfinite"]
+    pools = {"missing": CSV_MISSING, "bad": CSV_BAD, "nonfinite": CSV_NONFINITE}
+    has_nonfinite = False
+
+    def name(unique):
+        return unique if plain else draw(st.sampled_from(CSV_NAMES + (unique,)))
+
+    def token(kind):
+        nonlocal has_nonfinite
+        has_nonfinite |= kind == "nonfinite"
+        return draw(number) if kind == "number" else draw(st.sampled_from(pools[kind]))
+
+    width = draw(st.integers(1, max_cols))
+    table = [["id"] + [name(f"s{j}") for j in range(width)]]
+    shapes = ["numbers"] * 4 + ["constant", "missing"] + ([] if plain else ["mixed", "ragged"])
+    for i in range(draw(st.integers(0, max_rows))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "numbers":
+            cells = [draw(number) for _ in range(width)]
+        elif shape == "constant":
+            cells = [draw(number)] * width
+        elif shape == "missing":
+            cells = [token(draw(st.sampled_from(["number", "missing"]))) for _ in range(width)]
+        else:
+            cells = [token(draw(st.sampled_from(kinds))) for _ in range(width)]
+            if shape == "ragged":
+                cells = cells[:-1] if draw(st.booleans()) else cells + [draw(number)]
+        table.append([name(f"f{i}")] + cells)
+    out = io.StringIO()
+    csv.writer(out, delimiter=delimiter, lineterminator="\n").writerows(table)
+    names = ([row[0].strip() for row in table[1:]], [cell.strip() for cell in table[0][1:]])
+    return out.getvalue(), delimiter, names, has_nonfinite

@@ -1,9 +1,16 @@
+import contextlib
 import csv
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcal import (
     FeatureMatrix,
@@ -17,6 +24,9 @@ from dcal import (
 from dcal.batchio import CORRECTIONS
 from dcal.engine import chunk_rows
 from dcal.rng import Stream, derive
+
+import screen_reference
+from conftest import csv_tables
 
 
 def _write(tmp_path, name, text):
@@ -95,6 +105,90 @@ class TestLoadMatrix:
         assert matrix.feature_names == ("g1", "g2")
         assert matrix.sample_names == ("s1", "s2", "s3")
         assert np.allclose(matrix.values[0], [1.0, 2.0, 3.5])
+
+    @pytest.mark.parametrize("token", ["inf", " -Infinity", "-nan", "+NaN", "1e999"])
+    def test_non_finite_cell_cites_position(self, tmp_path, token):
+        # the row errors even though it also has a missing cell
+        text = f"id,s1,s2,s3,s4\ng1,1,2,3,4\ng2,NA,2,{token},4\n"
+        message = f"line 3, column 4: '{token.strip()}' is not a finite number"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
+    def test_duplicate_names_report_the_first_in_sort_order(self, tmp_path):
+        text = "id,s1,s2\ng2,1,2\ng1,3,4\ng2,5,6\ng1,7,8\n"
+        with pytest.raises(ParseError, match="duplicate feature name 'g1'"):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
+    def test_first_error_in_file_order(self, tmp_path):
+        # a bad token on line 2 wins over the ragged line 3 and the duplicate
+        text = "id,s1,s2\ng1,1,x\ng1,1\n"
+        with pytest.raises(ParseError, match="line 2, column 3"):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
+    def test_oversized_field_cites_line(self, tmp_path):
+        # csv.reader refuses fields over its limit (131072 characters)
+        text = "id,s1,s2\ng1,1,2\ng2,1," + "1" * 200_000 + "\n"
+        with pytest.raises(ParseError, match="line 3: field larger than field limit"):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        with pytest.raises(ValueError, match="one character"):
+            load_matrix(_write(tmp_path, "m.csv", WELL_FORMED), delimiter=delimiter)
+
+
+_reference_parse_cell = screen_reference._parse_cell
+
+
+def _finite_parse_cell(token, line_no, col_no):
+    """The frozen per-cell parser plus the rule that a parsed number must be
+    finite, the one deliberate change of the array loader."""
+    value = _reference_parse_cell(token, line_no, col_no)
+    if value is not None and not math.isfinite(value):
+        raise ParseError(f"line {line_no}, column {col_no}: {token.strip()!r} is not a finite number")
+    return value
+
+
+def _loaded(load, path, **options):
+    try:
+        matrix = load(path, **options)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return (
+        matrix.feature_names, matrix.values.shape, matrix.values.tobytes(),
+        matrix.sample_names, matrix.warnings,
+    )
+
+
+class TestLoaderEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        table=csv_tables(),
+        orientation=st.sampled_from(["features_in_rows", "samples_in_rows"]),
+        missing_policy=st.sampled_from(["drop_feature", "fail"]),
+    )
+    def test_matches_per_cell_reference(self, table, orientation, missing_policy):
+        text, delimiter, _, has_nonfinite = table
+        options = dict(delimiter=delimiter, orientation=orientation, missing_policy=missing_policy)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text(text, encoding="utf-8")
+            got = _loaded(load_matrix, path, **options)
+            finite = (
+                mock.patch.object(screen_reference, "_parse_cell", _finite_parse_cell)
+                if has_nonfinite else contextlib.nullcontext()
+            )
+            with finite:
+                expected = _loaded(screen_reference.load_matrix, path, **options)
+        assert got == expected
+
+    def test_reference_differs_only_on_non_finite_cells(self, tmp_path):
+        # the frozen loader dropped this row (missing cell); the array
+        # loader names its infinite cell
+        path = _write(tmp_path, "m.csv", "id,s1,s2,s3\ng1,inf,NA,1\ng2,1,2,3\n")
+        assert screen_reference.load_matrix(path).feature_names == ("g2",)
+        with pytest.raises(ParseError, match="line 2, column 2: 'inf' is not a finite number"):
+            load_matrix(path)
 
 
 class TestScreen:

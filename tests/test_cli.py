@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dcal.cli import main
 from dcal.rng import Stream, derive
 
-from conftest import ANSCOMBE
+from conftest import ANSCOMBE, csv_tables
 
 
 @pytest.fixture
@@ -84,6 +84,15 @@ class TestCmdTest:
         assert doc["r_skipped"] == pytest.approx(1.0, abs=1e-3)
 
 
+# flags a fuzzed screen run may add; later flags override earlier ones
+_SCREEN_FLAGS = (
+    ("--scheme", "boot632"), ("--scheme", "cv10x10"), ("--no-fast",), ("--format", "json"),
+    ("--orientation", "samples_in_rows"), ("--missing-policy", "fail"),
+    ("--corrections", "holm,bh,perm,perm_max"), ("--corrections", ""),
+    ("--corrections", "perm,bogus"), ("--permutations", "50"), ("--alpha", "0.5"),
+)
+
+
 class TestCmdScreen:
     def test_end_to_end(self, tmp_path, capsys):
         matrix = _matrix_file(tmp_path)
@@ -128,6 +137,39 @@ class TestCmdScreen:
             assert main(args + ["--output", str(out), "--threads", str(threads)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1] == reports[2]
+
+    def test_permutations_checked_only_when_shuffling(self, tmp_path, capsys):
+        matrix = _matrix_file(tmp_path, n_features=6)
+        args = ["screen", "--matrix", matrix, "--target", "target", "--permutations", "10",
+                "--output", str(tmp_path / "r.csv")]
+        assert main(args + ["--corrections", "holm"]) == 0
+        assert main(args + ["--corrections", "holm,perm_max"]) == 2
+        assert "need at least 100 permutations" in capsys.readouterr().err
+
+    def test_non_finite_cell_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,s1,s2,s3,s4\nt,1,2,3,4\ng1,NA,-nan,1,2\n")
+        rc = main(["screen", "--matrix", str(bad), "--target", "t",
+                   "--output", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "line 3, column 3: '-nan' is not a finite number" in capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=csv_tables(max_rows=10, max_cols=10), data=st.data())
+    def test_fuzzed_matrices_exit_cleanly(self, table, data):
+        text, delimiter, (row_names, column_names), _ = table
+        flags = data.draw(st.lists(st.sampled_from(_SCREEN_FLAGS), max_size=4))
+        features = column_names if ("--orientation", "samples_in_rows") in flags else row_names
+        target = data.draw(st.sampled_from(features * 4 + ["absent"]))
+        delimiter = data.draw(st.sampled_from([delimiter] * 18 + ["", ";;"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text(text, encoding="utf-8")
+            args = ["screen", "--matrix", str(path), "--target", target, "--delimiter", delimiter,
+                    "--output", str(Path(tmp) / "r"), "--permutations", "100"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main(args + [flag for pair in flags for flag in pair])
+        assert rc in (0, 2, 3)
 
     def test_json_format(self, tmp_path):
         matrix = _matrix_file(tmp_path, n_features=8)
@@ -308,6 +350,15 @@ class TestCmdSimulate:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 rc = main(["simulate", "--config", str(cfg), "--output", str(Path(tmp) / "o")])
         assert rc in (0, 2, 3)
+
+    def test_permutations_checked_only_when_shuffling(self, tmp_path, capsys):
+        cfg = tmp_path / "null.cfg"
+        keys = {"m": 6, "n": 20, "permutations": 50}
+        cfg.write_text(_config_text("null_battery", {**keys, "methods": "uncorrected"}))
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "a")]) == 0
+        cfg.write_text(_config_text("null_battery", {**keys, "methods": "uncorrected,perm_max"}))
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "b")]) == 2
+        assert "need at least 100 permutations" in capsys.readouterr().err
 
     def test_all_failed_outlier_cell_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "outlier.cfg"

@@ -10,8 +10,10 @@ from dcal import (
     holm_adjust,
     permutation_pvalues,
 )
+from dcal.multitest import PERMUTATION_BLOCK_ELEMENTS
 from dcal.rng import Stream, derive
 
+import screen_reference
 from conftest import brute_bh, brute_holm
 
 
@@ -116,3 +118,51 @@ class TestPermTest:
         rejected = int((per < 0.05).sum())
         assert rejected <= 12  # 100 tests at alpha=.05: binomial, mean 5
         assert int((mx < 0.05).sum()) <= 1
+
+
+def _blocks(m, n_permutations):
+    return -(-n_permutations // max(1, PERMUTATION_BLOCK_ELEMENTS // m))
+
+
+class TestBatchedShuffles:
+    """The blocked shuffles give exactly the p-values of the frozen loop that
+    scored one ``Stream`` shuffle at a time."""
+
+    # m just fits all 199 shuffles in one block, or needs a second one
+    ONE_BLOCK = PERMUTATION_BLOCK_ELEMENTS // 199
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [4, 50])
+    @pytest.mark.parametrize("m", [1, 2, ONE_BLOCK, ONE_BLOCK + 1, 700])
+    def test_equals_per_shuffle_loop(self, m, n, seed):
+        X, y = _battery(m, n, 31 + m)
+        if n == 4:
+            # at n = 4 about 1 shuffle in 24 is the identity, whose statistics
+            # tie with the observed ones; rows with two equal entries tie
+            # under the shuffles that swap the matching target values
+            X[: m // 2, 1] = X[: m // 2, 0]
+        got = permutation_pvalues(X, y, PermutationPlan(199, seed))
+        expected = screen_reference.permutation_pvalues(X, y, 199, seed)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    def test_block_shapes_covered(self):
+        # the cases above include one block, two blocks, and a last block
+        # that is only partly filled (199 is not a multiple of the block)
+        assert _blocks(self.ONE_BLOCK, 199) == 1
+        assert _blocks(self.ONE_BLOCK + 1, 199) == 2
+        assert 199 % max(1, PERMUTATION_BLOCK_ELEMENTS // 700) != 0
+
+    def test_tied_target_values(self):
+        # shuffles that only swap equal target values reproduce the observed
+        # statistics exactly
+        X, _ = _battery(30, 12, 5)
+        y = np.repeat([0.0, 1.0, 2.5], 4)
+        got = permutation_pvalues(X, y, PermutationPlan(299, 9))
+        expected = screen_reference.permutation_pvalues(X, y, 299, 9)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    def test_empty_battery_rejected(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            permutation_pvalues(np.empty((0, 10)), np.arange(10.0), PermutationPlan())
