@@ -36,6 +36,7 @@ from .errors import (
     DegenerateGeometryError,
     DegenerateVarianceError,
     InsufficientDataError,
+    NumericRangeError,
     ParseError,
     ResampleCoverageError,
     TargetError,
@@ -43,7 +44,13 @@ from .errors import (
 )
 from .batchio import FeatureMatrix, FeatureRow, ScreenReport, load_matrix, screen, write_report
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
-from .robust import SkippedResult, detect_bivariate_outliers, skipped_correlation
+from .robust import (
+    SkippedBatch,
+    SkippedResult,
+    detect_bivariate_outliers,
+    skipped_correlation,
+    skipped_rows,
+)
 from .simulate import (
     Contaminated,
     CorrelatedBattery,
@@ -51,6 +58,7 @@ from .simulate import (
     ExperimentReport,
     NullBattery,
     OutlierKind,
+    contaminated_rows,
     gen_contaminated,
     gen_pair,
     run_battery_experiment,
@@ -90,8 +98,10 @@ __all__ = [
     "bh_adjust",
     "permutation_pvalues",
     "SkippedResult",
+    "SkippedBatch",
     "detect_bivariate_outliers",
     "skipped_correlation",
+    "skipped_rows",
     "OutlierKind",
     "NullBattery",
     "CorrelatedBattery",
@@ -100,6 +110,7 @@ __all__ = [
     "ExperimentReport",
     "gen_pair",
     "gen_contaminated",
+    "contaminated_rows",
     "run_battery_experiment",
     "run_oos_comparison",
     "run_effect_grid",
@@ -117,6 +128,7 @@ __all__ = [
     "ResampleCoverageError",
     "UndefinedSignError",
     "ConvergenceError",
+    "NumericRangeError",
     "ParseError",
     "TargetError",
 ]

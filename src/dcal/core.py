@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, InsufficientDataError
+from .errors import DegenerateVarianceError, InsufficientDataError, NumericRangeError
 from .special import student_t_sf_two_sided
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "OlsFit",
     "pearson",
     "pearson_rows",
+    "pair_errors",
     "ols_fit",
     "loo_predictions",
 ]
@@ -76,6 +77,43 @@ class DataPair:
         return self.x.shape[0]
 
 
+def pair_errors(X: np.ndarray, y: np.ndarray) -> list:
+    """The error ``DataPair(X[i], y)`` would raise for each row (None if valid).
+
+    ``y`` is one shared sample (n,) or one sample per row (m, n).
+    Non-finite values raise ``ValueError`` for the whole call, as there.
+    """
+    m, n = X.shape
+    if n == 0:
+        hi = lo = np.zeros(m)
+    else:
+        # NaN and inf show in these; ufunc reductions, as method calls cost
+        # more than the work on one row
+        hi, lo = np.maximum.reduce(X, axis=1), np.minimum.reduce(X, axis=1)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise ValueError("x contains non-finite values")
+    if not np.isfinite(y).all():
+        raise ValueError("y contains non-finite values")
+    if n < 4:
+        return [InsufficientDataError(f"need at least 4 samples, got {n}") for _ in range(m)]
+    constant_x = hi == lo
+    constant_y = np.maximum.reduce(y, axis=-1) == np.minimum.reduce(y, axis=-1)
+    if not (constant_y.any() or constant_x.any()):
+        return [None] * m
+    constant_y = np.broadcast_to(constant_y, (m,))
+    return [
+        DegenerateVarianceError("x has zero variance") if cx
+        else DegenerateVarianceError("y has zero variance") if cy
+        else None
+        for cx, cy in zip(constant_x.tolist(), constant_y.tolist())
+    ]
+
+
+def range_error() -> NumericRangeError:
+    """The error of a pair whose centred sums leave the float64 range."""
+    return NumericRangeError("centred sums of squares or products leave the float64 range")
+
+
 @dataclass(frozen=True)
 class CorrelationResult:
     r: float
@@ -123,7 +161,8 @@ def correlation_from_sums(sxx, syy, sxy) -> tuple[np.ndarray, np.ndarray]:
 
     Evaluated per row with the single-pair float formulas (a numpy call per
     step costs more than the step itself at one row).  A row without spread,
-    or with non-finite sums, gives NaN for both.
+    or whose sums or ``sxx * syy`` overflow or underflow float64, gives NaN
+    for both.
     """
     r, rest = [], []
     for denom2, s in zip((sxx * syy).tolist(), sxy.tolist()):
@@ -138,10 +177,15 @@ def correlation_from_sums(sxx, syy, sxy) -> tuple[np.ndarray, np.ndarray]:
 
 
 def t_pvalues(r: np.ndarray, one_minus_r2: np.ndarray, df: int) -> np.ndarray:
-    """Exact two-sided p of each correlation, one t-tail evaluation per row."""
+    """Exact two-sided p of each correlation, one t-tail evaluation per row.
+
+    A NaN correlation (see :func:`correlation_from_sums`) gets a NaN p.
+    """
     out = np.zeros(len(r))
     for i, (rv, rest) in enumerate(zip(r.tolist(), one_minus_r2.tolist())):
-        if rest != 0.0:
+        if math.isnan(rest):
+            out[i] = math.nan
+        elif rest != 0.0:
             out[i] = min(1.0, student_t_sf_two_sided(rv * rv * df / rest, df))
     return out
 
@@ -154,18 +198,27 @@ def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     t = r * sqrt((n - 2) / (1 - r^2)) at n - 2 degrees of freedom, evaluated
     through the incomplete beta identity so that near-perfect correlations do
     not lose precision to cancellation.  Inputs are not validated; see
-    :class:`DataPair` for the conditions the statistic needs.
+    :class:`DataPair` for the conditions the statistic needs.  A row whose
+    centred sums leave the float64 range gets NaN for r and p.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    r, one_minus_r2 = correlation_from_sums(*centred_sums(centred(X), centred(y)))
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows give NaN
+        r, one_minus_r2 = correlation_from_sums(*centred_sums(centred(X), centred(y)))
     return r, t_pvalues(r, one_minus_r2, X.shape[-1] - 2)
 
 
 def pearson(pair: DataPair) -> CorrelationResult:
     """Pearson correlation with the exact two-sided t-test p-value
-    (:func:`pearson_rows` on one row)."""
+    (:func:`pearson_rows` on one row).
+
+    Raises :class:`~dcal.errors.NumericRangeError` when the centred sums of
+    squares of the pair, or their product, leave the float64 range: a value
+    near +-1e308, or both samples beyond about 1e77 in scale.
+    """
     r, p = pearson_rows(pair.x[None, :], pair.y)
+    if math.isnan(r[0]):
+        raise range_error()
     return CorrelationResult(r=float(r[0]), p=float(p[0]), n=pair.n, df=pair.n - 2)
 
 

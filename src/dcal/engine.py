@@ -21,10 +21,11 @@ Three out-of-sample schemes are supported:
                   + 0.632 * mean out-of-bag prediction across replicates.
 
 :func:`dcal_matrix` runs the whole test for every row of a matrix against a
-shared y with array operations; :func:`dcal_test` and :func:`oos_predict` are
-its one-row calls.  Each training set is fitted from sufficient statistics of
-mean-centred data: k-fold adds up the means and scatter of the other folds,
-and the bootstrap weights each replicate's sums by its multiplicity counts.
+shared y, or against one y per row, with array operations; :func:`dcal_test`
+and :func:`oos_predict` are its one-row calls.  Each training set is fitted
+from sufficient statistics of mean-centred data: k-fold adds up the means
+and scatter of the other folds, and the bootstrap weights each replicate's
+sums by its multiplicity counts.
 Rows are processed in chunks sized by ``CHUNK_ELEMENTS``, so memory stays
 flat in the number of rows.
 """
@@ -45,7 +46,9 @@ from .core import (
     loo_predictions,
     loo_residuals,
     ols_fit,
+    pair_errors,
     pearson,
+    range_error,
     t_pvalues,
 )
 from .errors import (
@@ -170,6 +173,18 @@ class DcalBatch(NamedTuple):
     errors: tuple
 
 
+def _rows(a: np.ndarray, rows) -> np.ndarray:
+    """``a`` at ``rows`` when it holds one sample per row; a shared sample as is."""
+    return a if a.ndim == 1 else a[rows]
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]`` of a shared sample; of (rows, n) values, row i taken at ``idx[i]``."""
+    if a.ndim == 1:
+        return a[idx]
+    return np.take_along_axis(a.reshape((a.shape[0],) + (1,) * (idx.ndim - 2) + (-1,)), idx, -1)
+
+
 def chunk_rows(per_row: int) -> int:
     """Rows per chunk when each row needs ``per_row`` values of work space."""
     return max(1, CHUNK_ELEMENTS // max(1, per_row))
@@ -213,13 +228,13 @@ def _kfold_rows(X, U, y, v, sums, scheme, seeds):
     keys = np.arange(scheme.repeats)
     order = permutation_of(raw_block(derive_array(seeds[:, None], keys), n))  # (rows, R, n)
     deg_x = _constant_training(np.take_along_axis(X[:, None, :], order, axis=-1), starts)
-    deg_y = _constant_training(y[order], starts)
+    deg_y = _constant_training(_gather(y, order), starts)
 
     # Training set of fold k = every other fold.  Its sums come from each
     # fold's mean and scatter about that mean (parallel axis theorem), added
     # over the other folds, so no step subtracts nearly equal totals.
     up = np.take_along_axis(U[:, None, :], order, axis=-1)
-    vp = v[order]
+    vp = _gather(v, order)
     size = np.array(sizes, dtype=np.float64)
     cu = np.add.reduceat(up, starts, axis=-1) / size
     cv = np.add.reduceat(vp, starts, axis=-1) / size
@@ -263,16 +278,16 @@ def _bootstrap_block(idx, X, U, y, v):
     first = idx[..., 0]  # always in the bag
     x_first = np.take_along_axis(X, first, axis=1)
     deg_x = ~np.any(in_bag & (X[:, None, :] != x_first[..., None]), axis=-1)
-    deg_y = ~np.any(in_bag & (y != y[first][..., None]), axis=-1)
+    deg_y = ~np.any(in_bag & (y[..., None, :] != _gather(y, first)[..., None]), axis=-1)
 
     # two passes (replicate means, then centred sums): a bootstrap sample can
     # sit far from the row mean relative to its own spread.  einsum, not
     # BLAS, so a row's sums do not depend on its place in the chunk.
     weights = counts.astype(np.float64)
     mu = np.einsum("rbn,rn->rb", weights, U) / n
-    mv = np.einsum("rbn,n->rb", weights, v) / n
+    mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", weights, v) / n
     du = U[:, None, :] - mu[..., None]
-    dv = v - mv[..., None]
+    dv = v[..., None, :] - mv[..., None]
     weighted_du = weights * du
     sxy = np.einsum("rbn,rbn->rb", weighted_du, dv)
     slope_y = sxy / np.einsum("rbn,rbn->rb", weighted_du, du)
@@ -300,7 +315,9 @@ def _boot632_rows(X, U, y, v, sums, scheme, seeds):
         if not short.size:
             break
         more = integers_of(raw_block(derive_array(seeds[short, None], B + extra), n), n)
-        dx, dy, sy, sx, cnt = _bootstrap_block(more, X[short], U[short], y, v)
+        dx, dy, sy, sx, cnt = _bootstrap_block(
+            more, X[short], U[short], _rows(y, short), _rows(v, short)
+        )
         deg_x[short] |= dx
         deg_y[short] |= dy
         oob_y[short] += sy
@@ -322,7 +339,7 @@ def _loo_rows(X, U, y, v, sums, scheme, seeds):
     e_y, margin_x = loo_residuals(U, v, suu, suv)
     e_x, margin_y = loo_residuals(v, U, svv, suv)
     deg_x = (margin_x <= LEVERAGE_GUARD).any(axis=-1)
-    deg_y = (margin_y <= LEVERAGE_GUARD).any()  # y is shared: one flag for every row
+    deg_y = (margin_y <= LEVERAGE_GUARD).any(axis=-1)  # one flag for a shared y
     return v - e_y / margin_x, U - e_x / margin_y, deg_x, deg_y, None
 
 
@@ -332,9 +349,10 @@ _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows
 def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray):
     """Out-of-sample predictions of both directions for every row of ``X``.
 
-    ``U`` and ``v`` are ``X`` and ``y`` minus their means, ``sums`` their
-    :func:`~dcal.core.centred_sums`; predictions come
-    back on that centred scale as ``(y_hat, x_hat)``, each (rows, L).  Also
+    ``y`` is shared (n,) or one sample per row (rows, n).  ``U`` and ``v``
+    are ``X`` and ``y`` minus their means, ``sums`` their
+    :func:`~dcal.core.centred_sums`; predictions come back on that centred
+    scale as ``(y_hat, x_hat)``, each (rows, L).  Also
     returns flags, broadcastable to one per row, for a degenerate training
     set in each direction (``deg_x`` for y-from-x) and, for the bootstrap,
     the first sample left in every bag after all retries (-1 when every
@@ -368,7 +386,7 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
         return loo_predictions(pair.y, pair.x)
     X = pair.x[None, :]
     U, v = centred(centred(X)), centred(centred(pair.y))
-    seeds = np.array([scheme.seed], dtype=np.uint64)
+    seeds = np.array([scheme.seed % 2 ** 64], dtype=np.uint64)  # as Stream(seed) reads it
     with np.errstate(divide="ignore", invalid="ignore"):
         y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(
             X, U, pair.y, v, centred_sums(U, v), scheme, seeds
@@ -380,34 +398,6 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     if missing is not None and missing[0] >= 0:
         raise _coverage_error(scheme, int(missing[0]))
     return y_hat[0] + pair.y.mean() if direction == Y_FROM_X else x_hat[0] + pair.x.mean()
-
-
-def _row_errors(X: np.ndarray, y: np.ndarray) -> list:
-    """The error :class:`DataPair` would raise for each row (None if valid).
-
-    Non-finite values raise ``ValueError`` for the whole call, as there.
-    """
-    m, n = X.shape
-    if n == 0:
-        hi = lo = np.zeros(m)
-    else:
-        hi, lo = X.max(axis=1), X.min(axis=1)  # NaN and inf show in these
-    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
-        raise ValueError("x contains non-finite values")
-    if not np.isfinite(y).all():
-        raise ValueError("y contains non-finite values")
-    if n < 4:
-        return [InsufficientDataError(f"need at least 4 samples, got {n}") for _ in range(m)]
-    constant_x = hi == lo
-    constant_y = y.max() == y.min()
-    if not (constant_y or constant_x.any()):
-        return [None] * m
-    return [
-        DegenerateVarianceError("x has zero variance") if cx
-        else DegenerateVarianceError("y has zero variance") if constant_y
-        else None
-        for cx in constant_x.tolist()
-    ]
 
 
 def _per_row_elements(scheme: OosScheme, n: int) -> int:
@@ -422,27 +412,30 @@ def _test_rows(X, U, y, v, scheme: OosScheme, seeds, alpha: float, fast: bool):
     """The calibrated test on one chunk of valid rows.
 
     Returns (r, p, r_dcal, p_dcal, sign_flip, skipped) arrays for the chunk
-    and a dict from chunk row to the error that row raised.
+    and a dict from chunk row to the error that row raised.  A row whose
+    sums leave the float64 range fails with its error before the
+    out-of-sample step.
     """
     rows, n = U.shape
     sums = centred_sums(U, v)
     r, rest = correlation_from_sums(*sums)
     p = t_pvalues(r, rest, n - 2)
-    if not fast:
+    skipped = ~(p < alpha) if fast else np.zeros(rows, dtype=bool)
+    out_of_range = np.isnan(r)
+    if not (fast and skipped.any()) and not out_of_range.any():
         r_dcal, p_dcal, flip, errors = _calibrate(X, U, y, v, sums, scheme, seeds, r)
-        return (r, p, r_dcal, p_dcal, flip, np.zeros(rows, dtype=bool)), errors
-    skipped = ~(p < alpha)
-    run = np.flatnonzero(~skipped)
+        return (r, p, r_dcal, p_dcal, flip, skipped), errors
+    errors = {int(k): range_error() for k in np.flatnonzero(out_of_range)}
+    run = np.flatnonzero(~(skipped | out_of_range))
     r_dcal = np.zeros(rows)
     p_dcal = np.full(rows, 0.5)
     flip = np.zeros(rows, dtype=bool)
-    errors = {}
     if run.size:
         sums = tuple(s if s.ndim == 0 else s[run] for s in sums)
         r_dcal[run], p_dcal[run], flip[run], run_errors = _calibrate(
-            X[run], U[run], y, v, sums, scheme, seeds[run], r[run]
+            X[run], U[run], _rows(y, run), _rows(v, run), sums, scheme, seeds[run], r[run]
         )
-        errors = {int(run[k]): error for k, error in run_errors.items()}
+        errors.update((int(run[k]), error) for k, error in run_errors.items())
     return (r, p, r_dcal, p_dcal, flip, skipped), errors
 
 
@@ -478,6 +471,10 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r):
         out |= np.maximum.reduce(hat, axis=1) == np.minimum.reduce(hat, axis=1)
     out |= np.sign(r_cal) * np.sign(r) <= 0.0  # zero or contrary calibrated sign
     keep = ~out
+    out_of_range = keep & np.isnan(r_cal)  # sums of the predictions overflow
+    if out_of_range.any():
+        keep &= ~out_of_range
+        errors.update((int(k), range_error()) for k in np.flatnonzero(out_of_range))
     p_dcal = np.where(keep, 0.0, 0.5)
     p_dcal[keep] = t_pvalues(r_cal[keep], rest_cal[keep], x_hat.shape[1] - 2)
     return np.where(keep, r_cal, 0.0), p_dcal, out & ~failed, errors
@@ -488,41 +485,47 @@ def dcal_matrix(
 ) -> DcalBatch:
     """Run the calibrated correlation test for every row of ``X`` against ``y``.
 
-    ``X`` is (m, n) and ``y`` has length n.  ``seeds`` gives each row's
-    resampling seed (m values in [0, 2**64), ignored by ``loo``); row ``j``
-    gets exactly the result of ``dcal_test(DataPair(X[j], y), alpha, fast,
-    scheme.reseeded(seeds[j]))``, including its sentinel and skip flags.  A
-    row that test would raise a :class:`~dcal.errors.DcalError` for carries
-    that error in ``errors`` instead; any other error is raised for the
-    whole call.
+    ``X`` is (m, n); ``y`` is one target (n,) shared by every row, or one
+    target per row (m, n).  ``seeds`` gives each row's resampling seed (m
+    values in [0, 2**64), ignored by ``loo``); row ``j`` gets exactly the
+    result of ``dcal_test(DataPair(X[j], y_j), alpha, fast,
+    scheme.reseeded(seeds[j]))``, ``y_j`` being its target, including its
+    sentinel and skip flags.  A row that test would raise a
+    :class:`~dcal.errors.DcalError` for carries that error in ``errors``
+    instead; any other error is raised for the whole call.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[1] != y.shape[0]:
-        raise ValueError("X must be (m, n) with n matching the length of y")
+    if X.ndim != 2 or y.shape not in (X.shape[1:], X.shape):
+        raise ValueError("X must be (m, n) with y of length n or of the shape of X")
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.shape != (X.shape[0],):
         raise ValueError(f"need one seed per row, got {seeds.shape} for {X.shape[0]} rows")
 
     m, n = X.shape
-    errors = _row_errors(X, y)
+    errors = pair_errors(X, y)
     tested = np.array([i for i, error in enumerate(errors) if error is None], dtype=np.intp)
     step = chunk_rows(_per_row_elements(scheme, n))
-    # centred twice: the leave-one-out identity needs rows of mean zero, and
-    # after a large offset one pass leaves the rounding of the mean behind
-    v = centred(centred(y)) if tested.size else y
-    parts = []
-    for start in range(0, tested.size, step):
-        rows = tested[start : start + step]
-        Xr, row_seeds = (X, seeds) if rows.size == m else (X[rows], seeds[rows])
-        results, chunk_errors = _test_rows(
-            Xr, centred(centred(Xr)), y, v, scheme, row_seeds, alpha, fast
-        )
-        parts.append((rows, results))
-        for k, error in chunk_errors.items():
-            errors[rows[k]] = error
+    # sums that overflow are row errors (NaN r), not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # centred twice: the leave-one-out identity needs rows of mean zero, and
+        # after a large offset one pass leaves the rounding of the mean behind
+        v = centred(centred(y)) if tested.size else y
+        parts = []
+        for start in range(0, tested.size, step):
+            rows = tested[start : start + step]
+            if rows.size == m:
+                Xr, yr, vr, row_seeds = X, y, v, seeds
+            else:
+                Xr, yr, vr, row_seeds = X[rows], _rows(y, rows), _rows(v, rows), seeds[rows]
+            results, chunk_errors = _test_rows(
+                Xr, centred(centred(Xr)), yr, vr, scheme, row_seeds, alpha, fast
+            )
+            parts.append((rows, results))
+            for k, error in chunk_errors.items():
+                errors[rows[k]] = error
     if len(parts) == 1 and tested.size == m:
         columns = list(parts[0][1])
     else:
@@ -557,7 +560,8 @@ def dcal_test(
     means the relationship has no generalizable support; it is reported as a
     sign flip rather than an error.  This is :func:`dcal_matrix` on one row.
     """
-    batch = dcal_matrix(pair.x[None, :], pair.y, scheme, [scheme.seed], alpha, fast)
+    # a seed outside [0, 2**64) is read modulo 2**64, as Stream(seed) reads it
+    batch = dcal_matrix(pair.x[None, :], pair.y, scheme, [scheme.seed % 2 ** 64], alpha, fast)
     if batch.errors[0] is not None:
         raise batch.errors[0]
     return DcalResult(

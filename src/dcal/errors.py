@@ -33,6 +33,10 @@ class ConvergenceError(DcalError):
     """An iterative numeric routine exhausted its iteration budget."""
 
 
+class NumericRangeError(DcalError):
+    """Sums of squares or products of a sample leave the float64 range."""
+
+
 class ParseError(DcalError):
     """A data or configuration file could not be parsed; message carries location."""
 

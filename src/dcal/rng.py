@@ -29,8 +29,10 @@ same finalizer.  Distinct key tuples give distinct seeds by construction.
 
 :func:`derive_array` and :func:`raw_block` are the array forms of one
 ``derive`` step and of the first draws of many streams; the batched engine
-uses them to draw every row's resampling words in one call, bit for bit the
-words the per-stream methods return.
+and the simulation generators use them to draw every row's words in one
+call, bit for bit the words the per-stream methods return.  The ``*_of``
+recipes turn such words into uniforms, normals, integers and permutations
+exactly as the stream methods do.
 """
 
 from __future__ import annotations
@@ -112,6 +114,22 @@ def integers_of(raw: np.ndarray, bound: int) -> np.ndarray:
     return (uniforms_of(raw) * bound).astype(np.int64)
 
 
+def normals_of(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw words (the stream's Box-Muller recipe).
+
+    The last axis holds an even number of words; each consecutive pair gives
+    two normals, so the result has the shape of ``raw``.
+    """
+    u1 = ((raw[..., 0::2] >> _U11) + _U1).astype(np.float64) * _TWO_NEG_53
+    u2 = (raw[..., 1::2] >> _U11).astype(np.float64) * _TWO_NEG_53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(raw.shape)
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius * np.sin(angle)
+    return out
+
+
 def permutation_of(raw: np.ndarray) -> np.ndarray:
     """Permutations along the last axis of raw words (stable argsort)."""
     return np.argsort(raw, axis=-1, kind="stable")
@@ -151,16 +169,7 @@ class Stream:
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` standard normal draws via Box-Muller pairs."""
-        pairs = (count + 1) // 2
-        r = self.raw(2 * pairs)
-        u1 = ((r[0::2] >> _U11) + _U1).astype(np.float64) * _TWO_NEG_53
-        u2 = (r[1::2] >> _U11).astype(np.float64) * _TWO_NEG_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:count]
+        return normals_of(self.raw(2 * ((count + 1) // 2)))[:count]
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of ``range(n)`` (stable sort of raw keys)."""

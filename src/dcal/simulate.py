@@ -4,6 +4,11 @@ Every random draw comes from a stream seeded by
 ``derive(master_seed, repetition, column, ...)``, so a report is a pure
 function of its design.  Reports are tidy long-format tables (one row per
 design cell x method x metric) serializable to CSV and JSON.
+
+The single-pair designs (effect grid, outlier suite) score a cell at once:
+every repetition's pair is drawn in one block of stream words
+(:func:`contaminated_rows`), and Pearson and the calibrated test run on the
+(repetitions, n) rows with one target per row.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
-from .core import DataPair, pearson, pearson_rows
-from .engine import OosScheme, dcal_matrix, dcal_test
+from .core import DataPair, pair_errors, pearson_rows, range_error
+from .engine import OosScheme, dcal_matrix
 from .errors import DcalError
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
-from .robust import skipped_correlation
-from .rng import Stream, derive, derive_array
+from .robust import skipped_rows
+from .rng import Stream, derive, derive_array, normals_of, permutation_of, raw_block
 
 __all__ = [
     "OutlierKind",
@@ -32,6 +37,7 @@ __all__ = [
     "ExperimentReport",
     "gen_pair",
     "gen_contaminated",
+    "contaminated_rows",
     "run_battery_experiment",
     "run_oos_comparison",
     "run_effect_grid",
@@ -159,49 +165,84 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def gen_pair(n: int, rho: float, seed: int) -> DataPair:
-    """Bivariate Gaussian pair with population correlation exactly rho."""
+def _check_pair_design(n: int, rho: float) -> None:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly inside (-1, 1), got {rho}")
-    stream = Stream(seed)
-    x = stream.normals(n)
-    noise = stream.normals(n)
-    return DataPair(x, rho * x + math.sqrt(1.0 - rho * rho) * noise)
+
+
+def gen_pair(n: int, rho: float, seed: int) -> DataPair:
+    """Bivariate Gaussian pair with population correlation exactly rho."""
+    _check_pair_design(n, rho)
+    return gen_contaminated(n, rho, None, 0.0, seed)
+
+
+def contaminated_rows(
+    n: int, rho: float, kind: OutlierKind | None, fraction: float, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) rows of contaminated pairs, one per seed, each (len(seeds), n).
+
+    Row i is bit for bit the pair ``gen_contaminated(n, rho, kind, fraction,
+    seeds[i])``, but the rows are not validated (see :func:`pair_errors`).
+    Each row's stream words are drawn in one block: n normals for x, n for
+    the noise, then, with a contamination count, n words for the permutation
+    that picks the replaced samples and, for the high-variance kind, two
+    times count normals for the redrawn points.  ``kind`` is unused when no
+    sample is replaced.
+    """
+    if not 0.0 <= fraction <= 0.5:
+        raise ValueError(f"fraction must lie in [0, 0.5], got {fraction}")
+    mix = math.sqrt(1.0 - rho * rho)
+    count = int(fraction * n)
+    if fraction > 0.0 and count < 1:
+        raise ValueError(f"fraction {fraction} selects no samples at n={n}")
+    half = 2 * ((n + 1) // 2)  # words of n normals (Box-Muller pairs)
+    redrawn = 2 * ((count + 1) // 2) if count and kind.kind == "high_variance" else 0
+    raw = raw_block(seeds, 2 * half + (n + 2 * redrawn if count else 0))
+    clean = normals_of(raw[:, : 2 * half])
+    x = clean[:, :n].copy()
+    y = rho * x + mix * clean[:, half : half + n]
+    if count:
+        idx = permutation_of(raw[:, 2 * half : 2 * half + n])[:, :count]
+        rows = np.arange(raw.shape[0])[:, None]
+        if redrawn:
+            g = normals_of(raw[:, 2 * half + n :])
+            g1, g2 = g[:, :count], g[:, redrawn : redrawn + count]
+            x[rows, idx] = kind.sd_outlier * g1
+            y[rows, idx] = kind.sd_outlier * (rho * g1 + mix * g2)
+        else:
+            x[rows, idx] += kind.magnitude
+            if kind.kind == "bivariate":
+                y[rows, idx] += kind.magnitude
+    return x, y
 
 
 def gen_contaminated(
-    n: int, rho: float, kind: OutlierKind, fraction: float, seed: int
+    n: int, rho: float, kind: OutlierKind | None, fraction: float, seed: int
 ) -> DataPair:
     """Pair with floor(fraction * n) samples replaced by the outlier model.
 
     With fraction = 0 this is bit-identical to :func:`gen_pair`.  The clean
     draws always come first in the stream, so changing only the fraction
-    keeps the underlying clean sample fixed.
+    keeps the underlying clean sample fixed.  This is
+    :func:`contaminated_rows` on one seed.
     """
-    if not 0.0 <= fraction <= 0.5:
-        raise ValueError(f"fraction must lie in [0, 0.5], got {fraction}")
-    stream = Stream(seed)
-    x = stream.normals(n)
-    noise = stream.normals(n)
-    y = rho * x + math.sqrt(1.0 - rho * rho) * noise
-    count = int(fraction * n)
-    if fraction > 0.0 and count < 1:
-        raise ValueError(f"fraction {fraction} selects no samples at n={n}")
-    if count:
-        idx = stream.permutation(n)[:count]
-        if kind.kind == "high_variance":
-            g1 = stream.normals(count)
-            g2 = stream.normals(count)
-            x[idx] = kind.sd_outlier * g1
-            y[idx] = kind.sd_outlier * (rho * g1 + math.sqrt(1.0 - rho * rho) * g2)
-        elif kind.kind == "univariate":
-            x[idx] += kind.magnitude
-        else:
-            x[idx] += kind.magnitude
-            y[idx] += kind.magnitude
-    return DataPair(x, y)
+    x, y = contaminated_rows(n, rho, kind, fraction, np.array([seed % 2 ** 64], dtype=np.uint64))
+    return DataPair(x[0], y[0])
+
+
+def _cell_rows(
+    n: int, rho: float, kind: OutlierKind | None, fraction: float, seed: int, repetitions: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every repetition's pair of one design cell; repetition ``rep`` draws
+    from ``derive(seed, rep)``.  Raises the first invalid pair's error."""
+    seeds = derive_array(seed, np.arange(repetitions, dtype=np.uint64))
+    X, Y = contaminated_rows(n, rho, kind, fraction, seeds)
+    for error in pair_errors(X, Y):
+        if error is not None:
+            raise error
+    return X, Y
 
 
 def _battery_columns(
@@ -485,20 +526,29 @@ def run_effect_grid(
     )
     cells = [(rho, n) for rho in design.rho_list for n in design.n_list]
     for ci, (rho, n) in enumerate(cells):
+        _check_pair_design(n, rho)
+        X, Y = _cell_rows(n, rho, None, 0.0, derive(design.seed, ci), repetitions)
+        r, p = (v.tolist() for v in pearson_rows(X, Y))
+        if "dcal" in methods:
+            batch = dcal_matrix(X, Y, OosScheme.loo(), np.zeros(repetitions, np.uint64), alpha)
+            r_dcal, p_dcal = batch.r_dcal.tolist(), batch.p_dcal.tolist()
         sums = {m: [0.0, 0.0, 0.0, 0] for m in methods}  # score, est, |est|, rejections
         for rep in range(repetitions):
-            pair = gen_pair(n, rho, derive(design.seed, ci, rep))
-            classical = pearson(pair)
-            per_method = {"uncorrected": (classical.p, classical.r)}
+            # the per-pair order: Pearson, the calibrated test, then the baselines
+            if math.isnan(r[rep]):
+                raise range_error()
+            per_method = {"uncorrected": (p[rep], r[rep])}
             if "dcal" in sums:
-                res = dcal_test(pair, alpha=alpha, fast=False, scheme=OosScheme.loo())
-                per_method["dcal"] = (res.p_dcal, res.r_dcal)
+                if batch.errors[rep] is not None:
+                    raise batch.errors[rep]
+                per_method["dcal"] = (p_dcal[rep], r_dcal[rep])
             if "pcal_sellke" in sums:
-                per_method["pcal_sellke"] = (pcal_sellke(classical.p), classical.r)
+                per_method["pcal_sellke"] = (pcal_sellke(p[rep]), r[rep])
             if "pcal_bickel" in sums:
-                per_method["pcal_bickel"] = (pcal_bickel(classical.p), classical.r)
+                per_method["pcal_bickel"] = (pcal_bickel(p[rep]), r[rep])
             if "ppbf" in sums:
-                per_method["ppbf"] = (1.0 - bf_to_posterior(correlation_bf(pair)), classical.r)
+                bf = correlation_bf(DataPair(X[rep], Y[rep]))
+                per_method["ppbf"] = (1.0 - bf_to_posterior(bf), r[rep])
             for m in methods:
                 score, est = per_method[m]
                 sums[m][0] += score
@@ -515,13 +565,44 @@ def run_effect_grid(
     return report
 
 
+def _outlier_scores(
+    X: np.ndarray, Y: np.ndarray, methods: list[str], alpha: float
+) -> tuple[dict[str, tuple[list, list]], np.ndarray]:
+    """Per-method (score, estimate) lists over the rows (X[i], Y[i]), and the
+    rows that some method failed on with a toolkit error."""
+    failed = np.zeros(X.shape[0], dtype=bool)
+    out = {}
+    if "pearson" in methods:
+        r, p = pearson_rows(X, Y)
+        failed |= np.isnan(r)
+        out["pearson"] = (p.tolist(), r.tolist())
+    if "dcal" in methods:
+        batch = dcal_matrix(X, Y, OosScheme.loo(), np.zeros(X.shape[0], np.uint64), alpha)
+        failed |= np.array([error is not None for error in batch.errors])
+        out["dcal"] = (batch.p_dcal.tolist(), batch.r_dcal.tolist())
+    if "skipped" in methods:
+        # only where the other methods ran: a row with a failed method is
+        # dropped whole
+        p, r = np.full(X.shape[0], np.nan), np.full(X.shape[0], np.nan)
+        rows = np.flatnonzero(~failed)
+        batch = skipped_rows(X[rows], Y[rows])
+        failed[rows] = [error is not None for error in batch.errors]
+        p[rows], r[rows] = batch.p, batch.r
+        out["skipped"] = (p.tolist(), r.tolist())
+    return out, failed
+
+
 def run_outlier_suite(
     cells: Sequence[Contaminated],
     methods: Iterable[str] = ("pearson", "dcal", "skipped"),
     alpha: float = 0.05,
     repetitions: int = 100,
 ) -> ExperimentReport:
-    """Contaminated-pair sweep comparing classical, calibrated, and skipped."""
+    """Contaminated-pair sweep comparing classical, calibrated, and skipped.
+
+    A repetition on which any method fails with a toolkit error is left out
+    of its cell's averages and counted once in the ``errors`` metadata.
+    """
     methods = list(methods)
     for name in methods:
         if name not in ("pearson", "dcal", "skipped"):
@@ -545,33 +626,20 @@ def run_outlier_suite(
             f"kind={kind.kind},rho={cell_design.rho},fraction={cell_design.fraction}"
             f",n={cell_design.n}{extra}"
         )
+        X, Y = _cell_rows(
+            cell_design.n, cell_design.rho, kind, cell_design.fraction,
+            derive(cell_design.seed, ci), repetitions,
+        )
+        scores, failed = _outlier_scores(X, Y, methods, alpha)
         sums = {m: [0.0, 0.0, 0] for m in methods}  # est, est among sig, n sig
-        errors = 0
-        for rep in range(repetitions):
-            pair = gen_contaminated(
-                cell_design.n, cell_design.rho, kind, cell_design.fraction,
-                derive(cell_design.seed, ci, rep),
-            )
-            try:
-                per_method = {}
-                if "pearson" in sums:
-                    res = pearson(pair)
-                    per_method["pearson"] = (res.p, res.r)
-                if "dcal" in sums:
-                    res = dcal_test(pair, alpha=alpha, fast=False)
-                    per_method["dcal"] = (res.p_dcal, res.r_dcal)
-                if "skipped" in sums:
-                    res = skipped_correlation(pair)
-                    per_method["skipped"] = (res.p, res.r)
-            except DcalError:
-                errors += 1
-                continue
+        for rep in np.flatnonzero(~failed).tolist():
             for m in methods:
-                score, est = per_method[m]
+                score, est = scores[m][0][rep], scores[m][1][rep]
                 sums[m][0] += est
                 if score < alpha:
                     sums[m][1] += est
                     sums[m][2] += 1
+        errors = int(failed.sum())
         done = repetitions - errors
         if done == 0:
             raise DcalError(f"every repetition of outlier-suite cell {cell} failed")

@@ -104,10 +104,13 @@ def student_t_sf_two_sided(t_abs_squared: float, df: int) -> float:
     """Two-sided tail probability 2*(1 - CDF(|t|)) given t**2.
 
     Computed directly as I_{df/(df+t^2)}(df/2, 1/2), which avoids the
-    1 - CDF cancellation for large statistics.
+    1 - CDF cancellation for large statistics.  Raises ``ValueError`` for
+    ``df < 1`` and for a negative or NaN ``t_abs_squared``.
     """
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    if math.isnan(t_abs_squared):
+        raise ValueError("t squared must be a number")
     if t_abs_squared < 0.0:
         raise ValueError("t squared cannot be negative")
     if math.isinf(t_abs_squared):

@@ -1,11 +1,19 @@
-"""Frozen per-pair reference of the calibrated test, kept as a test oracle.
+"""Frozen per-pair references of the calibrated test and of the outlier
+suite's generator and detector, kept as test oracles.
 
-This is the per-pair implementation that the batched engine replaced: one
-``ols_fit`` refit per k-fold training set, gathered bootstrap samples per
-replicate, and one Pearson evaluation per pair.  It is copied unchanged
-except that it calls the library's ``ols_fit``, ``DataPair`` and t tail, and
-that names are made module-local.  Tests compare ``dcal_matrix`` with it row
-by row.
+The first part is the per-pair implementation that the batched engine
+replaced: one ``ols_fit`` refit per k-fold training set, gathered bootstrap
+samples per replicate, and one Pearson evaluation per pair.  It is copied
+unchanged except that it calls the library's ``ols_fit``, ``DataPair`` and t
+tail, and that names are made module-local.  Tests compare ``dcal_matrix``
+with it row by row.
+
+The second part is the per-pair contaminated-pair generator (one ``Stream``
+per pair, with its Box-Muller normals) and the projection outlier detector
+that reads medians with ``np.median`` over a (n, directions) matrix, as they
+were before the outlier suite was batched by cell.  Tests compare
+``contaminated_rows``, ``detect_bivariate_outliers`` and
+``skipped_correlation`` with them bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +22,11 @@ import math
 
 import numpy as np
 
+from dcal import core
 from dcal.core import CorrelationResult, DataPair, _as_sample, ols_fit
 from dcal.engine import X_FROM_Y, Y_FROM_X, DcalResult, OosScheme
 from dcal.errors import (
+    DegenerateGeometryError,
     DegenerateVarianceError,
     InsufficientDataError,
     ResampleCoverageError,
@@ -226,3 +236,106 @@ def dcal_test(
         skipped_by_fast_flag=skipped,
         scheme=scheme,
     )
+
+
+def _normals(stream: Stream, count: int) -> np.ndarray:
+    """``count`` standard normal draws via Box-Muller pairs."""
+    pairs = (count + 1) // 2
+    r = stream.raw(2 * pairs)
+    u1 = ((r[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    u2 = (r[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def gen_contaminated(n: int, rho: float, kind, fraction: float, seed: int) -> DataPair:
+    """Pair with floor(fraction * n) samples replaced by the outlier model.
+
+    With fraction = 0 this is bit-identical to :func:`gen_pair`.  The clean
+    draws always come first in the stream, so changing only the fraction
+    keeps the underlying clean sample fixed.
+    """
+    if not 0.0 <= fraction <= 0.5:
+        raise ValueError(f"fraction must lie in [0, 0.5], got {fraction}")
+    stream = Stream(seed)
+    x = _normals(stream, n)
+    noise = _normals(stream, n)
+    y = rho * x + math.sqrt(1.0 - rho * rho) * noise
+    count = int(fraction * n)
+    if fraction > 0.0 and count < 1:
+        raise ValueError(f"fraction {fraction} selects no samples at n={n}")
+    if count:
+        idx = stream.permutation(n)[:count]
+        if kind.kind == "high_variance":
+            g1 = _normals(stream, count)
+            g2 = _normals(stream, count)
+            x[idx] = kind.sd_outlier * g1
+            y[idx] = kind.sd_outlier * (rho * g1 + math.sqrt(1.0 - rho * rho) * g2)
+        elif kind.kind == "univariate":
+            x[idx] += kind.magnitude
+        else:
+            x[idx] += kind.magnitude
+            y[idx] += kind.magnitude
+    return DataPair(x, y)
+
+
+DEFAULT_CUTOFF = 2.2414027276049473
+_MAD_TO_SIGMA = 0.6744897501960817
+_IQR_TO_SIGMA = 1.3489795003921634
+_MIN_SAMPLES = 10
+
+
+def detect_bivariate_outliers(pair: DataPair, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+    """Indices of bivariate outliers found by the projection sweep.
+
+    Needs at least 10 points; with fewer, median/MAD estimates of the
+    projections are too unstable to trust.
+    """
+    n = pair.n
+    if n < _MIN_SAMPLES:
+        raise InsufficientDataError(
+            f"projection outlier detection needs >= {_MIN_SAMPLES} points, got {n}"
+        )
+    points = np.column_stack([pair.x, pair.y])
+    centered = points - np.median(points, axis=0)
+
+    norms = np.hypot(centered[:, 0], centered[:, 1])
+    anchors = norms > 0.0  # a point sitting on the center spans no direction
+    if not np.any(anchors):
+        raise DegenerateGeometryError("all points coincide with the median center")
+    directions = centered[anchors] / norms[anchors, None]
+
+    projections = centered @ directions.T  # (n, n_directions)
+    medians = np.median(projections, axis=0)
+    mad = np.median(np.abs(projections - medians), axis=0)
+    scales = mad / _MAD_TO_SIGMA
+    flat = scales == 0.0
+    if np.any(flat):
+        q75, q25 = np.percentile(projections[:, flat], [75, 25], axis=0)
+        scales[flat] = (q75 - q25) / _IQR_TO_SIGMA
+        if np.any(scales == 0.0):
+            raise DegenerateGeometryError(
+                "a projection direction has zero MAD and zero interquartile spread"
+            )
+    flagged = np.any(projections > medians + cutoff * scales, axis=1)
+    return np.flatnonzero(flagged)
+
+
+def skipped_correlation(pair: DataPair, cutoff: float = DEFAULT_CUTOFF) -> tuple:
+    """(r, p, n_used, outlier_indices) of Pearson on the points that survive
+    outlier removal."""
+    flagged = detect_bivariate_outliers(pair, cutoff=cutoff)
+    keep = np.ones(pair.n, dtype=bool)
+    keep[flagged] = False
+    n_used = int(keep.sum())
+    if n_used < 4:
+        raise InsufficientDataError(
+            f"only {n_used} points remain after outlier removal; need >= 4"
+        )
+    # the library's Pearson kernel, as the skipped correlation called it
+    retained = core.pearson(DataPair(pair.x[keep], pair.y[keep]))
+    return retained.r, retained.p, n_used, tuple(int(i) for i in flagged)

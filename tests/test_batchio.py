@@ -16,6 +16,7 @@ from dcal import (
     FeatureMatrix,
     OosScheme,
     ParseError,
+    PermutationPlan,
     TargetError,
     load_matrix,
     screen,
@@ -235,6 +236,27 @@ class TestScreen:
         assert report.summary["failed"] == 1
         # corrections computed over successfully tested features only
         assert by_name["ok"].adjusted["holm"] == by_name["ok"].p  # m = 1
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_overflowing_feature_recorded_not_fatal(self, fast):
+        # a feature holding -1e308 has centred sums beyond float64; it fails
+        # alone and the other rows are those of the screen without it
+        clean = _synthetic_matrix()
+        huge = clean.values[3].copy()
+        huge[5] = -1e308
+        matrix = FeatureMatrix(
+            feature_names=clean.feature_names + ("huge",),
+            values=np.vstack([clean.values, huge]),
+            sample_names=clean.sample_names,
+        )
+        options = dict(corrections=CORRECTIONS, fast=fast, plan=PermutationPlan(200, 3))
+        report = screen(matrix, "target", **options)
+        assert report.rows[-1].name == "huge"
+        assert report.rows[-1].error == (
+            "centred sums of squares or products leave the float64 range"
+        )
+        assert report.summary["failed"] == 1
+        assert report.rows[:-1] == screen(clean, "target", **options).rows
 
     def test_fast_matches_full_on_significant_sets(self):
         matrix = _synthetic_matrix()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dcal.cli import main
 from dcal.rng import Stream, derive
 
-from conftest import ANSCOMBE, csv_tables
+from conftest import ANSCOMBE, CSV_BAD, CSV_MISSING, CSV_NONFINITE, CSV_NUMBERS, csv_tables
 
 
 @pytest.fixture
@@ -71,6 +71,17 @@ class TestCmdTest:
         assert rc == 2
         assert "variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["cv10x10", "boot632"])
+    def test_negative_seed_is_read_modulo_2_64(self, scheme, capsys):
+        # a negative seed raised OverflowError (a traceback) in the
+        # resampling schemes
+        args = ["test", "--x", "1,2,3,4,5,6,7,8,9,10,11,12", "--y",
+                "2,1,4,3,6,5,8,7,10,9,12,11", "--scheme", scheme, "--json"]
+        assert main(args + ["--seed", "-3"]) == 0
+        negative = json.loads(capsys.readouterr().out)
+        assert main(args + ["--seed", str(2 ** 64 - 3)]) == 0
+        assert json.loads(capsys.readouterr().out) == negative
+
     def test_missing_input_exits_2(self, capsys):
         assert main(["test"]) == 2
 
@@ -82,6 +93,57 @@ class TestCmdTest:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["r_skipped"] == pytest.approx(1.0, abs=1e-3)
+
+
+# flags a fuzzed test run may add; later flags override earlier ones
+_TEST_FLAGS = (
+    ("--scheme", "boot632"), ("--scheme", "cv10x10"), ("--fast",), ("--json",),
+    ("--alpha", "0.5"), ("--alpha", "0"), ("--alpha", "nan"), ("--seed", "-3"), ("--seed", "7"),
+)
+_TEST_METHODS = ("sellke", "bickel", "ppbf", "skipped", "bogus", "")
+
+
+@st.composite
+def _pair_files(draw):
+    """Text of a small two-column file: an optional header, separators of
+    every kind and rows of two numbers.  Half the files have 4 to 14 such
+    rows; in the others any row may instead hold one to three bad, missing,
+    non-finite or numeric tokens."""
+    number = st.one_of(
+        st.sampled_from(CSV_NUMBERS), st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    )
+    token = st.one_of(number, st.sampled_from(CSV_BAD + CSV_MISSING + CSV_NONFINITE))
+    separator = st.sampled_from([",", " ", "\t", ", ", " , "])
+    clean = draw(st.booleans())
+    lines = [draw(st.sampled_from(["x,y", "a b", "x", ""]))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(4 if clean else 0, 14))):
+        if clean or draw(st.integers(0, 5)):
+            cells = [draw(number), draw(number)]
+        else:
+            cells = [draw(token) for _ in range(draw(st.integers(1, 3)))]
+        lines.append(draw(separator).join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+class TestCmdTestFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(text=_pair_files(), data=st.data())
+    def test_fuzzed_pairs_exit_cleanly(self, text, data):
+        flags = data.draw(st.lists(st.sampled_from(_TEST_FLAGS), max_size=3))
+        methods = ",".join(data.draw(st.lists(st.sampled_from(_TEST_METHODS), max_size=3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pair.csv"
+            path.write_text(text, encoding="utf-8")
+            if data.draw(st.booleans()):
+                source = ["--input", str(path)]
+            else:  # the same cells inline, first column as x
+                rows = [line.replace(",", " ").split() for line in text.splitlines()]
+                source = ["--x", ",".join(r[0] for r in rows if r),
+                          "--y", ",".join(r[-1] for r in rows if r)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main(["test", *source, "--methods", methods]
+                          + [flag for pair in flags for flag in pair])
+        assert rc in (0, 2, 3)
 
 
 # flags a fuzzed screen run may add; later flags override earlier ones
@@ -170,6 +232,23 @@ class TestCmdScreen:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 rc = main(args + [flag for pair in flags for flag in pair])
         assert rc in (0, 2, 3)
+
+    def test_overflowing_feature_is_an_error_row(self, tmp_path, capsys):
+        matrix = _matrix_file(tmp_path, n_features=6)
+        lines = Path(matrix).read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "-1e308"
+        lines[3] = ",".join(cells)
+        Path(matrix).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.csv"
+        args = ["screen", "--matrix", matrix, "--target", "target", "--output", str(out)]
+        for extra in ([], ["--no-fast", "--corrections", "holm,bh,perm,perm_max"]):
+            assert main(args + extra) == 0
+            rows = out.read_text().splitlines()
+            assert rows[2].startswith("f001,") and rows[2].endswith(
+                ",centred sums of squares or products leave the float64 range"
+            )
+            assert all(row.endswith(",") for row in rows[1:2] + rows[3:])
 
     def test_json_format(self, tmp_path):
         matrix = _matrix_file(tmp_path, n_features=8)

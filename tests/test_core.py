@@ -7,6 +7,7 @@ from dcal import (
     DataPair,
     DegenerateVarianceError,
     InsufficientDataError,
+    NumericRangeError,
     loo_predictions,
     ols_fit,
     pearson,
@@ -107,6 +108,22 @@ class TestPearsonRows:
         y = np.arange(8.0)
         r, p = pearson_rows(np.vstack([2 * y + 1, -y]), y)
         assert list(r) == [1.0, -1.0] and list(p) == [0.0, 0.0]
+
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0, -1e308, 3.0, 0.5, 2.5],  # the centred square overflows
+        [1.7e308, -1e308, 0.0, 1.0, 2.0, 3.0],  # so does a centred value
+        [1e-170, 3e-170, 2e-170, 5e-170, 4e-170, 0.0],  # the sums underflow to 0
+    ])
+    def test_out_of_range_rows_are_nan(self, values):
+        y = np.array([0.3, -1.2, 0.8, 1.9, -0.4, 0.6])
+        X = np.vstack([values, y[::-1]])
+        with np.errstate(over="raise", invalid="raise"):  # the kernel does not warn either
+            r, p = pearson_rows(X, y)
+        assert np.isnan(r[0]) and np.isnan(p[0])
+        assert (r[1], p[1]) == (pearson(DataPair(y[::-1], y)).r, pearson(DataPair(y[::-1], y)).p)
+        with pytest.raises(NumericRangeError, match="leave the float64 range"):
+            pearson(DataPair(values, y))
 
 
 class TestOlsFit:

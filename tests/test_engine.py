@@ -9,6 +9,7 @@ from dcal import (
     DcalError,
     DegenerateVarianceError,
     InsufficientDataError,
+    NumericRangeError,
     OosScheme,
     ResampleCoverageError,
     UndefinedSignError,
@@ -21,6 +22,7 @@ from dcal import (
     loo_predictions,
     oos_predict,
     pearson,
+    pearson_rows,
 )
 from dcal.rng import Stream, derive
 
@@ -229,26 +231,34 @@ class TestInSampleCheck:
             assert abs(dcal_in_sample_check(pair) - pearson(pair).r) <= 1e-10
 
 
-def _generic_battery(seed: int, m: int, n: int, binary_share: float):
+def _generic_battery(seed: int, m: int, n: int, binary_share: float, per_row_y: bool = False):
     """y plus m rows: 0/1 features, planted correlates and independent noise.
 
     Values come from seeded streams, so exact ties occur only in the 0/1
     rows; those give constant training predictors in some folds and bootstrap
-    samples.
+    samples.  With ``per_row_y`` every row gets its own normal target,
+    (m, n), and planted rows correlate with their own target.  (A 0/1 target
+    against a 0/1 row can give exactly constant or exactly collinear
+    predictions, where the kernel and the reference round differently; see
+    ``test_binary_pairs_round_differently``.)
     """
     y = Stream(derive(seed, 0)).normals(n)
-    rows = []
+    rows, targets = [], []
     for j in range(m):
         stream = Stream(derive(seed, 1, j))
         u = stream.uniforms(2)
+        target = y
+        if per_row_y:
+            target = Stream(derive(seed, 3, j)).normals(n)
         if u[0] < binary_share:
             rows.append((stream.uniforms(n) < 0.1 + 0.8 * u[1]).astype(float))
         elif u[0] < binary_share + (1.0 - binary_share) / 2:
             rho = 1.8 * u[1] - 0.9
-            rows.append(rho * y + np.sqrt(1.0 - rho * rho) * stream.normals(n))
+            rows.append(rho * target + np.sqrt(1.0 - rho * rho) * stream.normals(n))
         else:
             rows.append(stream.normals(n))
-    return np.vstack(rows), y
+        targets.append(target)
+    return np.vstack(rows), (np.vstack(targets) if per_row_y else y)
 
 
 @st.composite
@@ -305,16 +315,20 @@ class TestDcalMatrix:
         binary_share=st.sampled_from([0.0, 0.5, 1.0]),
         alpha=st.sampled_from([0.05, 0.3]),
         fast=st.booleans(),
+        per_row_y=st.booleans(),
     )
-    def test_matches_per_pair_reference(self, data, m, n, seed, binary_share, alpha, fast):
+    def test_matches_per_pair_reference(
+        self, data, m, n, seed, binary_share, alpha, fast, per_row_y
+    ):
         scheme = data.draw(_schemes(n))
-        X, y = _generic_battery(seed, m, n, binary_share)
+        X, y = _generic_battery(seed, m, n, binary_share, per_row_y)
         seeds = [derive(seed, 2, j) for j in range(m)]
         batch = dcal_matrix(X, y, scheme, seeds, alpha, fast)
         for j in range(m):
             want, want_error = _outcome(
                 lambda: pairwise_reference.dcal_test(
-                    DataPair(X[j], y), alpha, fast, scheme.reseeded(seeds[j])
+                    DataPair(X[j], y[j] if per_row_y else y), alpha, fast,
+                    scheme.reseeded(seeds[j]),
                 )
             )
             got_error = batch.errors[j]
@@ -331,7 +345,8 @@ class TestDcalMatrix:
                 assert _close_p(got, expected, 1e-12), (j, got, expected)
         # a row's result does not depend on the other rows of its call
         for j in {0, m - 1}:
-            alone = dcal_matrix(X[j : j + 1], y, scheme, seeds[j : j + 1], alpha, fast)
+            target = y[j : j + 1] if per_row_y else y
+            alone = dcal_matrix(X[j : j + 1], target, scheme, seeds[j : j + 1], alpha, fast)
             assert (alone.r[0], alone.p[0], alone.r_dcal[0], alone.p_dcal[0]) == (
                 batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]
             ) or batch.errors[j] is not None
@@ -360,6 +375,71 @@ class TestDcalMatrix:
         moved = dcal_test(DataPair(x + c, y + c), scheme=scheme)
         assert moved.sign_flip_triggered == base.sign_flip_triggered
         assert _close(moved.r_dcal, base.r_dcal, 1e-8)
+
+    @pytest.mark.parametrize("scheme", [
+        OosScheme.loo(), OosScheme.repeated_kfold(5, 3), OosScheme.boot632(30)
+    ], ids=lambda scheme: scheme.label)
+    def test_repeated_shared_target_as_per_row_targets(self, scheme):
+        # per-row targets that all equal the shared one give the shared
+        # target's results, bit for bit
+        X, y = _generic_battery(23, 30, 24, 0.3)
+        seeds = [derive(23, 2, j) for j in range(30)]
+        shared = dcal_matrix(X, y, scheme, seeds)
+        per_row = dcal_matrix(X, np.tile(y, (30, 1)), scheme, seeds)
+        for got, want in zip(per_row, shared):
+            if isinstance(want, tuple):
+                assert [type(e) for e in got] == [type(e) for e in want]
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.xfail(strict=True, reason="known: 0/1 x against 0/1 y rounds differently")
+    @pytest.mark.parametrize("x, y", [
+        # LOO predictions of x from y are exactly constant in the reference
+        # (sentinel); the kernel's centred arithmetic leaves r_dcal = 3e-16
+        ([1, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0]),
+        # r = -1 exactly: the reference's 1 - r**2 is 0 (p = 0), the
+        # kernel's sums leave p = 2.3e-32
+        ([0, 1, 0, 0, 1, 0], [1, 0, 1, 1, 0, 1]),
+    ])
+    def test_binary_pairs_round_differently(self, x, y):
+        got = dcal_test(DataPair(x, y))
+        want = pairwise_reference.dcal_test(DataPair(x, y))
+        assert (got.r_dcal, got.p_dcal, got.p) == (want.r_dcal, want.p_dcal, want.p)
+
+    @pytest.mark.parametrize("scheme", [
+        OosScheme.loo(), OosScheme.repeated_kfold(4, 2), OosScheme.boot632(20)
+    ], ids=lambda scheme: scheme.label)
+    def test_out_of_range_rows_fail_alone(self, scheme):
+        # row 1: its centred sums overflow; row 2: its sums fit, but a
+        # high-leverage point makes the out-of-sample predictions' sums
+        # overflow.  Both used to end the whole call with ConvergenceError.
+        stream = Stream(0)
+        x = stream.normals(12) * 1e-3
+        x[0] = 30.0
+        y = stream.normals(12) + 0.5 * x
+        huge = x.copy()
+        huge[3] = -1e308
+        scale = 10.0 ** 75.5
+        X, Y = np.vstack([x, huge, x * scale]), np.vstack([y, y, y * scale])
+        batch = dcal_matrix(X, Y, scheme, [0, 0, 0])
+        assert np.isfinite(pearson_rows(X[2:], Y[2:])[0]).all()
+        for j in (1, 2):
+            assert isinstance(batch.errors[j], NumericRangeError)
+            assert np.isnan([batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]]).all()
+        alone = dcal_matrix(X[:1], y, scheme, [0])
+        assert batch.errors[0] is None
+        assert (batch.r[0], batch.r_dcal[0], batch.p_dcal[0]) == (
+            alone.r[0], alone.r_dcal[0], alone.p_dcal[0]
+        )
+
+    def test_per_row_target_errors(self):
+        X, y = _generic_battery(29, 3, 12, 0.0)
+        Y = np.vstack([y, np.ones(12), y])
+        batch = dcal_matrix(X, Y, OosScheme.loo(), [0, 0, 0])
+        assert batch.errors[0] is None and batch.errors[2] is None
+        assert str(batch.errors[1]) == "y has zero variance"
+        with pytest.raises(ValueError, match="of the shape of X"):
+            dcal_matrix(X, Y[:2], OosScheme.loo(), [0, 0, 0])
 
     def test_one_row_call_is_dcal_test(self):
         X, y = _generic_battery(17, 6, 30, 0.3)

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pairwise_reference
 
 from dcal import (
     DataPair,
@@ -10,8 +14,47 @@ from dcal import (
     gen_contaminated,
     pearson,
     skipped_correlation,
+    skipped_rows,
 )
+from dcal.robust import DEFAULT_CUTOFF
 from dcal.rng import Stream, derive
+
+KINDS = [
+    OutlierKind("high_variance", sd_outlier=3.0),
+    OutlierKind("univariate"),
+    OutlierKind("bivariate"),
+]
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def _pairs(draw):
+    """Contaminated pairs of every kind and fraction, or grid-valued pairs
+    in which many points share a location (zero MAD in some or all
+    directions, or zero spread altogether)."""
+    n = draw(st.integers(10, 120))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(KINDS))
+        fraction = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+        return gen_contaminated(n, 0.5, kind, fraction, draw(st.integers(0, 2 ** 64 - 1)))
+    spot = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9]))
+    scale = draw(st.sampled_from([1.0, 0.5, 1e-3, 3e5]))
+    points = [
+        spot if draw(st.floats(0, 1)) < share
+        else draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        for _ in range(n)
+    ]
+    x, y = (np.array(coord, dtype=float) * scale for coord in zip(*points))
+    if x.max() == x.min() or y.max() == y.min():
+        x[0], y[0] = x[0] + scale, y[0] - scale
+    return DataPair(x, y)
 
 
 def _line_with_orthogonal_outliers():
@@ -80,6 +123,66 @@ class TestDetect:
         y = [0.0] * 7 + [1.0, 2.0, 3.0, -1.0, -2.0]
         flagged = detect_bivariate_outliers(DataPair(x, y))
         assert set(flagged.tolist()) == {7, 8, 9, 10, 11}
+
+
+class TestFrozenReference:
+    """The sort-based detector against the ``np.median`` one it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_pairs(), cutoff=st.sampled_from([DEFAULT_CUTOFF, 1.0, 3.5]))
+    def test_flags_and_skipped_match(self, pair, cutoff):
+        got, got_error = _outcome(lambda: detect_bivariate_outliers(pair, cutoff))
+        want, want_error = _outcome(
+            lambda: pairwise_reference.detect_bivariate_outliers(pair, cutoff)
+        )
+        assert got_error == want_error
+        if want is not None:
+            assert got.tolist() == want.tolist()
+        got, got_error = _outcome(lambda: skipped_correlation(pair, cutoff))
+        want, want_error = _outcome(lambda: pairwise_reference.skipped_correlation(pair, cutoff))
+        assert got_error == want_error
+        if want is not None:
+            assert (got.r, got.p, got.n_used, got.outlier_indices) == want
+
+    @pytest.mark.parametrize("x, y", [
+        # zero MAD in every direction, IQR fallback
+        ([0.0] * 7 + [1.0, 2.0, 3.0, -1.0, -2.0], [0.0] * 7 + [1.0, 2.0, 3.0, -1.0, -2.0]),
+        # zero MAD and zero IQR
+        ([0.0] * 9 + [1.0, 1.0], [0.0] * 9 + [1.0, 1.0]),
+        ([0.0] * 10 + [1.0, 2.0], [0.0] * 10 + [2.0, 1.0]),
+    ])
+    def test_degenerate_spreads_match(self, x, y):
+        pair = DataPair(x, y)
+        got, got_error = _outcome(lambda: detect_bivariate_outliers(pair))
+        want, want_error = _outcome(lambda: pairwise_reference.detect_bivariate_outliers(pair))
+        assert got_error == want_error
+        assert want is None or got.tolist() == want.tolist()
+
+
+class TestSkippedRows:
+    def test_rows_are_single_pair_calls(self):
+        kind = OutlierKind("bivariate")
+        pairs = [gen_contaminated(n, 0.4, kind, 0.25, derive(77, k)) for k, n in enumerate(
+            [12] * 6 + [9, 40]
+        )]
+        X = np.vstack([p.x for p in pairs[:6]])
+        Y = np.vstack([p.y for p in pairs[:6]])
+        X[2], Y[2] = np.r_[[0.0] * 9, 1.0, 1.0, 1.0], np.r_[[0.0] * 9, 1.0, 1.0, 2.0]
+        batch = skipped_rows(X, Y)
+        for i in range(6):
+            want, want_error = _outcome(lambda: skipped_correlation(DataPair(X[i], Y[i])))
+            error = batch.errors[i]
+            assert want_error == (None if error is None else (type(error), str(error)))
+            if want is None:
+                assert np.isnan(batch.r[i]) and np.isnan(batch.p[i])
+            else:
+                assert (batch.r[i], batch.p[i], batch.n_used[i]) == (want.r, want.p, want.n_used)
+                assert tuple(np.flatnonzero(batch.outliers[i])) == want.outlier_indices
+        assert batch.errors[2] is not None
+        short = skipped_rows(pairs[6].x[None], pairs[6].y[None])
+        assert isinstance(short.errors[0], InsufficientDataError)
+        empty = skipped_rows(np.empty((0, 12)), np.empty((0, 12)))
+        assert empty.r.shape == (0,) and empty.errors == ()
 
 
 class TestSkipped:

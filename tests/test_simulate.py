@@ -2,9 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pairwise_reference
 
 from dcal import (
     Contaminated,
+    DcalError,
+    bf_to_posterior,
+    correlation_bf,
+    pcal_bickel,
+    pcal_sellke,
     CorrelatedBattery,
     EffectGrid,
     NullBattery,
@@ -19,7 +28,23 @@ from dcal import (
     run_oos_comparison,
     run_outlier_suite,
 )
-from dcal.rng import derive
+from dcal.rng import derive, derive_array
+from dcal.simulate import contaminated_rows
+
+KINDS = [
+    OutlierKind("high_variance", sd_outlier=3.0),
+    OutlierKind("high_variance", sd_outlier=1.5),
+    OutlierKind("univariate"),
+    OutlierKind("univariate", magnitude=-2.5),
+    OutlierKind("bivariate"),
+]
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
 
 
 class TestGenPair:
@@ -41,6 +66,42 @@ class TestGenPair:
             gen_pair(3, 0.0, 1)
         with pytest.raises(ValueError):
             gen_pair(10, 1.0, 1)
+
+
+class TestContaminatedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(10, 120),
+        rho=st.sampled_from([0.0, 0.3, -0.5, 0.9, 1.0, 1.5]),
+        kind=st.sampled_from(KINDS),
+        fraction=st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.25, 0.37, 0.5, 0.6, -0.1]),
+        seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
+    )
+    def test_matches_frozen_generator(self, n, rho, kind, fraction, seeds):
+        rows, error = _outcome(
+            lambda: contaminated_rows(n, rho, kind, fraction, np.array(seeds, dtype=np.uint64))
+        )
+        for i, seed in enumerate(seeds):
+            want, want_error = _outcome(
+                lambda: pairwise_reference.gen_contaminated(n, rho, kind, fraction, seed)
+            )
+            got, got_error = _outcome(lambda: gen_contaminated(n, rho, kind, fraction, seed))
+            assert got_error == want_error
+            if want is None:
+                assert error == want_error
+                continue
+            assert error is None
+            for values in (rows[0][i], got.x):
+                assert np.array_equal(values, want.x)
+            for values in (rows[1][i], got.y):
+                assert np.array_equal(values, want.y)
+
+    def test_cell_seeds_are_repetition_streams(self):
+        kind = OutlierKind("bivariate")
+        X, Y = contaminated_rows(30, 0.4, kind, 0.1, derive_array(derive(5, 2), np.arange(7)))
+        for rep in range(7):
+            pair = gen_contaminated(30, 0.4, kind, 0.1, derive(5, 2, rep))
+            assert np.array_equal(X[rep], pair.x) and np.array_equal(Y[rep], pair.y)
 
 
 class TestGenContaminated:
@@ -190,6 +251,101 @@ class TestOutlierSuite:
         assert report.value("pearson", "mean_estimate", cell=uni_cell) < 0.3
         assert report.value("pearson", "mean_estimate", cell=bi_cell) > 0.5
         assert report.value("skipped", "sensitivity", cell=bi_cell) <= 1.0
+
+
+def _per_pair_outlier_records(cells, methods, alpha, repetitions):
+    """The outlier suite's records and error count from the per-pair loop it
+    replaced, one frozen generator and detector call per repetition."""
+    records, errors = [], 0
+    for ci, cell in enumerate(cells):
+        sums = {m: [0.0, 0.0, 0] for m in methods}
+        failed = 0
+        for rep in range(repetitions):
+            pair = pairwise_reference.gen_contaminated(
+                cell.n, cell.rho, cell.outlier, cell.fraction, derive(cell.seed, ci, rep)
+            )
+            try:
+                per_method = {}
+                for m in methods:
+                    if m == "pearson":
+                        res = pearson(pair)
+                        per_method[m] = (res.p, res.r)
+                    elif m == "dcal":
+                        res = dcal_test(pair, alpha=alpha)
+                        per_method[m] = (res.p_dcal, res.r_dcal)
+                    else:
+                        r, p, _, _ = pairwise_reference.skipped_correlation(pair)
+                        per_method[m] = (p, r)
+            except DcalError:
+                failed += 1
+                continue
+            for m in methods:
+                score, est = per_method[m]
+                sums[m][0] += est
+                if score < alpha:
+                    sums[m][1] += est
+                    sums[m][2] += 1
+        done = repetitions - failed
+        errors += failed
+        for m in methods:
+            est_sum, est_sig_sum, n_sig = sums[m]
+            records += [est_sum / done, est_sig_sum / n_sig if n_sig else None, n_sig / done]
+    return records, errors
+
+
+class TestBatchedCells:
+    @pytest.mark.parametrize("n, fraction, methods", [
+        (100, 0.1, ["pearson", "dcal", "skipped"]),
+        (12, 0.25, ["skipped", "pearson", "dcal"]),
+        (11, 0.5, ["dcal", "skipped", "dcal"]),
+        (31, 0.0, ["pearson"]),
+    ])
+    def test_outlier_suite_matches_per_pair_loop(self, n, fraction, methods):
+        cells = [
+            Contaminated(0.5, OutlierKind("high_variance", sd_outlier=3.0), fraction, n, 61),
+            Contaminated(-0.3, OutlierKind("univariate", magnitude=4.0), fraction, n, 62),
+            Contaminated(0.2, OutlierKind("bivariate"), fraction, n, 61),
+        ]
+        report = run_outlier_suite(cells, methods, alpha=0.1, repetitions=40)
+        records, errors = _per_pair_outlier_records(cells, methods, 0.1, 40)
+        assert [rec["value"] for rec in report.records] == records
+        assert report.meta["errors"] == errors
+
+    def test_overflowing_outliers_fail_every_repetition(self):
+        cell = Contaminated(0.5, OutlierKind("high_variance", sd_outlier=1e300), 0.1, 30, 5)
+        with pytest.raises(DcalError, match="every repetition of outlier-suite cell"):
+            run_outlier_suite([cell], repetitions=4)
+
+    def test_effect_grid_matches_per_pair_loop(self):
+        design = EffectGrid(rho_list=(0.0, 0.45, -0.8), n_list=(4, 9, 40), seed=63)
+        methods = ["uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf"]
+        report = run_effect_grid(design, methods, alpha=0.1, repetitions=25)
+        values = []
+        for ci, (rho, n) in enumerate((r, n) for r in design.rho_list for n in design.n_list):
+            sums = {m: [0.0, 0.0, 0.0, 0] for m in methods}
+            for rep in range(25):
+                pair = pairwise_reference.gen_contaminated(
+                    n, rho, None, 0.0, derive(design.seed, ci, rep)
+                )
+                classical = pearson(pair)
+                res = dcal_test(pair, alpha=0.1)
+                bf = correlation_bf(pair)
+                per_method = {
+                    "uncorrected": (classical.p, classical.r),
+                    "dcal": (res.p_dcal, res.r_dcal),
+                    "pcal_sellke": (pcal_sellke(classical.p), classical.r),
+                    "pcal_bickel": (pcal_bickel(classical.p), classical.r),
+                    "ppbf": (1.0 - bf_to_posterior(bf), classical.r),
+                }
+                for m in methods:
+                    score, est = per_method[m]
+                    sums[m][0] += score
+                    sums[m][1] += est
+                    sums[m][2] += abs(est)
+                    sums[m][3] += score < 0.1
+            for m in methods:
+                values += [sums[m][0] / 25, sums[m][1] / 25, sums[m][2] / 25, sums[m][3] / 25]
+        assert [rec["value"] for rec in report.records] == values
 
 
 class TestReportSerialization:

@@ -3,6 +3,7 @@ import pytest
 from scipy import special, stats
 
 from dcal import regularized_incomplete_beta, student_t_cdf
+from dcal.special import student_t_sf_two_sided
 
 
 def test_cdf_at_zero_is_half():
@@ -53,6 +54,16 @@ def test_df_zero_rejected():
         student_t_cdf(1.0, 0)
     with pytest.raises(ValueError):
         student_t_cdf(float("nan"), 5)
+
+
+def test_two_sided_tail_rejects_nan():
+    # a NaN statistic used to reach the continued fraction, which then
+    # raised ConvergenceError after its iteration budget
+    with pytest.raises(ValueError, match="t squared must be a number"):
+        student_t_sf_two_sided(float("nan"), 5)
+    with pytest.raises(ValueError):
+        student_t_sf_two_sided(-1.0, 5)
+    assert student_t_sf_two_sided(float("inf"), 5) == 0.0
 
 
 def test_incomplete_beta_edges():
