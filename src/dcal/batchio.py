@@ -20,7 +20,8 @@ import numpy as np
 
 from .engine import OosScheme, chunk_rows, dcal_matrix
 from .errors import InsufficientDataError, ParseError, TargetError
-from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
+from .methods import CORRECTIONS, check, correct
+from .multitest import PermutationPlan, permutation_pvalues
 from .rng import derive, derive_text
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "write_report",
     "CORRECTIONS",
 ]
-
-CORRECTIONS = ("holm", "bh", "perm", "perm_max")
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 
@@ -269,10 +268,7 @@ def screen(
     is called after each chunk.  The report does not depend on the chunking
     or on the order of the matrix rows.
     """
-    corrections = tuple(corrections)
-    for corr in corrections:
-        if corr not in CORRECTIONS:
-            raise ValueError(f"unknown correction {corr!r} (choose from {', '.join(CORRECTIONS)})")
+    corrections = tuple(check(corrections, CORRECTIONS, "correction"))
     target_idx = matrix.index_of(target)
     if matrix.sample_count < 4:
         raise InsufficientDataError(f"need >= 4 samples, got {matrix.sample_count}")
@@ -302,17 +298,13 @@ def screen(
     ok = [i for i, res in enumerate(results) if res[-1] is None]
     adjusted: dict[int, tuple[float, ...]] = {}
     if ok and corrections:
-        pvec = np.array([results[i][2] for i in ok])
-        columns: dict[str, np.ndarray] = {}
-        if "holm" in corrections:
-            columns["holm"] = holm_adjust(pvec)
-        if "bh" in corrections:
-            columns["bh"] = bh_adjust(pvec)
-        if "perm" in corrections or "perm_max" in corrections:
-            X = matrix.values[[feature_ids[i] for i in ok]]
-            columns["perm"], columns["perm_max"] = permutation_pvalues(
-                X, y, PermutationPlan(plan.n_permutations, derive(scheme.seed, _KEY_SCREEN_PERM))
-            )
+        columns = correct(
+            np.array([results[i][2] for i in ok]), corrections,
+            lambda: permutation_pvalues(
+                matrix.values[[feature_ids[i] for i in ok]], y,
+                PermutationPlan(plan.n_permutations, derive(scheme.seed, _KEY_SCREEN_PERM)),
+            ),
+        )
         adjusted = dict(zip(ok, zip(*(columns[corr].tolist() for corr in corrections))))
     rows = [
         FeatureRow(name=name, error=str(error)) if error is not None

@@ -5,6 +5,11 @@ Every command is reproducible from its flags and seed alone.  Output files
 never embed timestamps, so identical invocations produce byte-identical
 reports.  No command starts worker threads: ``--threads`` and the
 ``DCAL_THREADS`` environment variable are accepted and have no effect.
+
+``test --methods`` and ``anscombe`` score their pairs through the method
+table of :mod:`dcal.methods`, with the calibrated test's own classical r and
+p (:class:`~dcal.methods.CalibratedRows`).  ``--x V`` and ``--y V`` are read
+as ``--x=V`` and ``--y=V``, so that a value may start with '-'.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ import sys
 import time
 from importlib import resources
 
-from .batchio import CORRECTIONS, load_matrix, screen, write_report
-from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
+from .batchio import load_matrix, screen, write_report
 from .core import DataPair
-from .engine import OosScheme, dcal_test
+from .engine import OosScheme
 from .errors import DcalError, ParseError, TargetError
+from .methods import CORRECTIONS, OUTLIER_METHODS, QUARTET_METHODS, TEST_METHODS
+from .methods import CalibratedRows, pair_fields, quartet_row, score_rows, shuffles
 from .multitest import PermutationPlan
-from .robust import skipped_correlation
 from .simulate import (
     Contaminated,
     CorrelatedBattery,
@@ -102,38 +107,28 @@ def cmd_test(args) -> int:
     else:
         raise ParseError("provide either --input FILE or both --x and --y")
     scheme = _scheme_from_name(args.scheme, args.seed)
-    res = dcal_test(pair, alpha=args.alpha, fast=args.fast, scheme=scheme)
+    # a seed outside [0, 2**64) is read modulo 2**64, as dcal_test reads it
+    rows = CalibratedRows(
+        pair.x[None, :], pair.y, scheme, [scheme.seed % 2 ** 64], args.alpha, args.fast
+    )
+    res = rows.calibrated
+    if res.errors[0] is not None:
+        raise res.errors[0]
     doc = {
         "n": pair.n,
-        "r": res.r,
-        "p": res.p,
-        "r_dcal": res.r_dcal,
-        "p_dcal": res.p_dcal,
-        "sign_flip": res.sign_flip_triggered,
-        "skipped_fast": res.skipped_by_fast_flag,
+        "r": float(res.r[0]),
+        "p": float(res.p[0]),
+        "r_dcal": float(res.r_dcal[0]),
+        "p_dcal": float(res.p_dcal[0]),
+        "sign_flip": bool(res.sign_flip[0]),
+        "skipped_fast": bool(res.skipped[0]),
         "scheme": scheme.label,
         "alpha": args.alpha,
     }
-    extras = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
-    for method in extras:
-        if method == "sellke":
-            doc["pcal_sellke"] = pcal_sellke(res.p)
-        elif method == "bickel":
-            doc["pcal_bickel"] = pcal_bickel(res.p)
-        elif method == "ppbf":
-            doc["ppbf"] = bf_to_posterior(correlation_bf(pair))
-        elif method == "skipped":
-            try:
-                sk = skipped_correlation(pair)
-                doc["r_skipped"] = sk.r
-                doc["p_skipped"] = sk.p
-                doc["n_skipped"] = sk.n_used
-            except DcalError as exc:
-                doc["r_skipped"] = None
-                doc["p_skipped"] = None
-                doc["skipped_error"] = str(exc)
-        else:
-            raise ParseError(f"unknown method {method!r} (sellke, bickel, ppbf, skipped)")
+    for method in [m.strip() for m in (args.methods or "").split(",") if m.strip()]:
+        if method not in TEST_METHODS:
+            raise ParseError(f"unknown method {method!r} ({', '.join(TEST_METHODS)})")
+        doc.update(pair_fields(method, rows))
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -146,7 +141,7 @@ def cmd_test(args) -> int:
 def _permutation_plan(methods, permutations: int, seed: int) -> PermutationPlan:
     """The plan of a run; ``permutations`` is checked only when a method
     shuffles (the default plan is passed otherwise and never used)."""
-    if "perm" in methods or "perm_max" in methods:
+    if shuffles(methods):
         return PermutationPlan(permutations, seed)
     return PermutationPlan()
 
@@ -330,7 +325,7 @@ def cmd_simulate(args) -> int:
         report = run_effect_grid(design, methods, alpha=alpha, repetitions=repetitions)
     elif design_name == "outlier_suite":
         cells = _outlier_cells(cfg, seed)
-        methods = _cfg_list(cfg, "methods", ["pearson", "dcal", "skipped"])
+        methods = _cfg_list(cfg, "methods", list(OUTLIER_METHODS))
         report = run_outlier_suite(cells, methods, alpha=alpha, repetitions=repetitions)
     else:
         raise ParseError(f"config key 'design': unknown design {design_name!r}")
@@ -342,9 +337,6 @@ def cmd_simulate(args) -> int:
     report.write_json(json_path)
     print(f"{len(report.records)} records written to {csv_path} and {json_path}")
     return EXIT_OK
-
-
-_ANSCOMBE_METHOD_COLUMNS = ["cor", "dcal", "pcal_sellke", "pcal_bickel", "ppbf", "skipped"]
 
 
 def _anscombe_rows():
@@ -360,23 +352,11 @@ def _anscombe_rows():
 
 def cmd_anscombe(args) -> int:
     datasets = _anscombe_rows()
-    results = {}
-    for name in sorted(datasets):
-        pair = DataPair(*datasets[name])
-        res = dcal_test(pair, alpha=args.alpha, fast=False)
-        row = {
-            "cor": {"r": res.r, "p": res.p},
-            "dcal": {"r": res.r_dcal, "p": res.p_dcal, "flip": res.sign_flip_triggered},
-            "pcal_sellke": {"p": pcal_sellke(res.p)},
-            "pcal_bickel": {"p": pcal_bickel(res.p)},
-            "ppbf": {"p": 1.0 - bf_to_posterior(correlation_bf(pair))},
-        }
-        try:
-            sk = skipped_correlation(pair)
-            row["skipped"] = {"r": sk.r, "p": sk.p}
-        except DcalError as exc:
-            row["skipped"] = {"r": None, "p": None, "error": str(exc)}
-        results[name] = row
+    names = sorted(datasets)
+    X, Y = zip(*(datasets[name] for name in names))
+    rows = CalibratedRows(X, Y, alpha=args.alpha)
+    scored, _ = score_rows(rows, QUARTET_METHODS)
+    results = {name: quartet_row(scored, rows, i) for i, name in enumerate(names)}
     if args.json:
         print(json.dumps(results, indent=2))
         return EXIT_OK
@@ -384,25 +364,17 @@ def cmd_anscombe(args) -> int:
     def cell(value) -> str:
         return "NA".rjust(12) if value is None else f"{value:12.4f}"
 
+    estimated = ("cor", "dcal", "skipped")
     print("r values")
-    print("dataset" + "".join(f"{m:>13}" for m in ("cor", "dcal", "skipped")))
+    print("dataset" + "".join(f"{m:>13}" for m in estimated))
     for name, row in results.items():
-        flip = "  (flip)" if row["dcal"].get("flip") else ""
-        print(
-            f"{name:>7}"
-            + cell(row["cor"]["r"]) + cell(row["dcal"]["r"]) + cell(row["skipped"]["r"])
-            + flip
-        )
+        flip = "  (flip)" if row["dcal"]["flip"] else ""
+        print(f"{name:>7}" + "".join(cell(row[m]["r"]) for m in estimated) + flip)
     print()
     print("p values")
-    print("dataset" + "".join(f"{m:>13}" for m in _ANSCOMBE_METHOD_COLUMNS))
+    print("dataset" + "".join(f"{m:>13}" for m in QUARTET_METHODS))
     for name, row in results.items():
-        print(
-            f"{name:>7}"
-            + cell(row["cor"]["p"]) + cell(row["dcal"]["p"])
-            + cell(row["pcal_sellke"]["p"]) + cell(row["pcal_bickel"]["p"])
-            + cell(row["ppbf"]["p"]) + cell(row["skipped"]["p"])
-        )
+        print(f"{name:>7}" + "".join(cell(row[m]["p"]) for m in QUARTET_METHODS))
     return EXIT_OK
 
 
@@ -465,10 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_inline_values(argv: list[str]) -> list[str]:
+    """``--x V`` and ``--y V`` as ``--x=V`` and ``--y=V``, so that a value
+    that starts with '-', such as ``-1,2,3``, is not taken for an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in ("--x", "--y") else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_inline_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

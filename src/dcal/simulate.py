@@ -5,14 +5,17 @@ Every random draw comes from a stream seeded by
 function of its design.  Reports are tidy long-format tables (one row per
 design cell x method x metric) serializable to CSV and JSON.
 
-The single-pair designs (effect grid, outlier suite) score a cell at once:
-every repetition's pair is drawn in one block of stream words
-(:func:`contaminated_rows`), and Pearson and the calibrated test run on the
-(repetitions, n) rows with one target per row.
+Every design scores its pairs through the method table of
+:mod:`dcal.methods`.  The single-pair designs (effect grid, outlier suite)
+score a cell at once: every repetition's pair is drawn in one block of
+stream words (:func:`contaminated_rows`), the methods run on the
+(repetitions, n) rows with one target per row, and one accumulator per
+method sums the repetitions in order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,12 +23,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
-from .core import DataPair, pair_errors, pearson_rows, range_error
-from .engine import OosScheme, dcal_matrix
+from .core import DataPair, pair_errors
+from .engine import OosScheme
 from .errors import DcalError
-from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
-from .robust import skipped_rows
+from .methods import BATTERY_METHODS, OUTLIER_METHODS, PAIR_METHODS, Rows
+from .methods import battery_scores, check, score_rows
+from .multitest import PermutationPlan
 from .rng import Stream, derive, derive_array, normals_of, permutation_of, raw_block
 
 __all__ = [
@@ -258,82 +261,19 @@ def _battery_columns(
     return X, y
 
 
-BATTERY_METHODS = (
-    "uncorrected",
-    "holm",
-    "bh",
-    "perm",
-    "perm_max",
-    "dcal",
-    "pcal_sellke",
-    "pcal_bickel",
-    "ppbf",
-)
-
-PAIR_METHODS = ("uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf")
-
-
 def _check_methods(methods: Iterable[str], allowed: tuple[str, ...]) -> list[str]:
-    out = list(methods)
+    out = check(methods, allowed)
     if not out:
         raise ValueError("methods must be nonempty")
-    for name in out:
-        if name not in allowed:
-            raise ValueError(f"unknown method {name!r} (choose from {', '.join(allowed)})")
     return out
 
 
-def _battery_scores(
-    X: np.ndarray,
-    y: np.ndarray,
-    methods: list[str],
-    base: int,
-    alpha: float,
-    scheme: OosScheme,
-    plan: PermutationPlan,
-    fast: bool,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-method (score, estimate) vectors; reject where score < alpha."""
-    r, p = pearson_rows(X, y)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    perm_cache: tuple[np.ndarray, np.ndarray] | None = None
-    for method in methods:
-        if method == "uncorrected":
-            out[method] = (p, r)
-        elif method == "holm":
-            out[method] = (holm_adjust(p), r)
-        elif method == "bh":
-            out[method] = (bh_adjust(p), r)
-        elif method in ("perm", "perm_max"):
-            if perm_cache is None:
-                perm_cache = permutation_pvalues(
-                    X, y, PermutationPlan(plan.n_permutations, derive(base, _KEY_PERM))
-                )
-            out[method] = (perm_cache[0] if method == "perm" else perm_cache[1], r)
-        elif method == "dcal":
-            out[method] = _dcal_scores(X, y, base, alpha, scheme, fast)
-        elif method == "pcal_sellke":
-            out[method] = (np.array([pcal_sellke(v) for v in p]), r)
-        elif method == "pcal_bickel":
-            out[method] = (np.array([pcal_bickel(v) for v in p]), r)
-        elif method == "ppbf":
-            scores = np.array(
-                [1.0 - bf_to_posterior(correlation_bf(DataPair(X[j], y))) for j in range(X.shape[0])]
-            )
-            out[method] = (scores, r)
-    return out
-
-
-def _dcal_scores(
+def _battery_rows(
     X: np.ndarray, y: np.ndarray, base: int, alpha: float, scheme: OosScheme, fast: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p_dcal, r_dcal) per column; column j resamples from (base, _KEY_SCHEME + j)."""
+) -> Rows:
+    """One repetition's battery; column j resamples from (base, _KEY_SCHEME + j)."""
     seeds = derive_array(base, _KEY_SCHEME + np.arange(X.shape[0], dtype=np.uint64))
-    batch = dcal_matrix(X, y, scheme, seeds, alpha, fast)
-    for error in batch.errors:
-        if error is not None:
-            raise error
-    return batch.p_dcal, batch.r_dcal
+    return Rows(X, y, scheme, seeds, alpha, fast)
 
 
 class _Accumulator:
@@ -470,10 +410,15 @@ def run_battery_experiment(
     methods = _check_methods(methods, BATTERY_METHODS)
     _check_run(alpha, repetitions)
     name = "null_battery" if isinstance(design, NullBattery) else "correlated_battery"
+
+    def score_rep(X, y, base):
+        rows = _battery_rows(X, y, base, alpha, scheme, fast)
+        return battery_scores(
+            rows, methods, PermutationPlan(plan.n_permutations, derive(base, _KEY_PERM))
+        )
+
     return _run_battery(
-        design, name, methods,
-        lambda X, y, base: _battery_scores(X, y, methods, base, alpha, scheme, plan, fast),
-        alpha, repetitions,
+        design, name, methods, score_rep, alpha, repetitions,
         {"scheme": scheme.label, "n_permutations": plan.n_permutations, "fast": fast},
     )
 
@@ -492,12 +437,48 @@ def run_oos_comparison(
     labels = [f"dcal-{scheme.label}" for scheme in schemes]
 
     def score_rep(X, y, base):
-        return {
-            label: _dcal_scores(X, y, base, alpha, scheme, False)
-            for label, scheme in zip(labels, schemes)
-        }
+        out = {}
+        for label, scheme in zip(labels, schemes):
+            rows = _battery_rows(X, y, base, alpha, scheme, False)
+            out[label] = battery_scores(rows, ["dcal"], None)["dcal"]
+        return out
 
     return _run_battery(design, "oos_comparison", labels, score_rep, alpha, repetitions, {})
+
+
+class _CellSums:
+    """One method's sums over a single-pair design cell's repetitions: each
+    a left-to-right ``+=`` in repetition order, as the per-pair loops summed
+    (``sum()`` compensates from Python 3.12, ``np.sum`` sums pairwise)."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.score = self.estimate = self.abs_estimate = self.estimate_rejected = 0.0
+        self.rejections = 0
+
+    def add(self, score: float, estimate: float) -> None:
+        self.score += score
+        self.estimate += estimate
+        self.abs_estimate += abs(estimate)
+        if score < self.alpha:
+            self.estimate_rejected += estimate
+            self.rejections += 1
+
+
+def _score_cell(
+    X: np.ndarray, Y: np.ndarray, methods: list[str], alpha: float
+) -> tuple[dict[str, _CellSums], list]:
+    """Score a cell's pairs (X[i], Y[i]) with every method (the calibrated
+    test at loo, fast guard off) and sum the repetitions on which none
+    failed.  Returns the sums and each repetition's first error, if any."""
+    scored, errors = score_rows(Rows(X, Y, alpha=alpha), methods)
+    columns = {m: (s.score.tolist(), s.estimate.tolist()) for m, s in scored.items()}
+    sums = {m: _CellSums(alpha) for m in methods}
+    for rep, error in enumerate(errors):
+        if error is None:
+            for m in methods:  # a repeated method is summed once per mention
+                sums[m].add(columns[m][0][rep], columns[m][1][rep])
+    return sums, errors
 
 
 def run_effect_grid(
@@ -528,73 +509,22 @@ def run_effect_grid(
     for ci, (rho, n) in enumerate(cells):
         _check_pair_design(n, rho)
         X, Y = _cell_rows(n, rho, None, 0.0, derive(design.seed, ci), repetitions)
-        r, p = (v.tolist() for v in pearson_rows(X, Y))
-        if "dcal" in methods:
-            batch = dcal_matrix(X, Y, OosScheme.loo(), np.zeros(repetitions, np.uint64), alpha)
-            r_dcal, p_dcal = batch.r_dcal.tolist(), batch.p_dcal.tolist()
-        sums = {m: [0.0, 0.0, 0.0, 0] for m in methods}  # score, est, |est|, rejections
-        for rep in range(repetitions):
-            # the per-pair order: Pearson, the calibrated test, then the baselines
-            if math.isnan(r[rep]):
-                raise range_error()
-            per_method = {"uncorrected": (p[rep], r[rep])}
-            if "dcal" in sums:
-                if batch.errors[rep] is not None:
-                    raise batch.errors[rep]
-                per_method["dcal"] = (p_dcal[rep], r_dcal[rep])
-            if "pcal_sellke" in sums:
-                per_method["pcal_sellke"] = (pcal_sellke(p[rep]), r[rep])
-            if "pcal_bickel" in sums:
-                per_method["pcal_bickel"] = (pcal_bickel(p[rep]), r[rep])
-            if "ppbf" in sums:
-                bf = correlation_bf(DataPair(X[rep], Y[rep]))
-                per_method["ppbf"] = (1.0 - bf_to_posterior(bf), r[rep])
-            for m in methods:
-                score, est = per_method[m]
-                sums[m][0] += score
-                sums[m][1] += est
-                sums[m][2] += abs(est)
-                sums[m][3] += score < alpha
-        cell = f"rho={rho},n={n}"
+        sums, errors = _score_cell(X, Y, methods, alpha)
+        for error in errors:
+            if error is not None:
+                raise error
         for m in methods:
-            score_sum, est_sum, abs_sum, rejected = sums[m]
-            report.add("effect_grid", cell, m, "mean_p", score_sum / repetitions)
-            report.add("effect_grid", cell, m, "mean_estimate", est_sum / repetitions)
-            report.add("effect_grid", cell, m, "mean_abs_estimate", abs_sum / repetitions)
-            report.add("effect_grid", cell, m, "rejection_rate", rejected / repetitions)
+            add, acc = functools.partial(report.add, "effect_grid", f"rho={rho},n={n}", m), sums[m]
+            add("mean_p", acc.score / repetitions)
+            add("mean_estimate", acc.estimate / repetitions)
+            add("mean_abs_estimate", acc.abs_estimate / repetitions)
+            add("rejection_rate", acc.rejections / repetitions)
     return report
-
-
-def _outlier_scores(
-    X: np.ndarray, Y: np.ndarray, methods: list[str], alpha: float
-) -> tuple[dict[str, tuple[list, list]], np.ndarray]:
-    """Per-method (score, estimate) lists over the rows (X[i], Y[i]), and the
-    rows that some method failed on with a toolkit error."""
-    failed = np.zeros(X.shape[0], dtype=bool)
-    out = {}
-    if "pearson" in methods:
-        r, p = pearson_rows(X, Y)
-        failed |= np.isnan(r)
-        out["pearson"] = (p.tolist(), r.tolist())
-    if "dcal" in methods:
-        batch = dcal_matrix(X, Y, OosScheme.loo(), np.zeros(X.shape[0], np.uint64), alpha)
-        failed |= np.array([error is not None for error in batch.errors])
-        out["dcal"] = (batch.p_dcal.tolist(), batch.r_dcal.tolist())
-    if "skipped" in methods:
-        # only where the other methods ran: a row with a failed method is
-        # dropped whole
-        p, r = np.full(X.shape[0], np.nan), np.full(X.shape[0], np.nan)
-        rows = np.flatnonzero(~failed)
-        batch = skipped_rows(X[rows], Y[rows])
-        failed[rows] = [error is not None for error in batch.errors]
-        p[rows], r[rows] = batch.p, batch.r
-        out["skipped"] = (p.tolist(), r.tolist())
-    return out, failed
 
 
 def run_outlier_suite(
     cells: Sequence[Contaminated],
-    methods: Iterable[str] = ("pearson", "dcal", "skipped"),
+    methods: Iterable[str] = OUTLIER_METHODS,
     alpha: float = 0.05,
     repetitions: int = 100,
 ) -> ExperimentReport:
@@ -603,10 +533,7 @@ def run_outlier_suite(
     A repetition on which any method fails with a toolkit error is left out
     of its cell's averages and counted once in the ``errors`` metadata.
     """
-    methods = list(methods)
-    for name in methods:
-        if name not in ("pearson", "dcal", "skipped"):
-            raise ValueError(f"unknown outlier-suite method {name!r}")
+    methods = check(methods, OUTLIER_METHODS, "outlier-suite method")
     _check_run(alpha, repetitions)
     report = ExperimentReport(
         meta={
@@ -630,26 +557,15 @@ def run_outlier_suite(
             cell_design.n, cell_design.rho, kind, cell_design.fraction,
             derive(cell_design.seed, ci), repetitions,
         )
-        scores, failed = _outlier_scores(X, Y, methods, alpha)
-        sums = {m: [0.0, 0.0, 0] for m in methods}  # est, est among sig, n sig
-        for rep in np.flatnonzero(~failed).tolist():
-            for m in methods:
-                score, est = scores[m][0][rep], scores[m][1][rep]
-                sums[m][0] += est
-                if score < alpha:
-                    sums[m][1] += est
-                    sums[m][2] += 1
-        errors = int(failed.sum())
-        done = repetitions - errors
+        sums, errors = _score_cell(X, Y, methods, alpha)
+        done = errors.count(None)
         if done == 0:
             raise DcalError(f"every repetition of outlier-suite cell {cell} failed")
-        report.meta["errors"] += errors
+        report.meta["errors"] += repetitions - done
         for m in methods:
-            est_sum, est_sig_sum, n_sig = sums[m]
-            report.add("outlier_suite", cell, m, "mean_estimate", est_sum / done)
-            report.add(
-                "outlier_suite", cell, m, "mean_estimate_significant",
-                est_sig_sum / n_sig if n_sig else None,
-            )
-            report.add("outlier_suite", cell, m, "sensitivity", n_sig / done)
+            add, acc = functools.partial(report.add, "outlier_suite", cell, m), sums[m]
+            add("mean_estimate", acc.estimate / done)
+            rejected = acc.rejections
+            add("mean_estimate_significant", acc.estimate_rejected / rejected if rejected else None)
+            add("sensitivity", rejected / done)
     return report

@@ -85,6 +85,25 @@ class TestCmdTest:
     def test_missing_input_exits_2(self, capsys):
         assert main(["test"]) == 2
 
+    def test_ppbf_is_the_null_posterior_anscombe_reports(self, anscombe_a_file, capsys):
+        # this printed P(H1), 0.958 here, where every other surface reports
+        # the posterior probability of the null
+        assert main(["test", "--input", anscombe_a_file, "--json", "--methods", "ppbf"]) == 0
+        ppbf = json.loads(capsys.readouterr().out)["ppbf"]
+        assert main(["anscombe", "--json"]) == 0
+        assert ppbf == json.loads(capsys.readouterr().out)["A"]["ppbf"]["p"]
+        assert ppbf < 0.05
+
+    @pytest.mark.parametrize("x, y", [
+        ("-1,2,3,5", "1,2,3,4"), ("1,2,3,5", "-1,-2,4,3"), ("-1e-3,2,3,5", "-0,2,1,4"),
+    ])
+    def test_negative_leading_inline_values(self, x, y, capsys):
+        # argparse took a value such as -1,2,3,5 for an option and exited 2
+        assert main(["test", "--x", x, "--y", y, "--json"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["test", f"--x={x}", f"--y={y}", "--json"]) == 0
+        assert capsys.readouterr().out == spaced
+
     def test_skipped_method_included(self, tmp_path, capsys):
         t = np.linspace(0, 5, 20)
         path = tmp_path / "line.csv"
@@ -125,25 +144,42 @@ def _pair_files(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _run_test(args: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["test", *args])
+    return rc, out.getvalue()
+
+
 class TestCmdTestFuzz:
     @settings(max_examples=80, deadline=None)
     @given(text=_pair_files(), data=st.data())
     def test_fuzzed_pairs_exit_cleanly(self, text, data):
         flags = data.draw(st.lists(st.sampled_from(_TEST_FLAGS), max_size=3))
         methods = ",".join(data.draw(st.lists(st.sampled_from(_TEST_METHODS), max_size=3)))
+        extra = ["--methods", methods] + [flag for pair in flags for flag in pair]
+        rows = [r for r in (line.replace(",", " ").split() for line in text.splitlines()) if r]
+        # the same cells inline, first column as x
+        inline = ["--x", ",".join(r[0] for r in rows), "--y", ",".join(r[-1] for r in rows)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "pair.csv"
             path.write_text(text, encoding="utf-8")
-            if data.draw(st.booleans()):
-                source = ["--input", str(path)]
-            else:  # the same cells inline, first column as x
-                rows = [line.replace(",", " ").split() for line in text.splitlines()]
-                source = ["--x", ",".join(r[0] for r in rows if r),
-                          "--y", ",".join(r[-1] for r in rows if r)]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                rc = main(["test", *source, "--methods", methods]
-                          + [flag for pair in flags for flag in pair])
-        assert rc in (0, 2, 3)
+            from_file = _run_test(["--input", str(path), *extra])
+        assert from_file[0] in (0, 2, 3)
+        if all(len(r) == 2 and all(map(_is_number, r)) for r in rows):
+            # a file of number pairs only, without a header: both ways of
+            # passing it give one result
+            assert _run_test([*inline, *extra]) == from_file
+        else:
+            assert _run_test([*inline, *extra])[0] in (0, 2, 3)
 
 
 # flags a fuzzed screen run may add; later flags override earlier ones

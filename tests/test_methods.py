@@ -1,0 +1,266 @@
+"""The method table against the single-pair calls, the shared corrections,
+and the summation order of the single-pair designs' cell accumulator."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcal import (
+    DataPair,
+    DcalError,
+    FeatureMatrix,
+    OosScheme,
+    PermutationPlan,
+    bf_to_posterior,
+    bh_adjust,
+    correlation_bf,
+    dcal_test,
+    holm_adjust,
+    pcal_bickel,
+    pcal_sellke,
+    pearson,
+    pearson_rows,
+    permutation_pvalues,
+    screen,
+    skipped_correlation,
+)
+from dcal.methods import (
+    CORRECTIONS,
+    METHODS,
+    CalibratedRows,
+    Rows,
+    battery_scores,
+    correct,
+    score_rows,
+)
+from dcal import batchio, simulate
+from dcal.rng import derive
+from dcal.simulate import _CellSums
+
+# every spelling the table accepts, and the method it names
+SPELLINGS = {
+    "uncorrected": "uncorrected", "pearson": "uncorrected", "cor": "uncorrected",
+    "dcal": "dcal", "pcal_sellke": "pcal_sellke", "sellke": "pcal_sellke",
+    "pcal_bickel": "pcal_bickel", "bickel": "pcal_bickel", "ppbf": "ppbf",
+    "skipped": "skipped",
+}
+
+# the per-pair error order: Pearson, the calibrated test, then the baselines
+ORDER = ["uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf", "skipped"]
+
+
+def _single_pair(method: str, pair_of, scheme: OosScheme, alpha: float, fast: bool):
+    """(score, estimate) of the single-pair call of ``method`` on the pair
+    ``pair_of()``, or the (type, message) of the DcalError it raises."""
+
+    def classical():
+        res = pearson(pair_of())
+        return res.p, res.r
+
+    def calibrated():
+        res = dcal_test(pair_of(), alpha, fast, scheme)
+        return res.p_dcal, res.r_dcal
+
+    def ppbf():
+        pair = pair_of()
+        return 1.0 - bf_to_posterior(correlation_bf(pair)), pearson(pair).r
+
+    def skipped():
+        res = skipped_correlation(pair_of())
+        return res.p, res.r
+
+    calls = {
+        "uncorrected": classical,
+        "dcal": calibrated,
+        "pcal_sellke": lambda: (pcal_sellke(classical()[0]), classical()[1]),
+        "pcal_bickel": lambda: (pcal_bickel(classical()[0]), classical()[1]),
+        "ppbf": ppbf,
+        "skipped": skipped,
+    }
+    try:
+        return calls[method](), None
+    except DcalError as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def _samples(draw, n):
+    """One sample of n values: Gaussian, rounded to integers, constant, or
+    with one value near the float64 limit."""
+    kind = draw(st.sampled_from(["gauss", "gauss", "gauss", "grid", "constant", "huge"]))
+    values = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
+    if kind == "grid":
+        values = np.round(values)
+    elif kind == "constant":
+        values = np.full(n, draw(st.sampled_from([0.0, 3.5, -1e300])))
+    elif kind == "huge":
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1e308, 1e308, 3e200]))
+    return values
+
+
+@st.composite
+def _rows(draw):
+    """(X, Y): 1 to 4 rows at n = 4 to 60, Y shared or one per row.  A row
+    may be an exact line of its target (r = +-1)."""
+    n = draw(st.integers(4, 60))
+    m = draw(st.integers(1, 4))
+    shared = draw(st.booleans())
+    Y = draw(_samples(n)) if shared else np.array([draw(_samples(n)) for _ in range(m)])
+    X = np.array([draw(_samples(n)) for _ in range(m)])
+    for i in range(m):
+        if draw(st.integers(0, 3)) == 0:
+            with np.errstate(over="ignore"):
+                line = draw(st.sampled_from([2.0, -0.5])) * (Y if shared else Y[i]) + 1.0
+            if np.isfinite(line).all():
+                X[i] = line
+    return X, Y
+
+
+def _pair_of(X, Y, i):
+    return lambda: DataPair(X[i], Y if Y.ndim == 1 else Y[i])
+
+
+def _same(got: tuple, expected: tuple) -> bool:
+    return all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
+
+
+class TestTableMatchesSinglePairCalls:
+    def test_spellings_and_surface_lists(self):
+        assert set(METHODS) == set(SPELLINGS)
+        assert simulate.PAIR_METHODS == ("uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf")
+        assert simulate.BATTERY_METHODS == (
+            "uncorrected", "holm", "bh", "perm", "perm_max", "dcal", "pcal_sellke",
+            "pcal_bickel", "ppbf",
+        )
+        assert batchio.CORRECTIONS == CORRECTIONS == ("holm", "bh", "perm", "perm_max")
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_rows(), data=st.data())
+    def test_every_spelling_bitwise(self, rows, data):
+        X, Y = rows
+        seed = data.draw(st.integers(0, 2 ** 64 - 1))
+        scheme = data.draw(st.sampled_from(
+            [OosScheme.loo(), OosScheme.repeated_kfold(3, 2, seed), OosScheme.boot632(12, seed)]
+        ))
+        alpha = data.draw(st.sampled_from([0.05, 0.5]))
+        fast = data.draw(st.booleans())
+        table = Rows(X, Y, scheme, np.full(len(X), seed, dtype=np.uint64), alpha, fast)
+        for spelling, method in SPELLINGS.items():
+            score, estimate, errors = METHODS[spelling](table)
+            for i in range(len(X)):
+                expected, error = _single_pair(method, _pair_of(X, Y, i), scheme, alpha, fast)
+                if error is None:
+                    assert errors[i] is None, (spelling, i, errors[i])
+                    got = (float(score[i]), float(estimate[i]))
+                    assert _same(got, expected), (spelling, i, got, expected)
+                else:
+                    assert (type(errors[i]), str(errors[i])) == error, (spelling, i)
+                    assert math.isnan(score[i]), (spelling, i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_rows(), names=st.lists(st.sampled_from(sorted(SPELLINGS)), min_size=1))
+    def test_first_error_follows_the_per_pair_order(self, rows, names):
+        X, Y = rows
+        table = Rows(X, Y)
+        scored, first = score_rows(table, names)
+        assert list(scored) == list(dict.fromkeys(names))
+        requested = [method for method in ORDER if method in {SPELLINGS[n] for n in names}]
+        for i in range(len(X)):
+            errors = [METHODS[method](table).errors[i] for method in requested]
+            expected = next((error for error in errors if error is not None), None)
+            assert (type(first[i]), str(first[i])) == (type(expected), str(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_rows(), fast=st.booleans())
+    def test_calibrated_rows_use_the_tests_classical_half(self, rows, fast):
+        X, Y = rows
+        table = CalibratedRows(X, Y, fast=fast)
+        for spelling in ("cor", "sellke", "bickel"):
+            score, estimate, errors = METHODS[spelling](table)
+            for i in range(len(X)):
+                try:
+                    res = dcal_test(_pair_of(X, Y, i)(), fast=fast)
+                except DcalError as exc:
+                    assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc))
+                    continue
+                transform = {"cor": lambda p: p, "sellke": pcal_sellke, "bickel": pcal_bickel}
+                assert (score[i], estimate[i]) == (transform[spelling](res.p), res.r)
+
+
+def _battery(m=30, n=20, seed=4):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    X = rng.standard_normal((m, n))
+    X[:4] += 0.8 * y
+    return X, y
+
+
+class TestSharedCorrections:
+    def test_battery_corrections_match_multitest(self):
+        X, y = _battery()
+        plan = PermutationPlan(199, 17)
+        scores = battery_scores(Rows(X, y), ["uncorrected", *CORRECTIONS], plan)
+        r, p = pearson_rows(X, y)
+        per_test, max_stat = permutation_pvalues(X, y, plan)
+        expected = {"uncorrected": p, "holm": holm_adjust(p), "bh": bh_adjust(p),
+                    "perm": per_test, "perm_max": max_stat}
+        for name, (score, estimate) in scores.items():
+            assert score.tolist() == expected[name].tolist(), name
+            assert estimate.tolist() == r.tolist(), name
+
+    def test_screen_corrections_match_multitest(self):
+        X, y = _battery()
+        names = ["target"] + [f"f{j:02d}" for j in range(len(X))]
+        matrix = FeatureMatrix(tuple(names), np.vstack([y, X]), tuple(f"s{k}" for k in range(20)))
+        scheme = OosScheme.boot632(20, 9)
+        report = screen(matrix, "target", scheme=scheme, corrections=CORRECTIONS,
+                        plan=PermutationPlan(199, 0))
+        p = np.array([row.p for row in report.rows])
+        per_test, max_stat = permutation_pvalues(
+            X, y, PermutationPlan(199, derive(scheme.seed, 2 ** 35))
+        )
+        expected = {"holm": holm_adjust(p), "bh": bh_adjust(p),
+                    "perm": per_test, "perm_max": max_stat}
+        for name in CORRECTIONS:
+            assert [row.adjusted[name] for row in report.rows] == expected[name].tolist(), name
+
+    def test_permutations_run_once_and_only_when_named(self):
+        calls = []
+
+        def shuffled():
+            calls.append(1)
+            return np.array([0.25, 0.5]), np.array([0.5, 0.75])
+
+        p = np.array([0.01, 0.2])
+        out = correct(p, ["perm_max", "holm", "perm", "bh", "perm"], shuffled)
+        assert len(calls) == 1
+        assert out["perm"].tolist() == [0.25, 0.5] and out["perm_max"].tolist() == [0.5, 0.75]
+        assert out["holm"].tolist() == holm_adjust(p).tolist()
+        correct(p, ["holm", "bh"], shuffled)
+        assert len(calls) == 1
+
+
+class TestCellSumsOrder:
+    def test_sums_are_sequential(self):
+        # left to right, 1.0 is lost against 1e16; a compensated sum keeps it
+        values = [1e16, 1.0, -1e16, 0.1]
+        sequential = ((1e16 + 1.0) + -1e16) + 0.1
+        assert sequential != math.fsum(values)
+        acc = _CellSums(alpha=1e300)
+        for v in values:
+            acc.add(v, v)
+        assert acc.score == sequential
+        assert acc.estimate == sequential
+        assert acc.estimate_rejected == sequential
+        assert acc.abs_estimate == ((1e16 + 1.0) + 1e16) + 0.1
+        assert acc.rejections == 4
+
+    def test_rejections_count_scores_below_alpha(self):
+        acc = _CellSums(alpha=0.05)
+        for score, estimate in [(0.01, 0.5), (0.05, -0.25), (0.2, 0.125), (0.0, -0.5)]:
+            acc.add(score, estimate)
+        assert acc.rejections == 2
+        assert acc.estimate_rejected == 0.0
+        assert acc.abs_estimate == 1.375

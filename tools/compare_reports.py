@@ -1,4 +1,4 @@
-"""Byte comparison of the simulation reports of two versions of the repository.
+"""Byte comparison of the reports and outputs of two versions of the repository.
 
 Run from the repository root:
 
@@ -7,18 +7,32 @@ Run from the repository root:
 
 Each side is a clean copy of the committed files of a revision, or of the
 working tree when ``--head`` is left out, made with the export helpers of
-``tools/bench_pairs.py``.  Every bundled ``src/dcal/fixtures/fig*.cfg`` and
-``benchmarks/configs/*.cfg`` of the head copy then runs through
-``dcal simulate`` in each copy, at the config's own repetitions unless
-``--repetitions`` is given.  The exit code, standard output and the CSV and
-JSON report bytes of the two sides must be equal; the script exits 1 on the
-first comparison that is not, after running every config.
+``tools/bench_pairs.py``.  Two kinds of case then run in each copy:
+
+- ``dcal simulate`` on every bundled ``src/dcal/fixtures/fig*.cfg`` and
+  ``benchmarks/configs/*.cfg`` of the head copy, plus a built-in effect-grid
+  config with every pair method and n = 4, at the config's own repetitions
+  unless ``--repetitions`` is given;
+- built-in CLI cases, all run in one interpreter per side: a small
+  ``dcal screen`` with every correction at loo and boot632, ``dcal
+  anscombe`` as text and JSON, and ``dcal test`` on the Anscombe pairs for
+  each ``--methods`` spelling, each scheme, plain, ``--fast`` and
+  ``--json``, from a file and inline (also with the x values negated).
+
+The inputs of the built-in cases are written to the scratch directory.  The
+exit code, standard output (with the output path and the screen's elapsed
+time masked) and the report bytes of the two sides must be equal; for a
+differing standard output the differing lines are shown.  The script exits 1
+if any case differs, after running every case.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -31,6 +45,37 @@ from bench_pairs import export_revision, export_worktree  # noqa: E402
 CONFIG_GLOBS = ("src/dcal/fixtures/fig*.cfg", "benchmarks/configs/*.cfg")
 
 RUN_CLI = "import sys; from dcal.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# runs a JSON list of argument lists through the CLI; prints [exit code or
+# exception, stdout] per list
+RUN_MANY = """
+import contextlib, io, json, sys
+from dcal.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+EFFECT_GRID = """\
+design = effect_grid
+rho_list = 0.0,0.5,-0.9
+n_list = 4,12,40
+methods = uncorrected,dcal,pcal_sellke,pcal_bickel,ppbf
+seed = 11
+repetitions = 30
+"""
+
+ELAPSED = re.compile(r" in \d+\.\d+ s$", re.MULTILINE)
+
+TEST_METHODS = ("sellke", "bickel", "ppbf", "skipped", "sellke,bickel,ppbf,skipped")
+SCHEMES = ("loo", "cv10x10", "boot632")
 
 
 def simulate(copy: Path, config: Path, output: Path, repetitions: int | None) -> tuple:
@@ -45,6 +90,82 @@ def simulate(copy: Path, config: Path, output: Path, repetitions: int | None) ->
     reports = [output.with_suffix(suffix) for suffix in (".csv", ".json")]
     return (done.returncode, done.stdout.replace(str(output), "<output>"),
             *(path.read_bytes() if path.exists() else None for path in reports))
+
+
+def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | None]]:
+    """Write the inputs of the built-in CLI cases to ``scratch``; return the
+    cases as (name, arguments, report file name or None).  ``{out}`` in an
+    argument stands for the side's output directory."""
+    rng = random.Random(5)
+    target = [rng.gauss(0.0, 1.0) for _ in range(24)]
+    lines = ["id," + ",".join(f"s{i}" for i in range(24))]
+    for j in range(40):
+        noise = [rng.gauss(0.0, 1.0) for _ in target]
+        planted = [0.6 * t + 0.8 * e for t, e in zip(target, noise)]
+        row = target if j == 0 else planted if j < 6 else noise
+        lines.append(f"f{j:02d}," + ",".join(repr(v) for v in row))
+    matrix = scratch / "matrix.csv"
+    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cases = [
+        (f"screen --scheme {scheme} --format {fmt}",
+         ["screen", "--matrix", str(matrix), "--target", "f00", "--corrections",
+          "holm,bh,perm,perm_max", "--scheme", scheme, "--seed", "3", "--format", fmt,
+          "--output", f"{{out}}/screen-{scheme}.{fmt}"],
+         f"screen-{scheme}.{fmt}")
+        for scheme, fmt in (("loo", "csv"), ("boot632", "csv"), ("loo", "json"))
+    ]
+    cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None)]
+
+    quartet: dict[str, tuple[list[str], list[str]]] = {}
+    fixture = copy / "src/dcal/fixtures/anscombe.csv"
+    for line in fixture.read_text(encoding="utf-8").splitlines()[1:]:
+        name, x, y = line.split(",")
+        quartet.setdefault(name, ([], []))
+        quartet[name][0].append(x)
+        quartet[name][1].append(y)
+    for name, (xs, ys) in sorted(quartet.items()):
+        pair = scratch / f"anscombe-{name}.csv"
+        pair.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(xs, ys)), encoding="utf-8")
+        for methods in TEST_METHODS:
+            for scheme in SCHEMES:
+                for flags in ([], ["--fast"], ["--json"]):
+                    args = ["--methods", methods, "--scheme", scheme, *flags]
+                    cases.append((f"test {name} {' '.join(args)}",
+                                  ["test", "--input", str(pair), *args], None))
+        negated = ",".join(x[1:] if x.startswith("-") else "-" + x for x in xs)
+        for x in (",".join(xs), negated):
+            args = ["--x", x, "--y", ",".join(ys), "--json", "--methods", TEST_METHODS[-1]]
+            cases.append((f"test {name} inline {args[1]}", ["test", *args], None))
+    return cases
+
+
+def run_cli(copy: Path, cases: list, out_dir: Path) -> list[tuple]:
+    """Run every case in one interpreter from ``copy``'s sources; return
+    per case (exit code, stdout, report bytes or None)."""
+    out_dir.mkdir()
+    argvs = [[arg.replace("{out}", str(out_dir)) for arg in argv] for _, argv, _ in cases]
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    done = subprocess.run([sys.executable, "-c", RUN_MANY], input=json.dumps(argvs), cwd=copy,
+                          env=env, capture_output=True, text=True, check=True)
+    results = []
+    for (_, _, report), (code, stdout) in zip(cases, json.loads(done.stdout)):
+        stdout = ELAPSED.sub(" in <t> s", stdout.replace(str(out_dir), "<output>"))
+        path = out_dir / report if report else None
+        results.append((code, stdout, path.read_bytes() if path and path.exists() else None))
+    return results
+
+
+def describe(fields: tuple[str, ...], base: tuple, head: tuple) -> str:
+    """The fields that differ, with the differing stdout lines."""
+    differing = [f for f, b, h in zip(fields, base, head) if b != h]
+    text = ", ".join(differing)
+    if base[1] != head[1]:
+        lines = zip(base[1].splitlines(), head[1].splitlines())
+        changed = [f"\n    - {b}\n    + {h}" for b, h in lines if b != h]
+        if base[1].count("\n") != head[1].count("\n"):
+            changed.append("\n    (line counts differ)")
+        text += "".join(changed[:6])
+    return text
 
 
 def main() -> int:
@@ -70,22 +191,37 @@ def main() -> int:
         if not configs:
             print("no configs found", file=sys.stderr)
             return 1
+        inputs = scratch / "inputs"
+        inputs.mkdir()
+        (inputs / "effect_grid.cfg").write_text(EFFECT_GRID, encoding="utf-8")
+        configs.append(inputs / "effect_grid.cfg")
         failures = 0
         for config in configs:
-            name = config.relative_to(copies["head"])
+            name = config.relative_to(scratch if config.parent == inputs else copies["head"])
             outcome = {
                 side: simulate(copy, config, scratch / f"{side}-{config.stem}", args.repetitions)
                 for side, copy in copies.items()
             }
-            code, _, csv, json = outcome["head"]
+            code, _, csv, json_bytes = outcome["head"]
             if outcome["base"] == outcome["head"]:
-                sizes = "" if csv is None else f", csv {len(csv)} and json {len(json)} bytes"
+                sizes = "" if csv is None else f", csv {len(csv)} and json {len(json_bytes)} bytes"
                 print(f"{name}: identical (exit {code}{sizes})")
             else:
                 failures += 1
                 fields = ("exit code", "stdout", "csv", "json")
-                differing = [f for f, b, h in zip(fields, outcome["base"], outcome["head"]) if b != h]
-                print(f"{name}: DIFFERENT {', '.join(differing)}")
+                print(f"{name}: DIFFERENT {describe(fields, outcome['base'], outcome['head'])}")
+
+        cases = write_inputs(copies["head"], inputs)
+        outcome = {side: run_cli(copy, cases, scratch / f"{side}-cli")
+                   for side, copy in copies.items()}
+        identical = 0
+        for (name, _, _), base, head in zip(cases, outcome["base"], outcome["head"]):
+            if base == head:
+                identical += 1
+            else:
+                failures += 1
+                print(f"{name}: DIFFERENT {describe(('exit code', 'stdout', 'report'), base, head)}")
+        print(f"CLI cases: {identical} of {len(cases)} identical")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 1 if failures else 0
