@@ -9,7 +9,7 @@ a correlation Bayes factor, and skipped correlation) plus a seeded
 simulation harness and a screening CLI round out the package.
 """
 
-from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
+from .calibration import bf_rows, bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
 from .core import (
     CorrelationResult,
     DataPair,
@@ -92,6 +92,7 @@ __all__ = [
     "pcal_sellke",
     "pcal_bickel",
     "bf_to_posterior",
+    "bf_rows",
     "correlation_bf",
     "PermutationPlan",
     "holm_adjust",

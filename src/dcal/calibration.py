@@ -2,8 +2,31 @@
 
 These are the comparison methods: monotone transforms mapping a p-value to
 an (approximate lower bound on the) posterior probability of the null, plus
-a numerically integrated correlation Bayes factor.  Each returns a value in
-[0, 1] that is compared against alpha the same way a p-value would be.
+a correlation Bayes factor.  Each returns a value in [0, 1] that is compared
+against alpha the same way a p-value would be.
+
+The Bayes factor BF10 integrates the approximate sampling density of r given
+rho, (1 - rho^2)^((n-1)/2) (1 - rho r)^-(n - 3/2), against a uniform prior on
+rho and divides by its value at rho = 0.  It has the closed form (Jeffreys
+1961; Ly, Verhagen & Wagenmakers 2016, J. Math. Psych.)::
+
+    BF10 = 1/2 B(1/2, a + 1) (1 - r^2)^((4 - n)/2) 2F1(7/4, 5/4; (n + 2)/2; r^2)
+
+with a = (n - 1)/2; it is the Euler transform of the term-by-term integral
+B(1/2, a + 1) 2F1((2n - 3)/4, (2n - 1)/4; a + 3/2; r^2).  :func:`bf_rows`
+sums the series for a vector of r, each row until its next term no longer
+changes the sum (the terms decrease for n >= 3), so each row gets the
+float64 sum of its whole series whatever rows it is batched with.
+
+The result agrees with an adaptive trapezoid of the integral (refined until
+log BF moved by under 1e-6) to 4e-8 relative on random pairs and to 6e-7 at
+n = 3 to 30 near |r| = 1, where that integrator stops converging once
+1 - |r| falls below 1e-5 to 5e-5.  Near |r| = 1 the number of terms grows
+like 1 / (1 - r^2) at small n (about 130,000 at n = 3 and 1 - |r| = 1e-4)
+but stays small at larger n (40 terms at n = 50 and r = 0.9999999).  A row
+still changing after 2^22 terms raises ConvergenceError: at n = 3 to 5 once
+1 - |r| is below about 2e-6, at n = 6 below 6e-7 and at n = 7 below 6e-8.
+|r| = 1, and a log BF beyond the float64 range, give inf.
 """
 
 from __future__ import annotations
@@ -15,14 +38,13 @@ import numpy as np
 from .core import DataPair, pearson
 from .errors import ConvergenceError
 
-__all__ = ["pcal_sellke", "pcal_bickel", "bf_to_posterior", "correlation_bf"]
+__all__ = ["pcal_sellke", "pcal_bickel", "bf_to_posterior", "bf_rows", "correlation_bf"]
 
 _INV_E = 1.0 / math.e
 
-# adaptive trapezoid settings for the Bayes factor integral
-_BF_REL_TOL = 1e-6
-_BF_START_INTERVALS = 128
-_BF_MAX_INTERVALS = 2 ** 21
+# Bayes-factor series: the term cap, and the terms held at once in a block
+_SERIES_MAX_TERMS = 2 ** 22
+_SERIES_BLOCK_ELEMENTS = 2 ** 16
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -74,52 +96,78 @@ def bf_to_posterior(bf10: float, prior_h1: float = 0.5) -> float:
     return odds / (odds + (1.0 - prior_h1))
 
 
-def _log_bf_trapezoid(r: float, n: int, intervals: int) -> float:
-    """log of the uniform-prior integral of the correlation sampling kernel.
+def _hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
+    """2F1(7/4, 5/4; c; z) for each z in [0, 1) and c >= 5/2, NaN where
+    the sum still changes after ``_SERIES_MAX_TERMS`` terms.
 
-    The kernel in rho is (1 - rho^2)^((n-1)/2) * (1 - rho r)^-(n - 3/2); the
-    factor depending on r alone cancels against the rho = 0 denominator, so
-    the Bayes factor is half the integral of the kernel over (-1, 1).
-    Evaluated in log space so large n cannot overflow midway.
+    Term k + 1 is term k times (k + 7/4)(k + 5/4) z / ((k + c)(k + 1)), a
+    ratio below z for c >= 5/2, so the terms decrease: once a term leaves
+    the sum unchanged every later one does.  Each block extends the active
+    rows by ``width`` terms with one running product and one running sum,
+    the same sequential operations as a term-by-term loop, so a row's
+    result does not depend on the block widths or on the other rows.
     """
-    rho = np.linspace(-1.0, 1.0, intervals + 1)
-    inner = rho[1:-1]
-    log_kernel = np.empty(intervals + 1)
-    log_kernel[0] = -np.inf  # (1 - rho^2) term vanishes at both endpoints
-    log_kernel[-1] = -np.inf
-    log_kernel[1:-1] = 0.5 * (n - 1) * np.log1p(-inner * inner) - (n - 1.5) * np.log1p(
-        -inner * r
+    total, term = np.ones(z.shape), np.ones(z.shape)
+    active, k, width = np.arange(z.size), 0, 8
+    while active.size and k < _SERIES_MAX_TERMS:
+        j = np.arange(k, k + width, dtype=np.float64)
+        ratios = z[active, None] * ((j + 1.75) * (j + 1.25) / ((j + c) * (j + 1.0)))
+        terms = np.cumprod(np.column_stack([term[active], ratios]), axis=1)
+        term[active] = terms[:, -1]
+        terms[:, 0] = total[active]
+        sums = np.cumsum(terms, axis=1)
+        total[active] = sums[:, -1]
+        active = active[sums[:, -1] != sums[:, -2]]
+        k += width
+        # double the block while the active rows' terms fit in the budget
+        width = min(max(8, min(2 * width, _SERIES_BLOCK_ELEMENTS // max(active.size, 1))),
+                    _SERIES_MAX_TERMS - k)
+    total[active] = np.nan
+    return total
+
+
+def _bf_series(r: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
+    """BF10 at each r in [-1, 1] and, per entry in flat order, the
+    ConvergenceError of a series that did not converge (its BF10 is NaN)
+    or None."""
+    a = 0.5 * (n - 1)
+    bf = np.full(r.shape, np.inf)
+    inside = np.abs(r) < 1.0
+    s = np.abs(r[inside])
+    log_bf = (math.log(0.5) + math.lgamma(0.5) + math.lgamma(a + 1.0) - math.lgamma(a + 1.5)
+              + (0.5 * (4 - n)) * (np.log1p(-s) + np.log1p(s))
+              + np.log(_hyp2f1_rows(s * s, 0.5 * (n + 2))))
+    bf[inside] = np.where(log_bf > _LOG_DBL_MAX, np.inf, np.exp(np.minimum(log_bf, _LOG_DBL_MAX)))
+    errors = tuple(
+        ConvergenceError(f"Bayes-factor series did not converge within {_SERIES_MAX_TERMS} terms"
+                         f" at n={n}, r={rv!r}") if math.isnan(b) else None
+        for rv, b in zip(r.ravel().tolist(), bf.ravel().tolist())
     )
-    peak = float(np.max(log_kernel))
-    weights = np.ones(intervals + 1)
-    weights[0] = weights[-1] = 0.5
-    h = 2.0 / intervals
-    total = float(np.dot(weights, np.exp(log_kernel - peak))) * h
-    return math.log(0.5) + peak + math.log(total)
+    return bf, errors
+
+
+def bf_rows(r, n: int) -> np.ndarray:
+    """Bayes factor BF10 for a nonzero correlation at each sample
+    correlation in ``r`` of a pair of ``n`` samples, uniform prior on rho.
+
+    Sums the closed-form series of the module docstring for every entry
+    of ``r`` at once; the result has the shape of ``r``.  |r| = 1, or a BF10 beyond the float64 range, gives inf.  Raises
+    ConvergenceError, naming n and r, for a row whose series has not
+    converged after 2^22 terms (only very near |r| = 1 at small n).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if not (np.abs(r) <= 1.0).all():
+        raise ValueError("r must lie in [-1, 1]")
+    bf, errors = _bf_series(r, n)
+    for error in errors:
+        if error is not None:
+            raise error
+    return bf
 
 
 def correlation_bf(pair: DataPair) -> float:
-    """Bayes factor BF10 for a nonzero correlation, uniform prior on rho.
-
-    Integrates the approximate sampling density of r given rho against a
-    uniform prior on (-1, 1) and divides by the density at rho = 0, with
-    trapezoid refinement until the estimate is stable to 1e-6 relative.
-    Perfect correlation returns +inf (overwhelming evidence sentinel).
-    """
-    res = pearson(pair)
-    if abs(res.r) >= 1.0:
-        return math.inf
-    intervals = _BF_START_INTERVALS
-    log_bf = _log_bf_trapezoid(res.r, res.n, intervals)
-    while intervals < _BF_MAX_INTERVALS:
-        intervals *= 2
-        refined = _log_bf_trapezoid(res.r, res.n, intervals)
-        done = abs(refined - log_bf) < _BF_REL_TOL
-        log_bf = refined
-        if done:
-            if log_bf > _LOG_DBL_MAX:
-                return math.inf
-            return math.exp(log_bf)
-    raise ConvergenceError(
-        f"Bayes factor integration did not stabilize within {_BF_MAX_INTERVALS} intervals"
-    )
+    """Bayes factor BF10 of one pair at its Pearson r (:func:`bf_rows` on
+    one row); perfect correlation returns +inf."""
+    return float(bf_rows(np.array([pearson(pair).r]), pair.n)[0])

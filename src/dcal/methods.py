@@ -16,10 +16,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calibration import bf_to_posterior, correlation_bf, pcal_bickel, pcal_sellke
-from .core import DataPair, pair_errors, pearson_rows, range_error
+from .calibration import _bf_series, pcal_bickel, pcal_sellke
+from .core import pair_errors, pearson_rows, range_error
 from .engine import DcalBatch, OosScheme, dcal_matrix
-from .errors import DcalError
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .robust import SkippedBatch, skipped_rows
 
@@ -103,16 +102,17 @@ def _calibration(rows: Rows, transform: Callable[[float], float]) -> Scores:
 
 def _ppbf(rows: Rows) -> Scores:
     """The posterior probability of the null at prior 0.5, 1 - P(H1 | data),
-    from each pair's Bayes factor, with Pearson's r."""
+    from each pair's Bayes factor at its Pearson r (one series call)."""
     _, r, errors = rows.classical
-    score, errors = np.full(len(r), np.nan), list(errors)
-    for i in [i for i, error in enumerate(errors) if error is None]:
-        try:
-            pair = DataPair(rows.X[i], rows.Y if rows.Y.ndim == 1 else rows.Y[i])
-            score[i] = 1.0 - bf_to_posterior(correlation_bf(pair))
-        except DcalError as exc:
-            errors[i] = exc
-    return Scores(score, r, tuple(errors))
+    valid = [i for i, error in enumerate(errors) if error is None]
+    bf, errors = np.full(len(r), np.nan), list(errors)
+    if valid:
+        bf[valid], failed = _bf_series(r[valid], rows.X.shape[1])
+        for i, error in zip(valid, failed):
+            errors[i] = error
+    odds = 0.5 * bf  # bf_to_posterior's arithmetic at prior 0.5
+    posterior = np.divide(odds, odds + 0.5, out=np.ones(len(bf)), where=~np.isinf(bf))
+    return Scores(1.0 - posterior, r, tuple(errors))
 
 
 # by report name, in the per-pair error order: Pearson, the calibrated

@@ -29,7 +29,7 @@ from .errors import DcalError
 from .methods import BATTERY_METHODS, OUTLIER_METHODS, PAIR_METHODS, Rows
 from .methods import battery_scores, check, score_rows
 from .multitest import PermutationPlan
-from .rng import Stream, derive, derive_array, normals_of, permutation_of, raw_block
+from .rng import derive, derive_array, normals_of, permutation_of, raw_block
 
 __all__ = [
     "OutlierKind",
@@ -49,8 +49,7 @@ __all__ = [
     "PAIR_METHODS",
 ]
 
-# substream roles inside one repetition (columns occupy 1..m)
-_KEY_TARGET = 0
+# substream roles inside one repetition (the target is 0, columns occupy 1..m)
 _KEY_SCHEME = 2 ** 33
 _KEY_PERM = 2 ** 34
 
@@ -251,13 +250,16 @@ def _cell_rows(
 def _battery_columns(
     base: int, n: int, m_true: int, m_null: int, rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One repetition's battery (X, y): the first m_true rows correlate with y at rho."""
-    y = Stream(derive(base, _KEY_TARGET)).normals(n)
-    X = np.empty((m_true + m_null, n))
-    mix = math.sqrt(1.0 - rho * rho)
-    for j in range(m_true + m_null):
-        g = Stream(derive(base, j + 1)).normals(n)
-        X[j] = rho * y + mix * g if j < m_true else g
+    """One repetition's battery (X, y): the first m_true rows correlate with y at rho.
+
+    y is the n normals of the stream ``derive(base, 0)`` and column j's
+    noise those of ``derive(base, j + 1)``; every stream's words come from
+    one block.
+    """
+    keys = np.arange(m_true + m_null + 1, dtype=np.uint64)
+    normals = normals_of(raw_block(derive_array(base, keys), 2 * ((n + 1) // 2)))[:, :n]
+    y, X = normals[0], np.ascontiguousarray(normals[1:])
+    X[:m_true] = rho * y + math.sqrt(1.0 - rho * rho) * X[:m_true]
     return X, y
 
 
@@ -476,8 +478,8 @@ def _score_cell(
     sums = {m: _CellSums(alpha) for m in methods}
     for rep, error in enumerate(errors):
         if error is None:
-            for m in methods:  # a repeated method is summed once per mention
-                sums[m].add(columns[m][0][rep], columns[m][1][rep])
+            for m, acc in sums.items():  # each distinct method once
+                acc.add(columns[m][0][rep], columns[m][1][rep])
     return sums, errors
 
 

@@ -14,6 +14,13 @@ that reads medians with ``np.median`` over a (n, directions) matrix, as they
 were before the outlier suite was batched by cell.  Tests compare
 ``contaminated_rows``, ``detect_bivariate_outliers`` and
 ``skipped_correlation`` with them bit for bit.
+
+The third part is the per-column battery generator (one ``Stream`` per
+column) and the correlation Bayes factor by adaptive trapezoid integration,
+as they were before the battery was drawn in one block of stream words and
+the Bayes factor was summed as a series.  Tests compare ``_battery_columns``
+with the first bit for bit and ``bf_rows`` with the second at rtol 1e-6,
+the trapezoid's own stopping rule.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dcal import core
 from dcal.core import CorrelationResult, DataPair, _as_sample, ols_fit
 from dcal.engine import X_FROM_Y, Y_FROM_X, DcalResult, OosScheme
 from dcal.errors import (
+    ConvergenceError,
     DegenerateGeometryError,
     DegenerateVarianceError,
     InsufficientDataError,
@@ -339,3 +347,71 @@ def skipped_correlation(pair: DataPair, cutoff: float = DEFAULT_CUTOFF) -> tuple
     # the library's Pearson kernel, as the skipped correlation called it
     retained = core.pearson(DataPair(pair.x[keep], pair.y[keep]))
     return retained.r, retained.p, n_used, tuple(int(i) for i in flagged)
+
+
+def battery_columns(base: int, n: int, m_true: int, m_null: int, rho: float) -> tuple:
+    """One repetition's battery (X, y): the first m_true rows correlate with y at rho."""
+    y = _normals(Stream(derive(base, 0)), n)
+    X = np.empty((m_true + m_null, n))
+    mix = math.sqrt(1.0 - rho * rho)
+    for j in range(m_true + m_null):
+        g = _normals(Stream(derive(base, j + 1)), n)
+        X[j] = rho * y + mix * g if j < m_true else g
+    return X, y
+
+
+_BF_REL_TOL = 1e-6
+_BF_START_INTERVALS = 128
+_BF_MAX_INTERVALS = 2 ** 21
+_LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _log_bf_trapezoid(r: float, n: int, intervals: int) -> float:
+    """log of the uniform-prior integral of the correlation sampling kernel.
+
+    The kernel in rho is (1 - rho^2)^((n-1)/2) * (1 - rho r)^-(n - 3/2); the
+    factor depending on r alone cancels against the rho = 0 denominator, so
+    the Bayes factor is half the integral of the kernel over (-1, 1).
+    Evaluated in log space so large n cannot overflow midway.
+    """
+    rho = np.linspace(-1.0, 1.0, intervals + 1)
+    inner = rho[1:-1]
+    log_kernel = np.empty(intervals + 1)
+    log_kernel[0] = -np.inf  # (1 - rho^2) term vanishes at both endpoints
+    log_kernel[-1] = -np.inf
+    log_kernel[1:-1] = 0.5 * (n - 1) * np.log1p(-inner * inner) - (n - 1.5) * np.log1p(
+        -inner * r
+    )
+    peak = float(np.max(log_kernel))
+    weights = np.ones(intervals + 1)
+    weights[0] = weights[-1] = 0.5
+    h = 2.0 / intervals
+    total = float(np.dot(weights, np.exp(log_kernel - peak))) * h
+    return math.log(0.5) + peak + math.log(total)
+
+
+def trapezoid_bf(r: float, n: int) -> float:
+    """Bayes factor BF10 at sample correlation r, uniform prior on rho, with
+    trapezoid refinement until log BF is stable to 1e-6.  Perfect
+    correlation returns +inf."""
+    if abs(r) >= 1.0:
+        return math.inf
+    intervals = _BF_START_INTERVALS
+    log_bf = _log_bf_trapezoid(r, n, intervals)
+    while intervals < _BF_MAX_INTERVALS:
+        intervals *= 2
+        refined = _log_bf_trapezoid(r, n, intervals)
+        done = abs(refined - log_bf) < _BF_REL_TOL
+        log_bf = refined
+        if done:
+            if log_bf > _LOG_DBL_MAX:
+                return math.inf
+            return math.exp(log_bf)
+    raise ConvergenceError(
+        f"Bayes factor integration did not stabilize within {_BF_MAX_INTERVALS} intervals"
+    )
+
+
+def correlation_bf(pair: DataPair) -> float:
+    """Bayes factor BF10 of a pair at the library's Pearson r."""
+    return trapezoid_bf(core.pearson(pair).r, pair.n)

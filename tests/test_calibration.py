@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import pairwise_reference
 
 from dcal import (
+    ConvergenceError,
     DataPair,
+    bf_rows,
     bf_to_posterior,
     correlation_bf,
     pcal_bickel,
     pcal_sellke,
+    pearson,
 )
-from dcal.calibration import _log_bf_trapezoid
 
 from conftest import ANSCOMBE, seeded_pair
 
@@ -105,13 +111,20 @@ class TestCorrelationBf:
         assert correlation_bf(DataPair(*ANSCOMBE["A"])) > 10.0
 
     def test_self_convergence(self):
+        # the Euler-transformed series equals the untransformed one,
+        # 1/2 B(1/2, a + 1) 2F1((2n - 3)/4, (2n - 1)/4; a + 3/2; r^2), summed here
+        # term by term in Python
         pair = seeded_pair(40, 0.5, 314)
-        from dcal import pearson
-
-        res = pearson(pair)
-        coarse = _log_bf_trapezoid(res.r, res.n, 4096)
-        fine = _log_bf_trapezoid(res.r, res.n, 8192)
-        assert abs(math.exp(fine - coarse) - 1.0) < 1e-4
+        r, n = pearson(pair).r, pair.n
+        a, b, c, z = (2 * n - 3) / 4, (2 * n - 1) / 4, (n + 2) / 2, r * r
+        total, term, k = 1.0, 1.0, 0
+        while term > 1e-17 * total:
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            total += term
+            k += 1
+        log_beta = math.lgamma(0.5) + math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)
+        direct = 0.5 * math.exp(log_beta) * total
+        assert correlation_bf(pair) == pytest.approx(direct, rel=1e-12)
 
     def test_perfect_correlation_sentinel(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -135,3 +148,108 @@ class TestCorrelationBf:
         pair = seeded_pair(5000, 0.1, 99)
         bf = correlation_bf(pair)
         assert bf > 0.0 and math.isfinite(bf)
+
+
+def _near_one_pair(n: int, gap: float) -> DataPair:
+    """A pair of n points whose Pearson r is about 1 - gap."""
+    x = np.arange(n, dtype=np.float64)
+    wiggle = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    wiggle -= wiggle.mean()
+    # 1 - r is about var(noise) / (2 var(x)) for small noise
+    scale = math.sqrt(2.0 * gap * float(np.var(x)) / float(np.var(wiggle)))
+    return DataPair(x, x + scale * wiggle)
+
+
+class TestBfRows:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 500), r=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_matches_the_trapezoid(self, n, r):
+        try:
+            expected = pairwise_reference.trapezoid_bf(r, n)
+        except ConvergenceError:
+            assume(False)  # the integrator's own failure near |r| = 1
+        got = bf_rows(np.array([r]), n)[0]
+        if math.isinf(expected):
+            assert math.isinf(got)
+        else:
+            assert got == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [3, 4, 50, 5000])
+    def test_perfect_correlation_is_infinite(self, n):
+        assert bf_rows(np.array([1.0, -1.0]), n).tolist() == [math.inf, math.inf]
+        assert pairwise_reference.trapezoid_bf(1.0, n) == math.inf
+        assert pairwise_reference.trapezoid_bf(-1.0, n) == math.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 400),
+        r=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40).map(np.array),
+    )
+    def test_each_row_as_if_alone(self, n, r):
+        whole = bf_rows(r, n)
+        alone = [bf_rows(r[i : i + 1], n)[0] for i in range(len(r))]
+        assert whole.tobytes() == np.array(alone).tobytes()
+
+    def test_sign_symmetric(self):
+        r = np.linspace(-0.99, 0.99, 41)
+        assert bf_rows(r, 17).tobytes() == bf_rows(-r, 17).tobytes()
+
+    def test_exact_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for n, r in [(4, 0.999), (10, 0.99999), (50, 0.3), (50, 0.9999999), (200, -0.99)]:
+            a = mpmath.mpf(n - 1) / 2
+            exact = mpmath.beta(0.5, a + 1) / 2 * mpmath.hyp2f1(
+                mpmath.mpf(2 * n - 3) / 4, mpmath.mpf(2 * n - 1) / 4, a + 1.5, mpmath.mpf(r) ** 2
+            )
+            assert bf_rows(np.array([r]), n)[0] == pytest.approx(float(exact), rel=1e-12)
+
+    def test_log_bf_beyond_float64_is_infinite(self):
+        assert bf_rows(np.array([0.9]), 5000)[0] == math.inf
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_converges_wherever_the_trapezoid_does(self, n):
+        gaps = [10.0 ** -k for k in range(1, 7)] + [5e-5, 3e-5, 2e-5, 1.5e-5]
+        for gap in gaps:
+            try:
+                expected = pairwise_reference.trapezoid_bf(1.0 - gap, n)
+            except ConvergenceError:
+                continue
+            assert bf_rows(np.array([1.0 - gap, gap - 1.0]), n) == pytest.approx(
+                [expected, expected], rel=1e-6
+            )
+
+    def test_cap_names_n_and_r(self):
+        # the series cannot converge this close to 1 at n = 3, nor could the
+        # trapezoid
+        with pytest.raises(ConvergenceError, match=r"n=3, r=0\.9999999"):
+            bf_rows(np.array([0.2, 0.9999999]), 3)
+        with pytest.raises(ConvergenceError):
+            pairwise_reference.trapezoid_bf(0.9999999, 3)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            bf_rows(np.array([0.5]), 2)
+        for bad in (1.5, -1.01, math.nan):
+            with pytest.raises(ValueError):
+                bf_rows(np.array([0.1, bad]), 10)
+
+    def test_shapes(self):
+        assert bf_rows(np.array([]), 10).shape == (0,)
+        grid = np.array([[0.1, -0.5], [1.0, 0.3]])
+        assert bf_rows(grid, 10).tobytes() == bf_rows(grid.ravel(), 10).tobytes()
+        assert bf_rows(0.3, 10) == bf_rows([0.3], 10)[0]
+        with pytest.raises(ConvergenceError, match="r=0.9999999"):
+            bf_rows(np.array([[0.2], [0.9999999]]), 3)
+
+
+class TestNearPerfectCorrelation:
+    def test_series_converges_where_the_trapezoid_failed(self):
+        pair = _near_one_pair(50, 1e-7)
+        r = pearson(pair).r
+        assert 5e-8 < 1.0 - r < 5e-7
+        with pytest.raises(ConvergenceError):
+            pairwise_reference.correlation_bf(pair)
+        bf = correlation_bf(pair)
+        assert 1e150 < bf < math.inf
+        assert bf == bf_rows(np.array([r]), 50)[0]

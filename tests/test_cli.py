@@ -94,6 +94,18 @@ class TestCmdTest:
         assert ppbf == json.loads(capsys.readouterr().out)["A"]["ppbf"]["p"]
         assert ppbf < 0.05
 
+    def test_ppbf_near_perfect_correlation(self, tmp_path, capsys):
+        # the trapezoid Bayes factor did not converge at r = 1 - 1e-7, n = 50,
+        # and this exited 2
+        x = np.arange(50.0)
+        y = x + 6.45e-3 * np.where(np.arange(50) % 2 == 0, 1.0, -1.0)
+        path = tmp_path / "near.csv"
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        assert main(["test", "--input", str(path), "--json", "--methods", "ppbf"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 5e-8 < 1.0 - doc["r"] < 5e-7
+        assert doc["ppbf"] == 0.0  # BF10 near 1e153: the null posterior rounds to 0
+
     @pytest.mark.parametrize("x, y", [
         ("-1,2,3,5", "1,2,3,4"), ("1,2,3,5", "-1,-2,4,3"), ("-1e-3,2,3,5", "-0,2,1,4"),
     ])

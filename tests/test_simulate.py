@@ -29,7 +29,7 @@ from dcal import (
     run_outlier_suite,
 )
 from dcal.rng import derive, derive_array
-from dcal.simulate import contaminated_rows
+from dcal.simulate import _battery_columns, contaminated_rows
 
 KINDS = [
     OutlierKind("high_variance", sd_outlier=3.0),
@@ -102,6 +102,23 @@ class TestContaminatedRows:
         for rep in range(7):
             pair = gen_contaminated(30, 0.4, kind, 0.1, derive(5, 2, rep))
             assert np.array_equal(X[rep], pair.x) and np.array_equal(Y[rep], pair.y)
+
+
+class TestBatteryColumns:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        m=st.integers(1, 30),
+        data=st.data(),
+        rho=st.sampled_from([0.0, 0.3, 1.0]),
+        base=st.integers(0, 2 ** 64 - 1),
+    )
+    def test_matches_frozen_generator(self, n, m, data, rho, base):
+        m_true = data.draw(st.integers(0, m))
+        X, y = _battery_columns(base, n, m_true, m - m_true, rho)
+        want_X, want_y = pairwise_reference.battery_columns(base, n, m_true, m - m_true, rho)
+        assert X.shape == want_X.shape and X.flags.c_contiguous
+        assert X.tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 class TestGenContaminated:
@@ -279,7 +296,7 @@ def _per_pair_outlier_records(cells, methods, alpha, repetitions):
             except DcalError:
                 failed += 1
                 continue
-            for m in methods:
+            for m in sums:  # a repeated method is summed once
                 score, est = per_method[m]
                 sums[m][0] += est
                 if score < alpha:
@@ -346,6 +363,41 @@ class TestBatchedCells:
             for m in methods:
                 values += [sums[m][0] / 25, sums[m][1] / 25, sums[m][2] / 25, sums[m][3] / 25]
         assert [rec["value"] for rec in report.records] == values
+
+
+class TestRepeatedMethods:
+    def _records_by_mention(self, report):
+        """The records of a one-cell report as tuples: a name given twice
+        gives its block of records twice."""
+        return [(rec["cell"], rec["method"], rec["metric"], rec["value"]) for rec in report.records]
+
+    def test_effect_grid_counts_a_repeated_method_once(self):
+        design = EffectGrid((0.5,), (20,), 1)
+        once = run_effect_grid(design, ["uncorrected"], repetitions=5)
+        twice = run_effect_grid(design, ["uncorrected", "uncorrected"], repetitions=5)
+        assert self._records_by_mention(twice) == 2 * self._records_by_mention(once)
+        rates = [rec["value"] for rec in twice.records if rec["metric"] == "rejection_rate"]
+        assert len(rates) == 2 and max(rates) <= 1.0
+
+    def test_effect_grid_interleaved_repeats(self):
+        design = EffectGrid((0.0, 0.6), (12, 30), 3)
+        methods = ["ppbf", "dcal", "ppbf", "uncorrected", "dcal"]
+        single = {m: run_effect_grid(design, [m], repetitions=8) for m in set(methods)}
+        mixed = run_effect_grid(design, methods, repetitions=8)
+        for cell in ("rho=0.0,n=12", "rho=0.6,n=30"):
+            for m in methods:
+                for metric in ("mean_p", "mean_estimate", "mean_abs_estimate", "rejection_rate"):
+                    want = single[m].value(m, metric, cell=cell)
+                    hits = [rec["value"] for rec in mixed.records
+                            if (rec["cell"], rec["method"], rec["metric"]) == (cell, m, metric)]
+                    assert hits == [want] * methods.count(m)
+
+    def test_outlier_suite_counts_a_repeated_method_once(self):
+        cells = [Contaminated(0.4, OutlierKind("bivariate"), 0.1, 30, 9)]
+        once = run_outlier_suite(cells, ["pearson"], repetitions=12)
+        twice = run_outlier_suite(cells, ["pearson", "pearson"], repetitions=12)
+        assert self._records_by_mention(twice) == 2 * self._records_by_mention(once)
+        assert twice.meta["errors"] == once.meta["errors"]
 
 
 class TestReportSerialization:

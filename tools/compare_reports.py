@@ -22,8 +22,10 @@ working tree when ``--head`` is left out, made with the export helpers of
 The inputs of the built-in cases are written to the scratch directory.  The
 exit code, standard output (with the output path and the screen's elapsed
 time masked) and the report bytes of the two sides must be equal; for a
-differing standard output the differing lines are shown.  The script exits 1
-if any case differs, after running every case.
+differing standard output the differing lines are shown.  A differing field
+or line whose text differs in numbers only is marked with the largest
+relative difference between its numbers.  The script exits 1 if any case
+differs, after running every case.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ repetitions = 30
 """
 
 ELAPSED = re.compile(r" in \d+\.\d+ s$", re.MULTILINE)
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 TEST_METHODS = ("sellke", "bickel", "ppbf", "skipped", "sellke,bickel,ppbf,skipped")
 SCHEMES = ("loo", "cv10x10", "boot632")
@@ -155,13 +158,32 @@ def run_cli(copy: Path, cases: list, out_dir: Path) -> list[tuple]:
     return results
 
 
+def numeric_change(base: str, head: str) -> float | None:
+    """The largest relative difference between the numbers of two texts
+    that differ in numbers only, or None if any other text differs."""
+    if NUMBER.split(base) != NUMBER.split(head):
+        return None
+    pairs = [(float(b), float(h)) for b, h in zip(NUMBER.findall(base), NUMBER.findall(head))]
+    return max((abs(b - h) / max(abs(b), abs(h)) for b, h in pairs if b != h), default=0.0)
+
+
+def numbers_note(base, head) -> str:
+    """For two texts that differ in numbers only, their largest relative
+    difference; otherwise nothing."""
+    if isinstance(base, bytes) and isinstance(head, bytes):
+        base, head = base.decode("utf-8", "replace"), head.decode("utf-8", "replace")
+    change = numeric_change(base, head) if isinstance(base, str) and isinstance(head, str) else None
+    return "" if change is None else f" (numbers only, largest relative difference {change:.3g})"
+
+
 def describe(fields: tuple[str, ...], base: tuple, head: tuple) -> str:
-    """The fields that differ, with the differing stdout lines."""
-    differing = [f for f, b, h in zip(fields, base, head) if b != h]
+    """The fields that differ, with the differing stdout lines; a field or
+    line that differs in numbers only shows their largest relative difference."""
+    differing = [f + numbers_note(b, h) for f, b, h in zip(fields, base, head) if b != h]
     text = ", ".join(differing)
     if base[1] != head[1]:
         lines = zip(base[1].splitlines(), head[1].splitlines())
-        changed = [f"\n    - {b}\n    + {h}" for b, h in lines if b != h]
+        changed = [f"\n    - {b}\n    + {h}{numbers_note(b, h)}" for b, h in lines if b != h]
         if base[1].count("\n") != head[1].count("\n"):
             changed.append("\n    (line counts differ)")
         text += "".join(changed[:6])
