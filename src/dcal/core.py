@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVarianceError, InsufficientDataError, NumericRangeError
-from .special import student_t_sf_two_sided
+from .special import student_t_sf_two_sided_rows
 
 __all__ = [
     "DataPair",
@@ -159,35 +159,55 @@ def centred_sums(xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def correlation_from_sums(sxx, syy, sxy) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise r and 1 - r**2 from centred sums of squares and products.
 
-    Evaluated per row with the single-pair float formulas (a numpy call per
-    step costs more than the step itself at one row).  A row without spread,
-    or whose sums or ``sxx * syy`` overflow or underflow float64, gives NaN
-    for both.
+    A row without spread, or whose sums are not finite, gives NaN for both.
+    Where ``sxx * syy`` leaves the float64 range although both sums are
+    finite and positive, the denominator is ``sqrt(sxx) * sqrt(syy)``; every
+    other row uses ``sqrt(sxx * syy)``, the single-pair formula.
     """
-    r, rest = [], []
-    for denom2, s in zip((sxx * syy).tolist(), sxy.tolist()):
-        if 0.0 < denom2 < math.inf:
-            r.append(max(-1.0, min(1.0, s / math.sqrt(denom2))))
-            # 1 - r^2 computed from the sums directly; exact 0 for collinear input
-            rest.append(max(0.0, (denom2 - s * s) / denom2))
-        else:
-            r.append(math.nan)
-            rest.append(math.nan)
-    return np.array(r), np.array(rest)
+    with np.errstate(all="ignore"):
+        denom2 = sxx * syy
+        r = np.minimum(np.maximum(sxy / np.sqrt(denom2), -1.0), 1.0)
+        # 1 - r^2 computed from the sums directly; exact 0 for collinear input
+        rest = np.maximum(0.0, (denom2 - sxy * sxy) / denom2)
+        fits = (0.0 < denom2) & (denom2 < math.inf)
+        if not fits.all():
+            r, rest = np.where(fits, r, np.nan), np.where(fits, rest, np.nan)
+            rescue = ~fits & (0.0 < sxx) & (sxx < math.inf) & (0.0 < syy) & (syy < math.inf)
+            if rescue.any():
+                sx, sy, s = (np.broadcast_to(v, r.shape)[rescue] for v in (sxx, syy, sxy))
+                r_far = np.minimum(np.maximum(s / (np.sqrt(sx) * np.sqrt(sy)), -1.0), 1.0)
+                r[rescue] = r_far
+                rest[rescue] = np.maximum(0.0, (1.0 - r_far) * (1.0 + r_far))
+    return r, rest
 
 
-def t_pvalues(r: np.ndarray, one_minus_r2: np.ndarray, df: int) -> np.ndarray:
-    """Exact two-sided p of each correlation, one t-tail evaluation per row.
+def t_pvalues(r: np.ndarray, one_minus_r2: np.ndarray, df) -> np.ndarray:
+    """Exact two-sided p of each correlation at ``df`` degrees of freedom.
 
-    A NaN correlation (see :func:`correlation_from_sums`) gets a NaN p.
+    ``df`` is one value for all rows or one per row.  A NaN correlation (see
+    :func:`correlation_from_sums`) gets a NaN p, and 1 - r**2 = 0 gives 0.
     """
-    out = np.zeros(len(r))
-    for i, (rv, rest) in enumerate(zip(r.tolist(), one_minus_r2.tolist())):
-        if math.isnan(rest):
-            out[i] = math.nan
-        elif rest != 0.0:
-            out[i] = min(1.0, student_t_sf_two_sided(rv * rv * df / rest, df))
-    return out
+    p = one_minus_r2 * 0.0  # NaN stays NaN, the rest (never negative) 0
+    tail = one_minus_r2 > 0.0
+    rt = r[tail]
+    if isinstance(df, np.ndarray):
+        df = df[tail]
+    # t**2 stays finite: a nonzero 1 - r**2 from the sums is at least 2**-106
+    t2 = rt * rt * df / one_minus_r2[tail]
+    p[tail] = np.minimum(1.0, student_t_sf_two_sided_rows(t2, df))
+    return p
+
+
+def correlation_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r and 1 - r**2 of every row of ``X`` against ``y``.
+
+    The shapes are those of :func:`pearson_rows`; a row whose centred sums
+    leave the float64 range gets NaN for both.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows give NaN
+        return correlation_from_sums(*centred_sums(centred(X), centred(y)))
 
 
 def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -201,11 +221,8 @@ def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     :class:`DataPair` for the conditions the statistic needs.  A row whose
     centred sums leave the float64 range gets NaN for r and p.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows give NaN
-        r, one_minus_r2 = correlation_from_sums(*centred_sums(centred(X), centred(y)))
-    return r, t_pvalues(r, one_minus_r2, X.shape[-1] - 2)
+    r, one_minus_r2 = correlation_rows(X, y)
+    return r, t_pvalues(r, one_minus_r2, np.shape(X)[-1] - 2)
 
 
 def pearson(pair: DataPair) -> CorrelationResult:
@@ -213,8 +230,8 @@ def pearson(pair: DataPair) -> CorrelationResult:
     (:func:`pearson_rows` on one row).
 
     Raises :class:`~dcal.errors.NumericRangeError` when the centred sums of
-    squares of the pair, or their product, leave the float64 range: a value
-    near +-1e308, or both samples beyond about 1e77 in scale.
+    squares of the pair leave the float64 range, e.g. for a value near
+    +-1e308 among ordinary ones.
     """
     r, p = pearson_rows(pair.x[None, :], pair.y)
     if math.isnan(r[0]):

@@ -26,8 +26,11 @@ and :func:`oos_predict` are its one-row calls.  Each training set is fitted
 from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts.
-Rows are processed in chunks sized by ``CHUNK_ELEMENTS``, so memory stays
-flat in the number of rows.
+The classical phase (centred sums, r, p and the fast guard) runs once over
+all tested rows.  Only the out-of-sample step runs in chunks of rows sized
+by ``CHUNK_ELEMENTS``, so its work space stays flat in the number of rows;
+one t-tail call at the end turns every chunk's calibrated correlations
+into p-values.
 """
 
 from __future__ import annotations
@@ -408,41 +411,11 @@ def _per_row_elements(scheme: OosScheme, n: int) -> int:
     return n
 
 
-def _test_rows(X, U, y, v, scheme: OosScheme, seeds, alpha: float, fast: bool):
-    """The calibrated test on one chunk of valid rows.
-
-    Returns (r, p, r_dcal, p_dcal, sign_flip, skipped) arrays for the chunk
-    and a dict from chunk row to the error that row raised.  A row whose
-    sums leave the float64 range fails with its error before the
-    out-of-sample step.
-    """
-    rows, n = U.shape
-    sums = centred_sums(U, v)
-    r, rest = correlation_from_sums(*sums)
-    p = t_pvalues(r, rest, n - 2)
-    skipped = ~(p < alpha) if fast else np.zeros(rows, dtype=bool)
-    out_of_range = np.isnan(r)
-    if not (fast and skipped.any()) and not out_of_range.any():
-        r_dcal, p_dcal, flip, errors = _calibrate(X, U, y, v, sums, scheme, seeds, r)
-        return (r, p, r_dcal, p_dcal, flip, skipped), errors
-    errors = {int(k): range_error() for k in np.flatnonzero(out_of_range)}
-    run = np.flatnonzero(~(skipped | out_of_range))
-    r_dcal = np.zeros(rows)
-    p_dcal = np.full(rows, 0.5)
-    flip = np.zeros(rows, dtype=bool)
-    if run.size:
-        sums = tuple(s if s.ndim == 0 else s[run] for s in sums)
-        r_dcal[run], p_dcal[run], flip[run], run_errors = _calibrate(
-            X[run], U[run], _rows(y, run), _rows(v, run), sums, scheme, seeds[run], r[run]
-        )
-        errors.update((int(run[k]), error) for k, error in run_errors.items())
-    return (r, p, r_dcal, p_dcal, flip, skipped), errors
-
-
 def _calibrate(X, U, y, v, sums, scheme, seeds, r):
     """Out-of-sample step and calibrated correlation for rows that run it.
 
-    Returns the rows' (r_dcal, p_dcal, sign_flip) arrays and a dict from row
+    Returns the rows' calibrated r and 1 - r**2, whether each row keeps them
+    (the others get the sentinel), the sign-flip flags and a dict from row
     to the error that row raised.
     """
     rows = U.shape[0]
@@ -452,12 +425,13 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r):
             r_cal, rest_cal = correlation_from_sums(*centred_sums(centred(x_hat), centred(y_hat)))
     except InsufficientDataError as exc:
         errors = {k: InsufficientDataError(str(exc)) for k in range(rows)}
-        return np.zeros(rows), np.full(rows, 0.5), np.zeros(rows, dtype=bool), errors
+        no_row = np.zeros(rows, dtype=bool)
+        return np.zeros(rows), np.zeros(rows), no_row, no_row, errors
     # the per-pair order: y-from-x degeneracy, bootstrap coverage, then
     # x-from-y degeneracy, then the calibrated pair itself
     out = deg_x | deg_y
     errors = {}
-    failed = False
+    failed = np.zeros(rows, dtype=bool)
     if missing is not None:
         failed = (missing >= 0) & ~deg_x
         for k in np.flatnonzero(failed):
@@ -475,9 +449,7 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r):
     if out_of_range.any():
         keep &= ~out_of_range
         errors.update((int(k), range_error()) for k in np.flatnonzero(out_of_range))
-    p_dcal = np.where(keep, 0.0, 0.5)
-    p_dcal[keep] = t_pvalues(r_cal[keep], rest_cal[keep], x_hat.shape[1] - 2)
-    return np.where(keep, r_cal, 0.0), p_dcal, out & ~failed, errors
+    return r_cal, rest_cal, keep, out & ~failed, errors
 
 
 def dcal_matrix(
@@ -507,32 +479,54 @@ def dcal_matrix(
     m, n = X.shape
     errors = pair_errors(X, y)
     tested = np.array([i for i, error in enumerate(errors) if error is None], dtype=np.intp)
-    step = chunk_rows(_per_row_elements(scheme, n))
+    if tested.size < m:
+        X, y, seeds = X[tested], _rows(y, tested), seeds[tested]
+    rows = tested.size
     # sums that overflow are row errors (NaN r), not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # centred twice: the leave-one-out identity needs rows of mean zero, and
         # after a large offset one pass leaves the rounding of the mean behind
-        v = centred(centred(y)) if tested.size else y
-        parts = []
-        for start in range(0, tested.size, step):
-            rows = tested[start : start + step]
-            if rows.size == m:
-                Xr, yr, vr, row_seeds = X, y, v, seeds
+        U, v = centred(centred(X)), centred(centred(y))
+        sums = centred_sums(U, v)
+        r, rest = correlation_from_sums(*sums)
+        p = t_pvalues(r, rest, n - 2)
+        skipped = ~(p < alpha) if fast else np.zeros(rows, dtype=bool)
+        # a row whose sums leave the float64 range fails before the
+        # out-of-sample step
+        out_of_range = np.isnan(r)
+        row_errors = {int(k): range_error() for k in np.flatnonzero(out_of_range)}
+
+        # the out-of-sample step, in chunks of the rows that run it
+        run = np.flatnonzero(~(skipped | out_of_range))
+        r_cal, rest_cal = np.zeros(rows), np.zeros(rows)
+        keep, flipped = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
+        step = chunk_rows(_per_row_elements(scheme, n))
+        for start in range(0, run.size, step):
+            part = run[start : start + step]
+            if part.size == rows:
+                chunk = X, U, y, v, sums, scheme, seeds, r
             else:
-                Xr, yr, vr, row_seeds = X[rows], _rows(y, rows), _rows(v, rows), seeds[rows]
-            results, chunk_errors = _test_rows(
-                Xr, centred(centred(Xr)), yr, vr, scheme, row_seeds, alpha, fast
-            )
-            parts.append((rows, results))
-            for k, error in chunk_errors.items():
-                errors[rows[k]] = error
-    if len(parts) == 1 and tested.size == m:
-        columns = list(parts[0][1])
-    else:
-        columns = [np.empty(m) for _ in range(4)] + [np.zeros(m, dtype=bool) for _ in range(2)]
-        for rows, results in parts:
-            for column, values in zip(columns, results):
-                column[rows] = values
+                chunk = (
+                    X[part], U[part], _rows(y, part), _rows(v, part),
+                    tuple(s[part] if s.ndim else s for s in sums), scheme, seeds[part], r[part],
+                )
+            r_cal[part], rest_cal[part], keep[part], flipped[part], part_errors = _calibrate(*chunk)
+            row_errors.update((int(part[k]), error) for k, error in part_errors.items())
+    # one t tail for every calibrated pair; k-fold stacks repeats * n predictions
+    p_dcal = np.where(keep, 0.0, 0.5)
+    p_dcal[keep] = t_pvalues(
+        r_cal[keep], rest_cal[keep], (scheme.repeats if scheme.kind == "kfold" else 1) * n - 2
+    )
+    r_dcal = np.where(keep, r_cal, 0.0)
+
+    for k, error in row_errors.items():
+        errors[tested[k]] = error
+    columns = [r, p, r_dcal, p_dcal, flipped, skipped]
+    if rows < m:
+        full = [np.empty(m) for _ in range(4)] + [np.zeros(m, dtype=bool) for _ in range(2)]
+        for column, values in zip(full, columns):
+            column[tested] = values
+        columns = full
     r, p, r_dcal, p_dcal, flipped, skipped = columns
     for i, error in enumerate(errors):
         if error is not None:

@@ -15,9 +15,10 @@ even count, which is ``np.median``'s arithmetic).  ``np.percentile`` runs
 only for the rare directions whose MAD is zero.
 
 :func:`skipped_rows` scores many pairs at once: the sweep runs pair by
-pair (its work is one (n, n) projection matrix per pair), and the retained
-points of all pairs that keep the same number of points share one Pearson
-kernel call.  :func:`skipped_correlation` is its one-pair call.
+pair (its work is one (n, n) projection matrix per pair), the retained
+points of all pairs that keep the same number of points share one
+correlation kernel call, and one t-tail call, with one df per pair, gives
+every p.  :func:`skipped_correlation` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataPair, pair_errors, pearson_rows, range_error
+from .core import DataPair, correlation_rows, pair_errors, range_error, t_pvalues
 from .errors import DcalError, DegenerateGeometryError, InsufficientDataError
 
 __all__ = [
@@ -147,21 +148,23 @@ def skipped_rows(X, Y, cutoff: float = DEFAULT_CUTOFF) -> SkippedBatch:
                 f"only {n_used[i]} points remain after outlier removal; need >= 4"
             )
     r = np.full(m, np.nan)
-    p = np.full(m, np.nan)
+    one_minus_r2 = np.full(m, np.nan)
     scored = np.array([error is None for error in errors], dtype=bool)
-    # Pearson on the retained points, one kernel call per retained count
+    # Pearson r on the retained points, one kernel call per retained count
     for count in np.unique(n_used[scored]).tolist():
         rows = np.flatnonzero(scored & (n_used == count))
         keep = ~outliers[rows]
         Xk = X[rows][keep].reshape(rows.size, count)
         Yk = Y[rows][keep].reshape(rows.size, count)
-        r[rows], p[rows] = pearson_rows(Xk, Yk)
+        r[rows], one_minus_r2[rows] = correlation_rows(Xk, Yk)
         for i, error in zip(rows.tolist(), pair_errors(Xk, Yk)):
             if error is None and np.isnan(r[i]):
                 error = range_error()
             errors[i] = error
     failed = np.array([error is not None for error in errors], dtype=bool)
-    r[failed] = p[failed] = np.nan
+    r[failed] = one_minus_r2[failed] = np.nan
+    # and one t tail for all pairs, each at its own n_used - 2 df
+    p = t_pvalues(r, one_minus_r2, n_used - 2)
     return SkippedBatch(r, p, n_used, outliers, tuple(errors))
 
 

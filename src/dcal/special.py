@@ -4,17 +4,41 @@ The continued fraction is evaluated with the modified Lentz scheme.  It must
 converge to 1e-14 within 300 iterations; exceeding the cap raises
 :class:`~dcal.errors.ConvergenceError` rather than returning a half-converged
 value.
+
+:func:`student_t_sf_two_sided_rows` is the two-sided t tail of many
+statistics at once, one df per entry.  Its continued fraction runs over an
+array (Lentz 1976; Numerical Recipes ``betacf``) with the scalar code's
+operations in the scalar code's order, and each entry takes the value of
+the iteration at which its scalar twin stops, so every entry gets the
+scalar function's bits.  The prefactor
+``exp(lgamma(a+b) - lgamma(a) - lgamma(b) + a log x + b log1p(-x))`` stays
+a per-entry ``math`` expression: ``np.log``, ``np.log1p`` and ``np.exp``
+differ from the C library in the last bit for some inputs, which would move
+report bytes.  Calls with fewer than ``ARRAY_MIN_ROWS`` entries take the
+scalar path, whose cost is per entry where the array loop's is per call.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConvergenceError
 
 _EPS = 1e-14
 _MAX_ITER = 300
 _FPMIN = 1e-300
+
+# Calls with fewer entries than this evaluate entry by entry.  On a 2-core
+# Xeon at df 48 and 98 the scalar tail took 6-13 us per entry and the array
+# tail 0.4-0.6 ms per call at one entry; they broke even near 80 entries,
+# and at 96 the array tail took 0.7-0.8 of the scalar time.
+ARRAY_MIN_ROWS = 96
+
+# Iterations of the array continued fraction between convergence checks: an
+# entry that converges early rides along for the rest of its block.
+_BLOCK = 8
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -116,3 +140,98 @@ def student_t_sf_two_sided(t_abs_squared: float, df: int) -> float:
     if math.isinf(t_abs_squared):
         return 0.0
     return regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t_abs_squared))
+
+
+def _continued_fraction_rows(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_beta_continued_fraction` of every entry, NaN where not settled.
+
+    The loop leaves out the scalar code's clamps.  A clamp fires only when
+    ``1 + q`` is exactly 0 (for q within a factor of 2 of -1 the sum is
+    exact and a multiple of 2**-53; otherwise it exceeds 1/2 in size), and
+    without it that 0 turns h into 0, an infinity or NaN for good.  So an entry whose stored value is finite and nonzero matches the
+    scalar code, and any other entry (a clamp, no convergence in
+    ``_MAX_ITER`` iterations) comes back NaN for the caller to recompute.
+    """
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < _FPMIN] = _FPMIN
+    d = 1.0 / d
+    h = d
+    out = np.full(x.shape, np.nan)
+    live = np.arange(x.size)
+    for start in range(1, _MAX_ITER + 1, _BLOCK):
+        m = np.arange(start, min(start + _BLOCK, _MAX_ITER + 1), dtype=np.float64)[:, None]
+        m2 = 2.0 * m
+        am2 = a + m2
+        even = m * (b - m) * x / ((qam + m2) * am2)
+        odd = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
+        deltas = np.empty(even.shape)
+        hs = np.empty(even.shape)
+        for j in range(m.shape[0]):
+            d = 1.0 / (1.0 + even[j] * d)
+            c = 1.0 + even[j] / c
+            h = h * (d * c)
+            d = 1.0 / (1.0 + odd[j] * d)
+            c = 1.0 + odd[j] / c
+            h = np.multiply(h, np.multiply(d, c, out=deltas[j]), out=hs[j])
+        converged = np.abs(deltas - 1.0) < _EPS
+        ended = converged.any(axis=0)
+        if ended.any():
+            k = np.flatnonzero(ended)
+            out[live[k]] = hs[converged.argmax(axis=0)[k], k]
+            keep = ~ended
+            if not keep.any():
+                break
+            live = live[keep]
+            a, b, x, qab, qap, qam, c, d, h = (
+                v[keep] for v in (a, b, x, qab, qap, qam, c, d, h)
+            )
+    out[~np.isfinite(out) | (out == 0.0)] = np.nan
+    return out
+
+
+def student_t_sf_two_sided_rows(t_abs_squared, df) -> np.ndarray:
+    """:func:`student_t_sf_two_sided` of every entry of ``t_abs_squared``.
+
+    ``df`` is one value for all entries or one per entry.  Each entry gets
+    the bits of the scalar function, and inputs for which calling it entry
+    by entry raises ``ValueError`` or
+    :class:`~dcal.errors.ConvergenceError` raise the same error.
+    """
+    t2 = np.asarray(t_abs_squared, dtype=np.float64)
+    df = np.asarray(df)
+    if t2.size < ARRAY_MIN_ROWS or not ((df >= 1).all() and (t2 >= 0.0).all()):
+        # entry by entry, which also raises each input's error in entry order
+        dfs = df.tolist() if df.ndim else [df.item()] * t2.size
+        return np.array(
+            [student_t_sf_two_sided(t, k) for t, k in zip(t2.tolist(), dfs)], dtype=np.float64
+        )
+    df = np.broadcast_to(df, t2.shape)
+    a = 0.5 * df
+    x = df / (df + t2)  # 0 for an infinite statistic, whose tail is 0
+    out = np.where(x == 1.0, 1.0, 0.0)
+    rows = np.flatnonzero((0.0 < x) & (x < 1.0))
+    if not rows.size:
+        return out
+    a, x = a[rows], x[rows]
+    b = 0.5
+    # the continued fraction converges fastest below the distribution mode
+    low = x < (a + 1.0) / (a + b + 2.0)
+    with np.errstate(all="ignore"):  # entries that leave the range are redone
+        cf = _continued_fraction_rows(
+            np.where(low, a, b), np.where(low, b, a), np.where(low, x, 1.0 - x)
+        )
+    front = []
+    ln_beta: dict[float, float] = {}  # lgamma(a + b) - lgamma(a) - lgamma(b) per df
+    for ak, xk in zip(a.tolist(), x.tolist()):
+        if ak not in ln_beta:
+            ln_beta[ak] = math.lgamma(ak + b) - math.lgamma(ak) - math.lgamma(b)
+        front.append(math.exp(ln_beta[ak] + ak * math.log(xk) + b * math.log1p(-xk)))
+    front = np.array(front)
+    out[rows] = np.where(low, front * cf / a, 1.0 - front * cf / b)
+    for k in rows[np.isnan(cf)].tolist():
+        out[k] = student_t_sf_two_sided(float(t2[k]), df[k].item())
+    return out

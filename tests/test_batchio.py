@@ -358,6 +358,16 @@ class TestWriteReport:
             [row for row in doc["rows"] if not row["error"]]
         )
 
+    @pytest.mark.parametrize("scheme", [OosScheme.loo(), OosScheme.repeated_kfold(3, 2)],
+                             ids=lambda scheme: scheme.label)
+    def test_json_flips_are_booleans(self, tmp_path, scheme):
+        # full mode with every feature tested in one chunk used to write 0/1
+        report = screen(_synthetic_matrix(n_features=10), "target", scheme=scheme, fast=False)
+        path = tmp_path / "screen.json"
+        write_report(report, path, format="json")
+        flips = [row["flip"] for row in json.loads(path.read_text())["rows"] if not row["error"]]
+        assert len(flips) == 10 and all(isinstance(flip, bool) for flip in flips)
+
     def test_unknown_format(self, tmp_path):
         matrix = _synthetic_matrix(n_features=4)
         report = screen(matrix, "target")

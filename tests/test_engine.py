@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairwise_reference
+from dcal import engine
 from dcal import (
     DataPair,
     DcalError,
@@ -411,15 +412,16 @@ class TestDcalMatrix:
     ], ids=lambda scheme: scheme.label)
     def test_out_of_range_rows_fail_alone(self, scheme):
         # row 1: its centred sums overflow; row 2: its sums fit, but a
-        # high-leverage point makes the out-of-sample predictions' sums
-        # overflow.  Both used to end the whole call with ConvergenceError.
+        # high-leverage point makes a centred sum of squares of its
+        # out-of-sample predictions overflow.  Both used to end the whole
+        # call with ConvergenceError.
         stream = Stream(0)
         x = stream.normals(12) * 1e-3
         x[0] = 30.0
         y = stream.normals(12) + 0.5 * x
         huge = x.copy()
         huge[3] = -1e308
-        scale = 10.0 ** 75.5
+        scale = 10.0 ** 152
         X, Y = np.vstack([x, huge, x * scale]), np.vstack([y, y, y * scale])
         batch = dcal_matrix(X, Y, scheme, [0, 0, 0])
         assert np.isfinite(pearson_rows(X[2:], Y[2:])[0]).all()
@@ -431,6 +433,48 @@ class TestDcalMatrix:
         assert (batch.r[0], batch.r_dcal[0], batch.p_dcal[0]) == (
             alone.r[0], alone.r_dcal[0], alone.p_dcal[0]
         )
+
+    @pytest.mark.parametrize("scheme", [
+        OosScheme.loo(), OosScheme.repeated_kfold(), OosScheme.boot632(2)
+    ], ids=lambda scheme: scheme.label)
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("per_row_y", [False, True])
+    def test_chunk_size_does_not_change_bits(self, monkeypatch, scheme, fast, per_row_y):
+        # the classical phase spans every row and only the out-of-sample
+        # step is chunked; one row per chunk and one chunk for all rows
+        # must agree bit for bit, error rows included (a constant row, a
+        # row whose sums overflow, bootstrap coverage failures of two
+        # replicates at n = 12)
+        X, y = _generic_battery(41, 120, 12, 0.2, per_row_y)
+        X[3] = 2.0
+        X[5, 4] = -1e308
+        if per_row_y:
+            y[7] = 1.0
+        batches = []
+        for budget in (1, 2 ** 20):
+            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", budget)
+            batches.append(dcal_matrix(X, y, scheme, np.arange(120), 0.05, fast))
+        one, all_rows = batches
+        for field in ("r", "p", "r_dcal", "p_dcal", "sign_flip", "skipped"):
+            assert getattr(one, field).tobytes() == getattr(all_rows, field).tobytes(), field
+        assert [repr(e) for e in one.errors] == [repr(e) for e in all_rows.errors]
+        assert isinstance(one.errors[3], DegenerateVarianceError)
+        assert isinstance(one.errors[5], NumericRangeError)
+        assert not fast or one.skipped.any()
+        if scheme.kind == "boot632" and not fast:
+            assert any(isinstance(e, ResampleCoverageError) for e in one.errors)
+
+    def test_far_scaled_pair_keeps_its_r(self):
+        # sums of squares above 1e160, whose product leaves float64
+        x, y = ANSCOMBE["A"]
+        near = DataPair(x, y)
+        far = DataPair(np.array(x) * 1e80, np.array(y) * 1e80)
+        assert pearson(far).r == pytest.approx(pearson(near).r, rel=1e-14)
+        for scheme in (OosScheme.loo(), OosScheme.repeated_kfold(), OosScheme.boot632(20)):
+            got, want = dcal_test(far, scheme=scheme), dcal_test(near, scheme=scheme)
+            assert got.r == pytest.approx(want.r, rel=1e-14)
+            assert got.r_dcal == pytest.approx(want.r_dcal, rel=1e-14)
+            assert got.p_dcal == pytest.approx(want.p_dcal, rel=1e-12)
 
     def test_per_row_target_errors(self):
         X, y = _generic_battery(29, 3, 12, 0.0)

@@ -13,6 +13,7 @@ from dcal import (
     detect_bivariate_outliers,
     gen_contaminated,
     pearson,
+    pearson_rows,
     skipped_correlation,
     skipped_rows,
 )
@@ -183,6 +184,20 @@ class TestSkippedRows:
         assert isinstance(short.errors[0], InsufficientDataError)
         empty = skipped_rows(np.empty((0, 12)), np.empty((0, 12)))
         assert empty.r.shape == (0,) and empty.errors == ()
+
+
+    def test_one_tail_call_for_mixed_retained_counts(self):
+        # enough pairs for the array t tail, each at its own n_used - 2 df
+        kind = OutlierKind("bivariate")
+        pairs = [gen_contaminated(30, 0.4, kind, 0.2, derive(78, k)) for k in range(200)]
+        X = np.vstack([p.x for p in pairs])
+        Y = np.vstack([p.y for p in pairs])
+        batch = skipped_rows(X, Y)
+        assert len(set(batch.n_used.tolist())) > 3
+        for i in range(200):
+            keep = ~batch.outliers[i]
+            r, p = pearson_rows(X[i][keep][None], Y[i][keep])
+            assert (batch.r[i], batch.p[i]) == (r[0], p[0])
 
 
 class TestSkipped:

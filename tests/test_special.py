@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
-from dcal import regularized_incomplete_beta, student_t_cdf
-from dcal.special import student_t_sf_two_sided
+import dcal.special
+from dcal import ConvergenceError, regularized_incomplete_beta, student_t_cdf
+from dcal.special import ARRAY_MIN_ROWS, student_t_sf_two_sided, student_t_sf_two_sided_rows
 
 
 def test_cdf_at_zero_is_half():
@@ -82,3 +87,68 @@ def test_incomplete_beta_against_scipy():
                 assert regularized_incomplete_beta(a, b, x) == pytest.approx(
                     float(special.betainc(a, b, x)), abs=1e-13
                 ), (a, b, x)
+
+
+# batch sizes on both sides of the scalar threshold
+SIZES = [1, ARRAY_MIN_ROWS - 1, ARRAY_MIN_ROWS, 3 * ARRAY_MIN_ROWS]
+
+STATISTICS = st.one_of(
+    st.floats(0.0, 1e300), st.floats(0.0, 50.0), st.just(-0.0), st.just(math.inf)
+)
+
+
+def _entries(size, statistic=STATISTICS, df=st.integers(1, 500)):
+    return st.lists(st.tuples(statistic, df), min_size=size, max_size=size)
+
+
+def _outcome(tail, entries):
+    """The tail's values as float64 bytes, or the type and text of its error."""
+    t2, df = [t for t, _ in entries], [k for _, k in entries]
+    try:
+        return np.asarray(tail(t2, df), dtype=np.float64).tobytes()
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _scalar_loop(t2, df):
+    return [student_t_sf_two_sided(t, k) for t, k in zip(t2, df)]
+
+
+def _rows_kernel(t2, df):
+    return student_t_sf_two_sided_rows(np.array(t2, dtype=np.float64), np.array(df))
+
+
+class TestTailRows:
+    @pytest.mark.parametrize("size", SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_scalar_bitwise(self, size, data):
+        entries = data.draw(_entries(size))
+        want = _outcome(_scalar_loop, entries)
+        assert isinstance(want, bytes)
+        assert _outcome(_rows_kernel, entries) == want
+
+    @pytest.mark.parametrize("size", SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rows_raise_the_scalar_error(self, size, data):
+        bad = st.sampled_from([math.nan, -1.0, -1e-300])
+        entries = data.draw(_entries(size, st.one_of(STATISTICS, bad), st.integers(-2, 500)))
+        assert _outcome(_rows_kernel, entries) == _outcome(_scalar_loop, entries)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rows_fail_to_converge_where_scalar_does(self, size, data):
+        # no t tail at df <= 500 needs 300 iterations; with a budget of 3
+        # some entries converge and some do not
+        entries = data.draw(_entries(size, st.floats(0.0, 1e4)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dcal.special, "_MAX_ITER", 3)
+            assert _outcome(_rows_kernel, entries) == _outcome(_scalar_loop, entries)
+
+    def test_one_df_for_all_entries(self):
+        t2 = np.linspace(0.0, 40.0, 2 * ARRAY_MIN_ROWS)
+        got = student_t_sf_two_sided_rows(t2, 17)
+        assert got.tobytes() == np.array(_scalar_loop(t2.tolist(), [17] * t2.size)).tobytes()
+        assert student_t_sf_two_sided_rows(np.array([]), 5).shape == (0,)

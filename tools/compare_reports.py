@@ -14,7 +14,7 @@ working tree when ``--head`` is left out, made with the export helpers of
   config with every pair method and n = 4, at the config's own repetitions
   unless ``--repetitions`` is given;
 - built-in CLI cases, all run in one interpreter per side: a small
-  ``dcal screen`` with every correction at loo and boot632, ``dcal
+  ``dcal screen`` with every correction at loo, cv10x10 and boot632, ``dcal
   anscombe`` as text and JSON, and ``dcal test`` on the Anscombe pairs for
   each ``--methods`` spelling, each scheme, plain, ``--fast`` and
   ``--json``, from a file and inline (also with the x values negated).
@@ -115,7 +115,7 @@ def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | 
           "holm,bh,perm,perm_max", "--scheme", scheme, "--seed", "3", "--format", fmt,
           "--output", f"{{out}}/screen-{scheme}.{fmt}"],
          f"screen-{scheme}.{fmt}")
-        for scheme, fmt in (("loo", "csv"), ("boot632", "csv"), ("loo", "json"))
+        for scheme, fmt in (("loo", "csv"), ("cv10x10", "csv"), ("boot632", "csv"), ("loo", "json"))
     ]
     cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None)]
 
