@@ -7,10 +7,11 @@ design cell x method x metric) serializable to CSV and JSON.
 
 Every design scores its pairs through the method table of
 :mod:`dcal.methods`.  The single-pair designs (effect grid, outlier suite)
-score a cell at once: every repetition's pair is drawn in one block of
-stream words (:func:`contaminated_rows`), the methods run on the
-(repetitions, n) rows with one target per row, and one accumulator per
-method sums the repetitions in order.
+score whole cells at once: every repetition's pair of a cell is drawn in
+one block of stream words (:func:`contaminated_rows`), the cells of one n
+share one (rows, n) array, as many as ``GROUP_ELEMENTS`` values hold, the
+methods run on those rows in one call with one target per row, and one
+accumulator per cell and method sums the repetitions in order.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ __all__ = [
 # substream roles inside one repetition (the target is 0, columns occupy 1..m)
 _KEY_SCHEME = 2 ** 33
 _KEY_PERM = 2 ** 34
+
+# elements of one group's (rows, n) sample arrays in the single-pair
+# designs: the whole cells of one n that fit are scored in one call
+GROUP_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -467,20 +472,57 @@ class _CellSums:
             self.rejections += 1
 
 
-def _score_cell(
-    X: np.ndarray, Y: np.ndarray, methods: list[str], alpha: float
-) -> tuple[dict[str, _CellSums], list]:
-    """Score a cell's pairs (X[i], Y[i]) with every method (the calibrated
-    test at loo, fast guard off) and sum the repetitions on which none
-    failed.  Returns the sums and each repetition's first error, if any."""
-    scored, errors = score_rows(Rows(X, Y, alpha=alpha), methods)
-    columns = {m: (s.score.tolist(), s.estimate.tolist()) for m, s in scored.items()}
-    sums = {m: _CellSums(alpha) for m in methods}
-    for rep, error in enumerate(errors):
-        if error is None:
-            for m, acc in sums.items():  # each distinct method once
-                acc.add(columns[m][0][rep], columns[m][1][rep])
-    return sums, errors
+def _score_cells(
+    cells: list[tuple[int, Callable[[], tuple[np.ndarray, np.ndarray]]]],
+    methods: list[str],
+    alpha: float,
+    repetitions: int,
+) -> list:
+    """Score single-pair design cells with every method (the calibrated
+    test at loo, fast guard off).  A cell is ``(n, draw)``; ``draw()``
+    checks its design and returns its (repetitions, n) pairs (X, Y).
+
+    Cells of the same n are drawn into one array, as many whole cells as
+    ``GROUP_ELEMENTS`` values hold (at least one), and scored in one call.
+    Returns per cell, in the order given, the error its draw raised, or one
+    :class:`_CellSums` per method over the repetitions on which none failed
+    and each repetition's first error, if any.
+    """
+    out: list = [None] * len(cells)
+    by_n: dict[int, list[int]] = {}
+    for ci, (n, _) in enumerate(cells):
+        by_n.setdefault(n, []).append(ci)
+    for n, members in by_n.items():
+        per_group = max(1, GROUP_ELEMENTS // max(1, repetitions * n))
+        for start in range(0, len(members), per_group):
+            group = members[start : start + per_group]
+            # a design with n < 0 fails its draw before it could fill this
+            X = np.empty((len(group) * repetitions, max(n, 0)))
+            Y = np.empty_like(X)
+            drawn = []
+            for ci in group:
+                try:
+                    x, y = cells[ci][1]()
+                except (DcalError, ValueError) as exc:  # raised in cell order by the caller
+                    out[ci] = exc
+                    continue
+                rows = slice(len(drawn) * repetitions, (len(drawn) + 1) * repetitions)
+                X[rows], Y[rows] = x, y
+                drawn.append(ci)
+            if not drawn:
+                continue
+            used = len(drawn) * repetitions
+            scored, errors = score_rows(Rows(X[:used], Y[:used], alpha=alpha), methods)
+            columns = {m: (s.score.tolist(), s.estimate.tolist()) for m, s in scored.items()}
+            for k, ci in enumerate(drawn):
+                reps = range(k * repetitions, (k + 1) * repetitions)
+                sums = {m: _CellSums(alpha) for m in methods}
+                for rep in reps:
+                    if errors[rep] is None:
+                        for m, acc in sums.items():  # each distinct method once
+                            acc.add(columns[m][0][rep], columns[m][1][rep])
+                out[ci] = (sums, errors[reps.start : reps.stop])
+    return out
 
 
 def run_effect_grid(
@@ -508,10 +550,19 @@ def run_effect_grid(
         }
     )
     cells = [(rho, n) for rho in design.rho_list for n in design.n_list]
-    for ci, (rho, n) in enumerate(cells):
+
+    def draw(ci: int, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         _check_pair_design(n, rho)
-        X, Y = _cell_rows(n, rho, None, 0.0, derive(design.seed, ci), repetitions)
-        sums, errors = _score_cell(X, Y, methods, alpha)
+        return _cell_rows(n, rho, None, 0.0, derive(design.seed, ci), repetitions)
+
+    scored = _score_cells(
+        [(n, functools.partial(draw, ci, rho, n)) for ci, (rho, n) in enumerate(cells)],
+        methods, alpha, repetitions,
+    )
+    for (rho, n), outcome in zip(cells, scored):
+        if isinstance(outcome, Exception):
+            raise outcome
+        sums, errors = outcome
         for error in errors:
             if error is not None:
                 raise error
@@ -546,7 +597,13 @@ def run_outlier_suite(
             "errors": 0,
         }
     )
-    for ci, cell_design in enumerate(cells):
+    draws = [
+        (c.n, functools.partial(
+            _cell_rows, c.n, c.rho, c.outlier, c.fraction, derive(c.seed, ci), repetitions
+        ))
+        for ci, c in enumerate(cells)
+    ]
+    for cell_design, outcome in zip(cells, _score_cells(draws, methods, alpha, repetitions)):
         kind = cell_design.outlier
         extra = (
             f",sd={kind.sd_outlier}" if kind.kind == "high_variance" else f",mag={kind.magnitude}"
@@ -555,11 +612,9 @@ def run_outlier_suite(
             f"kind={kind.kind},rho={cell_design.rho},fraction={cell_design.fraction}"
             f",n={cell_design.n}{extra}"
         )
-        X, Y = _cell_rows(
-            cell_design.n, cell_design.rho, kind, cell_design.fraction,
-            derive(cell_design.seed, ci), repetitions,
-        )
-        sums, errors = _score_cell(X, Y, methods, alpha)
+        if isinstance(outcome, Exception):
+            raise outcome
+        sums, errors = outcome
         done = errors.count(None)
         if done == 0:
             raise DcalError(f"every repetition of outlier-suite cell {cell} failed")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pairwise_reference
@@ -185,10 +185,22 @@ class TestBfRows:
         n=st.integers(3, 400),
         r=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40).map(np.array),
     )
+    # the series does not converge here, by design (see bf_rows)
+    @example(n=3, r=np.array([0.9999999999999999]))
     def test_each_row_as_if_alone(self, n, r):
-        whole = bf_rows(r, n)
-        alone = [bf_rows(r[i : i + 1], n)[0] for i in range(len(r))]
-        assert whole.tobytes() == np.array(alone).tobytes()
+        """The batched call raises ConvergenceError exactly when some row
+        raises it alone; otherwise each row has the bytes of its own call."""
+        alone, diverged = [], False
+        for i in range(len(r)):
+            try:
+                alone.append(bf_rows(r[i : i + 1], n)[0])
+            except ConvergenceError:
+                diverged = True
+        if diverged:
+            with pytest.raises(ConvergenceError):
+                bf_rows(r, n)
+        else:
+            assert bf_rows(r, n).tobytes() == np.array(alone).tobytes()
 
     def test_sign_symmetric(self):
         r = np.linspace(-0.99, 0.99, 41)

@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from dcal import (
     skipped_correlation,
     skipped_rows,
 )
+from dcal import robust
 from dcal.robust import DEFAULT_CUTOFF
 from dcal.rng import Stream, derive
 
@@ -53,8 +57,11 @@ def _pairs(draw):
         for _ in range(n)
     ]
     x, y = (np.array(coord, dtype=float) * scale for coord in zip(*points))
-    if x.max() == x.min() or y.max() == y.min():
-        x[0], y[0] = x[0] + scale, y[0] - scale
+    # mending one sample alone: mending both could make the other constant
+    if x.max() == x.min():
+        x[0] += scale
+    if y.max() == y.min():
+        y[0] -= scale
     return DataPair(x, y)
 
 
@@ -198,6 +205,120 @@ class TestSkippedRows:
             keep = ~batch.outliers[i]
             r, p = pearson_rows(X[i][keep][None], Y[i][keep])
             assert (batch.r[i], batch.p[i]) == (r[0], p[0])
+
+
+def _on_centre(x, y):
+    """Put one point exactly on the coordinate-wise median centre: the two
+    middle values of each sample are made equal, so each median is a sample
+    value, and swapping two y values puts the median y at the median x."""
+    for v in (x, y):
+        order = np.argsort(v, kind="stable")
+        v[order[len(v) // 2 - 1]] = v[order[len(v) // 2]]
+    i = np.argsort(x, kind="stable")[len(x) // 2]
+    j = np.argsort(y, kind="stable")[len(y) // 2]
+    y[i], y[j] = y[j], y[i]
+    return x, y
+
+
+def _shaped(kind, n, seed):
+    """(x, y) of n points of one shape; ``coincide`` is no valid pair."""
+    rng = np.random.default_rng(seed)
+    if kind == "contaminated":
+        pair = gen_contaminated(n, 0.5, KINDS[seed % 3], (0.1, 0.25, 0.5)[seed % 3], seed)
+        return pair.x.copy(), pair.y.copy()
+    if kind == "centre":  # a point that spans no direction
+        return _on_centre(rng.standard_normal(n), rng.standard_normal(n))
+    if kind == "coincide":  # every point on the centre
+        return np.full(n, 2.5), np.full(n, -1.0)
+    if kind == "spot":  # over half the points on one spot: zero MAD everywhere
+        x, y = rng.integers(-3, 4, (2, n)).astype(float)
+        on = rng.permutation(n)[: n // 2 + 1 + seed % (n - n // 2 - 2)]
+        x[on], y[on] = 1.0, -2.0
+        return x, y
+    if kind == "axes":  # points on the centre and on both axes: some flat directions
+        c, a, b = int(0.3 * n), int(0.25 * n), max(1, int(0.1 * n))
+        g = n - c - a - b
+        t = rng.standard_normal(a + b + 2 * g)
+        x = np.r_[np.zeros(c), t[:a], np.zeros(b), t[a + b : a + b + g]]
+        y = np.r_[np.zeros(c), np.zeros(a), t[a : a + b], t[a + b + g :]]
+        order = rng.permutation(n)
+        return x[order], y[order]
+    if kind == "ties":
+        x = np.round(rng.standard_normal(n), 1)
+        return x, np.round(x + rng.standard_normal(n), 1)
+    if kind == "integers":
+        return rng.integers(-3, 4, (2, n)).astype(float)
+    assert kind == "offset"
+    return rng.standard_normal(n) + 1e8, rng.standard_normal(n) * 1e-3 - 1e9
+
+
+SHAPES = ("contaminated", "centre", "coincide", "spot", "axes", "ties", "integers", "offset")
+
+
+def _reference_rows(X, Y, cutoff):
+    """Per pair: the frozen detector's flags (or none) and the frozen
+    skipped correlation's (r, p, n_used) as hex and int, or its error."""
+    rows = []
+    for x, y in zip(X, Y):
+        pair = SimpleNamespace(x=x, y=y, n=len(x))
+        flags, _ = _outcome(lambda: pairwise_reference.detect_bivariate_outliers(pair, cutoff))
+        got, error = _outcome(lambda: pairwise_reference.skipped_correlation(pair, cutoff))
+        if got is not None:
+            r, p, n_used, _ = got
+            error = (float(r).hex(), float(p).hex(), n_used)
+        rows.append((error, [] if flags is None else flags.tolist()))
+    return rows
+
+
+def _batch_rows(batch):
+    rows = []
+    for i, error in enumerate(batch.errors):
+        if error is None:
+            result = (float(batch.r[i]).hex(), float(batch.p[i]).hex(), int(batch.n_used[i]))
+        else:
+            result = (type(error), str(error))
+        rows.append((result, np.flatnonzero(batch.outliers[i]).tolist()))
+    return rows
+
+
+class TestBlockedSweep:
+    """``skipped_rows`` against the frozen per-pair reference, bit for bit,
+    whatever the block size: one pair, three, the default and all pairs."""
+
+    def _check(self, X, Y, cutoff=DEFAULT_CUTOFF):
+        n = X.shape[1]
+        want = _reference_rows(X, Y, cutoff)
+        for elements in (1, 3 * n * n, robust.SWEEP_ELEMENTS, 2 ** 30):
+            with mock.patch.object(robust, "SWEEP_ELEMENTS", elements):
+                assert _batch_rows(skipped_rows(X, Y, cutoff)) == want, elements
+
+    @pytest.mark.parametrize("n", [10, 11, 99, 100, 101])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_degenerate_pairs_at_block_edges(self, n, shift):
+        # blocks of three pairs start at 0, 3, 6 and end at 2, 5, 8
+        layout = ["coincide", "ties", "centre", "spot", "contaminated", "axes",
+                  "centre", "offset", "spot", "integers", "coincide"]
+        pairs = [_shaped(kind, n, 7 * k + shift) for k, kind in enumerate(layout[shift:])]
+        X, Y = (np.array(coord) for coord in zip(*pairs))
+        self._check(X, Y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([10, 11, 99, 100, 101]),
+        kinds=st.lists(st.sampled_from(SHAPES), min_size=1, max_size=9),
+        seed=st.integers(0, 2 ** 32 - 1),
+        cutoff=st.sampled_from([DEFAULT_CUTOFF, 1.0, 3.5]),
+    )
+    def test_mixed_blocks_match_reference(self, n, kinds, seed, cutoff):
+        pairs = [_shaped(kind, n, seed + k) for k, kind in enumerate(kinds)]
+        X, Y = (np.array(coord) for coord in zip(*pairs))
+        self._check(X, Y, cutoff)
+
+    def test_short_pairs_fail_every_row(self):
+        X = np.arange(27.0).reshape(3, 9)
+        batch = skipped_rows(X, X[::-1] ** 2)
+        assert all(isinstance(error, InsufficientDataError) for error in batch.errors)
+        assert len({id(error) for error in batch.errors}) == 3
 
 
 class TestSkipped:

@@ -28,6 +28,7 @@ from dcal import (
     run_oos_comparison,
     run_outlier_suite,
 )
+from dcal import simulate
 from dcal.rng import derive, derive_array
 from dcal.simulate import _battery_columns, contaminated_rows
 
@@ -328,15 +329,56 @@ class TestBatchedCells:
         assert [rec["value"] for rec in report.records] == records
         assert report.meta["errors"] == errors
 
+    @pytest.mark.parametrize("methods", [["pearson", "dcal", "skipped"], ["dcal", "pearson"]])
+    def test_mixed_n_cells_match_per_pair_loop(self, monkeypatch, methods):
+        cells = [
+            Contaminated(0.5, OutlierKind("bivariate"), 0.1, 11, 71),
+            Contaminated(0.3, OutlierKind("univariate"), 0.1, 30, 72),
+            Contaminated(-0.2, OutlierKind("high_variance", sd_outlier=3.0), 0.25, 11, 73),
+            Contaminated(0.4, OutlierKind("bivariate"), 0.1, 30, 71),
+            Contaminated(0.0, OutlierKind("univariate"), 0.1, 30, 74),
+        ]
+        if "skipped" not in methods:  # the sweep needs n >= 10
+            cells.insert(1, Contaminated(0.6, OutlierKind("bivariate"), 0.25, 9, 75))
+        records, errors = _per_pair_outlier_records(cells, methods, 0.1, 40)
+        # groups of one cell (the per-cell scoring), of two cells at n = 30,
+        # and the default, which holds every cell of one n
+        for elements in (1, 2 * 40 * 30, simulate.GROUP_ELEMENTS):
+            monkeypatch.setattr(simulate, "GROUP_ELEMENTS", elements)
+            report = run_outlier_suite(cells, methods, alpha=0.1, repetitions=40)
+            assert [rec["value"] for rec in report.records] == records, elements
+            assert report.meta["errors"] == errors
+
+    @pytest.mark.parametrize("elements", [1, None])
+    def test_first_failing_cell_in_config_order_raises(self, monkeypatch, elements):
+        if elements is not None:
+            monkeypatch.setattr(simulate, "GROUP_ELEMENTS", elements)
+        kind = OutlierKind("bivariate")
+        fine = Contaminated(0.5, kind, 0.1, 30, 81)
+        short = Contaminated(0.5, kind, 0.25, 4, 82)  # skipped fails every repetition
+        empty = Contaminated(0.5, kind, 0.25, 3, 83)  # contaminates no sample
+        unscored = Contaminated(0.5, kind, 0.01, 30, 84)  # nor does this one
+        # the cells of n = 30 are drawn and scored before those of n = 4
+        with pytest.raises(DcalError, match=r"every repetition .*,n=4,"):
+            run_outlier_suite([fine, short, empty, unscored], ["skipped"], repetitions=5)
+        with pytest.raises(ValueError, match="selects no samples at n=3"):
+            run_outlier_suite([fine, empty, short, unscored], ["skipped"], repetitions=5)
+        with pytest.raises(ValueError, match="selects no samples at n=30"):
+            run_outlier_suite([fine, unscored, short, empty], ["skipped"], repetitions=5)
+        # cells (0.5, 12), (0.5, 3), (1.0, 12), (1.0, 3): the group of n = 12
+        # meets the error of (1.0, 12) first
+        design = EffectGrid(rho_list=(0.5, 1.0), n_list=(12, 3), seed=85)
+        with pytest.raises(ValueError, match="need n >= 4, got 3"):
+            run_effect_grid(design, ["uncorrected"], repetitions=5)
+
     def test_overflowing_outliers_fail_every_repetition(self):
         cell = Contaminated(0.5, OutlierKind("high_variance", sd_outlier=1e300), 0.1, 30, 5)
         with pytest.raises(DcalError, match="every repetition of outlier-suite cell"):
             run_outlier_suite([cell], repetitions=4)
 
-    def test_effect_grid_matches_per_pair_loop(self):
-        design = EffectGrid(rho_list=(0.0, 0.45, -0.8), n_list=(4, 9, 40), seed=63)
+    def test_effect_grid_matches_per_pair_loop(self, monkeypatch):
+        design = EffectGrid(rho_list=(0.0, 0.45, -0.8), n_list=(4, 9, 40, 11), seed=63)
         methods = ["uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf"]
-        report = run_effect_grid(design, methods, alpha=0.1, repetitions=25)
         values = []
         for ci, (rho, n) in enumerate((r, n) for r in design.rho_list for n in design.n_list):
             sums = {m: [0.0, 0.0, 0.0, 0] for m in methods}
@@ -362,7 +404,12 @@ class TestBatchedCells:
                     sums[m][3] += score < 0.1
             for m in methods:
                 values += [sums[m][0] / 25, sums[m][1] / 25, sums[m][2] / 25, sums[m][3] / 25]
-        assert [rec["value"] for rec in report.records] == values
+        # groups of one cell (the per-cell scoring), of two cells at n = 40,
+        # and the default, which holds every cell of one n
+        for elements in (1, 2 * 25 * 40, simulate.GROUP_ELEMENTS):
+            monkeypatch.setattr(simulate, "GROUP_ELEMENTS", elements)
+            report = run_effect_grid(design, methods, alpha=0.1, repetitions=25)
+            assert [rec["value"] for rec in report.records] == values, elements
 
 
 class TestRepeatedMethods:

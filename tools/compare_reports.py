@@ -10,9 +10,12 @@ working tree when ``--head`` is left out, made with the export helpers of
 ``tools/bench_pairs.py``.  Two kinds of case then run in each copy:
 
 - ``dcal simulate`` on every bundled ``src/dcal/fixtures/fig*.cfg`` and
-  ``benchmarks/configs/*.cfg`` of the head copy, plus a built-in effect-grid
-  config with every pair method and n = 4, at the config's own repetitions
-  unless ``--repetitions`` is given;
+  ``benchmarks/configs/*.cfg`` of the head copy, plus three built-in
+  configs: an effect grid with every pair method and n = 4, an outlier suite
+  at the odd n = 11 with every contamination kind, and an effect grid whose
+  odd and even n include one too large for two of its cells to share a
+  scoring call, each at the config's own repetitions unless
+  ``--repetitions`` is given;
 - built-in CLI cases, all run in one interpreter per side: a small
   ``dcal screen`` with every correction at loo, cv10x10 and boot632, ``dcal
   anscombe`` as text and JSON, and ``dcal test`` on the Anscombe pairs for
@@ -73,6 +76,37 @@ methods = uncorrected,dcal,pcal_sellke,pcal_bickel,ppbf
 seed = 11
 repetitions = 30
 """
+
+OUTLIER_SUITE_ODD_N = """\
+design = outlier_suite
+kinds = high_variance,univariate,bivariate
+rho = 0.4
+rho_list = 0.0,0.6
+sd_list = 2,5
+fraction = 0.2
+magnitude = 6.0
+n = 11
+seed = 13
+repetitions = 200
+alpha = 0.1
+methods = pearson,dcal,skipped
+"""
+
+# 1311 x 100 values exceed dcal.simulate.GROUP_ELEMENTS: one cell per call
+EFFECT_GRID_GROUPS = """\
+design = effect_grid
+rho_list = 0.0,0.3,-0.6
+n_list = 7,20,1311
+methods = uncorrected,dcal,pcal_sellke,pcal_bickel,ppbf
+seed = 17
+repetitions = 100
+"""
+
+BUILT_IN_CONFIGS = {
+    "effect_grid.cfg": EFFECT_GRID,
+    "outlier_suite_odd_n.cfg": OUTLIER_SUITE_ODD_N,
+    "effect_grid_groups.cfg": EFFECT_GRID_GROUPS,
+}
 
 ELAPSED = re.compile(r" in \d+\.\d+ s$", re.MULTILINE)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -215,8 +249,9 @@ def main() -> int:
             return 1
         inputs = scratch / "inputs"
         inputs.mkdir()
-        (inputs / "effect_grid.cfg").write_text(EFFECT_GRID, encoding="utf-8")
-        configs.append(inputs / "effect_grid.cfg")
+        for name, text in BUILT_IN_CONFIGS.items():
+            (inputs / name).write_text(text, encoding="utf-8")
+            configs.append(inputs / name)
         failures = 0
         for config in configs:
             name = config.relative_to(scratch if config.parent == inputs else copies["head"])
