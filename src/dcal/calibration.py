@@ -151,9 +151,10 @@ def bf_rows(r, n: int) -> np.ndarray:
     correlation in ``r`` of a pair of ``n`` samples, uniform prior on rho.
 
     Sums the closed-form series of the module docstring for every entry
-    of ``r`` at once; the result has the shape of ``r``.  |r| = 1, or a BF10 beyond the float64 range, gives inf.  Raises
-    ConvergenceError, naming n and r, for a row whose series has not
-    converged after 2^22 terms (only very near |r| = 1 at small n).
+    of ``r`` at once; the result has the shape of ``r``.  |r| = 1, or a
+    BF10 beyond the float64 range, gives inf.  Raises ConvergenceError,
+    naming n and r, for a row whose series has not converged after 2^22
+    terms (only very near |r| = 1 at small n).
     """
     r = np.asarray(r, dtype=np.float64)
     if n < 3:

@@ -7,9 +7,9 @@ reports.  No command starts worker threads: ``--threads`` and the
 ``DCAL_THREADS`` environment variable are accepted and have no effect.
 
 ``test --methods`` and ``anscombe`` score their pairs through the method
-table of :mod:`dcal.methods`, with the calibrated test's own classical r and
-p (:class:`~dcal.methods.CalibratedRows`).  ``--x V`` and ``--y V`` are read
-as ``--x=V`` and ``--y=V``, so that a value may start with '-'.
+table of :mod:`dcal.methods`, whose classical p is the one they print.
+``--x V`` and ``--y V`` are read as ``--x=V`` and ``--y=V``, so that a
+value may start with '-'.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import DataPair
 from .engine import OosScheme
 from .errors import DcalError, ParseError, TargetError
 from .methods import CORRECTIONS, OUTLIER_METHODS, QUARTET_METHODS, TEST_METHODS
-from .methods import CalibratedRows, pair_fields, quartet_row, score_rows, shuffles
+from .methods import Rows, pair_fields, quartet_row, score_rows, shuffles
 from .multitest import PermutationPlan
 from .simulate import (
     Contaminated,
@@ -108,7 +108,7 @@ def cmd_test(args) -> int:
         raise ParseError("provide either --input FILE or both --x and --y")
     scheme = _scheme_from_name(args.scheme, args.seed)
     # a seed outside [0, 2**64) is read modulo 2**64, as dcal_test reads it
-    rows = CalibratedRows(
+    rows = Rows(
         pair.x[None, :], pair.y, scheme, [scheme.seed % 2 ** 64], args.alpha, args.fast
     )
     res = rows.calibrated
@@ -158,9 +158,6 @@ def cmd_screen(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     scheme = _scheme_from_name(args.scheme, args.seed)
 
-    def progress(done: int, total: int) -> None:
-        print(f"screened {done}/{total} features", file=sys.stderr)
-
     started = time.perf_counter()
     report = screen(
         matrix,
@@ -170,7 +167,6 @@ def cmd_screen(args) -> int:
         corrections=corrections,
         fast=args.fast,
         plan=_permutation_plan(corrections, args.permutations, args.seed),
-        progress=progress,
     )
     write_report(report, args.output, format=args.format)
     elapsed = time.perf_counter() - started
@@ -354,7 +350,7 @@ def cmd_anscombe(args) -> int:
     datasets = _anscombe_rows()
     names = sorted(datasets)
     X, Y = zip(*(datasets[name] for name in names))
-    rows = CalibratedRows(X, Y, alpha=args.alpha)
+    rows = Rows(X, Y, alpha=args.alpha)
     scored, _ = score_rows(rows, QUARTET_METHODS)
     results = {name: quartet_row(scored, rows, i) for i, name in enumerate(names)}
     if args.json:

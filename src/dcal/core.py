@@ -136,12 +136,7 @@ class OlsFit:
 
 
 def centred(values: np.ndarray) -> np.ndarray:
-    """Values minus their mean along the last axis.
-
-    After a large common offset the mean is off by its rounding; centring
-    the result once more removes that residue where an identity needs rows
-    whose mean is zero (leave-one-out).
-    """
+    """Values minus their mean along the last axis, in one pass (see :func:`centred_rows`)."""
     return values - np.add.reduce(values, axis=-1, keepdims=True) / values.shape[-1]
 
 
@@ -154,6 +149,18 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def centred_sums(xc: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise (sxx, syy, sxy) of mean-centred rows (either may be shared)."""
     return _dot_rows(xc, xc), _dot_rows(yc, yc), _dot_rows(xc, yc)
+
+
+def centred_rows(X: np.ndarray, y: np.ndarray):
+    """``X`` and ``y`` centred along the last axis, and their :func:`centred_sums`.
+
+    The one centring of observed samples, so every surface gives a pair the
+    same classical r and p.  After a large offset the mean is off by its
+    rounding; a second pass removes that residue, as the leave-one-out
+    identity needs rows of mean zero.  Returns ``(xc, yc, (sxx, syy, sxy))``.
+    """
+    xc, yc = centred(centred(X)), centred(centred(y))
+    return xc, yc, centred_sums(xc, yc)
 
 
 def correlation_from_sums(sxx, syy, sxy) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +214,7 @@ def correlation_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows give NaN
-        return correlation_from_sums(*centred_sums(centred(X), centred(y)))
+        return correlation_from_sums(*centred_rows(X, y)[2])
 
 
 def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -294,8 +301,7 @@ def loo_predictions(predictor, response) -> np.ndarray:
     y = _as_sample(response, "response")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    xc, yc = centred(centred(x)), centred(centred(y))
-    sxx, _, sxy = centred_sums(xc, yc)
+    xc, yc, (sxx, _, sxy) = centred_rows(x, y)
     if sxx == 0.0:
         raise DegenerateVarianceError("predictor has zero variance")
     residuals, margin = loo_residuals(xc, yc, sxx, sxy)

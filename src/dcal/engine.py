@@ -27,10 +27,11 @@ from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts.
 The classical phase (centred sums, r, p and the fast guard) runs once over
-all tested rows.  Only the out-of-sample step runs in chunks of rows sized
-by ``CHUNK_ELEMENTS``, so its work space stays flat in the number of rows;
-one t-tail call at the end turns every chunk's calibrated correlations
-into p-values.
+all tested rows, with the r and p of :func:`~dcal.core.pearson_rows`.
+Only the out-of-sample step runs in chunks of rows sized by
+``CHUNK_ELEMENTS``, so its work space stays flat in the number of rows; one
+t-tail call at the end turns every chunk's calibrated correlations into
+p-values.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .core import (
     LEVERAGE_GUARD,
     DataPair,
     centred,
+    centred_rows,
     centred_sums,
     correlation_from_sums,
     loo_predictions,
@@ -188,7 +190,7 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a.reshape((a.shape[0],) + (1,) * (idx.ndim - 2) + (-1,)), idx, -1)
 
 
-def chunk_rows(per_row: int) -> int:
+def _chunk_rows(per_row: int) -> int:
     """Rows per chunk when each row needs ``per_row`` values of work space."""
     return max(1, CHUNK_ELEMENTS // max(1, per_row))
 
@@ -388,12 +390,10 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
             return loo_predictions(pair.x, pair.y)
         return loo_predictions(pair.y, pair.x)
     X = pair.x[None, :]
-    U, v = centred(centred(X)), centred(centred(pair.y))
+    U, v, sums = centred_rows(X, pair.y)
     seeds = np.array([scheme.seed % 2 ** 64], dtype=np.uint64)  # as Stream(seed) reads it
     with np.errstate(divide="ignore", invalid="ignore"):
-        y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(
-            X, U, pair.y, v, centred_sums(U, v), scheme, seeds
-        )
+        y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, pair.y, v, sums, scheme, seeds)
     if (deg_x if direction == Y_FROM_X else deg_y)[0]:
         if scheme.kind == "boot632":
             raise DegenerateVarianceError("bootstrap training sample has zero predictor variance")
@@ -484,10 +484,7 @@ def dcal_matrix(
     rows = tested.size
     # sums that overflow are row errors (NaN r), not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # centred twice: the leave-one-out identity needs rows of mean zero, and
-        # after a large offset one pass leaves the rounding of the mean behind
-        U, v = centred(centred(X)), centred(centred(y))
-        sums = centred_sums(U, v)
+        U, v, sums = centred_rows(X, y)
         r, rest = correlation_from_sums(*sums)
         p = t_pvalues(r, rest, n - 2)
         skipped = ~(p < alpha) if fast else np.zeros(rows, dtype=bool)
@@ -500,7 +497,7 @@ def dcal_matrix(
         run = np.flatnonzero(~(skipped | out_of_range))
         r_cal, rest_cal = np.zeros(rows), np.zeros(rows)
         keep, flipped = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
-        step = chunk_rows(_per_row_elements(scheme, n))
+        step = _chunk_rows(_per_row_elements(scheme, n))
         for start in range(0, run.size, step):
             part = run[start : start + step]
             if part.size == rows:

@@ -5,7 +5,9 @@ the batteries, the effect grid and the outlier suite) looks its methods up
 in :data:`METHODS`.  A method maps :class:`Rows`, the pairs ``(X[i], Y[i])``,
 to :class:`Scores`.  The battery corrections adjust one vector of classical
 p-values (:func:`correct`), for the batteries and for ``dcal screen``.
-Method names are compared in this module only.
+Method names are compared in this module only; :func:`check` rejects a
+name given twice.  Pearson's r and p are bit for bit the calibrated test's
+classical half (both centre with :func:`~dcal.core.centred_rows`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pval
 from .robust import SkippedBatch, skipped_rows
 
 __all__ = [
-    "Scores", "Rows", "CalibratedRows", "METHODS", "PAIR_METHODS", "CORRECTIONS",
+    "Scores", "Rows", "METHODS", "PAIR_METHODS", "CORRECTIONS",
     "BATTERY_METHODS", "OUTLIER_METHODS", "TEST_METHODS", "QUARTET_METHODS", "check",
     "score_rows", "battery_scores", "shuffles", "correct", "pair_fields", "quartet_row",
 ]
@@ -82,17 +84,6 @@ class Rows:
         return batch._replace(errors=errors)
 
 
-class CalibratedRows(Rows):
-    """Rows whose classical test is the calibrated test's own half, as
-    :func:`~dcal.engine.dcal_test` reports it.  It centres each sample
-    twice, so r and p can differ from :func:`~dcal.core.pearson_rows` in
-    the last bit; the single-pair commands calibrate the p they print."""
-
-    @cached_property
-    def classical(self) -> Scores:
-        return Scores(self.calibrated.p, self.calibrated.r, self.calibrated.errors)
-
-
 def _calibration(rows: Rows, transform: Callable[[float], float]) -> Scores:
     """A p-value calibration, one classical p at a time, with Pearson's r."""
     p, r, errors = rows.classical
@@ -140,11 +131,13 @@ QUARTET_METHODS = ("cor", "dcal", "pcal_sellke", "pcal_bickel", "ppbf", "skipped
 
 
 def check(names, allowed: tuple[str, ...], what: str = "method") -> list[str]:
-    """``names`` as a list; raises ValueError on a name outside ``allowed``."""
+    """``names`` as a list; raises ValueError on a name outside ``allowed`` or given twice."""
     names = list(names)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             raise ValueError(f"unknown {what} {name!r} (choose from {', '.join(allowed)})")
+        if name in names[:i]:
+            raise ValueError(f"{what} {name!r} is given twice")
     return names
 
 

@@ -179,7 +179,8 @@ def skipped_rows(X, Y, cutoff: float = DEFAULT_CUTOFF) -> SkippedBatch:
     one_minus_r2 = np.full(m, np.nan)
     scored = np.array([error is None for error in errors], dtype=bool)
     # Pearson r on the retained points, one kernel call per retained count
-    for count in np.unique(n_used[scored]).tolist():
+    # (from a set: numpy's first np.unique imports numpy.ma)
+    for count in sorted(set(n_used[scored].tolist())):
         rows = np.flatnonzero(scored & (n_used == count))
         keep = ~outliers[rows]
         Xk = X[rows][keep].reshape(rows.size, count)

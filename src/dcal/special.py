@@ -148,9 +148,10 @@ def _continued_fraction_rows(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.
     The loop leaves out the scalar code's clamps.  A clamp fires only when
     ``1 + q`` is exactly 0 (for q within a factor of 2 of -1 the sum is
     exact and a multiple of 2**-53; otherwise it exceeds 1/2 in size), and
-    without it that 0 turns h into 0, an infinity or NaN for good.  So an entry whose stored value is finite and nonzero matches the
-    scalar code, and any other entry (a clamp, no convergence in
-    ``_MAX_ITER`` iterations) comes back NaN for the caller to recompute.
+    without it that 0 turns h into 0, an infinity or NaN for good.  So an
+    entry whose stored value is finite and nonzero matches the scalar code,
+    and any other entry (a clamp, no convergence in ``_MAX_ITER``
+    iterations) comes back NaN for the caller to recompute.
     """
     qab = a + b
     qap = a + 1.0

@@ -23,7 +23,7 @@ from dcal import (
     write_report,
 )
 from dcal.batchio import CORRECTIONS
-from dcal.engine import chunk_rows
+from dcal import engine
 from dcal.rng import Stream, derive
 
 import screen_reference
@@ -290,23 +290,37 @@ class TestScreen:
         assert sets["holm"] <= sets["bh"]
 
     def test_repeat_runs_deterministic(self):
-        # 700 features of 60 samples span several row chunks
+        # 700 features of 60 samples span several out-of-sample chunks
         matrix = _synthetic_matrix(n_features=700)
         a = screen(matrix, "target", scheme=OosScheme.boot632(20, 3), corrections=CORRECTIONS)
         b = screen(matrix, "target", scheme=OosScheme.boot632(20, 3), corrections=CORRECTIONS)
         assert a.rows == b.rows and a.summary == b.summary
 
-    @pytest.mark.parametrize("chunks", [1, 3])
-    def test_progress_after_each_chunk(self, chunks):
-        # the last row chunk is partly filled
-        step = chunk_rows(60)
-        n_features = (chunks - 1) * step + step // 2 + 1
-        matrix = _synthetic_matrix(n_features=n_features)
-        calls = []
-        report = screen(matrix, "target", progress=lambda *a: calls.append(a))
-        expected = [min(k * step, n_features) for k in range(1, chunks + 1)]
-        assert calls == [(done, n_features) for done in expected]
-        assert len(report.rows) == n_features
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("scheme", [OosScheme.loo(), OosScheme.boot632(10, 5)],
+                             ids=["loo", "boot632"])
+    def test_report_does_not_depend_on_chunking(self, tmp_path, scheme, fast):
+        # one row per chunk, a few (loo at n = 20 takes 3 of 60 values), and
+        # the default budget; the feature holding -1e308 fails
+        clean = _synthetic_matrix(n_features=45, n=20)
+        huge = clean.values[7].copy()
+        huge[2] = -1e308
+        matrix = FeatureMatrix(
+            feature_names=clean.feature_names[:20] + ("huge",) + clean.feature_names[20:],
+            values=np.vstack([clean.values[:20], huge, clean.values[20:]]),
+            sample_names=clean.sample_names,
+        )
+        reports = []
+        for budget in (1, 60, engine.CHUNK_ELEMENTS):
+            with mock.patch.object(engine, "CHUNK_ELEMENTS", budget):
+                report = screen(matrix, "target", scheme=scheme, corrections=CORRECTIONS,
+                                fast=fast, plan=PermutationPlan(199, 4))
+            for fmt in ("csv", "json"):
+                write_report(report, tmp_path / f"{budget}.{fmt}", format=fmt)
+            reports.append(tuple((tmp_path / f"{budget}.{fmt}").read_bytes()
+                                 for fmt in ("csv", "json")))
+        assert reports[0] == reports[1] == reports[2]
+        assert b"float64 range" in reports[0][0]
 
     def test_perm_corrections_attach(self):
         matrix = _synthetic_matrix(n_features=10, n_true=3, n=40)

@@ -237,8 +237,7 @@ class TestCmdScreen:
         assert rc == 2
 
     def test_byte_identical_runs_across_threads(self, tmp_path):
-        # --threads is accepted and has no effect; 700 features span
-        # several row chunks
+        # --threads is accepted and has no effect
         matrix = _matrix_file(tmp_path, n_features=700)
         args = ["screen", "--matrix", matrix, "--target", "target", "--seed", "7"]
         reports = []
@@ -255,6 +254,15 @@ class TestCmdScreen:
         assert main(args + ["--corrections", "holm"]) == 0
         assert main(args + ["--corrections", "holm,perm_max"]) == 2
         assert "need at least 100 permutations" in capsys.readouterr().err
+
+    def test_repeated_correction_exits_2_naming_it(self, tmp_path, capsys):
+        matrix = _matrix_file(tmp_path, n_features=6)
+        out = tmp_path / "r.csv"
+        rc = main(["screen", "--matrix", matrix, "--target", "target",
+                   "--corrections", "holm,bh,holm", "--output", str(out)])
+        assert rc == 2
+        assert "correction 'holm' is given twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_cell_exits_2_naming_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -395,6 +403,13 @@ class TestCmdSimulate:
         assert (tmp_path / "out.json").exists()
         doc = json.loads((tmp_path / "out.json").read_text())
         assert doc["meta"]["repetitions_completed"] == 2
+
+    def test_repeated_method_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("design = null_battery\nm = 5\nn = 20\nmethods = dcal,holm,dcal\n")
+        rc = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert "method 'dcal' is given twice" in capsys.readouterr().err
 
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

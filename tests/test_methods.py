@@ -29,7 +29,6 @@ from dcal import (
 from dcal.methods import (
     CORRECTIONS,
     METHODS,
-    CalibratedRows,
     Rows,
     battery_scores,
     correct,
@@ -176,7 +175,7 @@ class TestTableMatchesSinglePairCalls:
     @given(rows=_rows(), fast=st.booleans())
     def test_calibrated_rows_use_the_tests_classical_half(self, rows, fast):
         X, Y = rows
-        table = CalibratedRows(X, Y, fast=fast)
+        table = Rows(X, Y, fast=fast)
         for spelling in ("cor", "sellke", "bickel"):
             score, estimate, errors = METHODS[spelling](table)
             for i in range(len(X)):
@@ -187,6 +186,54 @@ class TestTableMatchesSinglePairCalls:
                     continue
                 transform = {"cor": lambda p: p, "sellke": pcal_sellke, "bickel": pcal_bickel}
                 assert (score[i], estimate[i]) == (transform[spelling](res.p), res.r)
+
+
+@st.composite
+def _offset_rows(draw):
+    """(X, Y): Gaussian rows at n = 5 to 40, each sample shifted by up to
+    1e6 and scaled, Y shared or one per row.  Either a few rows or more than
+    ``special.ARRAY_MIN_ROWS``, so that the t tail runs both its paths."""
+    n = draw(st.integers(5, 40))  # k-fold at 3 folds trains on 3 points
+    m = draw(st.sampled_from([1, 2, 5, 97, 120]))
+    shared = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def shifted(rows):
+        offset = rng.uniform(-1e6, 1e6, (rows, 1))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        return offset + scale * rng.standard_normal((rows, n))
+
+    Y = shifted(1)[0] if shared else shifted(m)
+    X = shifted(m)
+    X[: m // 2] += 0.5 * (Y if shared else Y[: m // 2])  # some related rows
+    return X, Y
+
+
+_SCHEMES = [OosScheme.loo(), OosScheme.repeated_kfold(3, 2, 0), OosScheme.boot632(15, 0)]
+
+
+class TestOneClassicalPhase:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_offset_rows(), scheme=st.sampled_from(_SCHEMES), fast=st.booleans())
+    def test_every_surface_gives_the_same_r_and_p(self, rows, scheme, fast):
+        # pearson_rows, Rows.classical, dcal_matrix, dcal_test and pearson
+        # centre each sample the same way, so a pair has one classical r and p
+        X, Y = rows
+        seeds = np.arange(len(X), dtype=np.uint64) * 7919
+        r, p = pearson_rows(X, Y)
+        table = Rows(X, Y, scheme, seeds, fast=fast)
+        score, estimate, errors = table.classical
+        batch = table.calibrated
+        for i in range(len(X)):
+            pair = _pair_of(X, Y, i)()
+            single = dcal_test(pair, fast=fast, scheme=scheme.reseeded(int(seeds[i])))
+            classical = pearson(pair)
+            assert errors[i] is None and batch.errors[i] is None
+            expected = (float(r[i]), float(p[i]))
+            assert (float(estimate[i]), float(score[i])) == expected, i
+            assert (float(batch.r[i]), float(batch.p[i])) == expected, i
+            assert (single.r, single.p) == expected, i
+            assert (classical.r, classical.p) == expected, i
 
 
 def _battery(m=30, n=20, seed=4):

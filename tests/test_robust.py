@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -20,6 +24,7 @@ from dcal import (
     skipped_correlation,
     skipped_rows,
 )
+import dcal
 from dcal import robust
 from dcal.robust import DEFAULT_CUTOFF
 from dcal.rng import Stream, derive
@@ -363,3 +368,22 @@ class TestSkipped:
             drift["pearson"].append(pearson(hi).r - pearson(lo).r)
             drift["skipped"].append(skipped_correlation(hi).r - skipped_correlation(lo).r)
         assert abs(np.mean(drift["skipped"])) < abs(np.mean(drift["pearson"]))
+
+
+class TestImports:
+    def test_skipped_correlation_leaves_numpy_ma_unloaded(self):
+        # numpy's first np.unique in a process imports numpy.ma (about 13 ms)
+        code = (
+            "import sys, numpy as np\n"
+            "from dcal import DataPair, skipped_correlation\n"
+            "rng = np.random.default_rng(1)\n"
+            "x = rng.standard_normal(30)\n"
+            "x[0] = 20.0\n"
+            "res = skipped_correlation(DataPair(x, x + rng.standard_normal(30)))\n"
+            "print(res.n_used < 30, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(dcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["True", "False"]

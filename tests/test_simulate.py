@@ -297,7 +297,7 @@ def _per_pair_outlier_records(cells, methods, alpha, repetitions):
             except DcalError:
                 failed += 1
                 continue
-            for m in sums:  # a repeated method is summed once
+            for m in methods:
                 score, est = per_method[m]
                 sums[m][0] += est
                 if score < alpha:
@@ -315,7 +315,7 @@ class TestBatchedCells:
     @pytest.mark.parametrize("n, fraction, methods", [
         (100, 0.1, ["pearson", "dcal", "skipped"]),
         (12, 0.25, ["skipped", "pearson", "dcal"]),
-        (11, 0.5, ["dcal", "skipped", "dcal"]),
+        (11, 0.5, ["dcal", "skipped"]),
         (31, 0.0, ["pearson"]),
     ])
     def test_outlier_suite_matches_per_pair_loop(self, n, fraction, methods):
@@ -413,38 +413,25 @@ class TestBatchedCells:
 
 
 class TestRepeatedMethods:
-    def _records_by_mention(self, report):
-        """The records of a one-cell report as tuples: a name given twice
-        gives its block of records twice."""
-        return [(rec["cell"], rec["method"], rec["metric"], rec["value"]) for rec in report.records]
+    """A name given twice is rejected, naming it: a report keeps one block
+    of records per name, which ``ExperimentReport.value`` looks up."""
 
-    def test_effect_grid_counts_a_repeated_method_once(self):
+    def test_effect_grid_rejects_a_repeated_method(self):
         design = EffectGrid((0.5,), (20,), 1)
-        once = run_effect_grid(design, ["uncorrected"], repetitions=5)
-        twice = run_effect_grid(design, ["uncorrected", "uncorrected"], repetitions=5)
-        assert self._records_by_mention(twice) == 2 * self._records_by_mention(once)
-        rates = [rec["value"] for rec in twice.records if rec["metric"] == "rejection_rate"]
-        assert len(rates) == 2 and max(rates) <= 1.0
+        for methods in (["uncorrected", "uncorrected"], ["ppbf", "dcal", "ppbf", "dcal"]):
+            with pytest.raises(ValueError, match=f"method {methods[0]!r} is given twice"):
+                run_effect_grid(design, methods, repetitions=5)
 
-    def test_effect_grid_interleaved_repeats(self):
-        design = EffectGrid((0.0, 0.6), (12, 30), 3)
-        methods = ["ppbf", "dcal", "ppbf", "uncorrected", "dcal"]
-        single = {m: run_effect_grid(design, [m], repetitions=8) for m in set(methods)}
-        mixed = run_effect_grid(design, methods, repetitions=8)
-        for cell in ("rho=0.0,n=12", "rho=0.6,n=30"):
-            for m in methods:
-                for metric in ("mean_p", "mean_estimate", "mean_abs_estimate", "rejection_rate"):
-                    want = single[m].value(m, metric, cell=cell)
-                    hits = [rec["value"] for rec in mixed.records
-                            if (rec["cell"], rec["method"], rec["metric"]) == (cell, m, metric)]
-                    assert hits == [want] * methods.count(m)
+    def test_battery_rejects_a_repeated_method_or_correction(self):
+        design = NullBattery(m=5, n=20, seed=2)
+        for methods in (["dcal", "holm", "dcal"], ["holm", "uncorrected", "holm"]):
+            with pytest.raises(ValueError, match=f"method {methods[0]!r} is given twice"):
+                run_battery_experiment(design, methods, repetitions=2)
 
-    def test_outlier_suite_counts_a_repeated_method_once(self):
+    def test_outlier_suite_rejects_a_repeated_method(self):
         cells = [Contaminated(0.4, OutlierKind("bivariate"), 0.1, 30, 9)]
-        once = run_outlier_suite(cells, ["pearson"], repetitions=12)
-        twice = run_outlier_suite(cells, ["pearson", "pearson"], repetitions=12)
-        assert self._records_by_mention(twice) == 2 * self._records_by_mention(once)
-        assert twice.meta["errors"] == once.meta["errors"]
+        with pytest.raises(ValueError, match="method 'pearson' is given twice"):
+            run_outlier_suite(cells, ["pearson", "skipped", "pearson"], repetitions=12)
 
 
 class TestReportSerialization:

@@ -17,8 +17,9 @@ working tree when ``--head`` is left out, made with the export helpers of
   scoring call, each at the config's own repetitions unless
   ``--repetitions`` is given;
 - built-in CLI cases, all run in one interpreter per side: a small
-  ``dcal screen`` with every correction at loo, cv10x10 and boot632, ``dcal
-  anscombe`` as text and JSON, and ``dcal test`` on the Anscombe pairs for
+  ``dcal screen`` with every correction at loo, cv10x10 and boot632, a wide
+  one (800 features of 24 samples) fast and ``--no-fast`` as CSV and JSON,
+  ``dcal anscombe`` as text and JSON, and ``dcal test`` on the Anscombe pairs for
   each ``--methods`` spelling, each scheme, plain, ``--fast`` and
   ``--json``, from a file and inline (also with the x values negated).
 
@@ -111,6 +112,8 @@ BUILT_IN_CONFIGS = {
 ELAPSED = re.compile(r" in \d+\.\d+ s$", re.MULTILINE)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
+WIDE_FEATURES = 800
+
 TEST_METHODS = ("sellke", "bickel", "ppbf", "skipped", "sellke,bickel,ppbf,skipped")
 SCHEMES = ("loo", "cv10x10", "boot632")
 
@@ -150,6 +153,22 @@ def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | 
           "--output", f"{{out}}/screen-{scheme}.{fmt}"],
          f"screen-{scheme}.{fmt}")
         for scheme, fmt in (("loo", "csv"), ("cv10x10", "csv"), ("boot632", "csv"), ("loo", "json"))
+    ]
+    # more features than one chunk of rows held in earlier versions
+    # (8192 // 24 = 341), a tenth of them planted
+    lines = lines[:1] + ["t," + ",".join(repr(v) for v in target)]
+    for j in range(WIDE_FEATURES):
+        noise = [rng.gauss(0.0, 1.0) for _ in target]
+        row = [0.5 * t + 0.9 * e for t, e in zip(target, noise)] if j % 10 == 0 else noise
+        lines.append(f"w{j:03d}," + ",".join(repr(v) for v in row))
+    wide = scratch / "wide.csv"
+    wide.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cases += [
+        (f"screen wide {fast} --format {fmt}",
+         ["screen", "--matrix", str(wide), "--target", "t", "--corrections", "holm,bh,perm_max",
+          fast, "--seed", "4", "--format", fmt, "--output", f"{{out}}/wide{fast}.{fmt}"],
+         f"wide{fast}.{fmt}")
+        for fast in ("--fast", "--no-fast") for fmt in ("csv", "json")
     ]
     cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None)]
 
