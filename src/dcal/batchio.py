@@ -279,8 +279,11 @@ def screen(
     feature_ids = [j for j in range(len(matrix.feature_names)) if j != target_idx]
     names = [matrix.feature_names[j] for j in feature_ids]
     # per-feature seeds follow the feature NAME, so permuting matrix
-    # rows permutes report rows with identical values
-    seeds = [derive_text(scheme.seed, name) for name in names]
+    # rows permutes report rows with identical values; loo reads none
+    if scheme.kind == "loo":
+        seeds = np.zeros(len(names), dtype=np.uint64)
+    else:
+        seeds = [derive_text(scheme.seed, name) for name in names]
     batch = dcal_matrix(matrix.values[feature_ids], y, scheme, seeds, alpha, fast)
 
     ok = [i for i, error in enumerate(batch.errors) if error is None]

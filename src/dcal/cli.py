@@ -25,7 +25,7 @@ from .core import DataPair
 from .engine import OosScheme
 from .errors import DcalError, ParseError, TargetError
 from .methods import CORRECTIONS, OUTLIER_METHODS, QUARTET_METHODS, TEST_METHODS
-from .methods import Rows, pair_fields, quartet_row, score_rows, shuffles
+from .methods import Rows, check, pair_fields, quartet_row, score_rows, shuffles
 from .multitest import PermutationPlan
 from .simulate import (
     Contaminated,
@@ -100,6 +100,7 @@ def _num(v: float) -> str:
 
 
 def cmd_test(args) -> int:
+    methods = check((m.strip() for m in args.methods.split(",") if m.strip()), TEST_METHODS)
     if args.input:
         pair = _read_pair_file(args.input)
     elif args.x and args.y:
@@ -125,9 +126,7 @@ def cmd_test(args) -> int:
         "scheme": scheme.label,
         "alpha": args.alpha,
     }
-    for method in [m.strip() for m in (args.methods or "").split(",") if m.strip()]:
-        if method not in TEST_METHODS:
-            raise ParseError(f"unknown method {method!r} ({', '.join(TEST_METHODS)})")
+    for method in methods:
         doc.update(pair_fields(method, rows))
     if args.json:
         print(json.dumps(doc, indent=2))

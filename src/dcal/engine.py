@@ -25,13 +25,16 @@ shared y, or against one y per row, with array operations; :func:`dcal_test`
 and :func:`oos_predict` are its one-row calls.  Each training set is fitted
 from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
-sums by its multiplicity counts.
+sums by its multiplicity counts, one float array that afterwards holds the
+out-of-bag 0/1 mask.
 The classical phase (centred sums, r, p and the fast guard) runs once over
 all tested rows, with the r and p of :func:`~dcal.core.pearson_rows`.
-Only the out-of-sample step runs in chunks of rows sized by
-``CHUNK_ELEMENTS``, so its work space stays flat in the number of rows; one
-t-tail call at the end turns every chunk's calibrated correlations into
-p-values.
+Only the out-of-sample step runs in chunks of rows, as many as fit the byte
+budget ``CHUNK_BYTES``, so its work space stays flat in the number of rows.
+A row of work has n elements for loo, repeats * n for k-fold and
+replicates * n for the bootstrap; the schemes are charged 160, 163 and 28
+bytes per element (``_BYTES_PER_ELEMENT``).  One t-tail call at the end
+turns every chunk's calibrated correlations into p-values.
 """
 
 from __future__ import annotations
@@ -87,12 +90,14 @@ _W_OOB = 0.632
 
 _MAX_COVERAGE_RETRIES = 10
 
-# Values of per-row work (n for loo, repeats * n for k-fold, replicates * n
-# for the bootstrap) that one chunk of rows may hold; a chunk always takes at
-# least one row.  A chunk keeps a few arrays of this size alive at once: at
-# 2**14 the peak memory of a 100-column cv10x10 + boot632 run rose 8% over
-# the per-pair code, at 2**13 under 4%, for under 10% more time.
-CHUNK_ELEMENTS = 2 ** 13
+# Bytes of work space that one chunk of rows of the out-of-sample step may
+# take; a chunk always takes at least one row.  Each scheme is charged its
+# bytes per element of per-row work (``_BYTES_PER_ELEMENT``).  The budget
+# is the k-fold chunk of 16 rows at n = 50 with 10 repeats (about 1.3 MB).
+# Larger chunks would cost peak memory for no time: at fig2's size a
+# 100-row bootstrap call takes about as long with 3 rows per chunk as with
+# 20 (46 ms with one row).
+CHUNK_BYTES = 16 * 500 * 163
 
 
 @dataclass(frozen=True)
@@ -190,11 +195,6 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a.reshape((a.shape[0],) + (1,) * (idx.ndim - 2) + (-1,)), idx, -1)
 
 
-def _chunk_rows(per_row: int) -> int:
-    """Rows per chunk when each row needs ``per_row`` values of work space."""
-    return max(1, CHUNK_ELEMENTS // max(1, per_row))
-
-
 def _kfold_layout(n: int, scheme: OosScheme) -> tuple[list[int], np.ndarray]:
     """Fold sizes and start offsets within a permutation of ``n`` samples."""
     if scheme.folds > n:
@@ -270,58 +270,86 @@ def _kfold_rows(X, U, y, v, sums, scheme, seeds):
     return y_hat.reshape(rows, -1), x_hat.reshape(rows, -1), deg_x, deg_y, None
 
 
-def _bootstrap_block(idx, X, U, y, v):
-    """One block of bootstrap replicates, ``idx`` (rows, B, n) sample indices.
+def _has_tie(values: np.ndarray) -> np.ndarray:
+    """Per sample along the last axis: do two of its values compare equal?"""
+    ordered = np.sort(values, axis=-1)
+    return (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
 
-    Returns whether any replicate's x or y sample is one repeated value, the
-    out-of-bag prediction sums of both directions and the out-of-bag counts.
+
+def _one_value_bags(values, counts, first):
+    """(rows, B): is each bag one repeated value of ``values``?
+
+    ``values`` is a shared sample (n,) or one per row, ``counts`` the bags'
+    multiplicities and ``first`` each bag's first draw.  Where a row's values
+    are all distinct, that is the bag holding only its first sample, n
+    times; rows with a tie compare every bagged value with the first one.
     """
-    rows, B, n = idx.shape
-    flat = idx.reshape(rows * B, n) + (np.arange(rows * B) * n)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=rows * B * n).reshape(rows, B, n)
-    in_bag = counts > 0
-    first = idx[..., 0]  # always in the bag
-    x_first = np.take_along_axis(X, first, axis=1)
-    deg_x = ~np.any(in_bag & (X[:, None, :] != x_first[..., None]), axis=-1)
-    deg_y = ~np.any(in_bag & (y[..., None, :] != _gather(y, first)[..., None]), axis=-1)
+    n = counts.shape[-1]
+    out = np.take_along_axis(counts, first[..., None], axis=-1)[..., 0] == n
+    tied = np.flatnonzero(np.broadcast_to(_has_tie(values), out.shape[:1]))
+    if tied.size:
+        sub = _rows(values, tied)
+        other = (counts[tied] > 0) & (sub[..., None, :] != _gather(sub, first[tied])[..., None])
+        out[tied] = ~other.any(axis=-1)
+    return out
+
+
+def _bootstrap_block(streams, X, U, y, v):
+    """One block of bootstrap replicates, one stream seed each in ``streams`` (rows, B).
+
+    Draws every replicate's n sample indices and returns whether any
+    replicate's x or y sample is one repeated value, the out-of-bag
+    prediction sums of both directions and the out-of-bag counts.
+    """
+    rows, B = streams.shape
+    n = U.shape[1]
+    idx = integers_of(raw_block(streams, n), n)
+    first = idx[..., 0].copy()  # always in the bag
+    idx += (np.arange(rows * B) * n).reshape(rows, B, 1)
+    counts = np.bincount(idx.ravel(), minlength=rows * B * n)
+    del idx
+    # one float array of multiplicities; its integer values are exact
+    counts = counts.astype(np.float64).reshape(rows, B, n)
+    deg_x = _one_value_bags(X, counts, first)
+    deg_y = _one_value_bags(y, counts, first)
 
     # two passes (replicate means, then centred sums): a bootstrap sample can
     # sit far from the row mean relative to its own spread.  einsum, not
-    # BLAS, so a row's sums do not depend on its place in the chunk.
-    weights = counts.astype(np.float64)
-    mu = np.einsum("rbn,rn->rb", weights, U) / n
-    mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", weights, v) / n
+    # BLAS, so a row's sums do not depend on its place in the chunk.  Each
+    # difference array is freed once the sums that read it are taken.
+    mu = np.einsum("rbn,rn->rb", counts, U) / n
+    mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", counts, v) / n
     du = U[:, None, :] - mu[..., None]
+    weighted_du = counts * du
+    suu = np.einsum("rbn,rbn->rb", weighted_du, du)
+    del du
     dv = v[..., None, :] - mv[..., None]
-    weighted_du = weights * du
     sxy = np.einsum("rbn,rbn->rb", weighted_du, dv)
-    slope_y = sxy / np.einsum("rbn,rbn->rb", weighted_du, du)
-    slope_x = sxy / np.einsum("rbn,rbn,rbn->rb", weights, dv, dv)
-    out_of_bag = ~in_bag
+    del weighted_du
+    slope_y = sxy / suu
+    slope_x = sxy / np.einsum("rbn,rbn,rbn->rb", counts, dv, dv)
+    del dv
+    # the counts become the out-of-bag 0/1 array in place
+    out_of_bag = counts == 0
+    oob_count = out_of_bag.sum(axis=1)
+    np.copyto(counts, out_of_bag)
+    del out_of_bag
     coef = np.stack([mv - slope_y * mu, slope_y, mu - slope_x * mv, slope_x], axis=1)
-    a_y, b_y, a_x, b_x = np.einsum("rkb,rbn->krn", coef, out_of_bag.astype(np.float64))
-    return (
-        deg_x.any(axis=-1),
-        deg_y.any(axis=-1),
-        a_y + b_y * U,
-        a_x + b_x * v,
-        out_of_bag.sum(axis=1),
-    )
+    a_y, b_y, a_x, b_x = np.einsum("rkb,rbn->krn", coef, counts)
+    return deg_x.any(axis=-1), deg_y.any(axis=-1), a_y + b_y * U, a_x + b_x * v, oob_count
 
 
 def _boot632_rows(X, U, y, v, sums, scheme, seeds):
-    n = U.shape[1]
     B = scheme.replicates
-    keys = np.arange(B)
-    idx = integers_of(raw_block(derive_array(seeds[:, None], keys), n), n)
-    deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(idx, X, U, y, v)
+    streams = derive_array(seeds[:, None], np.arange(B))
+    deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(streams, X, U, y, v)
     for extra in range(_MAX_COVERAGE_RETRIES):
         short = np.flatnonzero((oob_count == 0).any(axis=1))
         if not short.size:
             break
-        more = integers_of(raw_block(derive_array(seeds[short, None], B + extra), n), n)
         dx, dy, sy, sx, cnt = _bootstrap_block(
-            more, X[short], U[short], _rows(y, short), _rows(v, short)
+            derive_array(seeds[short, None], B + extra),
+            X[short], U[short], _rows(y, short), _rows(v, short),
         )
         deg_x[short] |= dx
         deg_y[short] |= dy
@@ -349,6 +377,26 @@ def _loo_rows(X, U, y, v, sums, scheme, seeds):
 
 
 _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows}
+
+# Bytes of live work space each scheme is charged per element of per-row
+# work: n elements for loo, repeats * n for k-fold and replicates * n for
+# the bootstrap.  The figures are traced peaks (tracemalloc) of one
+# ``_calibrate`` call at n = 50, as a chunk at that size takes.
+_BYTES_PER_ELEMENT = {
+    # peak 48 at 163 rows, but charged about what k-fold is, so that its
+    # chunks keep 163 rows at n = 50: a loo-only run such as the null
+    # battery allocates nothing larger, and 546-row chunks raised its peak
+    # RSS by 0.4 MB.
+    "loo": 160,
+    "kfold": 163,  # peak 163 at 16 rows
+    "boot632": 28,  # peak 28 at 9 rows (68 before the counts were kept as one array)
+}
+
+
+def _chunk_rows(scheme: OosScheme, n: int) -> int:
+    """Rows per chunk of the out-of-sample step: as many as fit ``CHUNK_BYTES``, at least one."""
+    elements = {"loo": 1, "kfold": scheme.repeats, "boot632": scheme.replicates}[scheme.kind] * n
+    return max(1, CHUNK_BYTES // (elements * _BYTES_PER_ELEMENT[scheme.kind]))
 
 
 def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray):
@@ -401,14 +449,6 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     if missing is not None and missing[0] >= 0:
         raise _coverage_error(scheme, int(missing[0]))
     return y_hat[0] + pair.y.mean() if direction == Y_FROM_X else x_hat[0] + pair.x.mean()
-
-
-def _per_row_elements(scheme: OosScheme, n: int) -> int:
-    if scheme.kind == "kfold":
-        return scheme.repeats * n
-    if scheme.kind == "boot632":
-        return scheme.replicates * n
-    return n
 
 
 def _calibrate(X, U, y, v, sums, scheme, seeds, r):
@@ -497,7 +537,7 @@ def dcal_matrix(
         run = np.flatnonzero(~(skipped | out_of_range))
         r_cal, rest_cal = np.zeros(rows), np.zeros(rows)
         keep, flipped = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
-        step = _chunk_rows(_per_row_elements(scheme, n))
+        step = _chunk_rows(scheme, n)
         for start in range(0, run.size, step):
             part = run[start : start + step]
             if part.size == rows:

@@ -54,10 +54,20 @@ _TWO_NEG_53 = 2.0 ** -53
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
+    """The finalizer applied to ``z`` in place; ``z`` must be a fresh array.
+
+    One shift temporary of its size is alive at a time.
+    """
     # uint64 arithmetic wraps mod 2**64, which is exactly what SplitMix64 wants
-    z = (z ^ (z >> _U30)) * _U_M1
-    z = (z ^ (z >> _U27)) * _U_M2
-    return z ^ (z >> _U31)
+    t = z >> _U30
+    z ^= t
+    z *= _U_M1
+    np.right_shift(z, _U27, out=t)
+    z ^= t
+    z *= _U_M2
+    np.right_shift(z, _U31, out=t)
+    z ^= t
+    return z
 
 
 def _mix_int(z: int) -> int:
@@ -86,7 +96,7 @@ def derive_array(seeds, keys) -> np.ndarray:
     scalar :func:`derive` with one key.
     """
     s = np.asarray(seeds, dtype=np.uint64)
-    k = np.asarray(keys, dtype=np.uint64)
+    k = np.array(keys, dtype=np.uint64)  # a copy, mixed in place
     shape = np.broadcast_shapes(s.shape, k.shape)
     # at least 1-d: numpy scalar arithmetic would warn on the intended wraparound
     out = _mix_array((np.atleast_1d(s) + _U_GOLDEN) ^ _mix_array(np.atleast_1d(k)))
@@ -97,7 +107,9 @@ def raw_block(seeds, count: int) -> np.ndarray:
     """First ``count`` raw words of the stream seeded by each entry of ``seeds``.
 
     The result has shape ``seeds.shape + (count,)``; its last axis equals
-    ``Stream(seed).raw(count)`` for the matching seed.
+    ``Stream(seed).raw(count)`` for the matching seed.  The counters are
+    mixed in the result's own array, so the block and one temporary of its
+    size are the only large arrays alive.
     """
     s = np.asarray(seeds, dtype=np.uint64)
     ks = np.arange(1, count + 1, dtype=np.uint64)
@@ -106,12 +118,19 @@ def raw_block(seeds, count: int) -> np.ndarray:
 
 def uniforms_of(raw: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) from raw words (the stream's uniform recipe)."""
-    return (raw >> _U11).astype(np.float64) * _TWO_NEG_53
+    # the shifted words are cast straight into the float array
+    u = np.right_shift(raw, _U11, out=np.empty(raw.shape), casting="unsafe")
+    u *= _TWO_NEG_53
+    return u
 
 
 def integers_of(raw: np.ndarray, bound: int) -> np.ndarray:
     """Integers uniform on [0, bound) from raw words (the stream's recipe)."""
-    return (uniforms_of(raw) * bound).astype(np.int64)
+    # (k * 2**-53) * bound and k * (bound * 2**-53) are both one rounding of
+    # the exact product, since scaling by 2**-53 is exact: the same bits
+    u = np.right_shift(raw, _U11, out=np.empty(raw.shape), casting="unsafe")
+    u *= bound * _TWO_NEG_53
+    return u.astype(np.int64)
 
 
 def normals_of(raw: np.ndarray) -> np.ndarray:

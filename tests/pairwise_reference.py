@@ -21,6 +21,13 @@ as they were before the battery was drawn in one block of stream words and
 the Bayes factor was summed as a series.  Tests compare ``_battery_columns``
 with the first bit for bit and ``bf_rows`` with the second at rtol 1e-6,
 the trapezoid's own stopping rule.
+
+The fourth part is the batched bootstrap as it was before its kernel kept
+one float count array: the SplitMix64 draw of every replicate's indices
+(with its own copy of the word mixer), the block kernel with its separate
+integer counts, in-bag mask and out-of-bag float copy, the degeneracy flags
+from two full compares, and the coverage retries.  Tests compare the
+engine's bootstrap with it bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dcal.errors import (
     InsufficientDataError,
     ResampleCoverageError,
 )
-from dcal.rng import Stream, derive
+from dcal.rng import Stream, derive, derive_array
 from dcal.special import student_t_sf_two_sided
 
 _LEVERAGE_GUARD = 1e-10
@@ -415,3 +422,92 @@ def trapezoid_bf(r: float, n: int) -> float:
 def correlation_bf(pair: DataPair) -> float:
     """Bayes factor BF10 of a pair at the library's Pearson r."""
     return trapezoid_bf(core.pearson(pair).r, pair.n)
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix_words(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def bootstrap_draw(streams: np.ndarray, n: int) -> np.ndarray:
+    """Each stream's n bootstrap sample indices, (rows, B, n)."""
+    raw = _mix_words(streams[..., None] + np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN)
+    return ((raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 * n).astype(np.int64)
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    if a.ndim == 1:
+        return a[idx]
+    return np.take_along_axis(a.reshape((a.shape[0],) + (1,) * (idx.ndim - 2) + (-1,)), idx, -1)
+
+
+def bootstrap_block(idx, X, U, y, v):
+    """One block of bootstrap replicates, ``idx`` (rows, B, n) sample indices.
+
+    Returns whether any replicate's x or y sample is one repeated value, the
+    out-of-bag prediction sums of both directions and the out-of-bag counts.
+    """
+    rows, B, n = idx.shape
+    flat = idx.reshape(rows * B, n) + (np.arange(rows * B) * n)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows * B * n).reshape(rows, B, n)
+    in_bag = counts > 0
+    first = idx[..., 0]  # always in the bag
+    x_first = np.take_along_axis(X, first, axis=1)
+    deg_x = ~np.any(in_bag & (X[:, None, :] != x_first[..., None]), axis=-1)
+    deg_y = ~np.any(in_bag & (y[..., None, :] != _gather(y, first)[..., None]), axis=-1)
+
+    weights = counts.astype(np.float64)
+    mu = np.einsum("rbn,rn->rb", weights, U) / n
+    mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", weights, v) / n
+    du = U[:, None, :] - mu[..., None]
+    dv = v[..., None, :] - mv[..., None]
+    weighted_du = weights * du
+    sxy = np.einsum("rbn,rbn->rb", weighted_du, dv)
+    slope_y = sxy / np.einsum("rbn,rbn->rb", weighted_du, du)
+    slope_x = sxy / np.einsum("rbn,rbn,rbn->rb", weights, dv, dv)
+    out_of_bag = ~in_bag
+    coef = np.stack([mv - slope_y * mu, slope_y, mu - slope_x * mv, slope_x], axis=1)
+    a_y, b_y, a_x, b_x = np.einsum("rkb,rbn->krn", coef, out_of_bag.astype(np.float64))
+    return (
+        deg_x.any(axis=-1),
+        deg_y.any(axis=-1),
+        a_y + b_y * U,
+        a_x + b_x * v,
+        out_of_bag.sum(axis=1),
+    )
+
+
+def boot632_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray):
+    """Bootstrap .632 predictions of both directions for every row, with the
+    degeneracy flags and the first never-out-of-bag sample (-1 if none)."""
+    n = U.shape[1]
+    B = scheme.replicates
+    idx = bootstrap_draw(derive_array(seeds[:, None], np.arange(B)), n)
+    deg_x, deg_y, oob_y, oob_x, oob_count = bootstrap_block(idx, X, U, y, v)
+    for extra in range(_MAX_COVERAGE_RETRIES):
+        short = np.flatnonzero((oob_count == 0).any(axis=1))
+        if not short.size:
+            break
+        more = bootstrap_draw(derive_array(seeds[short, None], B + extra), n)
+        dx, dy, sy, sx, cnt = bootstrap_block(
+            more, X[short], U[short], y if y.ndim == 1 else y[short],
+            v if v.ndim == 1 else v[short],
+        )
+        deg_x[short] |= dx
+        deg_y[short] |= dy
+        oob_y[short] += sy
+        oob_x[short] += sx
+        oob_count[short] += cnt
+    uncovered = oob_count == 0
+    missing = np.where(uncovered.any(axis=1), uncovered.argmax(axis=1), -1)
+
+    suu, svv, suv = sums
+    full_y = (suv / suu)[:, None] * U
+    full_x = (suv / svv)[:, None] * v
+    y_hat = _W_IN * full_y + _W_OOB * (oob_y / oob_count)
+    x_hat = _W_IN * full_x + _W_OOB * (oob_x / oob_count)
+    return y_hat, x_hat, deg_x, deg_y, missing

@@ -300,8 +300,9 @@ class TestScreen:
     @pytest.mark.parametrize("scheme", [OosScheme.loo(), OosScheme.boot632(10, 5)],
                              ids=["loo", "boot632"])
     def test_report_does_not_depend_on_chunking(self, tmp_path, scheme, fast):
-        # one row per chunk, a few (loo at n = 20 takes 3 of 60 values), and
-        # the default budget; the feature holding -1e308 fails
+        # one row per chunk, a few (loo at n = 20 takes 3 rows of 60 * 160
+        # bytes), the default budget and every row in one chunk; the feature
+        # holding -1e308 fails
         clean = _synthetic_matrix(n_features=45, n=20)
         huge = clean.values[7].copy()
         huge[2] = -1e308
@@ -311,15 +312,15 @@ class TestScreen:
             sample_names=clean.sample_names,
         )
         reports = []
-        for budget in (1, 60, engine.CHUNK_ELEMENTS):
-            with mock.patch.object(engine, "CHUNK_ELEMENTS", budget):
+        for budget in (1, 60 * 160, engine.CHUNK_BYTES, 2 ** 40):
+            with mock.patch.object(engine, "CHUNK_BYTES", budget):
                 report = screen(matrix, "target", scheme=scheme, corrections=CORRECTIONS,
                                 fast=fast, plan=PermutationPlan(199, 4))
             for fmt in ("csv", "json"):
                 write_report(report, tmp_path / f"{budget}.{fmt}", format=fmt)
             reports.append(tuple((tmp_path / f"{budget}.{fmt}").read_bytes()
                                  for fmt in ("csv", "json")))
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
         assert b"float64 range" in reports[0][0]
 
     def test_perm_corrections_attach(self):

@@ -85,6 +85,21 @@ class TestCmdTest:
     def test_missing_input_exits_2(self, capsys):
         assert main(["test"]) == 2
 
+    @pytest.mark.parametrize("methods, message", [
+        ("sellke,sellke", "method 'sellke' is given twice"),
+        ("sellke,bogus", "unknown method 'bogus' (choose from sellke, bickel, ppbf, skipped)"),
+    ])
+    def test_bad_methods_exit_2_before_the_test(self, tmp_path, methods, message, capsys):
+        # the repeated name was accepted (exit 0); both are now rejected
+        # before the pair is read or tested: a constant column would
+        # otherwise fail on its variance
+        path = tmp_path / "flat.csv"
+        path.write_text("x,y\n1,5\n2,5\n3,5\n4,5\n")
+        for source in (["--input", str(path)], ["--x", "1,2,3,4,5", "--y", "1,3,2,5,4"]):
+            assert main(["test", *source, "--methods", methods]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
+
     def test_ppbf_is_the_null_posterior_anscombe_reports(self, anscombe_a_file, capsys):
         # this printed P(H1), 0.958 here, where every other surface reports
         # the posterior probability of the null

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from dcal import (
     pearson,
     pearson_rows,
 )
-from dcal.rng import Stream, derive
+from dcal.core import centred_rows
+from dcal.rng import Stream, derive, derive_array
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair
 
@@ -451,8 +454,8 @@ class TestDcalMatrix:
         if per_row_y:
             y[7] = 1.0
         batches = []
-        for budget in (1, 2 ** 20):
-            monkeypatch.setattr(engine, "CHUNK_ELEMENTS", budget)
+        for budget in (1, 2 ** 40):
+            monkeypatch.setattr(engine, "CHUNK_BYTES", budget)
             batches.append(dcal_matrix(X, y, scheme, np.arange(120), 0.05, fast))
         one, all_rows = batches
         for field in ("r", "p", "r_dcal", "p_dcal", "sign_flip", "skipped"):
@@ -540,3 +543,132 @@ class TestDcalMatrix:
             dcal_matrix(Stream(4).normals(16).reshape(2, 8), y, OosScheme.loo(), [0])
         with pytest.raises(ValueError, match="non-finite"):
             dcal_matrix(np.full((1, 8), np.nan), y, OosScheme.loo(), [0])
+
+
+_SAMPLE_KINDS = ("normal", "ties", "binary", "one_off")
+
+
+def _sample(kind: str, stream: Stream, n: int) -> np.ndarray:
+    """n values of one kind: distinct normals, normals rounded to a few
+    tied values, 0/1 values, or one value repeated but once."""
+    z = stream.normals(n)
+    if kind == "ties":
+        return np.round(z)
+    if kind == "binary":
+        return (z > 0.0).astype(float)
+    if kind == "one_off":
+        out = np.full(n, 1.5)
+        out[stream.integers(1, n)[0]] = -2.0
+        return out
+    return z
+
+
+def _bootstrap_inputs(seed: int, x_kinds, y_kinds, n: int):
+    """X (one row per kind in ``x_kinds``), y (shared for one kind, one per
+    row for a list of kinds), their centred rows and sums, and one seed per
+    row."""
+    X = np.vstack([_sample(k, Stream(derive(seed, 1, j)), n) for j, k in enumerate(x_kinds)])
+    if isinstance(y_kinds, str):
+        y = _sample(y_kinds, Stream(derive(seed, 2)), n)
+    else:
+        y = np.vstack([_sample(k, Stream(derive(seed, 3, j)), n) for j, k in enumerate(y_kinds)])
+    U, v, sums = centred_rows(X, y)
+    seeds = np.array([derive(seed, 4, j) for j in range(len(x_kinds))], dtype=np.uint64)
+    return X, y, U, v, sums, seeds
+
+
+def _same_bits(got, want) -> None:
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape, k
+        assert a.tobytes() == b.tobytes(), k
+
+
+class TestBootstrapKernel:
+    """The bootstrap kernel against the frozen one of
+    ``pairwise_reference``: the same draws, degeneracy flags, out-of-bag
+    sums and counts, and predictions, bit for bit."""
+
+    @staticmethod
+    def _compare(X, y, U, v, sums, seeds, replicates):
+        scheme = OosScheme.boot632(replicates)
+        streams = derive_array(seeds[:, None], np.arange(replicates))
+        with np.errstate(all="ignore"):
+            _same_bits(
+                engine._bootstrap_block(streams, X, U, y, v),
+                pairwise_reference.bootstrap_block(
+                    pairwise_reference.bootstrap_draw(streams, X.shape[1]), X, U, y, v
+                ),
+            )
+            got = engine._boot632_rows(X, U, y, v, sums, scheme, seeds)
+            _same_bits(got, pairwise_reference.boot632_rows(X, U, y, v, sums, scheme, seeds))
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2 ** 64 - 1),
+        n=st.integers(4, 60),
+        replicates=st.integers(1, 3),
+        per_row_y=st.booleans(),
+    )
+    def test_matches_frozen_kernel(self, data, seed, n, replicates, per_row_y):
+        x_kinds = data.draw(st.lists(st.sampled_from(_SAMPLE_KINDS), min_size=1, max_size=20))
+        y_kinds = (
+            [data.draw(st.sampled_from(_SAMPLE_KINDS)) for _ in x_kinds] if per_row_y
+            else data.draw(st.sampled_from(_SAMPLE_KINDS))
+        )
+        self._compare(*_bootstrap_inputs(seed, x_kinds, y_kinds, n), replicates)
+
+    @pytest.mark.parametrize("per_row_y", [False, True])
+    def test_retries_and_flags_occur(self, per_row_y):
+        # the inputs the property draws do reach every path: bags of one
+        # repeated value in distinct and in tied rows, coverage retries and
+        # samples that stay in every bag after them
+        kinds = list(_SAMPLE_KINDS) * 5
+        X, y, U, v, sums, seeds = _bootstrap_inputs(
+            11, kinds, kinds if per_row_y else "binary", 6
+        )
+        _, _, deg_x, deg_y, missing = self._compare(X, y, U, v, sums, seeds, 1)
+        tied = np.array([kind != "normal" for kind in kinds])
+        assert deg_x[tied].any() and deg_y.any()
+        assert (missing >= 0).any() and (missing < 0).any()
+        first = derive_array(seeds[:, None], np.arange(1))
+        with np.errstate(all="ignore"):
+            count = engine._bootstrap_block(first, X, U, y, v)[4]
+        assert ((count == 0).any(axis=1) & (missing < 0)).any()  # covered by a retry
+
+
+class TestChunkMemory:
+    # Work space outside the chunks: the classical phase's centred rows and
+    # sums, the gathered rows of one chunk and the per-row results.  At
+    # 100 x 50 they take about 0.1 MB.
+    SLACK_BYTES = 256 * 1024
+
+    @staticmethod
+    def _traced_peak(scheme) -> int:
+        """Traced peak of one warm fig2-sized call (100 x 50)."""
+        X, y = _generic_battery(5, 100, 50, 0.0)
+        seeds = np.arange(100)
+        dcal_matrix(X, y, scheme, seeds)
+        tracemalloc.start()
+        try:
+            dcal_matrix(X, y, scheme, seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("scheme", [OosScheme.repeated_kfold(), OosScheme.boot632()],
+                             ids=lambda scheme: scheme.label)
+    def test_traced_peak_fits_the_budget(self, scheme):
+        # a larger budget or a kernel that holds more than it is charged
+        # for shows here before it shows in peak RSS
+        assert engine._chunk_rows(scheme, 50) > 1
+        assert self._traced_peak(scheme) <= engine.CHUNK_BYTES + self.SLACK_BYTES
+
+    def test_bootstrap_peak_within_kfold_peak(self):
+        # the bootstrap's larger chunks take no more than the k-fold chunk,
+        # the largest before them
+        assert self._traced_peak(OosScheme.boot632()) <= self._traced_peak(
+            OosScheme.repeated_kfold()
+        )

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcal.rng import Stream, derive, derive_array, raw_block
+from dcal.rng import Stream, derive, derive_array, integers_of, raw_block, uniforms_of
 
 SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1))
 KEYS = st.one_of(st.sampled_from([0, 2 ** 35]), st.integers(0, 2 ** 35))
@@ -29,3 +31,14 @@ class TestArrayForms:
         assert block.shape == (len(seeds), count)
         for seed, row in zip(seeds, block):
             assert np.array_equal(row, Stream(seed).raw(count))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=40),
+           st.one_of(st.integers(1, 100), st.integers(1, 2 ** 62)))
+    def test_uniforms_and_integers_follow_the_recipe(self, words, bound):
+        # the module docstring's recipes in Python arithmetic, word by word
+        raw = np.array(words, dtype=np.uint64)
+        uniforms = [(w >> 11) * 2.0 ** -53 for w in words]
+        assert uniforms_of(raw).tolist() == uniforms
+        assert integers_of(raw, bound).tolist() == [math.floor(u * bound) for u in uniforms]
+        assert raw.tolist() == words
