@@ -31,7 +31,6 @@ __all__ = [
     "load_matrix",
     "screen",
     "write_report",
-    "CORRECTIONS",
 ]
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}

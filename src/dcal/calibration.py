@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .core import DataPair, pearson
-from .errors import ConvergenceError
+from .errors import ConvergenceError, raise_first
 
 __all__ = ["pcal_sellke", "pcal_bickel", "bf_to_posterior", "bf_rows", "correlation_bf"]
 
@@ -162,9 +162,7 @@ def bf_rows(r, n: int) -> np.ndarray:
     if not (np.abs(r) <= 1.0).all():
         raise ValueError("r must lie in [-1, 1]")
     bf, errors = _bf_series(r, n)
-    for error in errors:
-        if error is not None:
-            raise error
+    raise_first(errors)
     return bf
 
 

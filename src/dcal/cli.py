@@ -23,8 +23,8 @@ from importlib import resources
 from .batchio import load_matrix, screen, write_report
 from .core import DataPair
 from .engine import OosScheme
-from .errors import DcalError, ParseError, TargetError
-from .methods import CORRECTIONS, OUTLIER_METHODS, QUARTET_METHODS, TEST_METHODS
+from .errors import DcalError, ParseError, TargetError, raise_first
+from .methods import CORRECTIONS, OUTLIER_METHODS, PAIR_METHODS, QUARTET_METHODS, TEST_METHODS
 from .methods import Rows, check, pair_fields, quartet_row, score_rows, shuffles
 from .multitest import PermutationPlan
 from .simulate import (
@@ -33,7 +33,6 @@ from .simulate import (
     EffectGrid,
     NullBattery,
     OutlierKind,
-    PAIR_METHODS,
     run_battery_experiment,
     run_effect_grid,
     run_oos_comparison,
@@ -95,10 +94,6 @@ def _parse_inline(text: str, flag: str) -> list[float]:
         raise ParseError(f"{flag}: expected comma-separated numbers") from None
 
 
-def _num(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def cmd_test(args) -> int:
     methods = check((m.strip() for m in args.methods.split(",") if m.strip()), TEST_METHODS)
     if args.input:
@@ -108,13 +103,9 @@ def cmd_test(args) -> int:
     else:
         raise ParseError("provide either --input FILE or both --x and --y")
     scheme = _scheme_from_name(args.scheme, args.seed)
-    # a seed outside [0, 2**64) is read modulo 2**64, as dcal_test reads it
-    rows = Rows(
-        pair.x[None, :], pair.y, scheme, [scheme.seed % 2 ** 64], args.alpha, args.fast
-    )
+    rows = Rows(pair.x[None, :], pair.y, scheme, [scheme.seed], args.alpha, args.fast)
     res = rows.calibrated
-    if res.errors[0] is not None:
-        raise res.errors[0]
+    raise_first(res.errors)
     doc = {
         "n": pair.n,
         "r": float(res.r[0]),
@@ -132,7 +123,7 @@ def cmd_test(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         for key, value in doc.items():
-            shown = _num(value) if isinstance(value, float) else value
+            shown = f"{value:.6g}" if isinstance(value, float) else value
             print(f"{key:>14}  {shown}")
     return EXIT_OK
 

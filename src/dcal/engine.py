@@ -22,13 +22,16 @@ Three out-of-sample schemes are supported:
 
 :func:`dcal_matrix` runs the whole test for every row of a matrix against a
 shared y, or against one y per row, with array operations; :func:`dcal_test`
-and :func:`oos_predict` are its one-row calls.  Each training set is fitted
+and :func:`oos_predict` are its one-row calls.  It is :func:`classical_phase`
+(centred rows, r, p and each row's error, once over every row of the call)
+then :func:`calibration_phase` (fast guard, out-of-sample step, calibrated
+correlation); the methods of :mod:`dcal.methods` share one classical phase
+per row set, and a comparison of schemes calibrates one per scheme.
+Each training set is fitted
 from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts, one float array that afterwards holds the
 out-of-bag 0/1 mask.
-The classical phase (centred sums, r, p and the fast guard) runs once over
-all tested rows, with the r and p of :func:`~dcal.core.pearson_rows`.
 Only the out-of-sample step runs in chunks of rows, as many as fit the byte
 budget ``CHUNK_BYTES``, so its work space stays flat in the number of rows.
 A row of work has n elements for loo, repeats * n for k-fold and
@@ -64,6 +67,7 @@ from .errors import (
     InsufficientDataError,
     ResampleCoverageError,
     UndefinedSignError,
+    raise_first,
 )
 from .rng import derive_array, integers_of, permutation_of, raw_block
 
@@ -104,8 +108,9 @@ CHUNK_BYTES = 16 * 500 * 163
 class OosScheme:
     """Out-of-sample prediction scheme selector.
 
-    ``seed`` feeds the deterministic resampling stream and is ignored by the
-    (fully deterministic) leave-one-out variant.
+    ``seed`` feeds the deterministic resampling stream, kept modulo 2**64 as
+    ``Stream(seed)`` reads it, and is ignored by the (fully deterministic)
+    leave-one-out variant.
     """
 
     kind: Literal["loo", "kfold", "boot632"]
@@ -124,6 +129,7 @@ class OosScheme:
                 raise ValueError("k-fold needs at least 1 repeat")
         if self.kind == "boot632" and self.replicates < 1:
             raise ValueError("bootstrap needs at least 1 replicate")
+        object.__setattr__(self, "seed", int(self.seed) % 2 ** 64)
 
     @classmethod
     def loo(cls) -> "OosScheme":
@@ -180,6 +186,22 @@ class DcalBatch(NamedTuple):
     p_dcal: np.ndarray
     sign_flip: np.ndarray
     skipped: np.ndarray
+    errors: tuple
+
+
+class Classical(NamedTuple):
+    """The samples, their :func:`~dcal.core.centred_rows`, r, ``rest`` =
+    1 - r**2 and p of :func:`classical_phase`; a row with an error in
+    ``errors`` (None elsewhere) has NaN r, rest and p."""
+
+    X: np.ndarray
+    y: np.ndarray
+    U: np.ndarray
+    v: np.ndarray
+    sums: tuple
+    r: np.ndarray
+    rest: np.ndarray
+    p: np.ndarray
     errors: tuple
 
 
@@ -395,8 +417,8 @@ _BYTES_PER_ELEMENT = {
 
 def _chunk_rows(scheme: OosScheme, n: int) -> int:
     """Rows per chunk of the out-of-sample step: as many as fit ``CHUNK_BYTES``, at least one."""
-    elements = {"loo": 1, "kfold": scheme.repeats, "boot632": scheme.replicates}[scheme.kind] * n
-    return max(1, CHUNK_BYTES // (elements * _BYTES_PER_ELEMENT[scheme.kind]))
+    per_sample = {"loo": 1, "kfold": scheme.repeats, "boot632": scheme.replicates}[scheme.kind]
+    return max(1, CHUNK_BYTES // (per_sample * max(n, 1) * _BYTES_PER_ELEMENT[scheme.kind]))
 
 
 def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray):
@@ -439,7 +461,7 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
         return loo_predictions(pair.y, pair.x)
     X = pair.x[None, :]
     U, v, sums = centred_rows(X, pair.y)
-    seeds = np.array([scheme.seed % 2 ** 64], dtype=np.uint64)  # as Stream(seed) reads it
+    seeds = np.array([scheme.seed], dtype=np.uint64)
     with np.errstate(divide="ignore", invalid="ignore"):
         y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, pair.y, v, sums, scheme, seeds)
     if (deg_x if direction == Y_FROM_X else deg_y)[0]:
@@ -492,6 +514,76 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r):
     return r_cal, rest_cal, keep, out & ~failed, errors
 
 
+def classical_phase(X, y) -> Classical:
+    """The classical half of the test for every row of ``X`` against ``y``
+    (shapes as in :func:`dcal_matrix`).  A row that ``DataPair`` would
+    reject, or whose centred sums leave the float64 range, carries that
+    error; non-finite values raise ``ValueError`` for the whole call."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape not in (X.shape[1:], X.shape):
+        raise ValueError("X must be (m, n) with y of length n or of the shape of X")
+    errors = pair_errors(X, y)
+    # sums that overflow are row errors (NaN r), not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, v, sums = centred_rows(X, y)
+        r, rest = correlation_from_sums(*sums)
+    for k in np.flatnonzero(np.isnan(r)).tolist():
+        if errors[k] is None:
+            errors[k] = range_error()
+    failed = [k for k, error in enumerate(errors) if error is not None]
+    if failed:
+        r[failed] = rest[failed] = np.nan
+    return Classical(X, y, U, v, sums, r, rest, t_pvalues(r, rest, X.shape[1] - 2), tuple(errors))
+
+
+def calibration_phase(
+    classical: Classical, scheme: OosScheme, seeds, alpha: float = 0.05, fast: bool = False
+) -> DcalBatch:
+    """The calibrated half of the test on the rows of ``classical``, with
+    ``seeds`` as in :func:`dcal_matrix`: the fast guard, the out-of-sample
+    step in chunks of the rows that run it and one t tail for them all."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    X, y, U, v, sums, r, _, p, errors = classical
+    m, n = X.shape
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.shape != (m,):
+        raise ValueError(f"need one seed per row, got {seeds.shape} for {m} rows")
+
+    errors = list(errors)
+    tested = ~np.isnan(r)  # r is NaN exactly on the rows in error
+    skipped = tested & ~(p < alpha) if fast else np.zeros(m, dtype=bool)
+    # the out-of-sample step, in chunks of the rows that run it
+    run = np.flatnonzero(tested & ~skipped)
+    r_cal, rest_cal = np.zeros(m), np.zeros(m)
+    keep, flipped = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    step = _chunk_rows(scheme, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, run.size, step):
+            part = run[start : start + step]
+            at = slice(None) if part.size == m else part  # every row: views, not copies
+            r_cal[part], rest_cal[part], keep[part], flipped[part], part_errors = _calibrate(
+                X[at], U[at], _rows(y, at), _rows(v, at),
+                [s[at] if s.ndim else s for s in sums], scheme, seeds[at], r[at],
+            )
+            for k, error in part_errors.items():
+                errors[part[k]] = error
+    # one t tail for every calibrated pair; k-fold stacks repeats * n predictions
+    p_dcal = np.where(keep, 0.0, 0.5)
+    p_dcal[keep] = t_pvalues(
+        r_cal[keep], rest_cal[keep], (scheme.repeats if scheme.kind == "kfold" else 1) * n - 2
+    )
+    r_dcal = np.where(keep, r_cal, 0.0)
+
+    # a row in error was neither skipped nor flipped; its numbers are NaN
+    failed = [k for k, error in enumerate(errors) if error is not None]
+    r, p = r.copy(), p.copy()
+    if failed:
+        r[failed] = p[failed] = r_dcal[failed] = p_dcal[failed] = np.nan
+    return DcalBatch(r, p, r_dcal, p_dcal, flipped, skipped, tuple(errors))
+
+
 def dcal_matrix(
     X, y, scheme: OosScheme, seeds, alpha: float = 0.05, fast: bool = False
 ) -> DcalBatch:
@@ -504,72 +596,10 @@ def dcal_matrix(
     scheme.reseeded(seeds[j]))``, ``y_j`` being its target, including its
     sentinel and skip flags.  A row that test would raise a
     :class:`~dcal.errors.DcalError` for carries that error in ``errors``
-    instead; any other error is raised for the whole call.
+    instead; any other error is raised for the whole call.  This is
+    :func:`calibration_phase` of :func:`classical_phase`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.shape not in (X.shape[1:], X.shape):
-        raise ValueError("X must be (m, n) with y of length n or of the shape of X")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.shape != (X.shape[0],):
-        raise ValueError(f"need one seed per row, got {seeds.shape} for {X.shape[0]} rows")
-
-    m, n = X.shape
-    errors = pair_errors(X, y)
-    tested = np.array([i for i, error in enumerate(errors) if error is None], dtype=np.intp)
-    if tested.size < m:
-        X, y, seeds = X[tested], _rows(y, tested), seeds[tested]
-    rows = tested.size
-    # sums that overflow are row errors (NaN r), not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        U, v, sums = centred_rows(X, y)
-        r, rest = correlation_from_sums(*sums)
-        p = t_pvalues(r, rest, n - 2)
-        skipped = ~(p < alpha) if fast else np.zeros(rows, dtype=bool)
-        # a row whose sums leave the float64 range fails before the
-        # out-of-sample step
-        out_of_range = np.isnan(r)
-        row_errors = {int(k): range_error() for k in np.flatnonzero(out_of_range)}
-
-        # the out-of-sample step, in chunks of the rows that run it
-        run = np.flatnonzero(~(skipped | out_of_range))
-        r_cal, rest_cal = np.zeros(rows), np.zeros(rows)
-        keep, flipped = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
-        step = _chunk_rows(scheme, n)
-        for start in range(0, run.size, step):
-            part = run[start : start + step]
-            if part.size == rows:
-                chunk = X, U, y, v, sums, scheme, seeds, r
-            else:
-                chunk = (
-                    X[part], U[part], _rows(y, part), _rows(v, part),
-                    tuple(s[part] if s.ndim else s for s in sums), scheme, seeds[part], r[part],
-                )
-            r_cal[part], rest_cal[part], keep[part], flipped[part], part_errors = _calibrate(*chunk)
-            row_errors.update((int(part[k]), error) for k, error in part_errors.items())
-    # one t tail for every calibrated pair; k-fold stacks repeats * n predictions
-    p_dcal = np.where(keep, 0.0, 0.5)
-    p_dcal[keep] = t_pvalues(
-        r_cal[keep], rest_cal[keep], (scheme.repeats if scheme.kind == "kfold" else 1) * n - 2
-    )
-    r_dcal = np.where(keep, r_cal, 0.0)
-
-    for k, error in row_errors.items():
-        errors[tested[k]] = error
-    columns = [r, p, r_dcal, p_dcal, flipped, skipped]
-    if rows < m:
-        full = [np.empty(m) for _ in range(4)] + [np.zeros(m, dtype=bool) for _ in range(2)]
-        for column, values in zip(full, columns):
-            column[tested] = values
-        columns = full
-    r, p, r_dcal, p_dcal, flipped, skipped = columns
-    for i, error in enumerate(errors):
-        if error is not None:
-            r[i] = p[i] = r_dcal[i] = p_dcal[i] = np.nan
-            flipped[i] = skipped[i] = False
-    return DcalBatch(r, p, r_dcal, p_dcal, flipped, skipped, tuple(errors))
+    return calibration_phase(classical_phase(X, y), scheme, seeds, alpha, fast)
 
 
 def dcal_test(
@@ -591,10 +621,8 @@ def dcal_test(
     means the relationship has no generalizable support; it is reported as a
     sign flip rather than an error.  This is :func:`dcal_matrix` on one row.
     """
-    # a seed outside [0, 2**64) is read modulo 2**64, as Stream(seed) reads it
-    batch = dcal_matrix(pair.x[None, :], pair.y, scheme, [scheme.seed % 2 ** 64], alpha, fast)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
+    batch = dcal_matrix(pair.x[None, :], pair.y, scheme, [scheme.seed], alpha, fast)
+    raise_first(batch.errors)
     return DcalResult(
         r=float(batch.r[0]),
         p=float(batch.p[0]),

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the rule for raising a row's error.
 
 Every error raised by the library derives from ``DcalError`` so callers can
 catch toolkit failures without swallowing unrelated bugs.
@@ -43,3 +43,10 @@ class ParseError(DcalError):
 
 class TargetError(DcalError):
     """The screening target is missing from the matrix or unusable."""
+
+
+def raise_first(errors) -> None:
+    """Raise the first error of per-row ``errors`` (None marks a row without one)."""
+    for error in errors:
+        if error is not None:
+            raise error

@@ -6,8 +6,10 @@ in :data:`METHODS`.  A method maps :class:`Rows`, the pairs ``(X[i], Y[i])``,
 to :class:`Scores`.  The battery corrections adjust one vector of classical
 p-values (:func:`correct`), for the batteries and for ``dcal screen``.
 Method names are compared in this module only; :func:`check` rejects a
-name given twice.  Pearson's r and p are bit for bit the calibrated test's
-classical half (both centre with :func:`~dcal.core.centred_rows`).
+name given twice.  :class:`Rows` computes the calibrated test's classical
+phase (:func:`~dcal.engine.classical_phase`) once: Pearson's r and p, the
+p-value calibrations and the Bayes factor read it, and the calibrated test
+hands it to :func:`~dcal.engine.calibration_phase`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calibration import _bf_series, pcal_bickel, pcal_sellke
-from .core import pair_errors, pearson_rows, range_error
-from .engine import DcalBatch, OosScheme, dcal_matrix
+from .core import pair_errors
+from .engine import Classical, DcalBatch, OosScheme, calibration_phase, classical_phase
+from .errors import raise_first
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .robust import SkippedBatch, skipped_rows
 
@@ -54,31 +57,30 @@ class Rows:
         self.scheme, self.alpha, self.fast = scheme, alpha, fast
 
     @cached_property
-    def invalid(self) -> list:
-        """The error ``DataPair`` raises for each pair, or None."""
-        return pair_errors(self.X, self.Y)
+    def phase(self) -> Classical:
+        """The classical phase of the calibrated test, for every method."""
+        return classical_phase(self.X, self.Y)
 
     @cached_property
     def classical(self) -> Scores:
         """Pearson's p and r; an invalid pair, or one whose sums leave the
         float64 range, fails."""
-        r, p = pearson_rows(self.X, self.Y)
-        errors = tuple(
-            range_error() if error is None and math.isnan(rv) else error
-            for error, rv in zip(self.invalid, r.tolist())
-        )
-        r[[i for i, error in enumerate(errors) if error is not None]] = np.nan
-        return Scores(np.where(np.isnan(r), np.nan, p), r, errors)
+        return Scores(self.phase.p, self.phase.r, self.phase.errors)
 
     @cached_property
     def calibrated(self) -> DcalBatch:
-        return dcal_matrix(self.X, self.Y, self.scheme, self.seeds, self.alpha, self.fast)
+        batch = calibration_phase(self.phase, self.scheme, self.seeds, self.alpha, self.fast)
+        # nothing reads the centred rows again: free them before later methods
+        self.phase = self.phase._replace(U=None, v=None)
+        return batch
 
     @cached_property
     def skipped(self) -> SkippedBatch:
         """Skipped correlation; an invalid pair fails with its ``DataPair``
         error (its retained points have no spread either)."""
-        invalid = self.invalid
+        # the sweep's work space is the peak: free the classical phase (a read recomputes it)
+        vars(self).pop("phase", None)
+        invalid = pair_errors(self.X, self.Y)
         batch = skipped_rows(self.X, np.broadcast_to(self.Y, self.X.shape))
         errors = tuple(a if a is not None else b for a, b in zip(invalid, batch.errors))
         return batch._replace(errors=errors)
@@ -152,12 +154,6 @@ def score_rows(rows: Rows, names) -> tuple[dict[str, Scores], list]:
     return {name: scored[key] for name, key in keys.items()}, first
 
 
-def _raise_first(errors) -> None:
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def battery_scores(rows: Rows, names, plan: PermutationPlan | None) -> dict:
     """Each named method's or correction's (score, estimate) on a battery
     with one target; a correction adjusts the classical p and keeps r.
@@ -165,7 +161,7 @@ def battery_scores(rows: Rows, names, plan: PermutationPlan | None) -> dict:
     corrections = [name for name in names if name in CORRECTIONS]
     methods = [name for name in names if name not in CORRECTIONS]
     scored, errors = score_rows(rows, methods + ["uncorrected"] * bool(corrections))
-    _raise_first(errors)
+    raise_first(errors)
     p, r, _ = scored.get("uncorrected", (None, None, None))
     adjusted = correct(p, corrections, lambda: permutation_pvalues(rows.X, rows.Y, plan))
     return {name: (adjusted[name], r) if name in adjusted else scored[name][:2] for name in names}
@@ -192,7 +188,7 @@ def pair_fields(name: str, rows: Rows) -> dict:
     key = _ALIASES.get(name, name)
     score, estimate, errors = _SCORERS[key](rows)
     if key != "skipped":
-        _raise_first(errors)
+        raise_first(errors)
         return {key: float(score[0])}
     if errors[0] is not None:
         return {"r_skipped": None, "p_skipped": None, "skipped_error": str(errors[0])}

@@ -44,42 +44,30 @@ class PermutationPlan:
             )
 
 
-def _checked_pvalues(raw) -> np.ndarray:
+def _in_original_order(raw, adjust) -> np.ndarray:
+    """``adjust(ascending p, m)``, capped at 1, in the original order of ``raw``."""
     p = np.asarray(raw, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("need a nonempty 1-d vector of p-values")
     if np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("p-values must lie in [0, 1]")
-    return p
-
-
-def _stable_order(p: np.ndarray) -> np.ndarray:
     # ties broken by original index so adjusted vectors are platform-stable
-    return np.lexsort((np.arange(p.size), p))
+    order = np.lexsort((np.arange(p.size), p))
+    out = np.empty(p.size)
+    out[order] = np.minimum(1.0, adjust(p[order], p.size))
+    return out
 
 
 def holm_adjust(raw: Sequence[float]) -> np.ndarray:
     """Step-down Holm adjustment, returned in the original order."""
-    p = _checked_pvalues(raw)
-    m = p.size
-    order = _stable_order(p)
-    scaled = p[order] * (m - np.arange(m))
-    adjusted = np.minimum(1.0, np.maximum.accumulate(scaled))
-    out = np.empty(m)
-    out[order] = adjusted
-    return out
+    return _in_original_order(raw, lambda p, m: np.maximum.accumulate(p * (m - np.arange(m))))
 
 
 def bh_adjust(raw: Sequence[float]) -> np.ndarray:
     """Step-up Benjamini-Hochberg adjustment, returned in the original order."""
-    p = _checked_pvalues(raw)
-    m = p.size
-    order = _stable_order(p)
-    scaled = p[order] * m / (np.arange(m) + 1.0)
-    adjusted = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
-    out = np.empty(m)
-    out[order] = adjusted
-    return out
+    return _in_original_order(
+        raw, lambda p, m: np.minimum.accumulate((p * m / (np.arange(m) + 1.0))[::-1])[::-1]
+    )
 
 
 def permutation_pvalues(

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DataPair, correlation_rows, pair_errors, range_error, t_pvalues
-from .errors import DegenerateGeometryError, InsufficientDataError
+from .errors import DegenerateGeometryError, InsufficientDataError, raise_first
 
 __all__ = [
     "SkippedResult",
@@ -146,8 +146,7 @@ def detect_bivariate_outliers(pair: DataPair, cutoff: float = DEFAULT_CUTOFF) ->
     projections are too unstable to trust.
     """
     flags, errors = _sweep(pair.x[None, :], pair.y[None, :], cutoff)
-    if errors[0] is not None:
-        raise errors[0]
+    raise_first(errors)
     return np.flatnonzero(flags[0])
 
 
@@ -206,8 +205,7 @@ def skipped_correlation(pair: DataPair, cutoff: float = DEFAULT_CUTOFF) -> Skipp
     :func:`skipped_rows` on one pair.
     """
     batch = skipped_rows(pair.x[None, :], pair.y[None, :], cutoff)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
+    raise_first(batch.errors)
     return SkippedResult(
         r=float(batch.r[0]),
         p=float(batch.p[0]),

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import DataPair, pair_errors
-from .engine import OosScheme
-from .errors import DcalError
+from .engine import OosScheme, calibration_phase, classical_phase
+from .errors import DcalError, raise_first
 from .methods import BATTERY_METHODS, OUTLIER_METHODS, PAIR_METHODS, Rows
 from .methods import battery_scores, check, score_rows
 from .multitest import PermutationPlan
@@ -46,8 +46,6 @@ __all__ = [
     "run_oos_comparison",
     "run_effect_grid",
     "run_outlier_suite",
-    "BATTERY_METHODS",
-    "PAIR_METHODS",
 ]
 
 # substream roles inside one repetition (the target is 0, columns occupy 1..m)
@@ -246,9 +244,7 @@ def _cell_rows(
     from ``derive(seed, rep)``.  Raises the first invalid pair's error."""
     seeds = derive_array(seed, np.arange(repetitions, dtype=np.uint64))
     X, Y = contaminated_rows(n, rho, kind, fraction, seeds)
-    for error in pair_errors(X, Y):
-        if error is not None:
-            raise error
+    raise_first(pair_errors(X, Y))
     return X, Y
 
 
@@ -275,12 +271,9 @@ def _check_methods(methods: Iterable[str], allowed: tuple[str, ...]) -> list[str
     return out
 
 
-def _battery_rows(
-    X: np.ndarray, y: np.ndarray, base: int, alpha: float, scheme: OosScheme, fast: bool
-) -> Rows:
-    """One repetition's battery; column j resamples from (base, _KEY_SCHEME + j)."""
-    seeds = derive_array(base, _KEY_SCHEME + np.arange(X.shape[0], dtype=np.uint64))
-    return Rows(X, y, scheme, seeds, alpha, fast)
+def _scheme_seeds(base: int, m: int) -> np.ndarray:
+    """One repetition's resampling seeds: column j's is (base, _KEY_SCHEME + j)."""
+    return derive_array(base, _KEY_SCHEME + np.arange(m, dtype=np.uint64))
 
 
 class _Accumulator:
@@ -419,7 +412,7 @@ def run_battery_experiment(
     name = "null_battery" if isinstance(design, NullBattery) else "correlated_battery"
 
     def score_rep(X, y, base):
-        rows = _battery_rows(X, y, base, alpha, scheme, fast)
+        rows = Rows(X, y, scheme, _scheme_seeds(base, len(X)), alpha, fast)
         return battery_scores(
             rows, methods, PermutationPlan(plan.n_permutations, derive(base, _KEY_PERM))
         )
@@ -436,7 +429,8 @@ def run_oos_comparison(
     alpha: float = 0.05,
     repetitions: int = 1,
 ) -> ExperimentReport:
-    """Same battery, calibrated test only, one method entry per OOS scheme."""
+    """Same battery, calibrated test only, one method entry per OOS scheme.
+    Each repetition's classical phase runs once and is calibrated per scheme."""
     schemes = list(schemes)
     if not schemes:
         raise ValueError("schemes must be nonempty")
@@ -444,10 +438,12 @@ def run_oos_comparison(
     labels = [f"dcal-{scheme.label}" for scheme in schemes]
 
     def score_rep(X, y, base):
+        phase, seeds = classical_phase(X, y), _scheme_seeds(base, len(X))
         out = {}
         for label, scheme in zip(labels, schemes):
-            rows = _battery_rows(X, y, base, alpha, scheme, False)
-            out[label] = battery_scores(rows, ["dcal"], None)["dcal"]
+            batch = calibration_phase(phase, scheme, seeds, alpha)
+            raise_first(batch.errors)
+            out[label] = batch.p_dcal, batch.r_dcal
         return out
 
     return _run_battery(design, "oos_comparison", labels, score_rep, alpha, repetitions, {})
@@ -563,9 +559,7 @@ def run_effect_grid(
         if isinstance(outcome, Exception):
             raise outcome
         sums, errors = outcome
-        for error in errors:
-            if error is not None:
-                raise error
+        raise_first(errors)
         for m in methods:
             add, acc = functools.partial(report.add, "effect_grid", f"rho={rho},n={n}", m), sums[m]
             add("mean_p", acc.score / repetitions)

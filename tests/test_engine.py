@@ -28,6 +28,7 @@ from dcal import (
     pearson_rows,
 )
 from dcal.core import centred_rows
+from dcal.methods import Rows
 from dcal.rng import Stream, derive, derive_array
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair
@@ -60,6 +61,7 @@ class TestOosScheme:
         scheme = OosScheme.boot632(replicates=50, seed=1)
         assert scheme.reseeded(9).seed == 9
         assert scheme.reseeded(9).replicates == 50
+        assert OosScheme.boot632(seed=-3).seed == 2 ** 64 - 3
 
 
 class TestOosPredict:
@@ -277,6 +279,29 @@ def _schemes(draw, n):
     return OosScheme.boot632(draw(st.integers(1, 30)))
 
 
+@st.composite
+def _adversarial_battery(draw):
+    """(X, y): a generic battery at n = 3 to 40, y shared or one per row,
+    whose rows may be constant, hold -1e308 or be scaled so that their
+    centred sums overflow; one per-row target may be constant."""
+    n = draw(st.one_of(st.sampled_from([3, 4]), st.integers(5, 40)))
+    m = draw(st.integers(1, 12))
+    per_row_y = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    X, y = _generic_battery(seed, m, n, draw(st.sampled_from([0.0, 0.5])), per_row_y)
+    for j in range(m):
+        kind = draw(st.sampled_from(["plain", "plain", "plain", "constant", "huge", "scaled"]))
+        if kind == "constant":  # 0.1 leaves a centred residue of rounding
+            X[j] = draw(st.sampled_from([2.5, 0.1, -1e300]))
+        elif kind == "huge":
+            X[j, draw(st.integers(0, n - 1))] = -1e308
+        elif kind == "scaled":
+            X[j] *= 1e160
+    if per_row_y and draw(st.booleans()):
+        y[draw(st.integers(0, m - 1))] = 0.1
+    return X, y
+
+
 def _close(a: float, b: float, rtol: float, atol: float = 0.0) -> bool:
     return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
 
@@ -379,6 +404,47 @@ class TestDcalMatrix:
         moved = dcal_test(DataPair(x + c, y + c), scheme=scheme)
         assert moved.sign_flip_triggered == base.sign_flip_triggered
         assert _close(moved.r_dcal, base.r_dcal, 1e-8)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        battery=_adversarial_battery(),
+        data=st.data(),
+        alpha=st.sampled_from([0.05, 0.5]),
+        fast=st.booleans(),
+    )
+    def test_phases_agree(self, battery, data, alpha, fast):
+        # Rows.classical and Rows.calibrated share one classical phase:
+        # they give a valid row pearson_rows' r and p bit for bit, a row in
+        # error the error of the single-pair call, and together they are
+        # dcal_matrix of the same rows
+        X, y = battery
+        m, n = X.shape
+        # one or two bootstrap replicates leave some sample in every bag
+        schemes = [st.builds(OosScheme.boot632, st.integers(1, 2))] + [_schemes(n)] * (n >= 4)
+        scheme = data.draw(st.one_of(*schemes))
+        seeds = np.array([derive(n, 4, j) for j in range(m)], dtype=np.uint64)
+        rows = Rows(X, y, scheme, seeds, alpha, fast)
+        score, estimate, errors = rows.classical
+        batch = rows.calibrated
+        whole = dcal_matrix(X, y, scheme, seeds, alpha, fast)
+        for field in ("r", "p", "r_dcal", "p_dcal", "sign_flip", "skipped"):
+            assert getattr(batch, field).tobytes() == getattr(whole, field).tobytes(), field
+        assert [repr(e) for e in batch.errors] == [repr(e) for e in whole.errors]
+        r, p = pearson_rows(X, y)
+        for j in range(m):
+            _, want = _outcome(lambda: pearson(DataPair(X[j], y[j] if y.ndim == 2 else y)))
+            assert want == (None if errors[j] is None else (type(errors[j]), str(errors[j]))), j
+            if errors[j] is not None:
+                assert batch.errors[j] is errors[j], j
+                assert np.isnan([score[j], estimate[j], batch.r[j], batch.p[j]]).all(), j
+                continue
+            expected = np.array([r[j], p[j]]).tobytes()
+            assert np.array([estimate[j], score[j]]).tobytes() == expected, j
+            if batch.errors[j] is None:
+                assert np.array([batch.r[j], batch.p[j]]).tobytes() == expected, j
+            else:  # only the out-of-sample step can fail a valid pair
+                calibration_only = (ResampleCoverageError, InsufficientDataError, NumericRangeError)
+                assert isinstance(batch.errors[j], calibration_only), j
 
     @pytest.mark.parametrize("scheme", [
         OosScheme.loo(), OosScheme.repeated_kfold(5, 3), OosScheme.boot632(30)
@@ -510,6 +576,9 @@ class TestDcalMatrix:
         assert str(flat.errors[0]) == "y has zero variance"
         short = dcal_matrix(X[:, :3], y[:3], OosScheme.loo(), [0, 0])
         assert all(isinstance(e, InsufficientDataError) for e in short.errors)
+        for scheme in (OosScheme.loo(), OosScheme.repeated_kfold(2, 1), OosScheme.boot632(3)):
+            empty = dcal_matrix(X[:, :0], y[:0], scheme, [0, 0])
+            assert all(isinstance(e, InsufficientDataError) for e in empty.errors)
 
     def test_kfold_layout_errors(self):
         X, y = _generic_battery(5, 3, 5, 0.0)

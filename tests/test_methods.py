@@ -2,6 +2,7 @@
 and the summation order of the single-pair designs' cell accumulator."""
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from dcal import (
     DataPair,
     DcalError,
     FeatureMatrix,
+    NullBattery,
     OosScheme,
     PermutationPlan,
     bf_to_posterior,
@@ -23,6 +25,7 @@ from dcal import (
     pearson,
     pearson_rows,
     permutation_pvalues,
+    run_oos_comparison,
     screen,
     skipped_correlation,
 )
@@ -34,7 +37,7 @@ from dcal.methods import (
     correct,
     score_rows,
 )
-from dcal import batchio, simulate
+from dcal import batchio, core, simulate
 from dcal.rng import derive
 from dcal.simulate import _CellSums
 
@@ -234,6 +237,32 @@ class TestOneClassicalPhase:
             assert (float(batch.r[i]), float(batch.p[i])) == expected, i
             assert (single.r, single.p) == expected, i
             assert (classical.r, classical.p) == expected, i
+
+    @staticmethod
+    def _count_centring(monkeypatch) -> list:
+        """Calls of ``centred_rows``, wrapped in every dcal module that
+        imports it by name."""
+        calls, original = [], core.centred_rows
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dcal") and getattr(module, "centred_rows", None) is original:
+                monkeypatch.setattr(module, "centred_rows", counted)
+        return calls
+
+    def test_one_row_set_centres_once(self, monkeypatch):
+        calls = self._count_centring(monkeypatch)
+        X, y = _battery()
+        score_rows(Rows(X, y), ["uncorrected", "dcal", "ppbf", "pcal_sellke"])
+        assert len(calls) == 1
+
+    def test_scheme_comparison_centres_once_per_repetition(self, monkeypatch):
+        calls = self._count_centring(monkeypatch)
+        run_oos_comparison(NullBattery(m=20, n=30, seed=3), _SCHEMES, repetitions=3)
+        assert len(calls) == 3
 
 
 def _battery(m=30, n=20, seed=4):
