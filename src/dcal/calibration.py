@@ -105,11 +105,26 @@ def _hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
     the sum unchanged every later one does.  Each block extends the active
     rows by ``width`` terms with one running product and one running sum,
     the same sequential operations as a term-by-term loop, so a row's
-    result does not depend on the block widths or on the other rows.
+    result does not depend on the block widths or on the other rows.  A row
+    past 1024 terms whose term at the cap (the current term times z^(cap - k)
+    and a ratio of gamma functions) exceeds two ulps of its sum's bound total
+    + term z / (1 - z) cannot converge by the cap: it gets NaN at once.
     """
+    def log_gammas(k):  # log of Γ(k + 7/4) Γ(k + 5/4) / (Γ(k + c) Γ(k + 1))
+        return (math.lgamma(k + 1.75) + math.lgamma(k + 1.25)
+                - math.lgamma(k + c) - math.lgamma(k + 1))
+
     total, term = np.ones(z.shape), np.ones(z.shape)
     active, k, width = np.arange(z.size), 0, 8
     while active.size and k < _SERIES_MAX_TERMS:
+        if k >= 1024:  # most rows converge well before; the check is not free
+            za, now = z[active], term[active]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                at_cap = np.exp(np.log(now) + (_SERIES_MAX_TERMS - k) * np.log(za)
+                                + (log_gammas(_SERIES_MAX_TERMS) - log_gammas(k)))
+                doomed = at_cap > 2.0 * np.spacing(total[active] + now * za / (1.0 - za))
+            total[active[doomed]] = np.nan
+            active = active[~doomed]
         j = np.arange(k, k + width, dtype=np.float64)
         ratios = z[active, None] * ((j + 1.75) * (j + 1.25) / ((j + c) * (j + 1.0)))
         terms = np.cumprod(np.column_stack([term[active], ratios]), axis=1)

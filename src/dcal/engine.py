@@ -33,15 +33,17 @@ and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts, one float array that afterwards holds the
 out-of-bag 0/1 mask.
 Only the out-of-sample step runs in chunks of rows, as many as fit the byte
-budget ``CHUNK_BYTES``, so its work space stays flat in the number of rows.
+budget ``CHUNK_BYTES``, so its work space stays flat in the number of rows;
+each call allocates its large arrays once and every chunk writes into them.
 A row of work has n elements for loo, repeats * n for k-fold and
-replicates * n for the bootstrap; the schemes are charged 160, 163 and 28
+replicates * n for the bootstrap; the schemes are charged 160, 141 and 33
 bytes per element (``_BYTES_PER_ELEMENT``).  One t-tail call at the end
 turns every chunk's calibrated correlations into p-values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Literal, NamedTuple
 
@@ -97,10 +99,10 @@ _MAX_COVERAGE_RETRIES = 10
 # Bytes of work space that one chunk of rows of the out-of-sample step may
 # take; a chunk always takes at least one row.  Each scheme is charged its
 # bytes per element of per-row work (``_BYTES_PER_ELEMENT``).  The budget
-# is the k-fold chunk of 16 rows at n = 50 with 10 repeats (about 1.3 MB).
+# was the k-fold chunk of 16 rows at n = 50 with 10 repeats (about 1.3 MB).
 # Larger chunks would cost peak memory for no time: at fig2's size a
-# 100-row bootstrap call takes about as long with 3 rows per chunk as with
-# 20 (46 ms with one row).
+# 100-row bootstrap call takes 28-32 ms with 7 to 20 rows per chunk (about
+# 80 ms with one row), and a k-fold call 19-23 ms with 16 to 100.
 CHUNK_BYTES = 16 * 500 * 163
 
 
@@ -205,6 +207,19 @@ class Classical(NamedTuple):
     errors: tuple
 
 
+class _Work(dict):
+    """The out-of-sample step's large arrays, made once per call: ``work(name,
+    shape, dtype)`` views the first bytes of buffer ``name``, which its first
+    (largest) use allocates.  Freed per chunk, they would go back to the
+    system, and each chunk would fault their pages in again."""
+
+    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if name not in self or self[name].nbytes < size:
+            self[name] = np.empty(-(-size // 8))  # whole words: aligned for any dtype
+        return np.ndarray(shape, dtype, self[name])
+
+
 def _rows(a: np.ndarray, rows) -> np.ndarray:
     """``a`` at ``rows`` when it holds one sample per row; a shared sample as is."""
     return a if a.ndim == 1 else a[rows]
@@ -212,9 +227,7 @@ def _rows(a: np.ndarray, rows) -> np.ndarray:
 
 def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``a[idx]`` of a shared sample; of (rows, n) values, row i taken at ``idx[i]``."""
-    if a.ndim == 1:
-        return a[idx]
-    return np.take_along_axis(a.reshape((a.shape[0],) + (1,) * (idx.ndim - 2) + (-1,)), idx, -1)
+    return a[idx] if a.ndim == 1 else np.take_along_axis(a, idx, -1)
 
 
 def _kfold_layout(n: int, scheme: OosScheme) -> tuple[list[int], np.ndarray]:
@@ -249,46 +262,66 @@ def _constant_training(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return (hi == lo).any(axis=(1, 2))
 
 
-def _kfold_rows(X, U, y, v, sums, scheme, seeds):
-    n = U.shape[1]
+def _kfold_rows(X, U, y, v, sums, scheme, seeds, work):
+    rows, n = U.shape
     sizes, starts = _kfold_layout(n, scheme)
-    keys = np.arange(scheme.repeats)
-    order = permutation_of(raw_block(derive_array(seeds[:, None], keys), n))  # (rows, R, n)
-    deg_x = _constant_training(np.take_along_axis(X[:, None, :], order, axis=-1), starts)
-    deg_y = _constant_training(_gather(y, order), starts)
+    shape, keys = (rows, scheme.repeats, n), np.arange(scheme.repeats)
+    # "a" and "b" hold the raw words and the mixer's temporary, the gather
+    # positions and each permuted sample, du and dv, and each prediction
+    a, b = work("a", shape), work("b", shape)
+    words = raw_block(derive_array(seeds[:, None], keys), n, a.view(np.uint64), b.view(np.uint64))
+    order = permutation_of(words)
+    flat = np.add(order, (np.arange(rows) * n)[:, None, None], out=a.view(np.int64))
+
+    def permuted(values, out):  # a shared sample or one per row, in each repeat's order
+        return np.take(values, order if values.ndim == 1 else flat, out=out, mode="clip")
+
+    deg_x = _constant_training(permuted(X, b), starts)
+    deg_y = _constant_training(permuted(y, b), starts)
 
     # Training set of fold k = every other fold.  Its sums come from each
     # fold's mean and scatter about that mean (parallel axis theorem), added
     # over the other folds, so no step subtracts nearly equal totals.
-    up = np.take_along_axis(U[:, None, :], order, axis=-1)
-    vp = _gather(v, order)
+    up = permuted(U, work("up", shape))
+    vp = permuted(v, work("vp", shape))
+    fold = np.repeat(np.arange(len(sizes)), sizes)
+
+    def spread(coef, out):  # per-fold coefficient -> every sample of that fold
+        return np.take(coef, fold, axis=-1, out=out, mode="clip")
+
     size = np.array(sizes, dtype=np.float64)
     cu = np.add.reduceat(up, starts, axis=-1) / size
     cv = np.add.reduceat(vp, starts, axis=-1) / size
-    du = up - np.repeat(cu, sizes, axis=-1)
-    dv = vp - np.repeat(cv, sizes, axis=-1)
-    scatter = np.add.reduceat(np.stack([du * du, dv * dv, du * dv]), starts, axis=-1)
-    suu, svv, suv = _excluding_each(scatter, np.add, 0.0)
+    du = np.subtract(up, spread(cu, a), out=a)
+    dv = np.subtract(vp, spread(cv, b), out=b)
+    products = work("products", (3,) + shape)
+    for out, (left, right) in zip(products, ((du, du), (dv, dv), (du, dv))):
+        np.multiply(left, right, out=out)
+    suu, svv, suv = _excluding_each(np.add.reduceat(products, starts, axis=-1), np.add, 0.0)
     count = n - size
     mu = _excluding_each(cu * size, np.add, 0.0) / count
     mv = _excluding_each(cv * size, np.add, 0.0) / count
     weight = size * (1.0 - np.eye(len(sizes)))  # [k, j]: size of fold j, if j != k
-    gu = cu[..., None, :] - mu[..., :, None]
-    gv = cv[..., None, :] - mv[..., :, None]
-    wgu = weight * gu
-    suv = suv + (wgu * gv).sum(axis=-1)
-    slope_y = suv / (suu + (wgu * gu).sum(axis=-1))
-    slope_x = suv / (svv + (weight * gv * gv).sum(axis=-1))
+    pairs = shape[:2] + weight.shape  # (rows, R, folds, folds)
+    gu = np.subtract(cu[..., None, :], mu[..., :, None], out=work("gu", pairs))
+    gv = np.subtract(cv[..., None, :], mv[..., :, None], out=work("gv", pairs))
+    wgu = np.multiply(weight, gu, out=work("wgu", pairs))
+    # each product overwrites a factor that no later product reads
+    suu = suu + np.multiply(wgu, gu, out=gu).sum(axis=-1)
+    suv = suv + np.multiply(wgu, gv, out=wgu).sum(axis=-1)
+    svv = svv + np.multiply(np.multiply(weight, gv, out=gu), gv, out=gu).sum(axis=-1)
+    slope_y, slope_x = suv / suu, suv / svv
 
-    def spread(coef):  # per-fold coefficient -> every sample of that fold
-        return np.repeat(coef, sizes, axis=-1)
-
-    mu, mv = spread(mu), spread(mv)
-    y_hat = np.empty_like(up)
-    x_hat = np.empty_like(up)
-    np.put_along_axis(y_hat, order, mv + spread(slope_y) * (up - mu), axis=-1)
-    np.put_along_axis(x_hat, order, mu + spread(slope_x) * (vp - mv), axis=-1)
-    rows = U.shape[0]
+    # predictions mv + slope_y * (up - mu) and mu + slope_x * (vp - mv),
+    # scattered back to sample order into the products' buffer
+    y_hat, x_hat = products[0], products[1]
+    order += (np.arange(rows * scheme.repeats) * n).reshape(rows, -1, 1)  # flat positions
+    for hat, sample, mean, slope, other in ((y_hat, up, mu, slope_y, mv),
+                                            (x_hat, vp, mv, slope_x, mu)):
+        pred = np.subtract(sample, spread(mean, a), out=a)
+        np.multiply(spread(slope, b), pred, out=pred)
+        np.add(spread(other, b), pred, out=pred)
+        np.put(hat, order, pred, mode="clip")
     return y_hat.reshape(rows, -1), x_hat.reshape(rows, -1), deg_x, deg_y, None
 
 
@@ -316,62 +349,60 @@ def _one_value_bags(values, counts, first):
     return out
 
 
-def _bootstrap_block(streams, X, U, y, v):
+def _bootstrap_block(streams, X, U, y, v, work=None):
     """One block of bootstrap replicates, one stream seed each in ``streams`` (rows, B).
 
     Draws every replicate's n sample indices and returns whether any
     replicate's x or y sample is one repeated value, the out-of-bag
-    prediction sums of both directions and the out-of-bag counts.
+    prediction sums of both directions and the out-of-bag counts.  Its
+    (rows, B, n) arrays but ``np.bincount``'s are views of ``work`` (or new).
     """
-    rows, B = streams.shape
-    n = U.shape[1]
-    idx = integers_of(raw_block(streams, n), n)
+    work = _Work() if work is None else work
+    shape = rows, B, n = streams.shape + U.shape[1:]
+    # "a" holds the raw words, indices, du, dv and then the out-of-bag mask;
+    # "b" the mixer's temporary, the uniforms and then the counts
+    words = raw_block(streams, n, work("a", shape, np.uint64), work("b", shape, np.uint64))
+    idx = integers_of(words, n, work("a", shape, np.int64), work("b", shape))
     first = idx[..., 0].copy()  # always in the bag
     idx += (np.arange(rows * B) * n).reshape(rows, B, 1)
-    counts = np.bincount(idx.ravel(), minlength=rows * B * n)
-    del idx
     # one float array of multiplicities; its integer values are exact
-    counts = counts.astype(np.float64).reshape(rows, B, n)
+    counts = work("b", shape)
+    np.copyto(counts.reshape(-1), np.bincount(idx.ravel(), minlength=rows * B * n))
     deg_x = _one_value_bags(X, counts, first)
     deg_y = _one_value_bags(y, counts, first)
 
     # two passes (replicate means, then centred sums): a bootstrap sample can
     # sit far from the row mean relative to its own spread.  einsum, not
-    # BLAS, so a row's sums do not depend on its place in the chunk.  Each
-    # difference array is freed once the sums that read it are taken.
+    # BLAS, so a row's sums do not depend on its place in the chunk.
     mu = np.einsum("rbn,rn->rb", counts, U) / n
     mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", counts, v) / n
-    du = U[:, None, :] - mu[..., None]
-    weighted_du = counts * du
+    du = np.subtract(U[:, None, :], mu[..., None], out=work("a", shape))
+    weighted_du = np.multiply(counts, du, out=work("c", shape))
     suu = np.einsum("rbn,rbn->rb", weighted_du, du)
-    del du
-    dv = v[..., None, :] - mv[..., None]
+    dv = np.subtract(v[..., None, :], mv[..., None], out=du)
     sxy = np.einsum("rbn,rbn->rb", weighted_du, dv)
-    del weighted_du
     slope_y = sxy / suu
     slope_x = sxy / np.einsum("rbn,rbn,rbn->rb", counts, dv, dv)
-    del dv
     # the counts become the out-of-bag 0/1 array in place
-    out_of_bag = counts == 0
+    out_of_bag = np.equal(counts, 0.0, out=work("a", shape, bool))
     oob_count = out_of_bag.sum(axis=1)
     np.copyto(counts, out_of_bag)
-    del out_of_bag
     coef = np.stack([mv - slope_y * mu, slope_y, mu - slope_x * mv, slope_x], axis=1)
     a_y, b_y, a_x, b_x = np.einsum("rkb,rbn->krn", coef, counts)
     return deg_x.any(axis=-1), deg_y.any(axis=-1), a_y + b_y * U, a_x + b_x * v, oob_count
 
 
-def _boot632_rows(X, U, y, v, sums, scheme, seeds):
+def _boot632_rows(X, U, y, v, sums, scheme, seeds, work=None):
     B = scheme.replicates
     streams = derive_array(seeds[:, None], np.arange(B))
-    deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(streams, X, U, y, v)
+    deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(streams, X, U, y, v, work)
     for extra in range(_MAX_COVERAGE_RETRIES):
         short = np.flatnonzero((oob_count == 0).any(axis=1))
         if not short.size:
             break
         dx, dy, sy, sx, cnt = _bootstrap_block(
             derive_array(seeds[short, None], B + extra),
-            X[short], U[short], _rows(y, short), _rows(v, short),
+            X[short], U[short], _rows(y, short), _rows(v, short), work,
         )
         deg_x[short] |= dx
         deg_y[short] |= dy
@@ -389,7 +420,7 @@ def _boot632_rows(X, U, y, v, sums, scheme, seeds):
     return y_hat, x_hat, deg_x, deg_y, missing
 
 
-def _loo_rows(X, U, y, v, sums, scheme, seeds):
+def _loo_rows(X, U, y, v, sums, scheme, seeds, work):
     suu, svv, suv = sums
     e_y, margin_x = loo_residuals(U, v, suu, suv)
     e_x, margin_y = loo_residuals(v, U, svv, suv)
@@ -402,26 +433,31 @@ _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows
 
 # Bytes of live work space each scheme is charged per element of per-row
 # work: n elements for loo, repeats * n for k-fold and replicates * n for
-# the bootstrap.  The figures are traced peaks (tracemalloc) of one
-# ``_calibrate`` call at n = 50, as a chunk at that size takes.
+# the bootstrap.  The figures are traced peaks (tracemalloc) of a
+# ``_calibrate`` call at n = 50 that reuses a previous chunk's work space.
 _BYTES_PER_ELEMENT = {
     # peak 48 at 163 rows, but charged about what k-fold is, so that its
     # chunks keep 163 rows at n = 50: a loo-only run such as the null
     # battery allocates nothing larger, and 546-row chunks raised its peak
     # RSS by 0.4 MB.
     "loo": 160,
-    "kfold": 163,  # peak 163 at 16 rows
-    "boot632": 28,  # peak 28 at 9 rows (68 before the counts were kept as one array)
+    "kfold": 141,  # peak 140 at 18 rows, 48 of it for (folds, folds) sums
+    "boot632": 33,  # peak 32.4: three 8-byte buffers and bincount's output
 }
+
+
+def _row_bytes(scheme: OosScheme, n: int) -> int:
+    """Bytes of work space one row of the out-of-sample step is charged."""
+    per_sample = {"loo": 1, "kfold": scheme.repeats, "boot632": scheme.replicates}[scheme.kind]
+    return per_sample * max(n, 1) * _BYTES_PER_ELEMENT[scheme.kind]
 
 
 def _chunk_rows(scheme: OosScheme, n: int) -> int:
     """Rows per chunk of the out-of-sample step: as many as fit ``CHUNK_BYTES``, at least one."""
-    per_sample = {"loo": 1, "kfold": scheme.repeats, "boot632": scheme.replicates}[scheme.kind]
-    return max(1, CHUNK_BYTES // (per_sample * max(n, 1) * _BYTES_PER_ELEMENT[scheme.kind]))
+    return max(1, CHUNK_BYTES // _row_bytes(scheme, n))
 
 
-def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray):
+def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray, work: "_Work"):
     """Out-of-sample predictions of both directions for every row of ``X``.
 
     ``y`` is shared (n,) or one sample per row (rows, n).  ``U`` and ``v``
@@ -433,7 +469,7 @@ def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray):
     the first sample left in every bag after all retries (-1 when every
     sample was out of bag; None for the other schemes).
     """
-    return _SCHEME_ROWS[scheme.kind](X, U, y, v, sums, scheme, seeds)
+    return _SCHEME_ROWS[scheme.kind](X, U, y, v, sums, scheme, seeds, work)
 
 
 def _coverage_error(scheme: OosScheme, missing: int) -> ResampleCoverageError:
@@ -463,7 +499,8 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     U, v, sums = centred_rows(X, pair.y)
     seeds = np.array([scheme.seed], dtype=np.uint64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, pair.y, v, sums, scheme, seeds)
+        y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, pair.y, v, sums, scheme, seeds,
+                                                        _Work())
     if (deg_x if direction == Y_FROM_X else deg_y)[0]:
         if scheme.kind == "boot632":
             raise DegenerateVarianceError("bootstrap training sample has zero predictor variance")
@@ -473,7 +510,7 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     return y_hat[0] + pair.y.mean() if direction == Y_FROM_X else x_hat[0] + pair.x.mean()
 
 
-def _calibrate(X, U, y, v, sums, scheme, seeds, r):
+def _calibrate(X, U, y, v, sums, scheme, seeds, r, work):
     """Out-of-sample step and calibrated correlation for rows that run it.
 
     Returns the rows' calibrated r and 1 - r**2, whether each row keeps them
@@ -483,7 +520,7 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r):
     rows = U.shape[0]
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, y, v, sums, scheme, seeds)
+            y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, y, v, sums, scheme, seeds, work)
             r_cal, rest_cal = correlation_from_sums(*centred_sums(centred(x_hat), centred(y_hat)))
     except InsufficientDataError as exc:
         errors = {k: InsufficientDataError(str(exc)) for k in range(rows)}
@@ -559,13 +596,14 @@ def calibration_phase(
     r_cal, rest_cal = np.zeros(m), np.zeros(m)
     keep, flipped = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     step = _chunk_rows(scheme, n)
+    work = _Work()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, run.size, step):
             part = run[start : start + step]
             at = slice(None) if part.size == m else part  # every row: views, not copies
             r_cal[part], rest_cal[part], keep[part], flipped[part], part_errors = _calibrate(
                 X[at], U[at], _rows(y, at), _rows(v, at),
-                [s[at] if s.ndim else s for s in sums], scheme, seeds[at], r[at],
+                [s[at] if s.ndim else s for s in sums], scheme, seeds[at], r[at], work,
             )
             for k, error in part_errors.items():
                 errors[part[k]] = error

@@ -53,13 +53,14 @@ _U1 = np.uint64(1)
 _TWO_NEG_53 = 2.0 ** -53
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
+def _mix_array(z: np.ndarray, temp: np.ndarray | None = None) -> np.ndarray:
     """The finalizer applied to ``z`` in place; ``z`` must be a fresh array.
 
-    One shift temporary of its size is alive at a time.
+    One shift temporary of its size is alive at a time: ``temp`` (uint64 of
+    ``z``'s shape) when given, else a new array.
     """
     # uint64 arithmetic wraps mod 2**64, which is exactly what SplitMix64 wants
-    t = z >> _U30
+    t = np.right_shift(z, _U30, out=temp)
     z ^= t
     z *= _U_M1
     np.right_shift(z, _U27, out=t)
@@ -103,17 +104,18 @@ def derive_array(seeds, keys) -> np.ndarray:
     return out.reshape(shape)
 
 
-def raw_block(seeds, count: int) -> np.ndarray:
+def raw_block(seeds, count: int, out=None, temp=None) -> np.ndarray:
     """First ``count`` raw words of the stream seeded by each entry of ``seeds``.
 
     The result has shape ``seeds.shape + (count,)``; its last axis equals
     ``Stream(seed).raw(count)`` for the matching seed.  The counters are
     mixed in the result's own array, so the block and one temporary of its
-    size are the only large arrays alive.
+    size are the only large arrays alive; ``out`` and ``temp``, uint64
+    arrays of the result's shape, hold them instead of new arrays.
     """
     s = np.asarray(seeds, dtype=np.uint64)
     ks = np.arange(1, count + 1, dtype=np.uint64)
-    return _mix_array(s[..., None] + ks * _U_GOLDEN)
+    return _mix_array(np.add(s[..., None], ks * _U_GOLDEN, out=out), temp)
 
 
 def uniforms_of(raw: np.ndarray) -> np.ndarray:
@@ -124,13 +126,16 @@ def uniforms_of(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def integers_of(raw: np.ndarray, bound: int) -> np.ndarray:
-    """Integers uniform on [0, bound) from raw words (the stream's recipe)."""
+def integers_of(raw: np.ndarray, bound: int, out=None, temp=None) -> np.ndarray:
+    """Integers uniform on [0, bound) from raw words (the stream's recipe),
+    in ``out`` (int64, may be ``raw``'s memory) and through the uniforms in
+    ``temp`` (float64, apart from both) when given, new arrays otherwise."""
     # (k * 2**-53) * bound and k * (bound * 2**-53) are both one rounding of
     # the exact product, since scaling by 2**-53 is exact: the same bits
-    u = np.right_shift(raw, _U11, out=np.empty(raw.shape), casting="unsafe")
-    u *= bound * _TWO_NEG_53
-    return u.astype(np.int64)
+    u = np.right_shift(raw, _U11, out=np.empty(raw.shape) if temp is None else temp,
+                       casting="unsafe")
+    out = np.empty(raw.shape, dtype=np.int64) if out is None else out
+    return np.multiply(u, bound * _TWO_NEG_53, out=out, casting="unsafe")
 
 
 def normals_of(raw: np.ndarray) -> np.ndarray:

@@ -297,12 +297,14 @@ class TestScreen:
         assert a.rows == b.rows and a.summary == b.summary
 
     @pytest.mark.parametrize("fast", [True, False])
-    @pytest.mark.parametrize("scheme", [OosScheme.loo(), OosScheme.boot632(10, 5)],
-                             ids=["loo", "boot632"])
+    @pytest.mark.parametrize("scheme", [
+        OosScheme.loo(), OosScheme.repeated_kfold(3, 2, 5), OosScheme.boot632(10, 5)
+    ], ids=["loo", "cv3x2", "boot632"])
     def test_report_does_not_depend_on_chunking(self, tmp_path, scheme, fast):
         # one row per chunk, a few (loo at n = 20 takes 3 rows of 60 * 160
-        # bytes), the default budget and every row in one chunk; the feature
-        # holding -1e308 fails
+        # bytes; four rows of any scheme leave one row to the last chunk of
+        # the 45 that run), the default budget and every row in one chunk;
+        # the feature holding -1e308 fails
         clean = _synthetic_matrix(n_features=45, n=20)
         huge = clean.values[7].copy()
         huge[2] = -1e308
@@ -312,7 +314,8 @@ class TestScreen:
             sample_names=clean.sample_names,
         )
         reports = []
-        for budget in (1, 60 * 160, engine.CHUNK_BYTES, 2 ** 40):
+        budgets = (1, 60 * 160, 4 * engine._row_bytes(scheme, 20), engine.CHUNK_BYTES, 2 ** 40)
+        for budget in budgets:
             with mock.patch.object(engine, "CHUNK_BYTES", budget):
                 report = screen(matrix, "target", scheme=scheme, corrections=CORRECTIONS,
                                 fast=fast, plan=PermutationPlan(199, 4))
@@ -320,7 +323,7 @@ class TestScreen:
                 write_report(report, tmp_path / f"{budget}.{fmt}", format=fmt)
             reports.append(tuple((tmp_path / f"{budget}.{fmt}").read_bytes()
                                  for fmt in ("csv", "json")))
-        assert reports[0] == reports[1] == reports[2] == reports[3]
+        assert all(report == reports[0] for report in reports)
         assert b"float64 range" in reports[0][0]
 
     def test_perm_corrections_attach(self):

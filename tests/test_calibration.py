@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pairwise_reference
 
+from dcal import calibration
 from dcal import (
     ConvergenceError,
     DataPair,
@@ -160,6 +161,27 @@ def _near_one_pair(n: int, gap: float) -> DataPair:
     return DataPair(x, x + scale * wiggle)
 
 
+def _frozen_hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
+    """``calibration._hyp2f1_rows`` before its early exit: every row that
+    does not converge runs to the cap."""
+    cap, block = calibration._SERIES_MAX_TERMS, calibration._SERIES_BLOCK_ELEMENTS
+    total, term = np.ones(z.shape), np.ones(z.shape)
+    active, k, width = np.arange(z.size), 0, 8
+    while active.size and k < cap:
+        j = np.arange(k, k + width, dtype=np.float64)
+        ratios = z[active, None] * ((j + 1.75) * (j + 1.25) / ((j + c) * (j + 1.0)))
+        terms = np.cumprod(np.column_stack([term[active], ratios]), axis=1)
+        term[active] = terms[:, -1]
+        terms[:, 0] = total[active]
+        sums = np.cumsum(terms, axis=1)
+        total[active] = sums[:, -1]
+        active = active[sums[:, -1] != sums[:, -2]]
+        k += width
+        width = min(max(8, min(2 * width, block // max(active.size, 1))), cap - k)
+    total[active] = np.nan
+    return total
+
+
 class TestBfRows:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 500), r=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
@@ -238,6 +260,20 @@ class TestBfRows:
             bf_rows(np.array([0.2, 0.9999999]), 3)
         with pytest.raises(ConvergenceError):
             pairwise_reference.trapezoid_bf(0.9999999, 3)
+
+    @pytest.mark.parametrize("n, edge", [(3, 2e-6), (4, 2e-6), (5, 2e-6), (6, 6e-7), (7, 6e-8)])
+    def test_early_exit_keeps_every_result(self, monkeypatch, n, edge):
+        # around the module docstring's edge of convergence at each n: rows
+        # that exit at once, rows that run to the cap and fail, rows that
+        # converge just before it and rows far inside
+        s = 1.0 - edge * np.array([0.01, 0.5, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 100.0])
+        r = np.concatenate([s, -s])
+        got = calibration._bf_series(r, n)
+        monkeypatch.setattr(calibration, "_hyp2f1_rows", _frozen_hyp2f1_rows)
+        want = calibration._bf_series(r, n)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [repr(e) for e in got[1]] == [repr(e) for e in want[1]]
+        assert np.isnan(want[0]).any() and not np.isnan(want[0]).all()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -504,29 +504,33 @@ class TestDcalMatrix:
         )
 
     @pytest.mark.parametrize("scheme", [
-        OosScheme.loo(), OosScheme.repeated_kfold(), OosScheme.boot632(2)
+        OosScheme.loo(), OosScheme.repeated_kfold(), OosScheme.repeated_kfold(5, 3),
+        OosScheme.boot632(2)
     ], ids=lambda scheme: scheme.label)
     @pytest.mark.parametrize("fast", [False, True])
     @pytest.mark.parametrize("per_row_y", [False, True])
     def test_chunk_size_does_not_change_bits(self, monkeypatch, scheme, fast, per_row_y):
         # the classical phase spans every row and only the out-of-sample
-        # step is chunked; one row per chunk and one chunk for all rows
-        # must agree bit for bit, error rows included (a constant row, a
-        # row whose sums overflow, bootstrap coverage failures of two
-        # replicates at n = 12)
+        # step is chunked; one row per chunk, 7 rows per chunk (a shorter
+        # last chunk) and one chunk for all rows must agree bit for bit,
+        # error rows included (a constant row, a row whose sums overflow,
+        # bootstrap coverage failures of two replicates at n = 12); 12
+        # samples leave folds of unequal size
         X, y = _generic_battery(41, 120, 12, 0.2, per_row_y)
         X[3] = 2.0
         X[5, 4] = -1e308
         if per_row_y:
             y[7] = 1.0
         batches = []
-        for budget in (1, 2 ** 40):
+        for budget in (1, 7 * engine._row_bytes(scheme, 12), 2 ** 40):
             monkeypatch.setattr(engine, "CHUNK_BYTES", budget)
             batches.append(dcal_matrix(X, y, scheme, np.arange(120), 0.05, fast))
-        one, all_rows = batches
+        one, seven, all_rows = batches
         for field in ("r", "p", "r_dcal", "p_dcal", "sign_flip", "skipped"):
-            assert getattr(one, field).tobytes() == getattr(all_rows, field).tobytes(), field
+            want = getattr(all_rows, field).tobytes()
+            assert getattr(one, field).tobytes() == getattr(seven, field).tobytes() == want, field
         assert [repr(e) for e in one.errors] == [repr(e) for e in all_rows.errors]
+        assert [repr(e) for e in seven.errors] == [repr(e) for e in all_rows.errors]
         assert isinstance(one.errors[3], DegenerateVarianceError)
         assert isinstance(one.errors[5], NumericRangeError)
         assert not fast or one.skipped.any()
@@ -741,3 +745,41 @@ class TestChunkMemory:
         assert self._traced_peak(OosScheme.boot632()) <= self._traced_peak(
             OosScheme.repeated_kfold()
         )
+
+
+class TestWorkSpace:
+    """The out-of-sample step's large arrays are views of one work space
+    per call, allocated by its first chunk and reused by the others."""
+
+    BUFFERS = {"kfold": {"a", "b", "up", "vp", "products", "gu", "gv", "wgu"},
+               "boot632": {"a", "b", "c"}}
+
+    @pytest.mark.parametrize("scheme", [
+        OosScheme.repeated_kfold(), OosScheme.boot632(), OosScheme.boot632(2)
+    ], ids=lambda scheme: f"{scheme.label}-{scheme.replicates}")
+    def test_each_buffer_allocated_once(self, monkeypatch, scheme):
+        spaces, allocations = [], []
+
+        class Spy(engine._Work):
+            def __init__(self):
+                super().__init__()
+                spaces.append(self)
+
+            def __call__(self, name, shape, dtype=np.float64):
+                before = self.get(name)
+                view = super().__call__(name, shape, dtype)
+                if self[name] is not before:
+                    allocations.append(name)
+                assert np.shares_memory(view, self[name])
+                return view
+
+        monkeypatch.setattr(engine, "_Work", Spy)
+        # 40 rows at n = 12 take several chunks; two replicates also leave
+        # coverage retries, which reuse the buffers too
+        X, y = _generic_battery(43, 40, 12, 0.2)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 7 * engine._row_bytes(scheme, 12))
+        batch = dcal_matrix(X, y, scheme, np.arange(40))
+        assert len(spaces) == 1
+        assert sorted(allocations) == sorted(self.BUFFERS[scheme.kind])
+        if scheme.replicates == 2:
+            assert any(isinstance(e, ResampleCoverageError) for e in batch.errors)

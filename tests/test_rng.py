@@ -42,3 +42,27 @@ class TestArrayForms:
         assert uniforms_of(raw).tolist() == uniforms
         assert integers_of(raw, bound).tolist() == [math.floor(u * bound) for u in uniforms]
         assert raw.tolist() == words
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=12), st.integers(0, 70),
+           st.one_of(st.integers(1, 100), st.integers(1, 2 ** 62)), SEEDS, st.integers(0, 9))
+    def test_forms_into_buffers(self, seeds, count, bound, garbage, spare):
+        # views of the first words of longer buffers full of garbage, as the
+        # engine's work space hands them out, get the same words and integers
+        s = np.array(seeds, dtype=np.uint64)
+        shape, size = (len(seeds), 1, count), len(seeds) * count
+        words, temp = (np.full(size + spare, garbage, dtype=np.uint64) for _ in range(2))
+        out = raw_block(s[:, None], count, words[:size].reshape(shape), temp[:size].reshape(shape))
+        assert out.shape == shape and np.array_equal(words[:size], out.ravel())
+        assert np.array_equal(out, raw_block(s[:, None], count))
+        for seed, row in zip(seeds, out[:, 0]):
+            assert np.array_equal(row, Stream(seed).raw(count))
+        want = integers_of(out, bound)
+        uniforms = temp[:size].reshape(shape).view(float)
+        # into a buffer of its own, and in place over the words
+        own = np.full(size + spare, garbage, dtype=np.uint64).view(np.int64)[:size].reshape(shape)
+        assert np.array_equal(integers_of(out, bound, own, uniforms), want)
+        got = integers_of(out, bound, out.view(np.int64), uniforms)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(words[:size].view(np.int64), got.ravel())
+        assert (words[size:] == garbage).all() and (temp[size:] == garbage).all()

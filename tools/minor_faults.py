@@ -1,0 +1,147 @@
+"""Wall time and minor page faults of one benchmark workload, run in process.
+
+Run from the repository root:
+
+    python3 tools/minor_faults.py --workload sim-oos --runs 10
+
+The workload's inputs and command-line arguments come from
+``benchmarks/workloads.py`` (imported, not copied): its inputs are written
+to a temporary directory and ``dcal.cli.main`` runs them in this process,
+once untimed as a warm-up and then ``--runs`` times.  Faults are the growth
+of ``getrusage(RUSAGE_SELF).ru_minflt`` over a call: pages the process had
+to map in, which a freed and re-allocated work space costs again when the
+allocator has returned it to the operating system.  Tracing tools such as
+tracemalloc or ``benchmarks/spans.py`` see the bytes but not these faults.
+
+Each stage below is wrapped in every ``dcal`` module that holds it by name,
+so a call through an imported name is counted too: ``classical_phase``,
+``calibration_phase`` (one stage per scheme kind), ``skipped_rows``,
+``permutation_pvalues``, ``load_matrix`` and the report writers
+(``write_report`` and the experiment report's ``write_csv`` and
+``write_json``).  A stage's time and faults include the stages it calls.
+
+The output is one JSON line: per run the wall seconds and faults of the
+whole call and, per stage, its calls, seconds and faults; then the median
+of each over the runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import io
+import json
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import dcal  # noqa: E402
+from dcal import cli, simulate  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
+          "load_matrix", "write_report")
+METHOD_STAGES = (simulate.ExperimentReport, ("write_csv", "write_json"))
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class Recorder:
+    """Calls, seconds and faults per stage since the last :meth:`take`."""
+
+    def __init__(self):
+        self.stages: dict[str, dict] = {}
+
+    def wrap(self, name: str, fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            stage = name
+            if name == "calibration_phase":
+                scheme = args[1] if len(args) > 1 else kwargs["scheme"]
+                stage = f"{name}.{scheme.kind}"
+            faults, start = minor_faults(), time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                entry = self.stages.setdefault(stage, {"calls": 0, "s": 0.0, "minflt": 0})
+                entry["calls"] += 1
+                entry["s"] += time.perf_counter() - start
+                entry["minflt"] += minor_faults() - faults
+        return timed
+
+    def take(self) -> dict:
+        stages, self.stages = self.stages, {}
+        return stages
+
+
+def install(recorder: Recorder) -> None:
+    """Wrap every stage wherever a ``dcal`` module holds it by name."""
+    modules = [m for name, m in sys.modules.items() if name == "dcal" or name.startswith("dcal.")]
+    for name in STAGES:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+        wrapped = recorder.wrap(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                setattr(module, name, wrapped)
+    cls, names = METHOD_STAGES
+    for name in names:
+        setattr(cls, name, recorder.wrap(name, getattr(cls, name)))
+
+
+def run_once(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"dcal {' '.join(argv)} exited {code}")
+
+
+def median_of(runs: list[dict]) -> dict:
+    stages = sorted({name for run in runs for name in run["stages"]})
+    return {
+        "wall_s": statistics.median(run["wall_s"] for run in runs),
+        "minflt": statistics.median(run["minflt"] for run in runs),
+        "stages": {
+            name: {key: statistics.median(run["stages"].get(name, {}).get(key, 0) for run in runs)
+                   for key in ("calls", "s", "minflt")}
+            for name in stages
+        },
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="sim-oos", choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1, help="benchmark seed (default 1)")
+    parser.add_argument("--runs", type=int, default=10, help="measured runs after the warm-up")
+    args = parser.parse_args()
+    workload = WORKLOADS[args.workload]
+    recorder = Recorder()
+    install(recorder)
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="minor-faults-") as tmp:
+        case = workload.prepare(args.seed, Path(tmp))
+        argv = workload.argv(case, Path(tmp) / "report")
+        run_once(argv)
+        recorder.take()
+        for _ in range(args.runs):
+            faults, start = minor_faults(), time.perf_counter()
+            run_once(argv)
+            wall = time.perf_counter() - start
+            runs.append({"wall_s": wall, "minflt": minor_faults() - faults,
+                         "stages": recorder.take()})
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "dcal": dcal.__file__,
+                      "runs": runs, "median": median_of(runs)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
