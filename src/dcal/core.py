@@ -293,7 +293,9 @@ def loo_predictions(predictor, response) -> np.ndarray:
     Uses the hat-matrix shortcut yhat_i = y_i - e_i / (1 - h_ii), which is the
     full n-refit answer in O(n) total.  A leverage of (numerically) 1 means
     the remaining points have no predictor spread, i.e. the leave-one-out fit
-    itself would be degenerate, and raises accordingly.
+    itself would be degenerate, and raises accordingly.  The predictions are
+    formed on the centred scale and shifted back by the response mean, the
+    arithmetic of the engine's leave-one-out kernel.
     """
     x = _as_sample(predictor, "predictor")
     if x.shape[0] < 4:
@@ -310,4 +312,4 @@ def loo_predictions(predictor, response) -> np.ndarray:
         raise DegenerateVarianceError(
             f"leave-one-out subset excluding index {bad} has zero predictor variance"
         )
-    return y - residuals / margin
+    return yc - residuals / margin + y.mean()

@@ -36,9 +36,11 @@ Only the out-of-sample step runs in chunks of rows, as many as fit the byte
 budget ``CHUNK_BYTES``, so its work space stays flat in the number of rows;
 each call allocates its large arrays once and every chunk writes into them.
 A row of work has n elements for loo, repeats * n for k-fold and
-replicates * n for the bootstrap; the schemes are charged 160, 141 and 33
-bytes per element (``_BYTES_PER_ELEMENT``).  One t-tail call at the end
-turns every chunk's calibrated correlations into p-values.
+replicates * n for the bootstrap; loo and the bootstrap are charged 160 and
+33 bytes per element (``_BYTES_PER_ELEMENT``), and k-fold, whose training
+sums also take (folds, folds) arrays per repeat, by :func:`_row_bytes`.
+One t-tail call at the end turns every chunk's calibrated correlations into
+p-values.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .core import (
     centred_rows,
     centred_sums,
     correlation_from_sums,
-    loo_predictions,
     loo_residuals,
     ols_fit,
     pair_errors,
@@ -431,25 +432,34 @@ def _loo_rows(X, U, y, v, sums, scheme, seeds, work):
 
 _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows}
 
-# Bytes of live work space each scheme is charged per element of per-row
-# work: n elements for loo, repeats * n for k-fold and replicates * n for
-# the bootstrap.  The figures are traced peaks (tracemalloc) of a
-# ``_calibrate`` call at n = 50 that reuses a previous chunk's work space.
+# Bytes of live work space loo and the bootstrap are charged per element of
+# per-row work: n elements for loo and replicates * n for the bootstrap.
+# The figures are traced peaks (tracemalloc) of a ``_calibrate`` call at
+# n = 50 that reuses a previous chunk's work space.
 _BYTES_PER_ELEMENT = {
     # peak 48 at 163 rows, but charged about what k-fold is, so that its
     # chunks keep 163 rows at n = 50: a loo-only run such as the null
     # battery allocates nothing larger, and 546-row chunks raised its peak
     # RSS by 0.4 MB.
     "loo": 160,
-    "kfold": 141,  # peak 140 at 18 rows, 48 of it for (folds, folds) sums
     "boot632": 33,  # peak 32.4: three 8-byte buffers and bincount's output
 }
 
 
 def _row_bytes(scheme: OosScheme, n: int) -> int:
     """Bytes of work space one row of the out-of-sample step is charged."""
-    per_sample = {"loo": 1, "kfold": scheme.repeats, "boot632": scheme.replicates}[scheme.kind]
-    return per_sample * max(n, 1) * _BYTES_PER_ELEMENT[scheme.kind]
+    n = max(n, 1)
+    if scheme.kind == "kfold":
+        # per repeat, traced as above: seven n-sample buffers (56 n) and the
+        # three (folds, folds) buffers (24 folds**2) are held throughout;
+        # while the training sums are formed, the permutation (8 n) and about
+        # 16 per-fold arrays (132 folds) more, and in the calibrated
+        # correlation three n-sample temporaries (24 n) instead.  The first
+        # is the larger below n of about 80 at 10 folds.
+        folds = scheme.folds
+        return scheme.repeats * (max(64 * n + 132 * folds, 80 * n) + 24 * folds * folds)
+    per_sample = scheme.replicates if scheme.kind == "boot632" else 1
+    return per_sample * n * _BYTES_PER_ELEMENT[scheme.kind]
 
 
 def _chunk_rows(scheme: OosScheme, n: int) -> int:
@@ -491,20 +501,16 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     """
     if direction not in (Y_FROM_X, X_FROM_Y):
         raise ValueError(f"unknown direction {direction!r}")
-    if scheme.kind == "loo":
-        if direction == Y_FROM_X:
-            return loo_predictions(pair.x, pair.y)
-        return loo_predictions(pair.y, pair.x)
     X = pair.x[None, :]
     U, v, sums = centred_rows(X, pair.y)
     seeds = np.array([scheme.seed], dtype=np.uint64)
     with np.errstate(divide="ignore", invalid="ignore"):
         y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, pair.y, v, sums, scheme, seeds,
                                                         _Work())
-    if (deg_x if direction == Y_FROM_X else deg_y)[0]:
+    if np.any(deg_x if direction == Y_FROM_X else deg_y):  # 0-d for loo's shared y
         if scheme.kind == "boot632":
             raise DegenerateVarianceError("bootstrap training sample has zero predictor variance")
-        raise DegenerateVarianceError("predictor has zero variance")
+        raise DegenerateVarianceError("a training set has zero predictor variance")
     if missing is not None and missing[0] >= 0:
         raise _coverage_error(scheme, int(missing[0]))
     return y_hat[0] + pair.y.mean() if direction == Y_FROM_X else x_hat[0] + pair.x.mean()

@@ -10,8 +10,9 @@ Every design scores its pairs through the method table of
 score whole cells at once: every repetition's pair of a cell is drawn in
 one block of stream words (:func:`contaminated_rows`), the cells of one n
 share one (rows, n) array, as many as ``GROUP_ELEMENTS`` values hold, the
-methods run on those rows in one call with one target per row, and one
-accumulator per cell and method sums the repetitions in order.
+methods run on those rows in one call with one target per row.  Every
+report mean, of a single-pair cell or of a battery, is a sum in repetition
+order (:func:`_ordered_sum`).
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ def contaminated_rows(
     """
     if not 0.0 <= fraction <= 0.5:
         raise ValueError(f"fraction must lie in [0, 0.5], got {fraction}")
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     mix = math.sqrt(1.0 - rho * rho)
     count = int(fraction * n)
     if fraction > 0.0 and count < 1:
@@ -264,8 +267,8 @@ def _battery_columns(
     return X, y
 
 
-def _check_methods(methods: Iterable[str], allowed: tuple[str, ...]) -> list[str]:
-    out = check(methods, allowed)
+def _check_methods(methods: Iterable[str], allowed: tuple, what: str = "method") -> list[str]:
+    out = check(methods, allowed, what)
     if not out:
         raise ValueError("methods must be nonempty")
     return out
@@ -276,61 +279,11 @@ def _scheme_seeds(base: int, m: int) -> np.ndarray:
     return derive_array(base, _KEY_SCHEME + np.arange(m, dtype=np.uint64))
 
 
-class _Accumulator:
-    """Sums per-method rejection and estimate statistics across repetitions."""
-
-    def __init__(self, methods: list[str]):
-        self.methods = methods
-        self.reps = 0
-        self.reject_true = {m: 0 for m in methods}
-        self.reject_null = {m: 0 for m in methods}
-        self.reps_with_false_positive = {m: 0 for m in methods}
-        self.sum_est = {m: 0.0 for m in methods}
-        self.count_est = {m: 0 for m in methods}
-        self.sum_est_sig = {m: 0.0 for m in methods}
-        self.count_sig = {m: 0 for m in methods}
-
-    def add(self, scores: dict, m_true: int, alpha: float) -> None:
-        self.reps += 1
-        for method, (score, estimate) in scores.items():
-            sig = score < alpha
-            self.reject_true[method] += int(sig[:m_true].sum())
-            null_hits = int(sig[m_true:].sum())
-            self.reject_null[method] += null_hits
-            self.reps_with_false_positive[method] += null_hits > 0
-            self.sum_est[method] += float(estimate.sum())
-            self.count_est[method] += estimate.size
-            self.sum_est_sig[method] += float(estimate[sig].sum())
-            self.count_sig[method] += int(sig.sum())
-
-    def emit(self, report: ExperimentReport, design_name: str, cell: str, m_true: int, m_null: int):
-        for method in self.methods:
-            rejected = self.reject_true[method] + self.reject_null[method]
-            report.add(design_name, cell, method, "rejections_mean", rejected / self.reps)
-            if m_null:
-                report.add(
-                    design_name, cell, method, "fpr",
-                    self.reject_null[method] / (m_null * self.reps),
-                )
-                report.add(
-                    design_name, cell, method, "fwer",
-                    self.reps_with_false_positive[method] / self.reps,
-                )
-            if m_true:
-                report.add(
-                    design_name, cell, method, "sensitivity",
-                    self.reject_true[method] / (m_true * self.reps),
-                )
-            report.add(
-                design_name, cell, method, "mean_r_overall",
-                self.sum_est[method] / self.count_est[method],
-            )
-            mean_sig = (
-                self.sum_est_sig[method] / self.count_sig[method]
-                if self.count_sig[method]
-                else None
-            )
-            report.add(design_name, cell, method, "mean_r_significant", mean_sig)
+def _ordered_sum(values) -> float:
+    """``values`` added left to right from 0.0, the bits of a Python ``+=``
+    loop in repetition order (``sum()`` compensates from Python 3.12,
+    ``np.sum`` sums pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _check_run(alpha: float, repetitions: int) -> None:
@@ -361,18 +314,23 @@ def _run_battery(
     else:
         m_true, m_null, rho = design.m_true, design.m_null, design.rho
         cell = f"m_true={design.m_true},m_null={design.m_null},rho={design.rho},n={design.n}"
-    acc = _Accumulator(labels)
-    errors = 0
+    # per label and completed repetition: planted hits, null hits, the
+    # estimate sum and the rejected estimates' sum
+    tallies: dict[str, list[tuple]] = {label: [] for label in labels}
     for rep in range(repetitions):
         base = derive(design.seed, rep)
         try:
             X, y = _battery_columns(base, design.n, m_true, m_null, rho)
             scores = score_rep(X, y, base)
         except DcalError:
-            errors += 1
             continue
-        acc.add(scores, m_true, alpha)
-    if acc.reps == 0:
+        for label in labels:
+            score, estimate = scores[label]
+            sig = score < alpha
+            tallies[label].append((int(sig[:m_true].sum()), int(sig[m_true:].sum()),
+                                   float(estimate.sum()), float(estimate[sig].sum())))
+    done = len(tallies[labels[0]])
+    if done == 0:
         raise DcalError("every repetition failed")
 
     report = ExperimentReport(
@@ -382,13 +340,24 @@ def _run_battery(
             "alpha": alpha,
             "seed": design.seed,
             "repetitions_requested": repetitions,
-            "repetitions_completed": acc.reps,
-            "errors": errors,
+            "repetitions_completed": done,
+            "errors": repetitions - done,
             "methods": labels,
             **meta,
         }
     )
-    acc.emit(report, name, cell, m_true, m_null)
+    for label in labels:
+        add = functools.partial(report.add, name, cell, label)
+        true_hits, null_hits, estimates, significant = zip(*tallies[label])
+        rejected = sum(true_hits) + sum(null_hits)
+        add("rejections_mean", rejected / done)
+        if m_null:
+            add("fpr", sum(null_hits) / (m_null * done))
+            add("fwer", sum(hits > 0 for hits in null_hits) / done)
+        if m_true:
+            add("sensitivity", sum(true_hits) / (m_true * done))
+        add("mean_r_overall", _ordered_sum(estimates) / ((m_true + m_null) * done))
+        add("mean_r_significant", _ordered_sum(significant) / rejected if rejected else None)
     return report
 
 
@@ -449,25 +418,6 @@ def run_oos_comparison(
     return _run_battery(design, "oos_comparison", labels, score_rep, alpha, repetitions, {})
 
 
-class _CellSums:
-    """One method's sums over a single-pair design cell's repetitions: each
-    a left-to-right ``+=`` in repetition order, as the per-pair loops summed
-    (``sum()`` compensates from Python 3.12, ``np.sum`` sums pairwise)."""
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.score = self.estimate = self.abs_estimate = self.estimate_rejected = 0.0
-        self.rejections = 0
-
-    def add(self, score: float, estimate: float) -> None:
-        self.score += score
-        self.estimate += estimate
-        self.abs_estimate += abs(estimate)
-        if score < self.alpha:
-            self.estimate_rejected += estimate
-            self.rejections += 1
-
-
 def _score_cells(
     cells: list[tuple[int, Callable[[], tuple[np.ndarray, np.ndarray]]]],
     methods: list[str],
@@ -480,9 +430,9 @@ def _score_cells(
 
     Cells of the same n are drawn into one array, as many whole cells as
     ``GROUP_ELEMENTS`` values hold (at least one), and scored in one call.
-    Returns per cell, in the order given, the error its draw raised, or one
-    :class:`_CellSums` per method over the repetitions on which none failed
-    and each repetition's first error, if any.
+    Returns per cell, in the order given, the error its draw raised, or per
+    method the (score, estimate, rejected) arrays of the repetitions on which
+    no method failed, in repetition order, and each repetition's first error.
     """
     out: list = [None] * len(cells)
     by_n: dict[int, list[int]] = {}
@@ -509,15 +459,11 @@ def _score_cells(
                 continue
             used = len(drawn) * repetitions
             scored, errors = score_rows(Rows(X[:used], Y[:used], alpha=alpha), methods)
-            columns = {m: (s.score.tolist(), s.estimate.tolist()) for m, s in scored.items()}
             for k, ci in enumerate(drawn):
-                reps = range(k * repetitions, (k + 1) * repetitions)
-                sums = {m: _CellSums(alpha) for m in methods}
-                for rep in reps:
-                    if errors[rep] is None:
-                        for m, acc in sums.items():  # each distinct method once
-                            acc.add(columns[m][0][rep], columns[m][1][rep])
-                out[ci] = (sums, errors[reps.start : reps.stop])
+                reps = slice(k * repetitions, (k + 1) * repetitions)
+                ok = np.array([error is None for error in errors[reps]])
+                kept = {m: (s.score[reps][ok], s.estimate[reps][ok]) for m, s in scored.items()}
+                out[ci] = ({m: (p, r, p < alpha) for m, (p, r) in kept.items()}, errors[reps])
     return out
 
 
@@ -558,14 +504,15 @@ def run_effect_grid(
     for (rho, n), outcome in zip(cells, scored):
         if isinstance(outcome, Exception):
             raise outcome
-        sums, errors = outcome
+        cell_scores, errors = outcome
         raise_first(errors)
         for m in methods:
-            add, acc = functools.partial(report.add, "effect_grid", f"rho={rho},n={n}", m), sums[m]
-            add("mean_p", acc.score / repetitions)
-            add("mean_estimate", acc.estimate / repetitions)
-            add("mean_abs_estimate", acc.abs_estimate / repetitions)
-            add("rejection_rate", acc.rejections / repetitions)
+            add = functools.partial(report.add, "effect_grid", f"rho={rho},n={n}", m)
+            score, estimate, rejected = cell_scores[m]
+            add("mean_p", _ordered_sum(score) / repetitions)
+            add("mean_estimate", _ordered_sum(estimate) / repetitions)
+            add("mean_abs_estimate", _ordered_sum(np.abs(estimate)) / repetitions)
+            add("rejection_rate", int(rejected.sum()) / repetitions)
     return report
 
 
@@ -580,7 +527,7 @@ def run_outlier_suite(
     A repetition on which any method fails with a toolkit error is left out
     of its cell's averages and counted once in the ``errors`` metadata.
     """
-    methods = check(methods, OUTLIER_METHODS, "outlier-suite method")
+    methods = _check_methods(methods, OUTLIER_METHODS, "outlier-suite method")
     _check_run(alpha, repetitions)
     report = ExperimentReport(
         meta={
@@ -608,15 +555,17 @@ def run_outlier_suite(
         )
         if isinstance(outcome, Exception):
             raise outcome
-        sums, errors = outcome
+        cell_scores, errors = outcome
         done = errors.count(None)
         if done == 0:
             raise DcalError(f"every repetition of outlier-suite cell {cell} failed")
         report.meta["errors"] += repetitions - done
         for m in methods:
-            add, acc = functools.partial(report.add, "outlier_suite", cell, m), sums[m]
-            add("mean_estimate", acc.estimate / done)
-            rejected = acc.rejections
-            add("mean_estimate_significant", acc.estimate_rejected / rejected if rejected else None)
-            add("sensitivity", rejected / done)
+            add = functools.partial(report.add, "outlier_suite", cell, m)
+            _, estimate, rejected = cell_scores[m]
+            hits = int(rejected.sum())
+            add("mean_estimate", _ordered_sum(estimate) / done)
+            add("mean_estimate_significant",
+                _ordered_sum(estimate[rejected]) / hits if hits else None)
+            add("sensitivity", hits / done)
     return report

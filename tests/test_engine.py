@@ -719,9 +719,9 @@ class TestChunkMemory:
     SLACK_BYTES = 256 * 1024
 
     @staticmethod
-    def _traced_peak(scheme) -> int:
-        """Traced peak of one warm fig2-sized call (100 x 50)."""
-        X, y = _generic_battery(5, 100, 50, 0.0)
+    def _traced_peak(scheme, n: int = 50) -> int:
+        """Traced peak of one warm call of 100 rows (fig2's size at n = 50)."""
+        X, y = _generic_battery(5, 100, n, 0.0)
         seeds = np.arange(100)
         dcal_matrix(X, y, scheme, seeds)
         tracemalloc.start()
@@ -738,6 +738,18 @@ class TestChunkMemory:
         # for shows here before it shows in peak RSS
         assert engine._chunk_rows(scheme, 50) > 1
         assert self._traced_peak(scheme) <= engine.CHUNK_BYTES + self.SLACK_BYTES
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_small_n_kfold_peak_fits_the_budget(self, n):
+        # at small n the (folds, folds) arrays of the training sums and the
+        # per-fold arrays outweigh the n-sample buffers
+        assert self._traced_peak(OosScheme.repeated_kfold(), n) <= (
+            engine.CHUNK_BYTES + self.SLACK_BYTES
+        )
+
+    def test_fig2_kfold_chunks_unchanged(self):
+        # sim-oos runs cv10x10 at n = 50 in chunks of 18 rows
+        assert engine._chunk_rows(OosScheme.repeated_kfold(), 50) == 18
 
     def test_bootstrap_peak_within_kfold_peak(self):
         # the bootstrap's larger chunks take no more than the k-fold chunk,

@@ -1,5 +1,5 @@
 """The method table against the single-pair calls, the shared corrections,
-and the summation order of the single-pair designs' cell accumulator."""
+and the summation order of the simulation reports' means."""
 
 import math
 import sys
@@ -33,13 +33,14 @@ from dcal.methods import (
     CORRECTIONS,
     METHODS,
     Rows,
+    Scores,
     battery_scores,
     correct,
     score_rows,
 )
 from dcal import batchio, core, simulate
 from dcal.rng import derive
-from dcal.simulate import _CellSums
+from dcal.simulate import _ordered_sum
 
 # every spelling the table accepts, and the method it names
 SPELLINGS = {
@@ -319,24 +320,71 @@ class TestSharedCorrections:
 
 
 class TestCellSumsOrder:
+    """Report means are sums in repetition order from 0.0, as a Python
+    ``+=`` loop adds, and a rejection is a score strictly below alpha."""
+
+    VALUES = [1e16, 1.0, -1e16, 0.1]
+    SEQUENTIAL = ((1e16 + 1.0) + -1e16) + 0.1
+
+    @staticmethod
+    def _fixed_scores(monkeypatch, score, estimate):
+        """Make every method of a single-pair cell score ``(score, estimate)``
+        per repetition."""
+        def fixed(rows, names):
+            out = Scores(np.array(score), np.array(estimate), (None,) * len(score))
+            return {name: out for name in names}, [None] * len(score)
+        monkeypatch.setattr(simulate, "score_rows", fixed)
+
     def test_sums_are_sequential(self):
         # left to right, 1.0 is lost against 1e16; a compensated sum keeps it
-        values = [1e16, 1.0, -1e16, 0.1]
-        sequential = ((1e16 + 1.0) + -1e16) + 0.1
-        assert sequential != math.fsum(values)
-        acc = _CellSums(alpha=1e300)
-        for v in values:
-            acc.add(v, v)
-        assert acc.score == sequential
-        assert acc.estimate == sequential
-        assert acc.estimate_rejected == sequential
-        assert acc.abs_estimate == ((1e16 + 1.0) + 1e16) + 0.1
-        assert acc.rejections == 4
+        assert self.SEQUENTIAL != math.fsum(self.VALUES)
+        assert _ordered_sum(self.VALUES) == self.SEQUENTIAL
+        assert _ordered_sum(np.array(self.VALUES)) == self.SEQUENTIAL
+        assert _ordered_sum(np.abs(self.VALUES)) == ((1e16 + 1.0) + 1e16) + 0.1
+        assert _ordered_sum([]) == 0.0
+        # long enough that np.sum's pairwise blocks give other bits
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000)
+        total = 0.0
+        for value in values.tolist():
+            total += value
+        assert total != float(np.sum(values))
+        assert _ordered_sum(values) == total
 
-    def test_rejections_count_scores_below_alpha(self):
-        acc = _CellSums(alpha=0.05)
-        for score, estimate in [(0.01, 0.5), (0.05, -0.25), (0.2, 0.125), (0.0, -0.5)]:
-            acc.add(score, estimate)
-        assert acc.rejections == 2
-        assert acc.estimate_rejected == 0.0
-        assert acc.abs_estimate == 1.375
+    def test_effect_grid_means_sum_in_repetition_order(self, monkeypatch):
+        self._fixed_scores(monkeypatch, self.VALUES, self.VALUES)
+        report = simulate.run_effect_grid(simulate.EffectGrid((0.3,), (10,), 5), ["dcal"],
+                                          repetitions=4)
+        # dividing by 4 is exact
+        assert report.value("dcal", "mean_p") == self.SEQUENTIAL / 4
+        assert report.value("dcal", "mean_estimate") == self.SEQUENTIAL / 4
+        assert report.value("dcal", "mean_abs_estimate") == (((1e16 + 1.0) + 1e16) + 0.1) / 4
+
+    def test_rejections_count_scores_below_alpha(self, monkeypatch):
+        scores, estimates = [0.01, 0.05, 0.2, 0.0], [0.5, -0.25, 0.125, -0.5]
+        self._fixed_scores(monkeypatch, scores, estimates)
+        grid = simulate.run_effect_grid(simulate.EffectGrid((0.3,), (10,), 5), ["dcal"],
+                                        alpha=0.05, repetitions=4)
+        assert grid.value("dcal", "rejection_rate") == 0.5
+        assert grid.value("dcal", "mean_abs_estimate") == 1.375 / 4
+        cell = simulate.Contaminated(0.3, simulate.OutlierKind("bivariate"), 0.1, 10, 5)
+        suite = simulate.run_outlier_suite([cell], ["dcal"], alpha=0.05, repetitions=4)
+        assert suite.value("dcal", "sensitivity") == 0.5
+        assert suite.value("dcal", "mean_estimate_significant") == 0.0  # 0.5 + -0.5
+
+    def test_battery_tallies_sum_in_repetition_order(self):
+        # repetition k's estimates sum to VALUES[k]; the first planted and
+        # the second null column reject in every repetition
+        sums = iter(self.VALUES)
+
+        def score_rep(X, y, base):
+            return {"x": (np.array([0.01, 0.05, 0.2, 0.0]), np.array([next(sums), 0.0, 0.0, 0.0]))}
+
+        design = simulate.CorrelatedBattery(m_true=2, m_null=2, rho=0.3, n=10, seed=5)
+        report = simulate._run_battery(design, "b", ["x"], score_rep, 0.05, 4, {})
+        assert report.value("x", "rejections_mean") == 2.0
+        assert report.value("x", "sensitivity") == 0.5
+        assert report.value("x", "fpr") == 0.5
+        assert report.value("x", "fwer") == 1.0
+        assert report.value("x", "mean_r_overall") == self.SEQUENTIAL / 16
+        assert report.value("x", "mean_r_significant") == self.SEQUENTIAL / 8

@@ -73,7 +73,7 @@ class TestContaminatedRows:
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(10, 120),
-        rho=st.sampled_from([0.0, 0.3, -0.5, 0.9, 1.0, 1.5]),
+        rho=st.sampled_from([0.0, 0.3, -0.5, 0.9, 1.0, -1.0, 1.5]),
         kind=st.sampled_from(KINDS),
         fraction=st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.25, 0.37, 0.5, 0.6, -0.1]),
         seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
@@ -86,6 +86,8 @@ class TestContaminatedRows:
             want, want_error = _outcome(
                 lambda: pairwise_reference.gen_contaminated(n, rho, kind, fraction, seed)
             )
+            if want_error == (ValueError, "math domain error"):  # |rho| > 1, now named
+                want_error = (ValueError, f"rho must lie in [-1, 1], got {rho}")
             got, got_error = _outcome(lambda: gen_contaminated(n, rho, kind, fraction, seed))
             assert got_error == want_error
             if want is None:
@@ -269,6 +271,20 @@ class TestOutlierSuite:
         assert report.value("pearson", "mean_estimate", cell=uni_cell) < 0.3
         assert report.value("pearson", "mean_estimate", cell=bi_cell) > 0.5
         assert report.value("skipped", "sensitivity", cell=bi_cell) <= 1.0
+
+    def test_no_methods_rejected(self):
+        # as the effect grid and the batteries do, not a report of 0 records
+        cells = [Contaminated(0.3, OutlierKind("bivariate"), 0.1, 30, 4)]
+        with pytest.raises(ValueError, match="methods must be nonempty"):
+            run_outlier_suite(cells, methods=[], repetitions=5)
+
+    @pytest.mark.parametrize("rho", [1.5, -1.0000001, float("nan")])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        # named, where math.sqrt(1 - rho**2) would raise "math domain error"
+        for kind in KINDS:
+            cell = Contaminated(rho, kind, 0.1, 30, 4)
+            with pytest.raises(ValueError, match=r"rho must lie in \[-1, 1\], got"):
+                run_outlier_suite([cell], repetitions=5)
 
 
 def _per_pair_outlier_records(cells, methods, alpha, repetitions):

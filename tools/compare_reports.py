@@ -10,12 +10,13 @@ working tree when ``--head`` is left out, made with the export helpers of
 ``tools/bench_pairs.py``.  Two kinds of case then run in each copy:
 
 - ``dcal simulate`` on every bundled ``src/dcal/fixtures/fig*.cfg`` and
-  ``benchmarks/configs/*.cfg`` of the head copy, plus three built-in
+  ``benchmarks/configs/*.cfg`` of the head copy, plus four built-in
   configs: an effect grid with every pair method and n = 4, an outlier suite
-  at the odd n = 11 with every contamination kind, and an effect grid whose
+  at the odd n = 11 with every contamination kind, an effect grid whose
   odd and even n include one too large for two of its cells to share a
-  scoring call, each at the config's own repetitions unless
-  ``--repetitions`` is given;
+  scoring call, and a correlated battery without null columns at an alpha
+  where most methods reject nothing, each at the config's own repetitions
+  unless ``--repetitions`` is given;
 - built-in CLI cases, all run in one interpreter per side: a small
   ``dcal screen`` with every correction at loo, cv10x10 and boot632, a wide
   one (800 features of 24 samples) fast and ``--no-fast`` as CSV and JSON,
@@ -103,10 +104,27 @@ seed = 17
 repetitions = 100
 """
 
+# no null columns (no fpr or fwer records), and an alpha at which five of
+# the seven methods reject nothing (empty mean_r_significant)
+CORRELATED_BATTERY = """\
+design = correlated_battery
+m_true = 40
+m_null = 0
+rho = 0.3
+n = 30
+seed = 1
+repetitions = 3
+alpha = 1e-4
+scheme = boot632
+methods = uncorrected,holm,bh,perm_max,dcal,pcal_sellke,pcal_bickel
+permutations = 199
+"""
+
 BUILT_IN_CONFIGS = {
     "effect_grid.cfg": EFFECT_GRID,
     "outlier_suite_odd_n.cfg": OUTLIER_SUITE_ODD_N,
     "effect_grid_groups.cfg": EFFECT_GRID_GROUPS,
+    "correlated_battery.cfg": CORRELATED_BATTERY,
 }
 
 ELAPSED = re.compile(r" in \d+\.\d+ s$", re.MULTILINE)
