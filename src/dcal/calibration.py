@@ -38,7 +38,10 @@ import numpy as np
 from .core import DataPair, pearson
 from .errors import ConvergenceError, raise_first
 
-__all__ = ["pcal_sellke", "pcal_bickel", "bf_to_posterior", "bf_rows", "correlation_bf"]
+__all__ = [
+    "pcal_sellke", "pcal_bickel", "pcal_sellke_rows", "pcal_bickel_rows", "bf_to_posterior",
+    "bf_rows", "correlation_bf",
+]
 
 _INV_E = 1.0 / math.e
 
@@ -48,11 +51,31 @@ _SERIES_BLOCK_ELEMENTS = 2 ** 16
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+def _check_p(p) -> np.ndarray:
+    """``p`` as a float64 array; raises ValueError on its first entry
+    outside [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p >= 0.0) & (p <= 1.0))  # NaN too
+    if bad.any():
+        raise ValueError(f"p must lie in [0, 1], got {float(p[bad][0])}")
     return p
+
+
+def _logs(p: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry: ``np.log`` may differ in the last bit."""
+    return np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=p.size)
+
+
+def pcal_sellke_rows(p) -> np.ndarray:
+    """:func:`pcal_sellke` of each entry of the array ``p``."""
+    p = _check_p(p)
+    out = np.where(p == 0.0, 0.0, 0.5)
+    inside = (p > 0.0) & (p < _INV_E)
+    q = p[inside]
+    bound = -math.e * q * _logs(q)
+    with np.errstate(over="ignore"):  # 1 / bound is inf below p ~ 3e-312, as in Python
+        out[inside] = 1.0 / (1.0 + 1.0 / bound)
+    return out
 
 
 def pcal_sellke(p: float) -> float:
@@ -61,13 +84,18 @@ def pcal_sellke(p: float) -> float:
     For p < 1/e the bound is (1 + (-e p ln p)^-1)^-1; beyond 1/e the bound
     saturates at its maximum of 0.5.  p = 0 maps to the limit 0.
     """
+    return float(pcal_sellke_rows(float(p)))
+
+
+def pcal_bickel_rows(p) -> np.ndarray:
+    """:func:`pcal_bickel` of each entry of the array ``p``."""
     p = _check_p(p)
-    if p == 0.0:
-        return 0.0
-    if p >= _INV_E:
-        return 0.5
-    bound = -math.e * p * math.log(p)
-    return 1.0 / (1.0 + 1.0 / bound)
+    out = np.zeros(p.shape)
+    inside = p > 0.0
+    q = p[inside]
+    a = np.abs(2.7 * q * _logs(q))
+    out[inside] = np.minimum(1.0, np.maximum(0.0, (1.0 - a) * q + 2.0 * a))
+    return out
 
 
 def pcal_bickel(p: float) -> float:
@@ -77,11 +105,7 @@ def pcal_bickel(p: float) -> float:
     exceed 1 for mid-range p, so the result is clamped to [0, 1].  p = 0 maps
     to the limit 0.
     """
-    p = _check_p(p)
-    if p == 0.0:
-        return 0.0
-    a = abs(2.7 * p * math.log(p))
-    return min(1.0, max(0.0, (1.0 - a) * p + 2.0 * a))
+    return float(pcal_bickel_rows(float(p)))
 
 
 def bf_to_posterior(bf10: float, prior_h1: float = 0.5) -> float:

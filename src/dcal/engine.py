@@ -557,16 +557,17 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r, work):
     return r_cal, rest_cal, keep, out & ~failed, errors
 
 
-def classical_phase(X, y) -> Classical:
+def classical_phase(X, y, invalid=None) -> Classical:
     """The classical half of the test for every row of ``X`` against ``y``
     (shapes as in :func:`dcal_matrix`).  A row that ``DataPair`` would
     reject, or whose centred sums leave the float64 range, carries that
-    error; non-finite values raise ``ValueError`` for the whole call."""
+    error; non-finite values raise ``ValueError`` for the whole call.
+    ``invalid`` is ``pair_errors(X, y)`` when the caller has it."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape not in (X.shape[1:], X.shape):
         raise ValueError("X must be (m, n) with y of length n or of the shape of X")
-    errors = pair_errors(X, y)
+    errors = pair_errors(X, y) if invalid is None else list(invalid)
     # sums that overflow are row errors (NaN r), not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         U, v, sums = centred_rows(X, y)

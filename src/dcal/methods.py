@@ -14,13 +14,12 @@ hands it to :func:`~dcal.engine.calibration_phase`.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calibration import _bf_series, pcal_bickel, pcal_sellke
+from .calibration import _bf_series, pcal_bickel_rows, pcal_sellke_rows
 from .core import pair_errors
 from .engine import Classical, DcalBatch, OosScheme, calibration_phase, classical_phase
 from .errors import raise_first
@@ -48,18 +47,27 @@ class Rows:
     """The pairs ``(X[i], Y[i])`` that methods score, with the calibrated
     test's settings.  ``X`` is (m, n); ``Y`` is one sample (n,) or one per
     row (m, n); ``seeds`` are the calibrated test's per-row resampling seeds.
-    Each test runs once, on first use, for every method that reads it."""
+    ``valid`` says that the caller has found every pair valid with
+    :func:`~dcal.core.pair_errors`.  Each test runs once, on first use, for
+    every method that reads it."""
 
     def __init__(self, X, Y, scheme: OosScheme = OosScheme.loo(), seeds=None,
-                 alpha: float = 0.05, fast: bool = False):
+                 alpha: float = 0.05, fast: bool = False, valid: bool = False):
         self.X, self.Y = np.asarray(X, dtype=np.float64), np.asarray(Y, dtype=np.float64)
         self.seeds = np.zeros(len(self.X), np.uint64) if seeds is None else seeds
         self.scheme, self.alpha, self.fast = scheme, alpha, fast
+        if valid:
+            self.invalid = [None] * len(self.X)
+
+    @cached_property
+    def invalid(self) -> list:
+        """Per pair the error ``DataPair`` raises on it (None if valid)."""
+        return pair_errors(self.X, self.Y)
 
     @cached_property
     def phase(self) -> Classical:
         """The classical phase of the calibrated test, for every method."""
-        return classical_phase(self.X, self.Y)
+        return classical_phase(self.X, self.Y, self.invalid)
 
     @cached_property
     def classical(self) -> Scores:
@@ -80,17 +88,18 @@ class Rows:
         error (its retained points have no spread either)."""
         # the sweep's work space is the peak: free the classical phase (a read recomputes it)
         vars(self).pop("phase", None)
-        invalid = pair_errors(self.X, self.Y)
         batch = skipped_rows(self.X, np.broadcast_to(self.Y, self.X.shape))
-        errors = tuple(a if a is not None else b for a, b in zip(invalid, batch.errors))
+        errors = tuple(a if a is not None else b for a, b in zip(self.invalid, batch.errors))
         return batch._replace(errors=errors)
 
 
-def _calibration(rows: Rows, transform: Callable[[float], float]) -> Scores:
-    """A p-value calibration, one classical p at a time, with Pearson's r."""
+def _calibration(rows: Rows, transform: Callable[[np.ndarray], np.ndarray]) -> Scores:
+    """A p-value calibration of every valid row's classical p, with Pearson's r."""
     p, r, errors = rows.classical
-    score = [math.nan if e is not None else transform(v) for v, e in zip(p.tolist(), errors)]
-    return Scores(np.array(score, dtype=np.float64), r, errors)
+    valid = [i for i, error in enumerate(errors) if error is None]
+    score = np.full(len(p), np.nan)
+    score[valid] = transform(p[valid])
+    return Scores(score, r, errors)
 
 
 def _ppbf(rows: Rows) -> Scores:
@@ -114,8 +123,8 @@ _SCORERS = {
     "uncorrected": lambda rows: rows.classical,
     "dcal": lambda rows: Scores(rows.calibrated.p_dcal, rows.calibrated.r_dcal,
                                 rows.calibrated.errors),
-    "pcal_sellke": lambda rows: _calibration(rows, pcal_sellke),
-    "pcal_bickel": lambda rows: _calibration(rows, pcal_bickel),
+    "pcal_sellke": lambda rows: _calibration(rows, pcal_sellke_rows),
+    "pcal_bickel": lambda rows: _calibration(rows, pcal_bickel_rows),
     "ppbf": _ppbf,
     "skipped": lambda rows: Scores(rows.skipped.p, rows.skipped.r, rows.skipped.errors),
 }

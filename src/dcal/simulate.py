@@ -426,7 +426,8 @@ def _score_cells(
 ) -> list:
     """Score single-pair design cells with every method (the calibrated
     test at loo, fast guard off).  A cell is ``(n, draw)``; ``draw()``
-    checks its design and returns its (repetitions, n) pairs (X, Y).
+    checks its design and returns its (repetitions, n) pairs (X, Y), or
+    raises its first invalid pair's error (:func:`_cell_rows`).
 
     Cells of the same n are drawn into one array, as many whole cells as
     ``GROUP_ELEMENTS`` values hold (at least one), and scored in one call.
@@ -458,7 +459,8 @@ def _score_cells(
             if not drawn:
                 continue
             used = len(drawn) * repetitions
-            scored, errors = score_rows(Rows(X[:used], Y[:used], alpha=alpha), methods)
+            # each draw raised its first invalid pair: the drawn pairs are valid
+            scored, errors = score_rows(Rows(X[:used], Y[:used], alpha=alpha, valid=True), methods)
             for k, ci in enumerate(drawn):
                 reps = slice(k * repetitions, (k + 1) * repetitions)
                 ok = np.array([error is None for error in errors[reps]])

@@ -73,6 +73,67 @@ class TestBickel:
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
+def _sellke_scalar(p: float) -> float:
+    """The per-element Sellke calibration the array form replaced."""
+    if p == 0.0:
+        return 0.0
+    if p >= 1.0 / math.e:
+        return 0.5
+    bound = -math.e * p * math.log(p)
+    return 1.0 / (1.0 + 1.0 / bound)
+
+
+def _bickel_scalar(p: float) -> float:
+    """The per-element Bickel calibration the array form replaced."""
+    if p == 0.0:
+        return 0.0
+    a = abs(2.7 * p * math.log(p))
+    return min(1.0, max(0.0, (1.0 - a) * p + 2.0 * a))
+
+
+class TestCalibrationRows:
+    """The array forms give the bits of the per-element calibrations, which
+    took ``math.log`` of each p."""
+
+    EDGES = [0.0, 1.0, 1.0 / math.e, math.nextafter(1.0 / math.e, 0.0),
+             math.nextafter(1.0 / math.e, 1.0), 5e-324, 1e-300, math.nextafter(1.0, 0.0)]
+
+    def _grid(self) -> np.ndarray:
+        stream = np.random.default_rng(20221)
+        return np.concatenate([
+            self.EDGES, np.linspace(0.0, 1.0, 100_001), np.logspace(-323, 0, 1000),
+            stream.uniform(size=50_000), stream.uniform(size=50_000) ** 40,
+        ])
+
+    @pytest.mark.parametrize("rows,scalar", [
+        (calibration.pcal_sellke_rows, _sellke_scalar),
+        (calibration.pcal_bickel_rows, _bickel_scalar),
+    ], ids=["sellke", "bickel"])
+    def test_bits_of_the_per_element_form(self, rows, scalar):
+        p = self._grid()
+        expected = np.array([scalar(v) for v in p.tolist()])
+        got = rows(p)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(rows(p.reshape(3, -1)), got.reshape(3, -1))
+
+    @pytest.mark.parametrize("rows,one", [
+        (calibration.pcal_sellke_rows, pcal_sellke), (calibration.pcal_bickel_rows, pcal_bickel),
+    ], ids=["sellke", "bickel"])
+    def test_scalar_is_one_element_call(self, rows, one):
+        for p in self.EDGES + [0.0022, 0.05, 0.3]:
+            assert one(p) == float(rows(np.array([p]))[0])
+        assert rows(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("rows", [calibration.pcal_sellke_rows, calibration.pcal_bickel_rows])
+    def test_first_bad_entry_named(self, rows):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1.2$"):
+            rows(np.array([0.5, 1.2, -0.01]))
+        with pytest.raises(ValueError, match=r"got nan$"):
+            rows(np.array([0.5, math.nan, 1.2]))
+        with pytest.raises(ValueError, match=r"got -0.01$"):
+            rows([[0.5, 0.2], [-0.01, 0.3]])
+
+
 class TestBfToPosterior:
     def test_indifference(self):
         assert bf_to_posterior(1.0, 0.5) == 0.5

@@ -28,7 +28,8 @@ from dcal import (
     run_oos_comparison,
     run_outlier_suite,
 )
-from dcal import simulate
+from dcal import core, engine, simulate
+from dcal import methods as method_table
 from dcal.rng import derive, derive_array
 from dcal.simulate import _battery_columns, contaminated_rows
 
@@ -386,6 +387,26 @@ class TestBatchedCells:
         design = EffectGrid(rho_list=(0.5, 1.0), n_list=(12, 3), seed=85)
         with pytest.raises(ValueError, match="need n >= 4, got 3"):
             run_effect_grid(design, ["uncorrected"], repetitions=5)
+
+    def test_each_pair_validated_once(self, monkeypatch):
+        # a cell's pairs go through pair_errors when they are drawn, and not
+        # again when the classical phase or skipped correlation scores them
+        checked = []
+
+        def counting(X, y):
+            checked.append(len(X))
+            return core.pair_errors(X, y)
+
+        for module in (simulate, engine, method_table):
+            monkeypatch.setattr(module, "pair_errors", counting)
+        kind = OutlierKind("univariate")
+        cells = [Contaminated(rho, kind, 0.1, 30, 91) for rho in (0.0, 0.5, -0.5)]
+        run_outlier_suite(cells, ["pearson", "dcal", "skipped"], repetitions=20)
+        assert checked == [20, 20, 20]
+        checked.clear()
+        design = EffectGrid(rho_list=(0.0, 0.5), n_list=(12,), seed=92)
+        run_effect_grid(design, ["uncorrected", "dcal"], repetitions=20)
+        assert checked == [20, 20]
 
     def test_overflowing_outliers_fail_every_repetition(self):
         cell = Contaminated(0.5, OutlierKind("high_variance", sd_outlier=1e300), 0.1, 30, 5)
