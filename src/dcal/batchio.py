@@ -13,8 +13,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Iterable
+from itertools import chain, compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
+
+# data cells converted by one numpy call when a table is read; a block holds
+# whole rows, at least one
+BLOCK_CELLS = 2 ** 14
 
 # substream roles under the screen seed
 _KEY_SCREEN_PERM = 2 ** 35
@@ -107,6 +111,78 @@ def _parse_row(cells: list[str], line_no: int) -> np.ndarray:
     return np.array([_parse_cell(tok, line_no, c) for c, tok in enumerate(cells, start=2)])
 
 
+def _parse_block(cells: list[str], lines: list[int]) -> np.ndarray:
+    """Consecutive rows' data cells, concatenated, as a (rows, cells per row)
+    float matrix, NaN marking a missing cell; ``lines`` holds each row's
+    line number.
+
+    One numpy call converts the whole block.  Only a block that fails to
+    convert or holds a non-finite value is parsed again row by row, in file
+    order, so the error names the first bad cell of the file.
+    """
+    try:
+        values = np.array(cells, dtype=np.float64).reshape(len(lines), -1)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    k = len(cells) // len(lines)
+    return np.array([
+        _parse_row(cells[i * k:(i + 1) * k], line_no) for i, line_no in enumerate(lines)
+    ])
+
+
+def _may_be_missing(row: list[str], data: str) -> bool:
+    """Whether a row's data cells ``row``, whose characters are those of
+    ``data``, may hold a missing cell: an empty cell, or a token with an
+    ``a`` or an ``l`` in either case ('NA', 'nan', 'null').  Such a row is
+    converted as a block of its own: numpy cannot make its missing cells
+    finite values, so in a shared block it would send every row down the
+    cell-by-cell path."""
+    return not all(row) or "a" in data or "A" in data or "l" in data or "L" in data
+
+
+class _Kept:
+    """The feature rows that pass ingestion's checks, gathered block by block.
+
+    A row with a missing cell or a constant value is left out with a
+    warning; the first feature with a missing cell is remembered for the
+    ``fail`` policy, which is decided after the duplicate-name check.
+    """
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.blocks: list[np.ndarray] = []
+        self.warnings: list[str] = []
+        self.first_missing: str | None = None
+
+    def add(self, values: np.ndarray, names: Sequence[str]) -> None:
+        missing = np.isnan(values).any(axis=1)
+        constant = values.min(axis=1, initial=np.inf) == values.max(axis=1, initial=-np.inf)
+        gaps = missing.tolist()
+        self.warnings += [
+            f"feature {name!r} dropped: missing values" if gap
+            else f"feature {name!r} excluded: constant value"
+            for name, gap, flat in zip(names, gaps, constant.tolist())
+            if gap or flat
+        ]
+        if self.first_missing is None and any(gaps):
+            self.first_missing = names[gaps.index(True)]
+        keep = ~(missing | constant)
+        self.names += compress(names, keep.tolist())
+        if keep.all():
+            self.blocks.append(values)
+        elif keep.any():
+            self.blocks.append(values[keep])
+
+    def matrix(self, n_samples: int) -> np.ndarray:
+        """The kept rows as one C-ordered matrix; the blocks are released."""
+        blocks, self.blocks = self.blocks, []
+        if not blocks:
+            return np.empty((0, n_samples))
+        return np.ascontiguousarray(blocks[0]) if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def load_matrix(
     path,
     delimiter: str = ",",
@@ -122,10 +198,18 @@ def load_matrix(
     raises.  Constant-valued features are always excluded with a warning,
     since they cannot participate in any correlation test.
 
-    Rows are read one at a time into float arrays.  Errors come in file
-    order first -- a row of the wrong width, a cell that is not a number or
-    not finite (``inf``, ``-nan``) -- then a duplicate feature name, then a
-    missing cell under the ``fail`` policy.
+    A plain line -- not blank, with no quote character, no NUL and no more
+    characters than ``csv.field_size_limit()`` -- is split on the delimiter
+    with ``str.split``; any other line starts a record that ``csv.reader``
+    reads, as it would the whole file.  Rows are converted in blocks of
+    about ``BLOCK_CELLS`` cells, one numpy call per block, and features in
+    rows are checked and compacted block by block, so no per-row arrays are
+    made and the kept rows are copied once, into the returned matrix.
+
+    Errors come in file order first -- a row of the wrong width, a cell that
+    is not a number or not finite (``inf``, ``-nan``), a record ``csv``
+    cannot read -- cited by the physical line that ends the row; then a
+    duplicate feature name; then a missing cell under the ``fail`` policy.
     """
     if orientation not in ("features_in_rows", "samples_in_rows"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -134,53 +218,92 @@ def load_matrix(
     if len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
 
+    by_row = orientation == "features_in_rows"
     names: list[str] = []
-    rows: list[np.ndarray] = []
+    kept = _Kept()
+    sample_blocks: list[np.ndarray] = []
+    cells: list[str] = []
+    lines: list[int] = []
+
+    def flush() -> None:
+        nonlocal cells, lines
+        block_cells, block_lines, cells, lines = cells, lines, [], []
+        if block_lines:
+            values = _parse_block(block_cells, block_lines)
+            if by_row:
+                kept.add(values, names[len(names) - len(block_lines):])
+            else:
+                sample_blocks.append(values)
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: file is empty")
-            if len(header) < 2:
-                raise ParseError("line 1: expected a name column plus data columns")
-            width = len(header)
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
-                names.append(row[0].strip())
-                rows.append(_parse_row(row[1:], line_no))
         except csv.Error as exc:
             raise ParseError(f"line {reader.line_num}: {exc}") from None
+        if header is None:
+            raise ParseError(f"{path}: file is empty")
+        if len(header) < 2:
+            raise ParseError("line 1: expected a name column plus data columns")
+        width = len(header)
+        block_rows = max(1, BLOCK_CELLS // (width - 1))
+        limit = csv.field_size_limit()
+        line_no = reader.line_num
+        error = None
+        try:
+            for line in fh:
+                line_no += 1
+                text = line.rstrip("\r\n")
+                # a plain line, which csv.reader would split the same way
+                # (before Python 3.11 it refused a NUL)
+                if text and '"' not in text and "\0" not in text and len(text) <= limit:
+                    row = text.split(delimiter)
+                    data = text[len(row[0]) + 1:]
+                else:
+                    record = csv.reader(chain((line,), fh), delimiter=delimiter)
+                    try:
+                        row = next(record)
+                    except csv.Error as exc:
+                        raise ParseError(f"line {line_no - 1 + record.line_num}: {exc}") from None
+                    line_no += record.line_num - 1
+                    data = "".join(row[1:])
+                if len(row) != width:
+                    raise ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
+                name = row.pop(0)
+                alone = _may_be_missing(row, data)
+                if alone:
+                    flush()
+                names.append(name.strip())
+                cells += row
+                lines.append(line_no)
+                if alone or len(lines) == block_rows:
+                    flush()
+        except (ParseError, UnicodeDecodeError) as exc:
+            error = exc
+        # the cell errors of the rows read before a bad record come first
+        flush()
+        if error is not None:
+            raise error
     axis_names = tuple(cell.strip() for cell in header[1:])
-    values = np.array(rows).reshape(len(rows), width - 1)
 
-    if orientation == "features_in_rows":
+    if by_row:
         feature_names, sample_names = names, axis_names
     else:
-        feature_names, sample_names = list(axis_names), tuple(names)
-        values = values.T
+        feature_names, sample_names = axis_names, tuple(names)
+        values = np.concatenate(sample_blocks) if sample_blocks else np.empty((0, width - 1))
+        sample_blocks.clear()
+        kept.add(values.T, axis_names)
 
     dupes = sorted(name for name, count in Counter(feature_names).items() if count > 1)
     if dupes:
         raise ParseError(f"duplicate feature name {dupes[0]!r}")
-
-    missing = np.isnan(values).any(axis=1)
-    if missing_policy == "fail" and missing.any():
-        raise ParseError(f"feature {feature_names[int(np.argmax(missing))]!r} has missing values")
-    constant = values.min(axis=1, initial=np.inf) == values.max(axis=1, initial=-np.inf)
-    warnings = [
-        f"feature {name!r} dropped: missing values" if gap
-        else f"feature {name!r} excluded: constant value"
-        for name, gap, flat in zip(feature_names, missing.tolist(), constant.tolist())
-        if gap or flat
-    ]
-    keep = ~(missing | constant)
+    if missing_policy == "fail" and kept.first_missing is not None:
+        raise ParseError(f"feature {kept.first_missing!r} has missing values")
     return FeatureMatrix(
-        feature_names=tuple(compress(feature_names, keep.tolist())),
-        values=values[keep],
+        feature_names=tuple(kept.names),
+        values=kept.matrix(len(sample_names)),
         sample_names=tuple(sample_names),
-        warnings=tuple(warnings),
+        warnings=tuple(kept.warnings),
     )
 
 
@@ -321,15 +444,12 @@ def screen(
     return report
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def write_report(report: ScreenReport, path, format: str = "csv") -> None:
     """Persist a ScreenReport as CSV (one row per feature) or JSON.
 
     Numbers are written with full round-trip precision, so reloading the file
-    reproduces them bit for bit.
+    reproduces them bit for bit.  They are Python floats (``screen`` takes
+    them from ``tolist()``), so the CSV writes each one's ``repr``.
     """
     if format == "csv":
         header = ["name", "r", "p", "r_dcal", "p_dcal", "flip"]
@@ -342,13 +462,13 @@ def write_report(report: ScreenReport, path, format: str = "csv") -> None:
             else:
                 cells = [
                     row.name,
-                    _format_value(row.r),
-                    _format_value(row.p),
-                    _format_value(row.r_dcal),
-                    _format_value(row.p_dcal),
+                    repr(row.r),
+                    repr(row.p),
+                    repr(row.r_dcal),
+                    repr(row.p_dcal),
                     "true" if row.sign_flip else "false",
                 ]
-                cells += [_format_value(row.adjusted[corr]) for corr in report.corrections]
+                cells += [repr(row.adjusted[corr]) for corr in report.corrections]
                 cells += [""]
             lines.append(",".join(cells))
         payload = "\n".join(lines) + "\n"

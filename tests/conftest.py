@@ -103,6 +103,16 @@ CSV_NONFINITE = ("inf", "-inf", "Infinity", " -INF ", "-nan", "+nan", "1e999")
 CSV_NAMES = ("g1", "g2", "g3", " g1 ", "a,b", "a;b", "t\tab", 'q"t', "ä", "")
 
 
+# Tokens only the feature-matrix tables use, where a plain split of a line
+# and csv.reader could part: no-break-space padding, blank cells, a NaN
+# payload and NUL characters.
+CSV_PADDED = ("\xa01\xa0", "\xa0-2.5", " 3\xa0")
+CSV_BLANK = ("\xa0", " \xa0 ", "\xa0NA\xa0", "\xa0nan")
+CSV_NUL = ("nan(123)", "1\x002", "\x00", "\x001")
+# a field one character over csv.reader's limit
+CSV_OVERSIZED = "1" * (csv.field_size_limit() + 1)
+
+
 @st.composite
 def csv_tables(draw, max_rows=6, max_cols=6):
     """(text, delimiter, names, has_nonfinite) of a small delimited table.
@@ -111,20 +121,25 @@ def csv_tables(draw, max_rows=6, max_cols=6):
     for columns) and rows that are numeric, constant or numeric with
     missing cells.  The others draw names from a pool (duplicates, empty
     names, names holding a delimiter) and may also hold mixed rows (any
-    token kind) and ragged rows (one cell short or long).  A table may be
-    header-only, or the file empty.  ``names`` holds the stripped row names
-    and column names, the feature names of either orientation.
+    token kind), ragged rows (one cell short or long), blank lines and a
+    field over ``csv.field_size_limit()``.  Any table may end its lines
+    with ``\\n``, ``\\r\\n`` or ``\\r``, leave the last one without a line
+    end, and quote every cell.  A table may be header-only, or the file
+    empty.  ``names`` holds the stripped row names and column names, the
+    feature names of either orientation.
     """
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
     if draw(st.integers(0, 30)) == 0:
         return "", delimiter, ([], []), False
     plain = draw(st.booleans())
     number = st.one_of(
-        st.sampled_from(CSV_NUMBERS),
+        st.sampled_from(CSV_NUMBERS + CSV_PADDED),
         st.floats(-1e6, 1e6, allow_nan=False).map(repr),
     )
     kinds = ["number"] * 4 + ["missing", "bad", "nonfinite"]
-    pools = {"missing": CSV_MISSING, "bad": CSV_BAD, "nonfinite": CSV_NONFINITE}
+    pools = {
+        "missing": CSV_MISSING + CSV_BLANK, "bad": CSV_BAD + CSV_NUL, "nonfinite": CSV_NONFINITE,
+    }
     has_nonfinite = False
 
     def name(unique):
@@ -151,7 +166,19 @@ def csv_tables(draw, max_rows=6, max_cols=6):
             if shape == "ragged":
                 cells = cells[:-1] if draw(st.booleans()) else cells + [draw(number)]
         table.append([name(f"f{i}")] + cells)
+    if not plain and draw(st.integers(0, 7)) == 0:
+        row = draw(st.integers(0, len(table) - 1))
+        table[row][draw(st.integers(0, len(table[row]) - 1))] = CSV_OVERSIZED
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL]))
     out = io.StringIO()
-    csv.writer(out, delimiter=delimiter, lineterminator="\n").writerows(table)
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=terminator, quoting=quoting)
+    for i, row in enumerate(table):
+        if i and not plain and draw(st.integers(0, 9)) == 0:
+            out.write(terminator)  # a blank line, which csv reads as 0 columns
+        writer.writerow(row)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text[:-len(terminator)]
     names = ([row[0].strip() for row in table[1:]], [cell.strip() for cell in table[0][1:]])
-    return out.getvalue(), delimiter, names, has_nonfinite
+    return text, delimiter, names, has_nonfinite

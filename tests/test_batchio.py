@@ -4,6 +4,8 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +25,7 @@ from dcal import (
     write_report,
 )
 from dcal.batchio import CORRECTIONS
-from dcal import engine
+from dcal import batchio, engine
 from dcal.rng import Stream, derive
 
 import screen_reference
@@ -137,6 +139,37 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="one character"):
             load_matrix(_write(tmp_path, "m.csv", WELL_FORMED), delimiter=delimiter)
 
+    def test_bad_cell_after_a_multi_line_record_cites_its_physical_line(self, tmp_path):
+        # the quoted name spans lines 2 and 3, so the bad cell sits on line 4
+        text = 'id,s1,s2\n"multi\nline",1,2\ng2,1,x\n'
+        with pytest.raises(ParseError, match=re.escape("line 4, column 3: 'x' is not a number")):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
+    def test_ragged_row_after_a_multi_line_record_cites_its_physical_line(self, tmp_path):
+        text = 'id,s1,s2\n"multi\nline",1,2\ng2,1\n'
+        with pytest.raises(ParseError, match=re.escape("line 4: expected 3 columns, got 2")):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
+    def test_row_with_a_missing_cell_is_converted_on_its_own(self, tmp_path):
+        # the rows around it keep their block conversion; only it is parsed
+        # again cell by cell
+        rows = [f"g{i},{i},{i % 3}.5\n" for i in range(8)]
+        rows[4] = "m,NA,1\n"
+        with mock.patch.object(batchio, "_parse_row", wraps=batchio._parse_row) as per_row:
+            matrix = load_matrix(_write(tmp_path, "m.csv", "id,s1,s2\n" + "".join(rows)))
+        assert per_row.call_count == 1
+        assert matrix.feature_names == ("g0", "g1", "g2", "g3", "g5", "g6", "g7")
+        assert matrix.warnings == ("feature 'm' dropped: missing values",)
+
+    @pytest.mark.parametrize("later", [
+        "g9,1\n", "\n", "g9,1," + "1" * 200_000 + "\n", "g9,inf,1\n", "g9,NA,1\n", 'g9,"1",y\n',
+    ], ids=["ragged", "blank", "oversized", "non-finite", "missing", "quoted"])
+    def test_cell_error_comes_before_a_later_bad_row_of_its_block(self, tmp_path, later):
+        # every row here falls in one block of BLOCK_CELLS cells
+        text = "id,s1,s2\n" + "g1,1,2\n" * 5 + "g2,1,x\ng3,3,4\n" + later
+        with pytest.raises(ParseError, match=re.escape("line 7, column 3: 'x' is not a number")):
+            load_matrix(_write(tmp_path, "m.csv", text))
+
 
 _reference_parse_cell = screen_reference._parse_cell
 
@@ -161,26 +194,57 @@ def _loaded(load, path, **options):
     )
 
 
+def _reference_loaded(path, **options):
+    """The frozen loader's result, with a record that csv.reader cannot read
+    (a field over its limit) put in file order.
+
+    The frozen loader reads every record before it parses one, so such a
+    record raised csv.Error first.  The array loader cites it, as a
+    ParseError of its line, after the errors of the rows before it: those
+    rows alone are given to the frozen loader, and its error stands if it
+    names a line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=options["delimiter"])
+        try:
+            for _ in reader:
+                pass
+        except csv.Error as exc:
+            bad_line, csv_error = reader.line_num, (ParseError, f"line {reader.line_num}: {exc}")
+        else:
+            return _loaded(screen_reference.load_matrix, path, **options)
+    with open(path, encoding="utf-8", newline="") as fh:
+        head = "".join(islice(fh, bad_line - 1))
+    prefix = path.with_name("head.csv")
+    prefix.write_text(head, encoding="utf-8", newline="")
+    expected = _loaded(screen_reference.load_matrix, prefix, **options)
+    if expected[0] is ParseError and expected[1].startswith("line "):
+        return expected
+    return csv_error
+
+
 class TestLoaderEquivalence:
     @settings(max_examples=400, deadline=None)
     @given(
         table=csv_tables(),
         orientation=st.sampled_from(["features_in_rows", "samples_in_rows"]),
         missing_policy=st.sampled_from(["drop_feature", "fail"]),
+        block_cells=st.sampled_from([1, 2, 5, batchio.BLOCK_CELLS]),
     )
-    def test_matches_per_cell_reference(self, table, orientation, missing_policy):
+    def test_matches_per_cell_reference(self, table, orientation, missing_policy, block_cells):
+        # small blocks end on every kind of row, error rows included
         text, delimiter, _, has_nonfinite = table
         options = dict(delimiter=delimiter, orientation=orientation, missing_policy=missing_policy)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
-            path.write_text(text, encoding="utf-8")
-            got = _loaded(load_matrix, path, **options)
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(batchio, "BLOCK_CELLS", block_cells):
+                got = _loaded(load_matrix, path, **options)
             finite = (
                 mock.patch.object(screen_reference, "_parse_cell", _finite_parse_cell)
                 if has_nonfinite else contextlib.nullcontext()
             )
             with finite:
-                expected = _loaded(screen_reference.load_matrix, path, **options)
+                expected = _reference_loaded(path, **options)
         assert got == expected
 
     def test_reference_differs_only_on_non_finite_cells(self, tmp_path):
@@ -190,6 +254,31 @@ class TestLoaderEquivalence:
         assert screen_reference.load_matrix(path).feature_names == ("g2",)
         with pytest.raises(ParseError, match="line 2, column 2: 'inf' is not a finite number"):
             load_matrix(path)
+
+
+class TestLoadMemory:
+    """The traced peak of one warm ``load_matrix`` call stays within 2.25
+    times the matrix it returns: the kept blocks and their one concatenation,
+    plus one block's cell strings while it is read.  The per-row arrays,
+    their stack and the compacting copy that earlier versions made peaked at
+    3.26 times at this size."""
+
+    def test_traced_peak(self, tmp_path):
+        m, n = 2000, 200
+        path = tmp_path / "m.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id," + ",".join(f"s{j}" for j in range(n)) + "\n")
+            for i, row in enumerate(Stream(7).normals(m * n).reshape(m, n).tolist()):
+                fh.write(f"f{i}," + ",".join(map(repr, row)) + "\n")
+        load_matrix(path)
+        tracemalloc.start()
+        try:
+            matrix = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.values.shape == (m, n)
+        assert peak <= 2.25 * matrix.values.nbytes
 
 
 class TestScreen:

@@ -20,9 +20,15 @@ so a call through an imported name is counted too: ``classical_phase``,
 (``write_report`` and the experiment report's ``write_csv`` and
 ``write_json``).  A stage's time and faults include the stages it calls.
 
+A workload that reads a matrix (``screen``) also gets the floor under
+``load_matrix`` after each run: the seconds to read the file's text plus one
+``np.array(cells, dtype=np.float64)`` over the data cells of the rows that
+convert to finite numbers (the cells are split out untimed), and the ratio
+of ``load_matrix``'s seconds to that floor.
+
 The output is one JSON line: per run the wall seconds and faults of the
-whole call and, per stage, its calls, seconds and faults; then the median
-of each over the runs.
+whole call and, per stage, its calls, seconds and faults (and the ingest
+floor); then the median of each over the runs.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
@@ -97,6 +105,27 @@ def install(recorder: Recorder) -> None:
         setattr(cls, name, recorder.wrap(name, getattr(cls, name)))
 
 
+def ingest_floor(path: Path) -> dict:
+    """Seconds to read the CSV ``path`` plus one float conversion of its data cells."""
+    start = time.perf_counter()
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    read_s = time.perf_counter() - start
+    cells: list[str] = []
+    for line in text.splitlines()[1:]:
+        row = line.split(",")[1:]
+        try:
+            if np.isfinite(np.array(row, dtype=np.float64)).all():
+                cells += row
+        except ValueError:
+            pass
+    start = time.perf_counter()
+    np.array(cells, dtype=np.float64)
+    convert_s = time.perf_counter() - start
+    return {"cells": len(cells), "read_s": read_s, "convert_s": convert_s,
+            "s": read_s + convert_s}
+
+
 def run_once(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -106,7 +135,7 @@ def run_once(argv: list[str]) -> None:
 
 def median_of(runs: list[dict]) -> dict:
     stages = sorted({name for run in runs for name in run["stages"]})
-    return {
+    median = {
         "wall_s": statistics.median(run["wall_s"] for run in runs),
         "minflt": statistics.median(run["minflt"] for run in runs),
         "stages": {
@@ -115,6 +144,12 @@ def median_of(runs: list[dict]) -> dict:
             for name in stages
         },
     }
+    if "ingest_floor" in runs[0]:
+        median["ingest_floor"] = {
+            key: statistics.median(run["ingest_floor"][key] for run in runs)
+            for key in runs[0]["ingest_floor"]
+        }
+    return median
 
 
 def main() -> int:
@@ -136,8 +171,12 @@ def main() -> int:
             faults, start = minor_faults(), time.perf_counter()
             run_once(argv)
             wall = time.perf_counter() - start
-            runs.append({"wall_s": wall, "minflt": minor_faults() - faults,
-                         "stages": recorder.take()})
+            run = {"wall_s": wall, "minflt": minor_faults() - faults, "stages": recorder.take()}
+            if case.matrix is not None:
+                floor = ingest_floor(case.matrix)
+                floor["load_matrix_over_floor"] = run["stages"]["load_matrix"]["s"] / floor["s"]
+                run["ingest_floor"] = floor
+            runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "dcal": dcal.__file__,
                       "runs": runs, "median": median_of(runs)}))
     return 0
