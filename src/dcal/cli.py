@@ -193,50 +193,36 @@ def _parse_config(path: str) -> dict:
     return cfg
 
 
-def _cfg_int(cfg: dict, key: str, default=None) -> int:
+def _cfg(cfg: dict, key: str, kind, default=None):
+    """Config value ``key`` read as ``kind`` (int, float, or list for a comma
+    list of items); ``default`` when it is absent, an error without one."""
     if key not in cfg:
         if default is None:
             raise ParseError(f"config key {key!r} is required")
         return default
+    if kind is list:
+        items = [tok.strip() for tok in cfg[key].split(",") if tok.strip()]
+        if not items:
+            raise ParseError(f"config key {key!r}: expected at least one item")
+        return items
     try:
-        return int(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise ParseError(f"config key {key!r}: expected an integer") from None
-
-
-def _cfg_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ParseError(f"config key {key!r} is required")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ParseError(f"config key {key!r}: expected a number") from None
-
-
-def _cfg_list(cfg: dict, key: str, default=None) -> list[str]:
-    if key not in cfg:
-        if default is None:
-            raise ParseError(f"config key {key!r} is required")
-        return default
-    items = [tok.strip() for tok in cfg[key].split(",") if tok.strip()]
-    if not items:
-        raise ParseError(f"config key {key!r}: expected at least one item")
-    return items
+        expected = "an integer" if kind is int else "a number"
+        raise ParseError(f"config key {key!r}: expected {expected}") from None
 
 
 def _battery_design(cfg: dict, design_name: str, seed: int) -> NullBattery | CorrelatedBattery:
     """The battery of a battery design; an oos_comparison with no planted
     columns (the default) is a null battery."""
     if design_name == "null_battery":
-        return NullBattery(m=_cfg_int(cfg, "m"), n=_cfg_int(cfg, "n"), seed=seed)
+        return NullBattery(m=_cfg(cfg, "m", int), n=_cfg(cfg, "n", int), seed=seed)
     planted = design_name == "correlated_battery"
     design = CorrelatedBattery(
-        m_true=_cfg_int(cfg, "m_true", None if planted else 0),
-        m_null=_cfg_int(cfg, "m_null"),
-        rho=_cfg_float(cfg, "rho", None if planted else 0.0),
-        n=_cfg_int(cfg, "n"),
+        m_true=_cfg(cfg, "m_true", int, None if planted else 0),
+        m_null=_cfg(cfg, "m_null", int),
+        rho=_cfg(cfg, "rho", float, None if planted else 0.0),
+        n=_cfg(cfg, "n", int),
         seed=seed,
     )
     if not planted and design.m_true == 0:
@@ -247,15 +233,15 @@ def _battery_design(cfg: dict, design_name: str, seed: int) -> NullBattery | Cor
 def _outlier_cells(cfg: dict, seed: int) -> list[Contaminated]:
     """Outlier-suite cells: one per sd in ``sd_list`` for high_variance, one
     per rho in ``rho_list`` for univariate and bivariate, in ``kinds`` order."""
-    kinds = _cfg_list(cfg, "kinds")
-    fraction = _cfg_float(cfg, "fraction", 0.1)
-    magnitude = _cfg_float(cfg, "magnitude", 8.0)
-    n = _cfg_int(cfg, "n")
+    kinds = _cfg(cfg, "kinds", list)
+    fraction = _cfg(cfg, "fraction", float, 0.1)
+    magnitude = _cfg(cfg, "magnitude", float, 8.0)
+    n = _cfg(cfg, "n", int)
     cells: list[Contaminated] = []
     for kind in kinds:
         if kind == "high_variance":
-            rho = _cfg_float(cfg, "rho", 0.5)
-            for sd in _cfg_list(cfg, "sd_list", ["2", "3", "5"]):
+            rho = _cfg(cfg, "rho", float, 0.5)
+            for sd in _cfg(cfg, "sd_list", list, ["2", "3", "5"]):
                 cells.append(
                     Contaminated(
                         rho=rho,
@@ -264,7 +250,7 @@ def _outlier_cells(cfg: dict, seed: int) -> list[Contaminated]:
                     )
                 )
         elif kind in ("univariate", "bivariate"):
-            for rho in _cfg_list(cfg, "rho_list"):
+            for rho in _cfg(cfg, "rho_list", list):
                 cells.append(
                     Contaminated(
                         rho=float(rho),
@@ -280,10 +266,10 @@ def _outlier_cells(cfg: dict, seed: int) -> list[Contaminated]:
 def cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
     design_name = cfg["design"]
-    seed = args.seed if args.seed is not None else _cfg_int(cfg, "seed", 0)
-    alpha = args.alpha if args.alpha is not None else _cfg_float(cfg, "alpha", 0.05)
+    seed = args.seed if args.seed is not None else _cfg(cfg, "seed", int, 0)
+    alpha = args.alpha if args.alpha is not None else _cfg(cfg, "alpha", float, 0.05)
     repetitions = (
-        args.repetitions if args.repetitions is not None else _cfg_int(cfg, "repetitions", 1)
+        args.repetitions if args.repetitions is not None else _cfg(cfg, "repetitions", int, 1)
     )
 
     if design_name in ("null_battery", "correlated_battery", "oos_comparison"):
@@ -291,27 +277,27 @@ def cmd_simulate(args) -> int:
         if design_name == "oos_comparison":
             schemes = [
                 _scheme_from_name(name, seed)
-                for name in _cfg_list(cfg, "schemes", list(SCHEME_NAMES))
+                for name in _cfg(cfg, "schemes", list, list(SCHEME_NAMES))
             ]
             report = run_oos_comparison(design, schemes, alpha=alpha, repetitions=repetitions)
         else:
-            methods = _cfg_list(cfg, "methods", ["uncorrected", "holm", "bh", "dcal"])
+            methods = _cfg(cfg, "methods", list, ["uncorrected", "holm", "bh", "dcal"])
             scheme = _scheme_from_name(cfg.get("scheme", "loo"), seed)
             report = run_battery_experiment(
                 design, methods, alpha=alpha, repetitions=repetitions, scheme=scheme,
-                plan=_permutation_plan(methods, _cfg_int(cfg, "permutations", 999), seed),
+                plan=_permutation_plan(methods, _cfg(cfg, "permutations", int, 999), seed),
             )
     elif design_name == "effect_grid":
         design = EffectGrid(
-            rho_list=tuple(float(v) for v in _cfg_list(cfg, "rho_list")),
-            n_list=tuple(int(v) for v in _cfg_list(cfg, "n_list")),
+            rho_list=tuple(float(v) for v in _cfg(cfg, "rho_list", list)),
+            n_list=tuple(int(v) for v in _cfg(cfg, "n_list", list)),
             seed=seed,
         )
-        methods = _cfg_list(cfg, "methods", list(PAIR_METHODS))
+        methods = _cfg(cfg, "methods", list, list(PAIR_METHODS))
         report = run_effect_grid(design, methods, alpha=alpha, repetitions=repetitions)
     elif design_name == "outlier_suite":
         cells = _outlier_cells(cfg, seed)
-        methods = _cfg_list(cfg, "methods", list(OUTLIER_METHODS))
+        methods = _cfg(cfg, "methods", list, list(OUTLIER_METHODS))
         report = run_outlier_suite(cells, methods, alpha=alpha, repetitions=repetitions)
     else:
         raise ParseError(f"config key 'design': unknown design {design_name!r}")
@@ -340,7 +326,8 @@ def cmd_anscombe(args) -> int:
     datasets = _anscombe_rows()
     names = sorted(datasets)
     X, Y = zip(*(datasets[name] for name in names))
-    rows = Rows(X, Y, alpha=args.alpha)
+    scheme = _scheme_from_name(args.scheme, args.seed)
+    rows = Rows(X, Y, scheme, [scheme.seed] * len(names), args.alpha)
     scored, _ = score_rows(rows, QUARTET_METHODS)
     results = {name: quartet_row(scored, rows, i) for i, name in enumerate(names)}
     if args.json:
@@ -445,7 +432,7 @@ def main(argv=None) -> int:
     except TargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET
-    except (ParseError, DcalError, ValueError, OSError) as exc:
+    except (ParseError, DcalError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -350,15 +350,14 @@ def _one_value_bags(values, counts, first):
     return out
 
 
-def _bootstrap_block(streams, X, U, y, v, work=None):
+def _bootstrap_block(streams, X, U, y, v, work):
     """One block of bootstrap replicates, one stream seed each in ``streams`` (rows, B).
 
     Draws every replicate's n sample indices and returns whether any
     replicate's x or y sample is one repeated value, the out-of-bag
     prediction sums of both directions and the out-of-bag counts.  Its
-    (rows, B, n) arrays but ``np.bincount``'s are views of ``work`` (or new).
+    (rows, B, n) arrays but ``np.bincount``'s are views of ``work``.
     """
-    work = _Work() if work is None else work
     shape = rows, B, n = streams.shape + U.shape[1:]
     # "a" holds the raw words, indices, du, dv and then the out-of-bag mask;
     # "b" the mixer's temporary, the uniforms and then the counts
@@ -393,7 +392,7 @@ def _bootstrap_block(streams, X, U, y, v, work=None):
     return deg_x.any(axis=-1), deg_y.any(axis=-1), a_y + b_y * U, a_x + b_x * v, oob_count
 
 
-def _boot632_rows(X, U, y, v, sums, scheme, seeds, work=None):
+def _boot632_rows(X, U, y, v, sums, scheme, seeds, work):
     B = scheme.replicates
     streams = derive_array(seeds[:, None], np.arange(B))
     deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(streams, X, U, y, v, work)
@@ -542,15 +541,11 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r, work):
         for k in np.flatnonzero(failed):
             errors[int(k)] = _coverage_error(scheme, int(missing[k]))
         out = out | failed
-    if not (np.isfinite(r_cal) | out).all():
-        for hat, name in ((x_hat, "x"), (y_hat, "y")):
-            if not np.isfinite(hat[~out]).all():
-                raise ValueError(f"{name} contains non-finite values")
     for hat in (x_hat, y_hat):  # constant predictions
         out |= np.maximum.reduce(hat, axis=1) == np.minimum.reduce(hat, axis=1)
     out |= np.sign(r_cal) * np.sign(r) <= 0.0  # zero or contrary calibrated sign
     keep = ~out
-    out_of_range = keep & np.isnan(r_cal)  # sums of the predictions overflow
+    out_of_range = keep & np.isnan(r_cal)  # predictions or their sums overflow
     if out_of_range.any():
         keep &= ~out_of_range
         errors.update((int(k), range_error()) for k in np.flatnonzero(out_of_range))
@@ -641,8 +636,10 @@ def dcal_matrix(
     scheme.reseeded(seeds[j]))``, ``y_j`` being its target, including its
     sentinel and skip flags.  A row that test would raise a
     :class:`~dcal.errors.DcalError` for carries that error in ``errors``
-    instead; any other error is raised for the whole call.  This is
-    :func:`calibration_phase` of :func:`classical_phase`.
+    instead, out-of-sample predictions out of the float64 range included.
+    Only arguments it cannot read raise ``ValueError`` for the whole call:
+    shapes, non-finite input, alpha, seeds, or more folds than samples.
+    This is :func:`calibration_phase` of :func:`classical_phase`.
     """
     return calibration_phase(classical_phase(X, y), scheme, seeds, alpha, fast)
 

@@ -1,15 +1,16 @@
 """The table of methods that score a pair, and the battery corrections.
 
 Every surface that scores pairs (``dcal test --methods``, ``dcal anscombe``,
-the batteries, the effect grid and the outlier suite) looks its methods up
-in :data:`METHODS`.  A method maps :class:`Rows`, the pairs ``(X[i], Y[i])``,
-to :class:`Scores`.  The battery corrections adjust one vector of classical
-p-values (:func:`correct`), for the batteries and for ``dcal screen``.
-Method names are compared in this module only; :func:`check` rejects a
-name given twice.  :class:`Rows` computes the calibrated test's classical
-phase (:func:`~dcal.engine.classical_phase`) once: Pearson's r and p, the
-p-value calibrations and the Bayes factor read it, and the calibrated test
-hands it to :func:`~dcal.engine.calibration_phase`.
+the batteries, the effect grid and the outlier suite) resolves its method
+names through :func:`score_rows` or :func:`pair_fields`; :data:`METHODS` is
+the merged view of both spellings.  A method maps :class:`Rows`, the pairs
+``(X[i], Y[i])``, to :class:`Scores`.  The battery corrections adjust one
+vector of classical p-values (:func:`correct`), for the batteries and for
+``dcal screen``.  Method names are compared in this module only;
+:func:`check` rejects a name given twice.  :class:`Rows` computes the
+calibrated test's classical phase (:func:`~dcal.engine.classical_phase`)
+once: Pearson's r and p, the p-value calibrations and the Bayes factor read
+it, and the calibrated test hands it to :func:`~dcal.engine.calibration_phase`.
 """
 
 from __future__ import annotations

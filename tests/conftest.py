@@ -89,6 +89,20 @@ def seeded_pair(n, rho, seed):
     return gen_pair(n, rho, seed)
 
 
+def steep_pair():
+    """(x, y) of 12 samples: x is noise of about 1e-150 but for one far
+    sample, y noise of about 1e150 but for that sample, 1e153.  A training
+    set without the far sample has a slope of about 1e300, so cv10x10 and
+    boot632 at seed 0 predict the far sample out of the float64 range."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(12) * 1e-150
+    far = int(rng.integers(12))
+    x[far] = 1e140
+    y = rng.standard_normal(12) * 1e150
+    y[far] = 1e153
+    return x, y
+
+
 # Cell tokens for generated feature-matrix CSVs.  Missing tokens come in
 # every spelling the loader accepts, padded or not; numbers include
 # underscores, full-width digits, signed zero and values near the float

@@ -29,7 +29,7 @@ from dcal import batchio, engine
 from dcal.rng import Stream, derive
 
 import screen_reference
-from conftest import csv_tables
+from conftest import csv_tables, steep_pair
 
 
 def _write(tmp_path, name, text):
@@ -341,6 +341,28 @@ class TestScreen:
         options = dict(corrections=CORRECTIONS, fast=fast, plan=PermutationPlan(200, 3))
         report = screen(matrix, "target", **options)
         assert report.rows[-1].name == "huge"
+        assert report.rows[-1].error == (
+            "centred sums of squares or products leave the float64 range"
+        )
+        assert report.summary["failed"] == 1
+        assert report.rows[:-1] == screen(clean, "target", **options).rows
+
+    @pytest.mark.parametrize("scheme", [OosScheme.repeated_kfold(10, 10, 0), OosScheme.boot632()],
+                             ids=lambda scheme: scheme.label)
+    def test_out_of_range_predictions_recorded_not_fatal(self, scheme):
+        # the steep feature's out-of-sample predictions leave the float64
+        # range; it fails alone and the other rows are those of the screen
+        # without it (this used to end the whole screen with ValueError)
+        x, y = steep_pair()
+        noise = np.vstack([Stream(derive(7, j)).normals(12) * 1e150 for j in range(4)])
+        names = ("target", "a", "b", "c", "d")
+        clean = FeatureMatrix(names, np.vstack([y, noise]), tuple(f"s{k}" for k in range(12)))
+        matrix = FeatureMatrix(names + ("steep",), np.vstack([clean.values, x]),
+                               clean.sample_names)
+        options = dict(scheme=scheme, corrections=CORRECTIONS, fast=False,
+                       plan=PermutationPlan(100, 3))
+        report = screen(matrix, "target", **options)
+        assert report.rows[-1].name == "steep"
         assert report.rows[-1].error == (
             "centred sums of squares or products leave the float64 range"
         )

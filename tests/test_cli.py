@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcal import cli
 from dcal.cli import main
 from dcal.rng import Stream, derive
 
-from conftest import ANSCOMBE, CSV_BAD, CSV_MISSING, CSV_NONFINITE, CSV_NUMBERS, csv_tables
+from conftest import (
+    ANSCOMBE, CSV_BAD, CSV_MISSING, CSV_NONFINITE, CSV_NUMBERS, csv_tables, steep_pair,
+)
 
 
 @pytest.fixture
@@ -321,6 +324,25 @@ class TestCmdScreen:
             )
             assert all(row.endswith(",") for row in rows[1:2] + rows[3:])
 
+    @pytest.mark.parametrize("scheme", ["cv10x10", "boot632"])
+    def test_out_of_range_predictions_are_an_error_row(self, tmp_path, scheme):
+        # a 12-sample screen whose steep feature is predicted out of the
+        # float64 range used to exit 2; now only its row records the error
+        x, y = steep_pair()
+        rows = [("target", y), ("steep", x), ("noise", Stream(3).normals(12) * 1e150)]
+        matrix = tmp_path / "steep.csv"
+        matrix.write_text("id," + ",".join(f"s{k}" for k in range(12)) + "\n" + "".join(
+            name + "," + ",".join(repr(float(v)) for v in values) + "\n" for name, values in rows
+        ))
+        out = tmp_path / "r.csv"
+        assert main(["screen", "--matrix", str(matrix), "--target", "target", "--output",
+                     str(out), "--scheme", scheme, "--no-fast"]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith("steep,") and lines[1].endswith(
+            ",centred sums of squares or products leave the float64 range"
+        )
+        assert lines[2].startswith("noise,") and lines[2].endswith(",")
+
     def test_json_format(self, tmp_path):
         matrix = _matrix_file(tmp_path, n_features=8)
         out = tmp_path / "report.json"
@@ -492,6 +514,19 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
         assert f"config key {key!r} is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ("design = null_battery\nm = five\nn = 20\n", "config key 'm': expected an integer"),
+        ("design = null_battery\nm = 5\nn = 20\nalpha = x\n",
+         "config key 'alpha': expected a number"),
+        ("design = effect_grid\nrho_list = ,\nn_list = 20\n",
+         "config key 'rho_list': expected at least one item"),
+    ])
+    def test_config_value_messages(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_complete_configs_run(self, tmp_path):
         for design, keys in COMPLETE_CONFIGS.items():
             cfg = tmp_path / f"{design}.cfg"
@@ -592,3 +627,40 @@ class TestCmdAnscombe:
         for name in "ABCD":
             assert doc[name]["pcal_sellke"]["p"] == pytest.approx(0.035, abs=0.002)
             assert doc[name]["cor"]["r"] == pytest.approx(0.816, abs=0.002)
+
+    def test_scheme_and_seed_are_those_of_dcal_test(self, tmp_path, capsys):
+        # each dataset's calibrated r and p are dcal test's on that dataset
+        flags = ["--scheme", "boot632", "--seed", "3", "--json"]
+        assert main(["anscombe", *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for name, (x, y) in ANSCOMBE.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(f"{a},{b}\n" for a, b in zip(x, y)))
+            assert main(["test", "--input", str(path), *flags]) == 0
+            single = json.loads(capsys.readouterr().out)
+            assert (doc[name]["dcal"]["r"], doc[name]["dcal"]["p"]) == (
+                single["r_dcal"], single["p_dcal"]
+            ), name
+            assert doc[name]["dcal"]["flip"] == single["sign_flip"], name
+        assert main(["anscombe", "--scheme", "boot632", "--seed", "4", "--json"]) == 0
+        other = json.loads(capsys.readouterr().out)
+        assert other["A"]["dcal"] != doc["A"]["dcal"]
+        assert main(["anscombe", "--json"]) == 0  # the default stays loo
+        default = json.loads(capsys.readouterr().out)
+        assert default["A"]["dcal"]["p"] == pytest.approx(0.039197, abs=1e-6)
+
+
+class TestMain:
+    @pytest.mark.parametrize("command, argv", [
+        ("cmd_screen", ["screen", "--matrix", "m.csv", "--target", "t", "--output", "r"]),
+        ("cmd_simulate", ["simulate", "--config", "c.cfg", "--output", "o"]),
+    ])
+    def test_memory_error_exits_2(self, monkeypatch, capsys, command, argv):
+        # a count too large to allocate, such as --permutations 10**12,
+        # ends in exit 2, not a traceback; raised here without allocating
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, command, exhausted)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"

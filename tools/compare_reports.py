@@ -20,7 +20,10 @@ working tree when ``--head`` is left out, made with the export helpers of
 - built-in CLI cases, all run in one interpreter per side: a small
   ``dcal screen`` with every correction at loo, cv10x10 and boot632, a wide
   one (800 features of 24 samples) fast and ``--no-fast`` as CSV and JSON,
-  ``dcal anscombe`` as text and JSON, and ``dcal test`` on the Anscombe pairs for
+  a 12-sample screen at cv10x10 and boot632 with a feature whose
+  out-of-sample predictions leave the float64 range, ``dcal anscombe`` as
+  text and JSON and at ``--scheme boot632 --seed 3 --json``, and
+  ``dcal test`` on the Anscombe pairs for
   each ``--methods`` spelling, each scheme, plain, ``--fast`` and
   ``--json``, from a file and inline (also with the x values negated).
 
@@ -45,6 +48,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export_revision, export_worktree  # noqa: E402
@@ -188,7 +193,31 @@ def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | 
          f"wide{fast}.{fmt}")
         for fast in ("--fast", "--no-fast") for fmt in ("csv", "json")
     ]
-    cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None)]
+    # a steep feature: noise of about 1e-150 but for one far sample, against
+    # a target of about 1e150; k-fold and the bootstrap predict its far
+    # sample out of the float64 range, which fails its row alone
+    steep = np.random.default_rng(0)
+    x = steep.standard_normal(12) * 1e-150
+    far = int(steep.integers(12))
+    x[far] = 1e140
+    y = steep.standard_normal(12) * 1e150
+    y[far] = 1e153
+    rows = [("target", y), ("steep", x)]
+    rows += [(f"n{j}", [rng.gauss(0.0, 1.0) * 1e150 for _ in range(12)]) for j in range(4)]
+    small = scratch / "steep.csv"
+    small.write_text("id," + ",".join(f"s{i}" for i in range(12)) + "\n" + "".join(
+        name + "," + ",".join(repr(float(v)) for v in row) + "\n" for name, row in rows
+    ), encoding="utf-8")
+    cases += [
+        (f"screen steep --scheme {scheme}",
+         ["screen", "--matrix", str(small), "--target", "target", "--scheme", scheme,
+          "--output", f"{{out}}/steep-{scheme}.csv"],
+         f"steep-{scheme}.csv")
+        for scheme in ("cv10x10", "boot632")
+    ]
+    cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None),
+              ("anscombe --scheme boot632 --seed 3 --json",
+               ["anscombe", "--scheme", "boot632", "--seed", "3", "--json"], None)]
 
     quartet: dict[str, tuple[list[str], list[str]]] = {}
     fixture = copy / "src/dcal/fixtures/anscombe.csv"
