@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import units_per_block
 from .engine import OosScheme, dcal_matrix
 from .errors import InsufficientDataError, ParseError, TargetError
 from .methods import CORRECTIONS, check, correct
@@ -35,9 +36,9 @@ __all__ = [
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 
-# data cells converted by one numpy call when a table is read; a block holds
-# whole rows, at least one
-BLOCK_CELLS = 2 ** 14
+# bytes charged per data cell of a block of rows converted by one numpy
+# call (its string, its list slot and its float); a block holds whole rows
+_CELL_BYTES = 80
 
 # substream roles under the screen seed
 _KEY_SCREEN_PERM = 2 ** 35
@@ -73,10 +74,12 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def index_of(self, name: str) -> int:
-        try:
+        """Row of feature ``name``; TargetError, naming why ingestion left it out."""
+        if name in self.feature_names:
             return self.feature_names.index(name)
-        except ValueError:
-            raise TargetError(f"feature {name!r} not found in matrix") from None
+        named = f"feature {name!r} "
+        why = [w[len(named):] for w in self.warnings if w.startswith(named)]
+        raise TargetError(named + (f"was {why[0]}" if why else "not found in matrix"))
 
 
 def _parse_cell(token: str, line_no: int, col_no: int) -> float:
@@ -201,10 +204,11 @@ def load_matrix(
     A plain line -- not blank, with no quote character, no NUL and no more
     characters than ``csv.field_size_limit()`` -- is split on the delimiter
     with ``str.split``; any other line starts a record that ``csv.reader``
-    reads, as it would the whole file.  Rows are converted in blocks of
-    about ``BLOCK_CELLS`` cells, one numpy call per block, and features in
-    rows are checked and compacted block by block, so no per-row arrays are
-    made and the kept rows are copied once, into the returned matrix.
+    reads, as it would the whole file.  Rows are converted in blocks of as
+    many as fit the work-space budget ``core.CHUNK_BYTES``, one numpy call
+    per block, and features in rows are checked and compacted block by
+    block, so no per-row arrays are made and the kept rows are copied once,
+    into the returned matrix.
 
     Errors come in file order first -- a row of the wrong width, a cell that
     is not a number or not finite (``inf``, ``-nan``), a record ``csv``
@@ -246,7 +250,7 @@ def load_matrix(
         if len(header) < 2:
             raise ParseError("line 1: expected a name column plus data columns")
         width = len(header)
-        block_rows = max(1, BLOCK_CELLS // (width - 1))
+        block_rows = units_per_block(_CELL_BYTES * (width - 1))
         limit = csv.field_size_limit()
         line_no = reader.line_num
         error = None

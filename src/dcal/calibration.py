@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .core import DataPair, pearson
+from .core import DataPair, pearson, units_per_block
 from .errors import ConvergenceError, raise_first
 
 __all__ = [
@@ -45,9 +45,10 @@ __all__ = [
 
 _INV_E = 1.0 / math.e
 
-# Bayes-factor series: the term cap, and the terms held at once in a block
+# Bayes-factor series: the term cap, and the bytes charged per term of a
+# block, below its traced 33-41 so that 1000 rows keep blocks of 65 terms
 _SERIES_MAX_TERMS = 2 ** 22
-_SERIES_BLOCK_ELEMENTS = 2 ** 16
+_TERM_BYTES = 20
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -159,7 +160,7 @@ def _hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
         active = active[sums[:, -1] != sums[:, -2]]
         k += width
         # double the block while the active rows' terms fit in the budget
-        width = min(max(8, min(2 * width, _SERIES_BLOCK_ELEMENTS // max(active.size, 1))),
+        width = min(max(8, min(2 * width, units_per_block(_TERM_BYTES * active.size))),
                     _SERIES_MAX_TERMS - k)
     total[active] = np.nan
     return total

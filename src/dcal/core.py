@@ -32,6 +32,20 @@ __all__ = [
 # subset (the remaining predictor values carry no usable spread)
 LEVERAGE_GUARD = 1e-10
 
+# Bytes of work space that one block of any blocked loop may take; each
+# loop charges its unit of work by a figure next to its kernel.  The budget
+# was the k-fold chunk of 16 rows at n = 50 with 10 repeats (about 1.3 MB).
+# Larger chunks would cost peak memory for no time: at fig2's size a 100-row
+# bootstrap call takes 28-32 ms with 7 to 20 rows per chunk (about 80 ms
+# with one row), and a k-fold call 19-23 ms with 16 to 100.
+CHUNK_BYTES = 16 * 500 * 163
+
+
+def units_per_block(unit_bytes: int) -> int:
+    """Units of work, charged ``unit_bytes`` each, in one block of a blocked
+    loop: as many as fit ``CHUNK_BYTES`` (read at call time), at least one."""
+    return max(1, CHUNK_BYTES // max(1, unit_bytes))
+
 
 def _as_sample(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -109,9 +123,9 @@ def pair_errors(X: np.ndarray, y: np.ndarray) -> list:
     ]
 
 
-def range_error() -> NumericRangeError:
-    """The error of a pair whose centred sums leave the float64 range."""
-    return NumericRangeError("centred sums of squares or products leave the float64 range")
+def range_error(what: str = "centred sums of squares or products") -> NumericRangeError:
+    """The error of a pair whose ``what`` leave the float64 range."""
+    return NumericRangeError(f"{what} leave the float64 range")
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,11 @@ from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts, one float array that afterwards holds the
 out-of-bag 0/1 mask.
-Only the out-of-sample step runs in chunks of rows, as many as fit the byte
-budget ``CHUNK_BYTES``, so its work space stays flat in the number of rows;
-each call allocates its large arrays once and every chunk writes into them.
-A row of work has n elements for loo, repeats * n for k-fold and
-replicates * n for the bootstrap; loo and the bootstrap are charged 160 and
-33 bytes per element (``_BYTES_PER_ELEMENT``), and k-fold, whose training
-sums also take (folds, folds) arrays per repeat, by :func:`_row_bytes`.
+Only the out-of-sample step runs in chunks of rows, as many as fit the
+work-space budget ``core.CHUNK_BYTES`` (:func:`~dcal.core.units_per_block`),
+so its work space stays flat in the number of rows; a row is charged
+:func:`_row_bytes`.  Each call allocates its large arrays once and every
+chunk writes into them.
 One t-tail call at the end turns every chunk's calibrated correlations into
 p-values.
 """
@@ -64,6 +62,7 @@ from .core import (
     pearson,
     range_error,
     t_pvalues,
+    units_per_block,
 )
 from .errors import (
     DegenerateVarianceError,
@@ -96,15 +95,6 @@ _W_IN = 0.368
 _W_OOB = 0.632
 
 _MAX_COVERAGE_RETRIES = 10
-
-# Bytes of work space that one chunk of rows of the out-of-sample step may
-# take; a chunk always takes at least one row.  Each scheme is charged its
-# bytes per element of per-row work (``_BYTES_PER_ELEMENT``).  The budget
-# was the k-fold chunk of 16 rows at n = 50 with 10 repeats (about 1.3 MB).
-# Larger chunks would cost peak memory for no time: at fig2's size a
-# 100-row bootstrap call takes 28-32 ms with 7 to 20 rows per chunk (about
-# 80 ms with one row), and a k-fold call 19-23 ms with 16 to 100.
-CHUNK_BYTES = 16 * 500 * 163
 
 
 @dataclass(frozen=True)
@@ -431,39 +421,25 @@ def _loo_rows(X, U, y, v, sums, scheme, seeds, work):
 
 _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows}
 
-# Bytes of live work space loo and the bootstrap are charged per element of
-# per-row work: n elements for loo and replicates * n for the bootstrap.
-# The figures are traced peaks (tracemalloc) of a ``_calibrate`` call at
-# n = 50 that reuses a previous chunk's work space.
-_BYTES_PER_ELEMENT = {
-    # peak 48 at 163 rows, but charged about what k-fold is, so that its
-    # chunks keep 163 rows at n = 50: a loo-only run such as the null
-    # battery allocates nothing larger, and 546-row chunks raised its peak
-    # RSS by 0.4 MB.
-    "loo": 160,
-    "boot632": 33,  # peak 32.4: three 8-byte buffers and bincount's output
-}
-
-
 def _row_bytes(scheme: OosScheme, n: int) -> int:
-    """Bytes of work space one row of the out-of-sample step is charged."""
-    n = max(n, 1)
-    if scheme.kind == "kfold":
-        # per repeat, traced as above: seven n-sample buffers (56 n) and the
-        # three (folds, folds) buffers (24 folds**2) are held throughout;
-        # while the training sums are formed, the permutation (8 n) and about
-        # 16 per-fold arrays (132 folds) more, and in the calibrated
-        # correlation three n-sample temporaries (24 n) instead.  The first
-        # is the larger below n of about 80 at 10 folds.
-        folds = scheme.folds
-        return scheme.repeats * (max(64 * n + 132 * folds, 80 * n) + 24 * folds * folds)
-    per_sample = scheme.replicates if scheme.kind == "boot632" else 1
-    return per_sample * n * _BYTES_PER_ELEMENT[scheme.kind]
-
-
-def _chunk_rows(scheme: OosScheme, n: int) -> int:
-    """Rows per chunk of the out-of-sample step: as many as fit ``CHUNK_BYTES``, at least one."""
-    return max(1, CHUNK_BYTES // _row_bytes(scheme, n))
+    """Bytes of work space one row of the out-of-sample step is charged,
+    from the traced peaks (tracemalloc) of a ``_calibrate`` call at n = 50
+    that reuses a previous chunk's work space."""
+    if scheme.kind == "boot632":  # peak 32.4: three 8-byte buffers and bincount's output
+        return scheme.replicates * n * 33
+    if scheme.kind == "loo":
+        # peak 48 per sample at 163 rows, but charged about what k-fold is,
+        # so that its chunks keep 163 rows at n = 50: a loo-only run such as
+        # the null battery allocates nothing larger, and 546-row chunks
+        # raised its peak RSS by 0.4 MB.
+        return 160 * n
+    # per repeat: seven n-sample buffers (56 n) and the three (folds, folds)
+    # buffers (24 folds**2) are held throughout; while the training sums are
+    # formed, the permutation (8 n) and about 16 per-fold arrays (132 folds)
+    # more, and in the calibrated correlation three n-sample temporaries
+    # (24 n) instead.  The first is the larger below n of about 80 at 10 folds.
+    folds = scheme.folds
+    return scheme.repeats * (max(64 * n + 132 * folds, 80 * n) + 24 * folds * folds)
 
 
 def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray, work: "_Work"):
@@ -546,9 +522,9 @@ def _calibrate(X, U, y, v, sums, scheme, seeds, r, work):
     out |= np.sign(r_cal) * np.sign(r) <= 0.0  # zero or contrary calibrated sign
     keep = ~out
     out_of_range = keep & np.isnan(r_cal)  # predictions or their sums overflow
-    if out_of_range.any():
-        keep &= ~out_of_range
-        errors.update((int(k), range_error()) for k in np.flatnonzero(out_of_range))
+    keep &= ~out_of_range
+    for k in np.flatnonzero(out_of_range).tolist():
+        errors[k] = range_error("out-of-sample predictions or their centred sums")
     return r_cal, rest_cal, keep, out & ~failed, errors
 
 
@@ -597,7 +573,7 @@ def calibration_phase(
     run = np.flatnonzero(tested & ~skipped)
     r_cal, rest_cal = np.zeros(m), np.zeros(m)
     keep, flipped = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-    step = _chunk_rows(scheme, n)
+    step = units_per_block(_row_bytes(scheme, n))
     work = _Work()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, run.size, step):

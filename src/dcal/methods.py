@@ -2,15 +2,14 @@
 
 Every surface that scores pairs (``dcal test --methods``, ``dcal anscombe``,
 the batteries, the effect grid and the outlier suite) resolves its method
-names through :func:`score_rows` or :func:`pair_fields`; :data:`METHODS` is
-the merged view of both spellings.  A method maps :class:`Rows`, the pairs
-``(X[i], Y[i])``, to :class:`Scores`.  The battery corrections adjust one
-vector of classical p-values (:func:`correct`), for the batteries and for
-``dcal screen``.  Method names are compared in this module only;
-:func:`check` rejects a name given twice.  :class:`Rows` computes the
-calibrated test's classical phase (:func:`~dcal.engine.classical_phase`)
-once: Pearson's r and p, the p-value calibrations and the Bayes factor read
-it, and the calibrated test hands it to :func:`~dcal.engine.calibration_phase`.
+names through :func:`score_rows` or :func:`pair_fields`.  A method maps
+:class:`Rows`, the pairs ``(X[i], Y[i])``, to :class:`Scores`.  The battery
+corrections adjust one vector of classical p-values (:func:`correct`), for the
+batteries and for ``dcal screen``.  Method names are compared in this module
+only; :func:`check` rejects a name given twice.  :class:`Rows` computes the
+calibrated test's classical phase (:func:`~dcal.engine.classical_phase`) once:
+Pearson's r and p, the p-value calibrations and the Bayes factor read it, and
+the calibrated test hands it to :func:`~dcal.engine.calibration_phase`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pval
 from .robust import SkippedBatch, skipped_rows
 
 __all__ = [
-    "Scores", "Rows", "METHODS", "PAIR_METHODS", "CORRECTIONS",
+    "Scores", "Rows", "PAIR_METHODS", "CORRECTIONS",
     "BATTERY_METHODS", "OUTLIER_METHODS", "TEST_METHODS", "QUARTET_METHODS", "check",
     "score_rows", "battery_scores", "shuffles", "correct", "pair_fields", "quartet_row",
 ]
@@ -132,7 +131,6 @@ _SCORERS = {
 # the outlier suite's, ``dcal anscombe``'s and ``dcal test --methods``' spellings
 _ALIASES = {"pearson": "uncorrected", "cor": "uncorrected",
             "sellke": "pcal_sellke", "bickel": "pcal_bickel"}
-METHODS = {**_SCORERS, **{alias: _SCORERS[name] for alias, name in _ALIASES.items()}}
 
 PAIR_METHODS = ("uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf")
 CORRECTIONS = ("holm", "bh", "perm", "perm_max")

@@ -5,12 +5,12 @@ recomputes |r| for every column, so the per-test and max-statistic p-values
 of one plan come from the same shuffles; that makes the max-statistic
 p-values dominate the per-test ones exactly, not just in expectation.
 Shuffles are drawn and scored in blocks, as many shuffles as fit the
-engine's work-space budget ``CHUNK_BYTES`` (at least one), so memory stays
-flat in the number of shuffles.  One matrix product scores a whole block
-into a (shuffles, m) array, shuffle-major, against a C-contiguous (n, m)
-copy of the standardized rows made once per call; the statistics and the
-mask of those reaching the observed ones are written into two buffers
-allocated once per call.
+work-space budget ``core.CHUNK_BYTES`` at :func:`_shuffle_bytes` each, so
+memory stays flat in the number of shuffles.  One matrix product scores a
+whole block into a (shuffles, m) array, shuffle-major, against a
+C-contiguous (n, m) copy of the standardized rows made once per call; the
+statistics and the mask of those reaching the observed ones are written
+into two buffers allocated once per call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine
+from .core import units_per_block
 from .errors import DegenerateVarianceError
 from .rng import derive_array, permutation_of, raw_block
 
@@ -101,7 +101,7 @@ def permutation_pvalues(
         raise DegenerateVarianceError("target has zero variance")
 
     B = plan.n_permutations
-    block = min(B, max(1, engine.CHUNK_BYTES // _shuffle_bytes(m, n)))
+    block = min(B, units_per_block(_shuffle_bytes(m, n)))
     # before the standardized rows: allocated after them, the buffers
     # raised a fresh sim-null run's peak RSS by 0.35-0.65 MB more
     stats_buf, mask_buf = np.empty((block, m)), np.empty((block, m), dtype=bool)

@@ -16,12 +16,13 @@ of the absolute deviations, made in place in the first sort's array.
 ``np.percentile`` runs only for the rare directions whose MAD is zero.
 
 :func:`skipped_rows` scores many pairs at once: the sweep runs over blocks
-of pairs, one (pairs, n, n) projection product per block of about
-``SWEEP_ELEMENTS`` values, so its work space stays flat in the number of
-pairs; the retained points of all pairs that keep the same number of
-points share one correlation kernel call, and one t-tail call, with one df
-per pair, gives every p.  :func:`skipped_correlation` is its one-pair
-call; :func:`detect_bivariate_outliers` runs the sweep on one pair.
+of as many pairs as fit the work-space budget ``core.CHUNK_BYTES``, one
+(pairs, n, n) projection product per block, so its work space stays flat
+in the number of pairs; the retained points of all pairs that keep the
+same number of points share one correlation kernel call, and one t-tail
+call, with one df per pair, gives every p.  :func:`skipped_correlation`
+is its one-pair call; :func:`detect_bivariate_outliers` runs the sweep on
+one pair.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataPair, correlation_rows, pair_errors, range_error, t_pvalues
+from .core import DataPair, correlation_rows, pair_errors, range_error, t_pvalues, units_per_block
 from .errors import DegenerateGeometryError, InsufficientDataError, raise_first
 
 __all__ = [
@@ -51,12 +52,14 @@ _IQR_TO_SIGMA = 1.3489795003921634  # 2 * Phi^-1(0.75)
 
 _MIN_SAMPLES = 10
 
-# elements of one block's (pairs, n, n) projection array: 6 pairs at
-# n = 100, 72 at n = 30.  On a 2-core Xeon (4 MB L2 per core), best of 15
-# runs at n = 100: the pair loop took 101 us per pair, blocks of 3, 6 and 12
-# pairs 73, 68 and 72 us, and one block of 120 pairs 99 us, its arrays
-# being 9.6 MB each; at n = 30 the loop took 40 us and blocks of 72 pairs 8.
-SWEEP_ELEMENTS = 2 ** 16
+# bytes charged per value of a block's (pairs, n, n) projection array, 6
+# pairs at n = 100 and 72 at n = 30: a warm ``_sweep`` call's traced peak
+# was 18.9 and 20.7 bytes per value there.  On a 2-core Xeon (4 MB L2 per
+# core), best of 15 runs at n = 100: the pair loop took 101 us per pair,
+# blocks of 3, 6 and 12 pairs 73, 68 and 72 us, and one block of 120 pairs
+# 99 us, its arrays being 9.6 MB each; at n = 30 the loop took 40 us and
+# blocks of 72 pairs 8.
+_PROJECTION_BYTES = 20
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def skipped_rows(X, Y, cutoff: float = DEFAULT_CUTOFF) -> SkippedBatch:
     m, n = X.shape
     outliers = np.zeros((m, n), dtype=bool)
     errors: list = []
-    step = max(1, SWEEP_ELEMENTS // max(1, n * n))
+    step = units_per_block(_PROJECTION_BYTES * n * n)
     for start in range(0, m, step):
         flags, block_errors = _sweep(X[start : start + step], Y[start : start + step], cutoff)
         outliers[start : start + step] = flags

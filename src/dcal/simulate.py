@@ -9,7 +9,8 @@ Every design scores its pairs through the method table of
 :mod:`dcal.methods`.  The single-pair designs (effect grid, outlier suite)
 score whole cells at once: every repetition's pair of a cell is drawn in
 one block of stream words (:func:`contaminated_rows`), the cells of one n
-share one (rows, n) array, as many as ``GROUP_ELEMENTS`` values hold, the
+share one (rows, n) array, as many whole cells as fit the work-space
+budget ``core.CHUNK_BYTES`` at ``_SAMPLE_BYTES`` per value of X, and the
 methods run on those rows in one call with one target per row.  Every
 report mean, of a single-pair cell or of a battery, is a sum in repetition
 order (:func:`_ordered_sum`).
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DataPair, pair_errors
+from .core import DataPair, pair_errors, units_per_block
 from .engine import OosScheme, calibration_phase, classical_phase
 from .errors import DcalError, raise_first
 from .methods import BATTERY_METHODS, OUTLIER_METHODS, PAIR_METHODS, Rows
@@ -53,9 +54,9 @@ __all__ = [
 _KEY_SCHEME = 2 ** 33
 _KEY_PERM = 2 ** 34
 
-# elements of one group's (rows, n) sample arrays in the single-pair
-# designs: the whole cells of one n that fit are scored in one call
-GROUP_ELEMENTS = 2 ** 17
+# bytes charged per value of a group's (rows, n) X in the single-pair
+# designs, below a fig6 call's traced 43, so that fig6's 9 cells share one
+_SAMPLE_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,7 @@ def _score_cells(
     raises its first invalid pair's error (:func:`_cell_rows`).
 
     Cells of the same n are drawn into one array, as many whole cells as
-    ``GROUP_ELEMENTS`` values hold (at least one), and scored in one call.
+    fit the work-space budget (at least one), and scored in one call.
     Returns per cell, in the order given, the error its draw raised, or per
     method the (score, estimate, rejected) arrays of the repetitions on which
     no method failed, in repetition order, and each repetition's first error.
@@ -440,7 +441,7 @@ def _score_cells(
     for ci, (n, _) in enumerate(cells):
         by_n.setdefault(n, []).append(ci)
     for n, members in by_n.items():
-        per_group = max(1, GROUP_ELEMENTS // max(1, repetitions * n))
+        per_group = units_per_block(_SAMPLE_BYTES * repetitions * n)
         for start in range(0, len(members), per_group):
             group = members[start : start + per_group]
             # a design with n < 0 fails its draw before it could fill this

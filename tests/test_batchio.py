@@ -25,7 +25,7 @@ from dcal import (
     write_report,
 )
 from dcal.batchio import CORRECTIONS
-from dcal import batchio, engine
+from dcal import batchio, core, engine
 from dcal.rng import Stream, derive
 
 import screen_reference
@@ -64,7 +64,51 @@ def _synthetic_matrix(n_features=30, n_true=6, n=60, rho=0.6, seed=2026):
     )
 
 
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("names, values, message", [
+        (("a", "a"), np.ones((2, 4)), "feature names must be unique"),
+        (("a", ""), np.ones((2, 4)), "feature names must be nonempty"),
+        (("a", "b"), np.ones(4), "values must be a"),
+        (("a", "b"), np.ones((3, 4)), "values must be a"),
+        (("a", "b"), np.array([[1.0, np.inf], [1.0, 2.0]]), "non-finite values"),
+    ])
+    def test_checks(self, names, values, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureMatrix(names, values, tuple(f"s{i}" for i in range(np.shape(values)[-1])))
+
+    @pytest.mark.parametrize("text, reason", [
+        ("id,s1,s2,s3,s4,s5\nt,2,2,2,2,2\ng1,1,2,3,4,5\n", "was excluded: constant value"),
+        ("id,s1,s2,s3,s4,s5\nt,1,NA,3,4,5\ng1,1,2,3,4,5\n", "was dropped: missing values"),
+        ("id,s1,s2,s3,s4,s5\ng1,1,2,3,4,5\n", "not found in matrix"),
+    ])
+    def test_a_missing_target_is_named_with_its_reason(self, tmp_path, text, reason):
+        matrix = load_matrix(_write(tmp_path, "m.csv", text))
+        with pytest.raises(TargetError, match=f"^feature 't' {reason}$"):
+            screen(matrix, "t")
+
+
 class TestLoadMatrix:
+    def test_argument_checks(self, tmp_path):
+        path = _write(tmp_path, "m.csv", WELL_FORMED)
+        with pytest.raises(ValueError, match="unknown orientation 'sideways'"):
+            load_matrix(path, orientation="sideways")
+        with pytest.raises(ValueError, match="unknown missing policy 'ignore'"):
+            load_matrix(path, missing_policy="ignore")
+        with pytest.raises(ParseError, match="^line 1: expected a name column plus data columns$"):
+            load_matrix(_write(tmp_path, "names.csv", "id\ng1\n"))
+
+    def test_benchmark_blocks_unchanged(self, tmp_path, monkeypatch):
+        # the benchmark's rows of 100 data cells are converted 163 at a time
+        sizes, parse = [], batchio._parse_block
+        monkeypatch.setattr(batchio, "_parse_block",
+                            lambda cells, lines: sizes.append(len(lines)) or parse(cells, lines))
+        values = Stream(3).normals(400 * 100).reshape(400, 100)
+        text = "id," + ",".join(f"s{k}" for k in range(100)) + "\n" + "".join(
+            f"g{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(values.tolist())
+        )
+        assert load_matrix(_write(tmp_path, "m.csv", text)).values.tobytes() == values.tobytes()
+        assert sizes == [163, 163, 74]
+
     def test_well_formed_round_trip(self, tmp_path):
         matrix = load_matrix(_write(tmp_path, "m.csv", WELL_FORMED))
         assert matrix.feature_names == ("g1", "g2", "g3")
@@ -165,7 +209,7 @@ class TestLoadMatrix:
         "g9,1\n", "\n", "g9,1," + "1" * 200_000 + "\n", "g9,inf,1\n", "g9,NA,1\n", 'g9,"1",y\n',
     ], ids=["ragged", "blank", "oversized", "non-finite", "missing", "quoted"])
     def test_cell_error_comes_before_a_later_bad_row_of_its_block(self, tmp_path, later):
-        # every row here falls in one block of BLOCK_CELLS cells
+        # every row here falls in one block at the default budget
         text = "id,s1,s2\n" + "g1,1,2\n" * 5 + "g2,1,x\ng3,3,4\n" + later
         with pytest.raises(ParseError, match=re.escape("line 7, column 3: 'x' is not a number")):
             load_matrix(_write(tmp_path, "m.csv", text))
@@ -228,16 +272,17 @@ class TestLoaderEquivalence:
         table=csv_tables(),
         orientation=st.sampled_from(["features_in_rows", "samples_in_rows"]),
         missing_policy=st.sampled_from(["drop_feature", "fail"]),
-        block_cells=st.sampled_from([1, 2, 5, batchio.BLOCK_CELLS]),
+        budget=st.sampled_from([1, 2 * batchio._CELL_BYTES, 5 * batchio._CELL_BYTES,
+                                core.CHUNK_BYTES]),
     )
-    def test_matches_per_cell_reference(self, table, orientation, missing_policy, block_cells):
+    def test_matches_per_cell_reference(self, table, orientation, missing_policy, budget):
         # small blocks end on every kind of row, error rows included
         text, delimiter, _, has_nonfinite = table
         options = dict(delimiter=delimiter, orientation=orientation, missing_policy=missing_policy)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             path.write_text(text, encoding="utf-8", newline="")
-            with mock.patch.object(batchio, "BLOCK_CELLS", block_cells):
+            with mock.patch.object(core, "CHUNK_BYTES", budget):
                 got = _loaded(load_matrix, path, **options)
             finite = (
                 mock.patch.object(screen_reference, "_parse_cell", _finite_parse_cell)
@@ -364,7 +409,7 @@ class TestScreen:
         report = screen(matrix, "target", **options)
         assert report.rows[-1].name == "steep"
         assert report.rows[-1].error == (
-            "centred sums of squares or products leave the float64 range"
+            "out-of-sample predictions or their centred sums leave the float64 range"
         )
         assert report.summary["failed"] == 1
         assert report.rows[:-1] == screen(clean, "target", **options).rows
@@ -425,9 +470,9 @@ class TestScreen:
             sample_names=clean.sample_names,
         )
         reports = []
-        budgets = (1, 60 * 160, 4 * engine._row_bytes(scheme, 20), engine.CHUNK_BYTES, 2 ** 40)
+        budgets = (1, 60 * 160, 4 * engine._row_bytes(scheme, 20), core.CHUNK_BYTES, 2 ** 40)
         for budget in budgets:
-            with mock.patch.object(engine, "CHUNK_BYTES", budget):
+            with mock.patch.object(core, "CHUNK_BYTES", budget):
                 report = screen(matrix, "target", scheme=scheme, corrections=CORRECTIONS,
                                 fast=fast, plan=PermutationPlan(199, 4))
             for fmt in ("csv", "json"):

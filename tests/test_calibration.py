@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pairwise_reference
 
-from dcal import calibration
+from dcal import calibration, core
 from dcal import (
     ConvergenceError,
     DataPair,
@@ -35,6 +35,19 @@ class TestSellke:
 
     def test_limit_at_zero(self):
         assert pcal_sellke(0.0) == 0.0
+
+    def test_block_widths_do_not_change_bits(self, monkeypatch):
+        # 1000 active rows take blocks of 65 terms each, as before the
+        # shared budget; one row per block of 8 terms and unbounded
+        # doubling give the same bits
+        assert core.units_per_block(calibration._TERM_BYTES * 1000) == 65
+        r = np.concatenate([1.0 - np.geomspace(1e-5, 0.5, 60), np.linspace(-0.9, 0.9, 7)])
+        want = calibration._bf_series(r, 5)
+        for budget in (1, 2 ** 40):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            got = calibration._bf_series(r, 5)
+            assert got[0].tobytes() == want[0].tobytes(), budget
+            assert [repr(e) for e in got[1]] == [repr(e) for e in want[1]]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -225,7 +238,7 @@ def _near_one_pair(n: int, gap: float) -> DataPair:
 def _frozen_hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
     """``calibration._hyp2f1_rows`` before its early exit: every row that
     does not converge runs to the cap."""
-    cap, block = calibration._SERIES_MAX_TERMS, calibration._SERIES_BLOCK_ELEMENTS
+    cap = calibration._SERIES_MAX_TERMS
     total, term = np.ones(z.shape), np.ones(z.shape)
     active, k, width = np.arange(z.size), 0, 8
     while active.size and k < cap:
@@ -238,7 +251,8 @@ def _frozen_hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
         total[active] = sums[:, -1]
         active = active[sums[:, -1] != sums[:, -2]]
         k += width
-        width = min(max(8, min(2 * width, block // max(active.size, 1))), cap - k)
+        terms = core.units_per_block(calibration._TERM_BYTES * active.size)
+        width = min(max(8, min(2 * width, terms)), cap - k)
     total[active] = np.nan
     return total
 

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcal import cli
+from dcal import batchio, calibration, cli, core, engine, multitest, robust, simulate
 from dcal.cli import main
 from dcal.rng import Stream, derive
 
@@ -134,6 +136,30 @@ class TestCmdTest:
         assert main(["test", f"--x={x}", f"--y={y}", "--json"]) == 0
         assert capsys.readouterr().out == spaced
 
+    def test_skipped_error_is_a_field(self, capsys):
+        # 8 samples are too few for the sweep: the error is printed, exit 0
+        x, y = "1,2,3,4,5,6,7,8", "2,1,4,3,6,5,8,7"
+        assert main(["test", "--x", x, "--y", y, "--methods", "skipped", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["r_skipped"] is None and doc["p_skipped"] is None
+        assert doc["skipped_error"] == "projection outlier detection needs >= 10 points, got 8"
+
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pair.csv"
+        path.write_text("x,y\n1,2\n2,x\n3,4\n4,3\n")
+        assert main(["test", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} line 3: non-numeric value\n"
+
+    def test_out_of_range_predictions_name_the_predictions(self, tmp_path, capsys):
+        # the steep pair's own centred sums are finite (sxx near 9e279)
+        path = tmp_path / "steep.csv"
+        x, y = steep_pair()
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        assert main(["test", "--input", str(path), "--scheme", "cv10x10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: out-of-sample predictions or their centred sums leave the float64 range\n"
+        )
+
     def test_skipped_method_included(self, tmp_path, capsys):
         t = np.linspace(0, 5, 20)
         path = tmp_path / "line.csv"
@@ -245,6 +271,18 @@ class TestCmdScreen:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("cell, reason", [
+        ("2", "was excluded: constant value"), ("NA", "was dropped: missing values"),
+    ])
+    def test_excluded_target_exits_3_naming_the_reason(self, tmp_path, capsys, cell, reason):
+        # ingestion left the target out: the error names why, not "not found"
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("id,s1,s2,s3,s4,s5\nT,2,2,%s,2,2\ng1,1,2,3,4,5\ng2,5,3,4,1,2\n" % cell)
+        args = ["screen", "--matrix", str(matrix), "--target", "T", "--output", str(tmp_path / "r")]
+        assert main(args) == 3
+        warning = "feature 'T' " + reason.split(" ", 1)[1]
+        assert capsys.readouterr().err == f"warning: {warning}\nerror: feature 'T' {reason}\n"
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,s1,s2\n g1,1\n")
@@ -339,7 +377,7 @@ class TestCmdScreen:
                      str(out), "--scheme", scheme, "--no-fast"]) == 0
         lines = out.read_text().splitlines()
         assert lines[1].startswith("steep,") and lines[1].endswith(
-            ",centred sums of squares or products leave the float64 range"
+            ",out-of-sample predictions or their centred sums leave the float64 range"
         )
         assert lines[2].startswith("noise,") and lines[2].endswith(",")
 
@@ -520,12 +558,18 @@ class TestCmdSimulate:
          "config key 'alpha': expected a number"),
         ("design = effect_grid\nrho_list = ,\nn_list = 20\n",
          "config key 'rho_list': expected at least one item"),
+        ("design = null_battery\nm 5\n", "{path} line 2: expected 'key = value'"),
+        ("m = 5\nn = 20\n", "{path}: missing required key 'design'"),
+        ("design = outlier_suite\nkinds = sideways\nn = 20\n",
+         "config key 'kinds': unknown outlier kind 'sideways'"),
+        ("design = tournament\n", "config key 'design': unknown design 'tournament'"),
+        ("design = null_battery\nm = 5\nn = 20\nscheme = cv5x5\n", "unknown scheme 'cv5x5'"),
     ])
     def test_config_value_messages(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
 
     def test_complete_configs_run(self, tmp_path):
         for design, keys in COMPLETE_CONFIGS.items():
@@ -664,3 +708,76 @@ class TestMain:
         monkeypatch.setattr(cli, command, exhausted)
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["test", "--bogus"], 2), (["test", "--scheme", "cv5x5"], 2), (["frobnicate"], 2),
+        (["--help"], 0), (["screen", "--help"], 0),
+    ])
+    def test_argument_errors_and_help(self, capsys, argv, code):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert ("usage: dcal" in captured.out) if code == 0 else ("error:" in captured.err)
+
+    def test_entry_exits_with_the_status_of_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["dcal", "test", "--x", "1,2,3,4", "--y", "1,1,1,1"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == "error: y has zero variance\n"
+
+
+class TestWorkSpaceBudget:
+    """Every blocked loop sizes its blocks from ``core.CHUNK_BYTES``, read at
+    call time: one row, shuffle, pair, cell or term per block, the default,
+    and every unit in one block give the same report bytes."""
+
+    # the function each loop calls once per block, and its block's units
+    # (the simulations run 3 repetitions per cell)
+    BLOCK_CALLS = (
+        (batchio, "_parse_block", lambda cells, lines: len(lines)),
+        (engine, "_calibrate", lambda X, *rest: len(X)),
+        (multitest, "raw_block", lambda seeds, *rest: seeds.size),
+        (robust, "_sweep", lambda X, *rest: len(X)),
+        (simulate, "score_rows", lambda rows, methods: len(rows.X) // 3),
+        (calibration, "units_per_block", core.units_per_block),  # terms per active row
+    )
+
+    def test_reports_do_not_depend_on_the_budget(self, tmp_path, monkeypatch, capsys):
+        calls = {}
+        for module, name, units in self.BLOCK_CALLS:
+            def counted(*args, real=getattr(module, name), name=name, units=units):
+                calls.setdefault(name, []).append(units(*args))
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        matrix = _matrix_file(tmp_path, n_features=30, n=24)
+        fig6 = tmp_path / "fig6.cfg"
+        fig6.write_text(resources.files("dcal.fixtures").joinpath("fig6.cfg").read_text())
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("design = effect_grid\nrho_list = 0.3,0.8\nn_list = 12,25\nseed = 4\n")
+        runs, blocks = [], []
+        for budget in (1, core.CHUNK_BYTES, 2 ** 40):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            calls.clear()
+            out = []
+            for scheme in ("loo", "boot632"):
+                report = tmp_path / f"{budget}-{scheme}.csv"
+                assert main([
+                    "screen", "--matrix", matrix, "--target", "target", "--scheme", scheme,
+                    "--corrections", "holm,bh,perm,perm_max", "--permutations", "100",
+                    "--no-fast", "--seed", "3", "--output", str(report),
+                ]) == 0
+                out.append(report.read_bytes())
+            for config in (fig6, grid):
+                base = tmp_path / f"{budget}-{config.stem}"
+                assert main(["simulate", "--config", str(config), "--output", str(base),
+                             "--repetitions", "3"]) == 0
+                out += [base.with_suffix(".csv").read_bytes(), base.with_suffix(".json").read_bytes()]
+            capsys.readouterr()
+            assert main(["anscombe", "--json"]) == 0
+            out.append(capsys.readouterr().out)
+            runs.append(out)
+            blocks.append(dict(calls))
+        assert runs[0] == runs[1] == runs[2]
+        # the one patch reached every loop
+        for _, name, _ in self.BLOCK_CALLS:
+            assert max(blocks[0][name]) == 1 < max(blocks[2][name]), name

@@ -13,6 +13,7 @@ from dcal import (
     pearson,
     pearson_rows,
 )
+from dcal.core import pair_errors
 from dcal.rng import Stream, derive
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair
@@ -38,6 +39,10 @@ class TestDataPair:
             DataPair([5, 5, 5, 5], [1, 2, 3, 4])
         with pytest.raises(DegenerateVarianceError):
             DataPair([1, 2, 3, 4], [7, 7, 7, 7])
+
+    def test_rejects_matrices(self):
+        with pytest.raises(ValueError, match="x must be one-dimensional"):
+            DataPair([[1, 2], [3, 4]], [1, 2, 3, 4])
 
     def test_values_immutable(self):
         pair = DataPair([1, 2, 3, 4], [4, 3, 2, 1])
@@ -110,6 +115,10 @@ class TestPearsonRows:
         assert list(r) == [1.0, -1.0] and list(p) == [0.0, 0.0]
 
 
+    def test_pair_errors_reject_a_non_finite_target(self):
+        with pytest.raises(ValueError, match="y contains non-finite values"):
+            pair_errors(np.ones((2, 5)), np.array([1.0, 2.0, np.nan, 4.0, 5.0]))
+
     @pytest.mark.parametrize("values", [
         [1.0, 2.0, -1e308, 3.0, 0.5, 2.5],  # the centred square overflows
         [1.7e308, -1e308, 0.0, 1.0, 2.0, 3.0],  # so does a centred value
@@ -175,6 +184,10 @@ class TestOlsFit:
         with pytest.raises(InsufficientDataError):
             ols_fit([1, 2], [3, 4])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 4 vs 3"):
+            ols_fit([1, 2, 3, 4], [1, 2, 3])
+
 
 class TestLooPredictions:
     def test_exact_line_reproduces_observations(self):
@@ -210,3 +223,9 @@ class TestLooPredictions:
     def test_minimum_length(self):
         with pytest.raises(InsufficientDataError):
             loo_predictions([1, 2, 3], [4, 5, 6])
+
+    def test_argument_errors(self):
+        with pytest.raises(ValueError, match="length mismatch: 4 vs 5"):
+            loo_predictions([1, 2, 3, 4], [1, 2, 3, 4, 5])
+        with pytest.raises(DegenerateVarianceError, match="predictor has zero variance"):
+            loo_predictions([2, 2, 2, 2], [1, 2, 3, 4])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairwise_reference
-from dcal import engine
+from dcal import core, engine
 from dcal import (
     DataPair,
     DcalError,
@@ -27,7 +27,7 @@ from dcal import (
     pearson,
     pearson_rows,
 )
-from dcal.core import centred_rows
+from dcal.core import centred_rows, units_per_block
 from dcal.methods import Rows
 from dcal.rng import Stream, derive, derive_array
 
@@ -56,6 +56,8 @@ class TestOosScheme:
             OosScheme.repeated_kfold(folds=1)
         with pytest.raises(ValueError):
             OosScheme.boot632(replicates=0)
+        with pytest.raises(ValueError, match="at least 1 repeat"):
+            OosScheme.repeated_kfold(repeats=0)
 
     def test_reseeded(self):
         scheme = OosScheme.boot632(replicates=50, seed=1)
@@ -132,6 +134,52 @@ class TestOosPredict:
         slope, intercept = np.polyfit(pair.x, pair.y, 1)
         expected = 0.368 * (intercept + slope * pair.x) + 0.632 * (oob_sum / oob_cnt)
         assert np.max(np.abs(got - expected)) <= 1e-9
+
+    def test_degenerate_training_sets_fail_as_in_the_reference(self):
+        # a one-off predictor and a 0/1 one leave training sets, or bootstrap
+        # bags, without spread in one direction; the error types are those
+        # of the per-pair reference, whose loo and k-fold texts differ
+        pairs = []
+        for n in (6, 8, 12):
+            one_off = np.zeros(n)
+            one_off[-1] = 1.0
+            binary = (Stream(n + 1).uniforms(n) < 0.5).astype(np.float64)
+            binary[:2] = 0.0, 1.0
+            pairs += [DataPair(one_off, Stream(n).normals(n)),
+                      DataPair(binary, Stream(n + 2).normals(n))]
+        schemes = [OosScheme.loo(), OosScheme.repeated_kfold(2, 3, 1),
+                   OosScheme.repeated_kfold(3, 2, 5), OosScheme.boot632(2, 0),
+                   OosScheme.boot632(20, 1)]
+
+        def outcome(predict, pair, direction, scheme):
+            try:
+                predict(pair, direction, scheme)
+            except DcalError as exc:
+                return type(exc), str(exc)
+            return None, None
+
+        raised = set()
+        for pair in pairs:
+            for scheme in schemes:
+                for direction in (Y_FROM_X, X_FROM_Y):
+                    got = outcome(oos_predict, pair, direction, scheme)
+                    want = outcome(pairwise_reference.oos_predict, pair, direction, scheme)
+                    assert got[0] is want[0], (pair, direction, scheme)
+                    if got[0] is not None:
+                        raised.add((scheme.kind, got[1]))
+        assert raised == {
+            ("loo", "a training set has zero predictor variance"),
+            ("kfold", "a training set has zero predictor variance"),
+            ("boot632", "bootstrap training sample has zero predictor variance"),
+        }
+
+    def test_coverage_failure_as_in_the_reference(self):
+        # with one replicate and ten retries, sample 2 is in every bag
+        pair = DataPair(Stream(94).normals(4), Stream(95).normals(4))
+        for predict in (oos_predict, pairwise_reference.oos_predict):
+            with pytest.raises(ResampleCoverageError,
+                               match="^sample 2 was never out-of-bag in 11 bootstrap replicates$"):
+                predict(pair, Y_FROM_X, OosScheme.boot632(1, 39))
 
     def test_unknown_direction(self):
         pair = seeded_pair(10, 0.1, 2)
@@ -537,10 +585,12 @@ class TestDcalMatrix:
             assert batch.errors[1] is None and batch.sign_flip[1]
             assert dcal_test(DataPair(x, y), scheme=scheme).sign_flip_triggered
             return
+        # the data's own centred sums are finite: the message names the predictions
         assert isinstance(batch.errors[1], NumericRangeError)
+        assert str(batch.errors[1]) == "out-of-sample predictions or their centred sums leave the float64 range"
         assert np.isnan([batch.r[1], batch.p[1], batch.r_dcal[1], batch.p_dcal[1]]).all()
         assert not (batch.sign_flip[1] or batch.skipped[1])
-        with pytest.raises(NumericRangeError, match="float64 range"):
+        with pytest.raises(NumericRangeError, match="^out-of-sample predictions"):
             dcal_test(DataPair(x, y), scheme=scheme)
 
     @settings(max_examples=150, deadline=None)
@@ -606,7 +656,7 @@ class TestDcalMatrix:
             y[7] = 1.0
         batches = []
         for budget in (1, 7 * engine._row_bytes(scheme, 12), 2 ** 40):
-            monkeypatch.setattr(engine, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
             batches.append(dcal_matrix(X, y, scheme, np.arange(120), 0.05, fast))
         one, seven, all_rows = batches
         for field in ("r", "p", "r_dcal", "p_dcal", "sign_flip", "skipped"):
@@ -819,20 +869,20 @@ class TestChunkMemory:
     def test_traced_peak_fits_the_budget(self, scheme):
         # a larger budget or a kernel that holds more than it is charged
         # for shows here before it shows in peak RSS
-        assert engine._chunk_rows(scheme, 50) > 1
-        assert self._traced_peak(scheme) <= engine.CHUNK_BYTES + self.SLACK_BYTES
+        assert units_per_block(engine._row_bytes(scheme, 50)) > 1
+        assert self._traced_peak(scheme) <= core.CHUNK_BYTES + self.SLACK_BYTES
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_small_n_kfold_peak_fits_the_budget(self, n):
         # at small n the (folds, folds) arrays of the training sums and the
         # per-fold arrays outweigh the n-sample buffers
         assert self._traced_peak(OosScheme.repeated_kfold(), n) <= (
-            engine.CHUNK_BYTES + self.SLACK_BYTES
+            core.CHUNK_BYTES + self.SLACK_BYTES
         )
 
     def test_fig2_kfold_chunks_unchanged(self):
         # sim-oos runs cv10x10 at n = 50 in chunks of 18 rows
-        assert engine._chunk_rows(OosScheme.repeated_kfold(), 50) == 18
+        assert units_per_block(engine._row_bytes(OosScheme.repeated_kfold(), 50)) == 18
 
     def test_bootstrap_peak_within_kfold_peak(self):
         # the bootstrap's larger chunks take no more than the k-fold chunk,
@@ -872,7 +922,7 @@ class TestWorkSpace:
         # 40 rows at n = 12 take several chunks; two replicates also leave
         # coverage retries, which reuse the buffers too
         X, y = _generic_battery(43, 40, 12, 0.2)
-        monkeypatch.setattr(engine, "CHUNK_BYTES", 7 * engine._row_bytes(scheme, 12))
+        monkeypatch.setattr(core, "CHUNK_BYTES", 7 * engine._row_bytes(scheme, 12))
         batch = dcal_matrix(X, y, scheme, np.arange(40))
         assert len(spaces) == 1
         assert sorted(allocations) == sorted(self.BUFFERS[scheme.kind])

@@ -5,12 +5,14 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcal import (
     DataPair,
     DcalError,
+    DegenerateVarianceError,
     FeatureMatrix,
     NullBattery,
     OosScheme,
@@ -31,15 +33,16 @@ from dcal import (
 )
 from dcal.methods import (
     CORRECTIONS,
-    METHODS,
+    QUARTET_METHODS,
     Rows,
     Scores,
     battery_scores,
     correct,
+    quartet_row,
     score_rows,
 )
 from dcal import batchio, core, simulate
-from dcal.rng import derive
+from dcal.rng import Stream, derive
 from dcal.simulate import _ordered_sum
 
 # every spelling the table accepts, and the method it names
@@ -131,7 +134,12 @@ def _same(got: tuple, expected: tuple) -> bool:
 
 class TestTableMatchesSinglePairCalls:
     def test_spellings_and_surface_lists(self):
-        assert set(METHODS) == set(SPELLINGS)
+        table = Rows(np.arange(8.0)[None, :], np.arange(8.0) % 3)
+        for spelling, method in SPELLINGS.items():
+            scores = score_rows(table, [spelling, method])[0]
+            assert scores[spelling] is scores[method], spelling
+        with pytest.raises(KeyError):
+            score_rows(table, ["bogus"])
         assert simulate.PAIR_METHODS == ("uncorrected", "dcal", "pcal_sellke", "pcal_bickel", "ppbf")
         assert simulate.BATTERY_METHODS == (
             "uncorrected", "holm", "bh", "perm", "perm_max", "dcal", "pcal_sellke",
@@ -151,7 +159,7 @@ class TestTableMatchesSinglePairCalls:
         fast = data.draw(st.booleans())
         table = Rows(X, Y, scheme, np.full(len(X), seed, dtype=np.uint64), alpha, fast)
         for spelling, method in SPELLINGS.items():
-            score, estimate, errors = METHODS[spelling](table)
+            score, estimate, errors = score_rows(table, [spelling])[0][spelling]
             for i in range(len(X)):
                 expected, error = _single_pair(method, _pair_of(X, Y, i), scheme, alpha, fast)
                 if error is None:
@@ -171,7 +179,7 @@ class TestTableMatchesSinglePairCalls:
         assert list(scored) == list(dict.fromkeys(names))
         requested = [method for method in ORDER if method in {SPELLINGS[n] for n in names}]
         for i in range(len(X)):
-            errors = [METHODS[method](table).errors[i] for method in requested]
+            errors = [score_rows(table, [method])[0][method].errors[i] for method in requested]
             expected = next((error for error in errors if error is not None), None)
             assert (type(first[i]), str(first[i])) == (type(expected), str(expected))
 
@@ -181,7 +189,7 @@ class TestTableMatchesSinglePairCalls:
         X, Y = rows
         table = Rows(X, Y, fast=fast)
         for spelling in ("cor", "sellke", "bickel"):
-            score, estimate, errors = METHODS[spelling](table)
+            score, estimate, errors = score_rows(table, [spelling])[0][spelling]
             for i in range(len(X)):
                 try:
                     res = dcal_test(_pair_of(X, Y, i)(), fast=fast)
@@ -272,6 +280,20 @@ def _battery(m=30, n=20, seed=4):
     X = rng.standard_normal((m, n))
     X[:4] += 0.8 * y
     return X, y
+
+
+class TestQuartetRow:
+    def test_only_the_skipped_error_is_shown(self):
+        # pair 0 has 8 samples, too few for the sweep; pair 1 a constant x,
+        # which every method fails
+        x = Stream(1).normals(8)
+        rows = Rows(np.vstack([x, np.full(8, 2.0)]), Stream(2).normals(8))
+        scored, _ = score_rows(rows, QUARTET_METHODS)
+        row = quartet_row(scored, rows, 0)
+        assert row["skipped"] == {"r": None, "p": None, "error": str(scored["skipped"].errors[0])}
+        assert row["cor"]["r"] == float(scored["cor"].estimate[0])
+        with pytest.raises(DegenerateVarianceError, match="x has zero variance"):
+            quartet_row(scored, rows, 1)
 
 
 class TestSharedCorrections:

@@ -13,7 +13,7 @@ from dcal import (
     holm_adjust,
     permutation_pvalues,
 )
-from dcal import engine
+from dcal import core
 from dcal.multitest import _shuffle_bytes
 from dcal.rng import Stream, derive
 
@@ -110,6 +110,8 @@ class TestPermTest:
         X[1] = 2.5
         with pytest.raises(DegenerateVarianceError, match="column 1"):
             permutation_pvalues(X, y, PermutationPlan(199, 1))
+        with pytest.raises(DegenerateVarianceError, match="target has zero variance"):
+            permutation_pvalues(X[[0, 2]], np.full(20, 2.0), PermutationPlan(199, 1))
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -126,7 +128,7 @@ class TestPermTest:
 
 def _blocks(m, n, n_permutations):
     """Blocks of one call at the current budget."""
-    return -(-n_permutations // max(1, engine.CHUNK_BYTES // _shuffle_bytes(m, n)))
+    return -(-n_permutations // max(1, core.CHUNK_BYTES // _shuffle_bytes(m, n)))
 
 
 def _one_block_budget(m, n):
@@ -178,7 +180,7 @@ class TestBatchedShuffles:
     @pytest.mark.parametrize("n", [4, 50])
     @pytest.mark.parametrize("m", [1, 2, ONE_BLOCK, ONE_BLOCK + 1, 700])
     def test_equals_per_shuffle_loop(self, monkeypatch, m, n, seed):
-        monkeypatch.setattr(engine, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
+        monkeypatch.setattr(core, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
         X, y = _battery(m, n, 31 + m)
         if n == 4:
             # at n = 4 about 1 shuffle in 24 is the identity, whose statistics
@@ -191,10 +193,10 @@ class TestBatchedShuffles:
         # the cases above include one block, two blocks, and a last block
         # that is only partly filled (199 is not a multiple of the block)
         for n in (4, 50):
-            monkeypatch.setattr(engine, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
+            monkeypatch.setattr(core, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
             assert _blocks(self.ONE_BLOCK, n, 199) == 1
             assert _blocks(self.ONE_BLOCK + 1, n, 199) == 2
-            assert 199 % (engine.CHUNK_BYTES // _shuffle_bytes(700, n)) != 0
+            assert 199 % (core.CHUNK_BYTES // _shuffle_bytes(700, n)) != 0
 
     @pytest.mark.parametrize("n", [4, 50])
     def test_default_budget_block_shapes(self, n):
@@ -203,7 +205,7 @@ class TestBatchedShuffles:
         # filled last block)
         one = next(m for m in range(10 ** 4, 0, -1) if _blocks(m, n, 199) == 1)
         assert _blocks(one + 1, n, 199) == 2
-        assert 199 % (engine.CHUNK_BYTES // _shuffle_bytes(2000, n)) != 0
+        assert 199 % (core.CHUNK_BYTES // _shuffle_bytes(2000, n)) != 0
         for m in (one, one + 1, 2000):
             X, y = _battery(m, n, 31 + m)
             X[: m // 2, 1] = X[: m // 2, 0]
@@ -215,8 +217,8 @@ class TestBatchedShuffles:
         # one shuffle per block, the default budget, and every shuffle in one block
         X, y, seed = battery
         expected = screen_reference.permutation_pvalues(X, y, 100, seed)
-        for budget in (1, engine.CHUNK_BYTES, 2 ** 40):
-            with mock.patch.object(engine, "CHUNK_BYTES", budget):
+        for budget in (1, core.CHUNK_BYTES, 2 ** 40):
+            with mock.patch.object(core, "CHUNK_BYTES", budget):
                 got = permutation_pvalues(X, y, PermutationPlan(100, seed))
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
@@ -262,4 +264,4 @@ class TestPermutationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.BLOCKED_PEAKS[m, n] + engine.CHUNK_BYTES + self.SLACK_BYTES
+        assert peak <= self.BLOCKED_PEAKS[m, n] + core.CHUNK_BYTES + self.SLACK_BYTES

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,3 +67,9 @@ class TestArrayForms:
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert np.array_equal(words[:size].view(np.int64), got.ravel())
         assert (words[size:] == garbage).all() and (temp[size:] == garbage).all()
+
+
+def test_integers_need_a_positive_bound():
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            Stream(1).integers(4, bound)

@@ -16,6 +16,7 @@ from dcal import (
     DataPair,
     DegenerateGeometryError,
     InsufficientDataError,
+    NumericRangeError,
     OutlierKind,
     detect_bivariate_outliers,
     gen_contaminated,
@@ -25,7 +26,7 @@ from dcal import (
     skipped_rows,
 )
 import dcal
-from dcal import robust
+from dcal import core, robust
 from dcal.robust import DEFAULT_CUTOFF
 from dcal.rng import Stream, derive
 
@@ -293,9 +294,24 @@ class TestBlockedSweep:
     def _check(self, X, Y, cutoff=DEFAULT_CUTOFF):
         n = X.shape[1]
         want = _reference_rows(X, Y, cutoff)
-        for elements in (1, 3 * n * n, robust.SWEEP_ELEMENTS, 2 ** 30):
-            with mock.patch.object(robust, "SWEEP_ELEMENTS", elements):
-                assert _batch_rows(skipped_rows(X, Y, cutoff)) == want, elements
+        for budget in (1, 3 * robust._PROJECTION_BYTES * n * n, core.CHUNK_BYTES, 2 ** 40):
+            with mock.patch.object(core, "CHUNK_BYTES", budget):
+                assert _batch_rows(skipped_rows(X, Y, cutoff)) == want, budget
+
+    @pytest.mark.parametrize("n, blocks", [(100, [6, 6, 1]), (30, [72, 72, 6])])
+    def test_benchmark_blocks_unchanged(self, n, blocks):
+        # the outlier suite sweeps pairs at n = 100 in blocks of 6
+        sizes, sweep = [], robust._sweep
+
+        def spy(X, Y, cutoff):
+            sizes.append(len(X))
+            return sweep(X, Y, cutoff)
+
+        m = sum(blocks)
+        X, Y = (Stream(seed).normals(m * n).reshape(m, n) for seed in (1, 2))
+        with mock.patch.object(robust, "_sweep", spy):
+            skipped_rows(X, Y)
+        assert sizes == blocks
 
     @pytest.mark.parametrize("n", [10, 11, 99, 100, 101])
     @pytest.mark.parametrize("shift", [0, 1, 2])
@@ -336,6 +352,12 @@ class TestSkipped:
         assert result.p == classical.p
         assert result.n_used == 30
         assert result.outlier_indices == ()
+
+    def test_retained_sums_out_of_range(self):
+        # x near 1e200: the retained points' centred squares overflow
+        pair = DataPair(Stream(4).normals(30) * 1e200, Stream(5).normals(30))
+        with pytest.raises(NumericRangeError, match="leave the float64 range"):
+            skipped_correlation(pair)
 
     def test_counts_are_consistent(self):
         pair, _ = _line_with_orthogonal_outliers()

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dcal import (
     run_oos_comparison,
     run_outlier_suite,
 )
-from dcal import core, engine, simulate
+from dcal import cli, core, engine, simulate
 from dcal import methods as method_table
 from dcal.rng import derive, derive_array
 from dcal.simulate import _battery_columns, contaminated_rows
@@ -234,6 +235,27 @@ class TestOosComparison:
         for label in ("dcal-loo", "dcal-cv10x10", "dcal-boot632"):
             assert report.value(label, "sensitivity") >= 0.8, label
 
+    def test_failed_repetition_is_dropped(self):
+        # two replicates at n = 6: one repetition's bootstrap leaves a sample
+        # in every bag and fails; the report averages the other 19
+        report = run_oos_comparison(NullBattery(2, 6, 1), [OosScheme.boot632(2, 0)],
+                                    repetitions=20)
+        assert report.meta["repetitions_completed"] == 19
+        assert report.meta["errors"] == 1
+
+    def test_every_repetition_failing_raises(self):
+        # two folds of five samples train on two points, too few for a line
+        with pytest.raises(DcalError, match="every repetition failed"):
+            run_oos_comparison(NullBattery(3, 5, 1), [OosScheme.repeated_kfold(2, 1, 0)],
+                               repetitions=3)
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="schemes must be nonempty"):
+            run_oos_comparison(NullBattery(3, 10, 1), [])
+        for m_true, m_null in ((-1, 3), (3, -1), (0, 0)):
+            with pytest.raises(ValueError, match="at least one column"):
+                CorrelatedBattery(m_true, m_null, 0.5, 20, 1)
+
     def test_repeat_runs_deterministic(self):
         design = NullBattery(m=10, n=40, seed=22)
         schemes = [OosScheme.loo(), OosScheme.boot632(20, 0)]
@@ -360,16 +382,27 @@ class TestBatchedCells:
         records, errors = _per_pair_outlier_records(cells, methods, 0.1, 40)
         # groups of one cell (the per-cell scoring), of two cells at n = 30,
         # and the default, which holds every cell of one n
-        for elements in (1, 2 * 40 * 30, simulate.GROUP_ELEMENTS):
-            monkeypatch.setattr(simulate, "GROUP_ELEMENTS", elements)
+        for budget in (1, 2 * simulate._SAMPLE_BYTES * 40 * 30, core.CHUNK_BYTES):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
             report = run_outlier_suite(cells, methods, alpha=0.1, repetitions=40)
-            assert [rec["value"] for rec in report.records] == records, elements
+            assert [rec["value"] for rec in report.records] == records, budget
             assert report.meta["errors"] == errors
 
-    @pytest.mark.parametrize("elements", [1, None])
-    def test_first_failing_cell_in_config_order_raises(self, monkeypatch, elements):
-        if elements is not None:
-            monkeypatch.setattr(simulate, "GROUP_ELEMENTS", elements)
+    def test_benchmark_groups_unchanged(self, monkeypatch):
+        # fig6 at 100 repetitions scores its 9 cells of n = 100 in one call;
+        # at 1311 repetitions (tools/compare_reports.py) one cell per call
+        calls, score = [], simulate.score_rows
+        monkeypatch.setattr(simulate, "score_rows",
+                            lambda rows, methods: calls.append(len(rows.X)) or score(rows, methods))
+        config = cli._parse_config(str(resources.files("dcal.fixtures") / "fig6.cfg"))
+        run_outlier_suite(cli._outlier_cells(config, 0), ["pearson"], repetitions=100)
+        assert calls == [900]
+        assert core.units_per_block(simulate._SAMPLE_BYTES * 1311 * 100) == 1
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_first_failing_cell_in_config_order_raises(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
         kind = OutlierKind("bivariate")
         fine = Contaminated(0.5, kind, 0.1, 30, 81)
         short = Contaminated(0.5, kind, 0.25, 4, 82)  # skipped fails every repetition
@@ -443,10 +476,10 @@ class TestBatchedCells:
                 values += [sums[m][0] / 25, sums[m][1] / 25, sums[m][2] / 25, sums[m][3] / 25]
         # groups of one cell (the per-cell scoring), of two cells at n = 40,
         # and the default, which holds every cell of one n
-        for elements in (1, 2 * 25 * 40, simulate.GROUP_ELEMENTS):
-            monkeypatch.setattr(simulate, "GROUP_ELEMENTS", elements)
+        for budget in (1, 2 * simulate._SAMPLE_BYTES * 25 * 40, core.CHUNK_BYTES):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
             report = run_effect_grid(design, methods, alpha=0.1, repetitions=25)
-            assert [rec["value"] for rec in report.records] == values, elements
+            assert [rec["value"] for rec in report.records] == values, budget
 
 
 class TestRepeatedMethods:

@@ -80,6 +80,21 @@ def test_incomplete_beta_edges():
         regularized_incomplete_beta(1.0, 1.0, 1.5)
 
 
+def test_continued_fraction_clamps():
+    # The clamps of the scalar continued fraction fire only when 1 + q is
+    # exactly 0, which needs shape parameters near 1e16 and x at the branch
+    # threshold.  The odd step's clamps (d and c) fire here, where the
+    # result is still about scipy's; the first term's clamp fires in a
+    # fraction that then runs to its cap.  (Random searches found no input
+    # that fires the even step's clamps.)
+    a, b, x = 2.4024922200476035e17, 18.772764682745624, 0.9999999999999998
+    assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+        float(special.betainc(a, b, x)), abs=1e-6
+    )
+    with pytest.raises(ConvergenceError, match="did not converge in 300 iterations"):
+        regularized_incomplete_beta(6922589.737520218, 1.1277432618410088e16, 6.138445661798847e-10)
+
+
 def test_incomplete_beta_against_scipy():
     for a in (0.5, 1.0, 2.5, 10.0, 60.0):
         for b in (0.5, 1.0, 3.5, 25.0):

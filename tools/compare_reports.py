@@ -99,7 +99,8 @@ alpha = 0.1
 methods = pearson,dcal,skipped
 """
 
-# 1311 x 100 values exceed dcal.simulate.GROUP_ELEMENTS: one cell per call
+# two cells of 1311 x 100 values at 8 bytes each exceed the work-space
+# budget dcal.core.CHUNK_BYTES: one cell per call
 EFFECT_GRID_GROUPS = """\
 design = effect_grid
 rho_list = 0.0,0.3,-0.6
