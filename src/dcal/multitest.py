@@ -9,8 +9,8 @@ work-space budget ``core.CHUNK_BYTES`` at :func:`_shuffle_bytes` each, so
 memory stays flat in the number of shuffles.  One matrix product scores a
 whole block into a (shuffles, m) array, shuffle-major, against a
 C-contiguous (n, m) copy of the standardized rows made once per call; the
-statistics and the mask of those reaching the observed ones are written
-into two buffers allocated once per call.
+statistics and a mask of their compares with the observed ones are written
+into two buffers allocated once per call, with the compares' bounds.
 """
 
 from __future__ import annotations
@@ -88,36 +88,59 @@ def permutation_pvalues(
     Permutation b shuffles the target with the stream derived from
     ``(plan.seed, b)``, so results do not depend on evaluation order.
     P-values use the add-one convention (1 + #{more extreme}) / (B + 1).
+
+    A block's statistics stay in the product domain, |x . y| for
+    standardized rows, where |x . y| <= n.  Four passes follow the product:
+    the absolute values, each shuffle's maximum, and two compares with the
+    per-column bounds ``n*observed -/+ n*tol``, each counted per column
+    through a one-byte view of the mask.  A statistic above the upper bound
+    counts; one below the lower bound does not; a shuffle with a statistic
+    in between, or a maximum within ``tol`` of an observed statistic, is
+    rescored with the matrix-vector product the observed statistics came
+    from, one shuffle at a time.  This is exact: the block product and that
+    product differ by at most about 2 n**2 u (u the unit roundoff, n terms
+    each of size up to 1), dividing by n and rounding the bounds add about
+    2 n u, and the band's half-width ``n*tol`` is 16 n**2 u, larger than
+    both.  So a statistic outside the band lies on the same side of
+    ``n*observed`` as the rescored one.  Division by n is monotone, so a
+    maximum divided by n, ``fl(max |s| / n)``, is ``max fl(|s| / n)``: a
+    maximum that is not rescored keeps the bits of the one-at-a-time score.
     """
     X = np.asarray(columns, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != y.shape[0]:
         raise ValueError("columns must be (m, n), m >= 1, with n matching the target length")
     m, n = X.shape
-    sd_x = X.std(axis=1)
-    for j in np.flatnonzero(sd_x == 0.0):
-        raise DegenerateVarianceError(f"column {int(j)} has zero variance")
-    if y.std() == 0.0:
-        raise DegenerateVarianceError("target has zero variance")
-
     B = plan.n_permutations
     block = min(B, units_per_block(_shuffle_bytes(m, n)))
     # before the standardized rows: allocated after them, the buffers
     # raised a fresh sim-null run's peak RSS by 0.35-0.65 MB more
     stats_buf, mask_buf = np.empty((block, m)), np.empty((block, m), dtype=bool)
+    bounds = np.empty((2, m))
     Xs = X - X.mean(axis=1, keepdims=True)
+    XsT = np.empty((n, m))  # each block's product reads it row by row
+    # numpy's own std arithmetic on the centred rows, X.std(axis=1)'s bits:
+    # the squares fill XsT's memory as (m, n) rows and the standard deviations
+    # sit in the bounds' memory until the bounds are set: no temporary is made
+    sd_x = np.add.reduce(np.multiply(Xs, Xs, out=XsT.reshape(m, n)), axis=1, out=bounds[0])
+    sd_x /= n
+    np.sqrt(sd_x, out=sd_x)
+    for j in np.flatnonzero(sd_x == 0.0):
+        raise DegenerateVarianceError(f"column {int(j)} has zero variance")
+    if y.std() == 0.0:
+        raise DegenerateVarianceError("target has zero variance")
     Xs /= sd_x[:, None]  # in place: the copy XsT takes the place of a temporary
     ys = (y - y.mean()) / y.std()
     observed = np.abs(Xs @ ys) / n
-    XsT = np.ascontiguousarray(Xs.T)  # (n, m): each block's product reads it row by row
+    np.copyto(XsT, Xs.T)
 
-    # Two summation orders of one statistic differ by less than ``tol``
-    # (|x . y| <= n for standardized rows).  A shuffle with a statistic or
-    # its maximum that close to an observed statistic is rescored with the
-    # matrix-vector product the observed statistics came from, so ties
-    # count exactly as when the shuffles are scored one at a time.
+    # Two summation orders of one statistic differ by less than ``tol``.
     tol = 8.0 * n * np.finfo(np.float64).eps
+    lo, hi = bounds
+    np.subtract(np.multiply(observed, n, out=hi), n * tol, out=lo)
+    hi += n * tol
     ordered = np.sort(observed)
+    count = np.min_scalar_type(block)  # holds a block's count of one column
     count_per = np.zeros(m, dtype=np.int64)
     peaks = np.empty(B)
     for start in range(0, B, block):
@@ -126,18 +149,22 @@ def permutation_pvalues(
         stats, mask = stats_buf[: keys.size], mask_buf[: keys.size]
         np.matmul(ys[perms], XsT, out=stats)  # (shuffles, m)
         np.abs(stats, out=stats)
-        stats /= n
         peak = stats.max(axis=1)
-        np.greater_equal(stats, observed, out=mask)
-        stats -= observed
-        near = np.abs(stats, out=stats).min(axis=1) <= tol
+        peak /= n
+        above = np.add.reduce(np.greater(stats, hi, out=mask).view(np.uint8), axis=0, dtype=count)
+        reach = np.add.reduce(np.greater_equal(stats, lo, out=mask).view(np.uint8), axis=0,
+                              dtype=count)
+        count_per += above
+        cols = np.flatnonzero(reach != above)  # columns with a statistic in the band
+        band = stats[:, cols]
+        near = ((band >= lo[cols]) & (band <= hi[cols])).any(axis=1)
         at = np.minimum(np.searchsorted(ordered, peak - tol), m - 1)
         near |= np.abs(ordered[at] - peak) <= tol
         for j in np.flatnonzero(near):
             exact = np.abs(Xs @ ys[perms[j]]) / n
             peak[j] = exact.max()
-            np.greater_equal(exact, observed, out=mask[j])  # replaces the block's row
-        count_per += np.add.reduce(mask, axis=0, dtype=np.int64)
+            count_per += exact >= observed
+            count_per -= stats[j] > hi  # takes back the block's count of this shuffle
         peaks[start : start + keys.size] = peak
     count_max = B - np.searchsorted(np.sort(peaks), observed, side="left")
     per_test = (1.0 + count_per) / (B + 1.0)

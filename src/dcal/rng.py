@@ -20,7 +20,10 @@ raw draws:
 * standard normals:   Box-Muller pairs; the radius uses
   ``u1 = ((raw >> 11) + 1) * 2**-53`` (in (0, 1], so log never sees 0) and
   the angle uses the next draw's [0, 1) uniform.
-* permutation of n:   stable argsort of n raw draws.
+* permutation of n:   argsort of n raw draws.  The n words of one stream
+  are all distinct (the counters differ mod 2**64 because GOLDEN is odd,
+  and the finalizer is a bijection), so every argsort gives the stable
+  order.
 * integer in [0, b):  ``floor(uniform * b)``.
 
 Independent substreams come from :func:`derive`, which folds integer path
@@ -155,8 +158,14 @@ def normals_of(raw: np.ndarray) -> np.ndarray:
 
 
 def permutation_of(raw: np.ndarray) -> np.ndarray:
-    """Permutations along the last axis of raw words (stable argsort)."""
-    return np.argsort(raw, axis=-1, kind="stable")
+    """Permutations along the last axis of raw words (argsort).
+
+    Each row along the last axis must hold distinct words, as consecutive
+    words of one stream do: without ties every argsort returns the order a
+    stable sort gives, so numpy's default (SIMD) sort yields the same
+    permutation on every platform.
+    """
+    return np.argsort(raw, axis=-1)
 
 
 def derive_text(seed: int, text: str) -> int:
@@ -196,7 +205,7 @@ class Stream:
         return normals_of(self.raw(2 * ((count + 1) // 2)))[:count]
 
     def permutation(self, n: int) -> np.ndarray:
-        """Uniform random permutation of ``range(n)`` (stable sort of raw keys)."""
+        """Uniform random permutation of ``range(n)`` (argsort of raw keys)."""
         return permutation_of(self.raw(n))
 
     def integers(self, count: int, bound: int) -> np.ndarray:

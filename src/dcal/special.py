@@ -83,7 +83,11 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1]."""
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1].
+
+    A value outside [0, 1] raises :class:`~dcal.errors.ConvergenceError`
+    naming the input; it takes a shape parameter near 1e13 or more.
+    """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
     if x < 0.0 or x > 1.0:
@@ -99,11 +103,22 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         + a * math.log(x)
         + b * math.log1p(-x)
     )
-    front = math.exp(ln_front)
+    try:
+        front = math.exp(ln_front)
+    except OverflowError:
+        front = math.inf
     # the continued fraction converges fastest below the distribution mode
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+        value = front * _beta_continued_fraction(a, b, x) / a
+    else:
+        value = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    # with a shape parameter near 1e13 or more, lgamma's rounding swamps the
+    # prefactor's logarithm
+    if not 0.0 <= value <= 1.0:
+        raise ConvergenceError(
+            f"incomplete beta left [0, 1] (a={a}, b={b}, x={x}): got {value}"
+        )
+    return value
 
 
 def student_t_cdf(t: float, df: int) -> float:
@@ -232,7 +247,10 @@ def student_t_sf_two_sided_rows(t_abs_squared, df) -> np.ndarray:
             ln_beta[ak] = math.lgamma(ak + b) - math.lgamma(ak) - math.lgamma(b)
         front.append(math.exp(ln_beta[ak] + ak * math.log(xk) + b * math.log1p(-xk)))
     front = np.array(front)
-    out[rows] = np.where(low, front * cf / a, 1.0 - front * cf / b)
-    for k in rows[np.isnan(cf)].tolist():
+    value = np.where(low, front * cf / a, 1.0 - front * cf / b)
+    out[rows] = value
+    # entries not settled (NaN) or outside [0, 1] take the scalar path,
+    # which raises where the scalar function does
+    for k in rows[~((0.0 <= value) & (value <= 1.0))].tolist():
         out[k] = student_t_sf_two_sided(float(t2[k]), df[k].item())
     return out

@@ -223,6 +223,14 @@ class TestBatchedShuffles:
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
 
+    def test_over_255_shuffles_in_one_block(self, monkeypatch):
+        # 1000 shuffles in one block count each column in a uint16, not a uint8
+        monkeypatch.setattr(core, "CHUNK_BYTES", 2 ** 40)
+        X, y = _battery(40, 6, 13)
+        X[:20, 1] = X[:20, 0]
+        assert _blocks(40, 6, 1000) == 1
+        _assert_matches_loop(X, y, 1000, 3)
+
     def test_tied_target_values(self):
         # shuffles that only swap equal target values reproduce the observed
         # statistics exactly

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcal.rng import Stream, derive, derive_array, integers_of, raw_block, uniforms_of
+from dcal.rng import (
+    Stream,
+    derive,
+    derive_array,
+    integers_of,
+    permutation_of,
+    raw_block,
+    uniforms_of,
+)
 
 SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1))
 KEYS = st.one_of(st.sampled_from([0, 2 ** 35]), st.integers(0, 2 ** 35))
@@ -67,6 +75,24 @@ class TestArrayForms:
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert np.array_equal(words[:size].view(np.int64), got.ravel())
         assert (words[size:] == garbage).all() and (temp[size:] == garbage).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.lists(KEYS, min_size=1, max_size=6), st.integers(1, 300),
+           st.sampled_from(["blocks", "kfold", "slice"]))
+    def test_permutation_is_the_stable_argsort(self, seed, keys, count, shape):
+        # the stream's words are distinct, so the default argsort gives the
+        # stable order in each call shape: the permutation corrections' shuffle
+        # blocks, the k-fold (rows, repeats, n) words and the contamination
+        # draws' slice of longer rows
+        k = np.array(keys, dtype=np.uint64)
+        if shape == "blocks":
+            raw = raw_block(derive_array(seed, k), count)
+        elif shape == "kfold":
+            rows = derive_array(seed, k)
+            raw = raw_block(derive_array(rows[:, None], np.arange(3)), count)
+        else:
+            raw = raw_block(derive_array(seed, k), 2 * count + 6)[:, count + 3 : 2 * count + 3]
+        assert np.array_equal(permutation_of(raw), np.argsort(raw, axis=-1, kind="stable"))
 
 
 def test_integers_need_a_positive_bound():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_continued_fraction_clamps():
     )
     with pytest.raises(ConvergenceError, match="did not converge in 300 iterations"):
         regularized_incomplete_beta(6922589.737520218, 1.1277432618410088e16, 6.138445661798847e-10)
+
+
+@pytest.mark.parametrize("a,b,x", [
+    # returned 1.39e172 (scipy gives 0.5028)
+    (13113.54, 1.0348e17, 1.2673e-13),
+    # the prefactor's exp overflowed with a bare OverflowError
+    (296.08366556447294, 5.212880538095192e17, 2.9288916758322377e-17),
+])
+def test_incomplete_beta_outside_unit_interval_raises(a, b, x):
+    # shape parameters near 1e17 leave lgamma's rounding larger than the
+    # prefactor's logarithm; a value outside [0, 1] is an error naming the input
+    with pytest.raises(ConvergenceError, match=re.escape(f"left [0, 1] (a={a}, b={b}, x={x})")):
+        regularized_incomplete_beta(a, b, x)
 
 
 def test_incomplete_beta_against_scipy():

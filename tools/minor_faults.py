@@ -26,9 +26,16 @@ A workload that reads a matrix (``screen``) also gets the floor under
 convert to finite numbers (the cells are split out untimed), and the ratio
 of ``load_matrix``'s seconds to that floor.
 
+A workload that calls ``permutation_pvalues`` gets its floor after each
+run: on the arguments of each call and in the call's own blocks, the
+seconds of the draws (``derive_array``, ``raw_block`` and
+``permutation_of``) plus one ``np.matmul`` of the shuffled targets by the
+(n, m) standardized rows per block, summed over the calls, and the ratio
+of ``permutation_pvalues``'s seconds to that floor.
+
 The output is one JSON line: per run the wall seconds and faults of the
 whole call and, per stage, its calls, seconds and faults (and the ingest
-floor); then the median of each over the runs.
+and permutation floors); then the median of each over the runs.
 """
 
 from __future__ import annotations
@@ -51,12 +58,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import dcal  # noqa: E402
-from dcal import cli, simulate  # noqa: E402
+from dcal import cli, core, simulate  # noqa: E402
+from dcal.multitest import _shuffle_bytes  # noqa: E402
+from dcal.rng import derive_array, permutation_of, raw_block  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
           "load_matrix", "write_report")
 METHOD_STAGES = (simulate.ExperimentReport, ("write_csv", "write_json"))
+FLOORS = ("ingest_floor", "permutation_floor")
 
 
 def minor_faults() -> int:
@@ -64,10 +74,12 @@ def minor_faults() -> int:
 
 
 class Recorder:
-    """Calls, seconds and faults per stage since the last :meth:`take`."""
+    """Calls, seconds and faults per stage since the last :meth:`take`, and
+    the arguments of each ``permutation_pvalues`` call."""
 
     def __init__(self):
         self.stages: dict[str, dict] = {}
+        self.permutation_calls: list[tuple] = []
 
     def wrap(self, name: str, fn):
         @functools.wraps(fn)
@@ -76,6 +88,8 @@ class Recorder:
             if name == "calibration_phase":
                 scheme = args[1] if len(args) > 1 else kwargs["scheme"]
                 stage = f"{name}.{scheme.kind}"
+            if name == "permutation_pvalues":
+                self.permutation_calls.append((args, kwargs))
             faults, start = minor_faults(), time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -86,9 +100,10 @@ class Recorder:
                 entry["minflt"] += minor_faults() - faults
         return timed
 
-    def take(self) -> dict:
+    def take(self) -> tuple[dict, list[tuple]]:
         stages, self.stages = self.stages, {}
-        return stages
+        calls, self.permutation_calls = self.permutation_calls, []
+        return stages, calls
 
 
 def install(recorder: Recorder) -> None:
@@ -126,6 +141,30 @@ def ingest_floor(path: Path) -> dict:
             "s": read_s + convert_s}
 
 
+def permutation_floor(columns, target, plan) -> dict:
+    """Seconds of the draws plus one block product per block of one
+    ``permutation_pvalues`` call, in that call's blocks."""
+    X = np.asarray(columns, dtype=np.float64)
+    y = np.asarray(target, dtype=np.float64)
+    m, n = X.shape
+    B = plan.n_permutations
+    block = min(B, core.units_per_block(_shuffle_bytes(m, n)))
+    XsT = np.ascontiguousarray(((X - X.mean(axis=1, keepdims=True)) / X.std(axis=1)[:, None]).T)
+    ys = (y - y.mean()) / y.std()
+    stats_buf = np.empty((block, m))
+    draws_s = product_s = 0.0
+    for start in range(0, B, block):
+        begin = time.perf_counter()
+        keys = np.arange(start, min(start + block, B), dtype=np.uint64)
+        perms = permutation_of(raw_block(derive_array(plan.seed, keys), n))
+        middle = time.perf_counter()
+        np.matmul(ys[perms], XsT, out=stats_buf[: keys.size])
+        end = time.perf_counter()
+        draws_s += middle - begin
+        product_s += end - middle
+    return {"draws_s": draws_s, "product_s": product_s, "s": draws_s + product_s}
+
+
 def run_once(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -144,11 +183,10 @@ def median_of(runs: list[dict]) -> dict:
             for name in stages
         },
     }
-    if "ingest_floor" in runs[0]:
-        median["ingest_floor"] = {
-            key: statistics.median(run["ingest_floor"][key] for run in runs)
-            for key in runs[0]["ingest_floor"]
-        }
+    for floor in FLOORS:
+        if floor in runs[0]:
+            median[floor] = {key: statistics.median(run[floor][key] for run in runs)
+                             for key in runs[0][floor]}
     return median
 
 
@@ -171,11 +209,18 @@ def main() -> int:
             faults, start = minor_faults(), time.perf_counter()
             run_once(argv)
             wall = time.perf_counter() - start
-            run = {"wall_s": wall, "minflt": minor_faults() - faults, "stages": recorder.take()}
+            stages, calls = recorder.take()
+            run = {"wall_s": wall, "minflt": minor_faults() - faults, "stages": stages}
             if case.matrix is not None:
                 floor = ingest_floor(case.matrix)
-                floor["load_matrix_over_floor"] = run["stages"]["load_matrix"]["s"] / floor["s"]
+                floor["load_matrix_over_floor"] = stages["load_matrix"]["s"] / floor["s"]
                 run["ingest_floor"] = floor
+            if calls:
+                parts = [permutation_floor(*args, **kwargs) for args, kwargs in calls]
+                floor = {key: sum(part[key] for part in parts) for key in parts[0]}
+                floor["permutation_pvalues_over_floor"] = (
+                    stages["permutation_pvalues"]["s"] / floor["s"])
+                run["permutation_floor"] = floor
             runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "dcal": dcal.__file__,
                       "runs": runs, "median": median_of(runs)}))
