@@ -42,7 +42,7 @@ from .errors import (
     TargetError,
     UndefinedSignError,
 )
-from .batchio import FeatureMatrix, FeatureRow, ScreenReport, load_matrix, screen, write_report
+from .batchio import FeatureMatrix, ScreenReport, load_matrix, screen, write_report
 from .multitest import PermutationPlan, bh_adjust, holm_adjust, permutation_pvalues
 from .robust import (
     SkippedBatch,
@@ -117,7 +117,6 @@ __all__ = [
     "run_effect_grid",
     "run_outlier_suite",
     "FeatureMatrix",
-    "FeatureRow",
     "ScreenReport",
     "load_matrix",
     "screen",

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import units_per_block
-from .engine import OosScheme, dcal_matrix
+from .engine import DcalBatch, OosScheme, dcal_matrix
 from .errors import InsufficientDataError, ParseError, TargetError
 from .methods import CORRECTIONS, check, correct
 from .multitest import PermutationPlan, permutation_pvalues
@@ -27,7 +27,6 @@ from .rng import derive, derive_text
 
 __all__ = [
     "FeatureMatrix",
-    "FeatureRow",
     "ScreenReport",
     "load_matrix",
     "screen",
@@ -311,60 +310,47 @@ def load_matrix(
     )
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """Per-feature screening outcome; ``error`` is set instead of numbers
-    when the feature could not be tested."""
-
-    name: str
-    r: float = float("nan")
-    p: float = float("nan")
-    r_dcal: float = float("nan")
-    p_dcal: float = float("nan")
-    sign_flip: bool = False
-    fast_skipped: bool = False
-    adjusted: dict = field(default_factory=dict)
-    error: str = ""
-
-
-@dataclass
+@dataclass(eq=False)
 class ScreenReport:
-    """Rows per screened feature plus battery-level summary counts."""
+    """One screen: ``names``, the features in matrix order without the
+    target; ``batch``, the :class:`~dcal.engine.DcalBatch` of their one
+    :func:`~dcal.engine.dcal_matrix` call, row i for ``names[i]``;
+    ``adjusted``, one array of p-values per correction, NaN on the rows that
+    could not be tested; and battery-level ``summary`` counts."""
 
     target: str
     alpha: float
     scheme: str
     n_samples: int
     corrections: tuple[str, ...]
-    rows: list[FeatureRow] = field(default_factory=list)
+    names: tuple[str, ...]
+    batch: DcalBatch
+    adjusted: dict[str, np.ndarray]
     summary: dict = field(default_factory=dict)
 
     def significant_sets(self) -> dict[str, set[str]]:
-        """Feature-name sets significant at alpha, per method."""
-        ok = [row for row in self.rows if not row.error]
-        sets = {
-            "uncorrected": {r.name for r in ok if r.p < self.alpha},
-            "dcal": {r.name for r in ok if r.p_dcal < self.alpha},
+        """Feature-name sets significant at alpha, per method.  A row that
+        could not be tested has NaN scores, which are never below alpha."""
+        scores = {"uncorrected": self.batch.p, "dcal": self.batch.p_dcal, **self.adjusted}
+        return {
+            method: set(compress(self.names, (score < self.alpha).tolist()))
+            for method, score in scores.items()
         }
-        for corr in self.corrections:
-            sets[corr] = {r.name for r in ok if r.adjusted[corr] < self.alpha}
-        return sets
 
     def build_summary(self) -> None:
         sets = self.significant_sets()
-        counts = {method: len(s) for method, s in sets.items()}
-        names = sorted(sets)
-        intersections = {
-            f"{a}&{b}": len(sets[a] & sets[b])
-            for i, a in enumerate(names)
-            for b in names[i + 1 :]
-        }
+        methods = sorted(sets)
+        failed = sum(error is not None for error in self.batch.errors)
         self.summary = {
-            "tested": sum(1 for row in self.rows if not row.error),
-            "failed": sum(1 for row in self.rows if row.error),
-            "fast_skipped": sum(1 for row in self.rows if row.fast_skipped),
-            "significant": counts,
-            "intersections": intersections,
+            "tested": len(self.names) - failed,
+            "failed": failed,
+            "fast_skipped": int(self.batch.skipped.sum()),
+            "significant": {method: len(s) for method, s in sets.items()},
+            "intersections": {
+                f"{a}&{b}": len(sets[a] & sets[b])
+                for i, a in enumerate(methods)
+                for b in methods[i + 1 :]
+            },
         }
 
 
@@ -388,7 +374,7 @@ def screen(
     found 105 dcal-significant features where full mode found 123.
     Corrections are computed over the classical p-values of the
     successfully tested features only.  Per-feature failures are recorded
-    in their rows, not raised.
+    in the batch's ``errors``, not raised.
 
     Every feature is tested in one :func:`~dcal.engine.dcal_matrix` call,
     which runs its out-of-sample step in chunks of rows.  The report does not
@@ -402,8 +388,8 @@ def screen(
     if np.ptp(y) == 0.0:
         raise TargetError(f"target {target!r} is constant")
 
-    feature_ids = [j for j in range(len(matrix.feature_names)) if j != target_idx]
-    names = [matrix.feature_names[j] for j in feature_ids]
+    feature_ids = np.delete(np.arange(len(matrix.feature_names)), target_idx)
+    names = matrix.feature_names[:target_idx] + matrix.feature_names[target_idx + 1:]
     # per-feature seeds follow the feature NAME, so permuting matrix
     # rows permutes report rows with identical values; loo reads none
     if scheme.kind == "loo":
@@ -412,29 +398,18 @@ def screen(
         seeds = [derive_text(scheme.seed, name) for name in names]
     batch = dcal_matrix(matrix.values[feature_ids], y, scheme, seeds, alpha, fast)
 
-    ok = [i for i, error in enumerate(batch.errors) if error is None]
-    adjusted: dict[int, tuple[float, ...]] = {}
-    if ok and corrections:
+    ok = np.flatnonzero([error is None for error in batch.errors])
+    adjusted = {corr: np.full(len(names), np.nan) for corr in corrections}
+    if ok.size and corrections:
         columns = correct(
             batch.p[ok], corrections,
             lambda: permutation_pvalues(
-                matrix.values[[feature_ids[i] for i in ok]], y,
+                matrix.values[feature_ids[ok]], y,
                 PermutationPlan(plan.n_permutations, derive(scheme.seed, _KEY_SCREEN_PERM)),
             ),
         )
-        adjusted = dict(zip(ok, zip(*(columns[corr].tolist() for corr in corrections))))
-    rows = [
-        FeatureRow(name=name, error=str(error)) if error is not None
-        else FeatureRow(
-            name=name, r=r, p=p, r_dcal=r_dcal, p_dcal=p_dcal, sign_flip=flip,
-            fast_skipped=skip, adjusted=dict(zip(corrections, adjusted.get(i, ()))),
-        )
-        for i, (name, r, p, r_dcal, p_dcal, flip, skip, error) in enumerate(zip(
-            names, batch.r.tolist(), batch.p.tolist(), batch.r_dcal.tolist(),
-            batch.p_dcal.tolist(), batch.sign_flip.tolist(), batch.skipped.tolist(),
-            batch.errors,
-        ))
-    ]
+        for corr, column in columns.items():
+            adjusted[corr][ok] = column
 
     report = ScreenReport(
         target=target,
@@ -442,7 +417,9 @@ def screen(
         scheme=scheme.label,
         n_samples=matrix.sample_count,
         corrections=corrections,
-        rows=rows,
+        names=names,
+        batch=batch,
+        adjusted=adjusted,
     )
     report.build_summary()
     return report
@@ -452,32 +429,30 @@ def write_report(report: ScreenReport, path, format: str = "csv") -> None:
     """Persist a ScreenReport as CSV (one row per feature) or JSON.
 
     Numbers are written with full round-trip precision, so reloading the file
-    reproduces them bit for bit.  They are Python floats (``screen`` takes
-    them from ``tolist()``), so the CSV writes each one's ``repr``.
+    reproduces them bit for bit: the CSV writes each Python float's ``repr``.
+    A feature that could not be tested has empty cells (CSV) or nulls (JSON)
+    in place of its numbers.
     """
+    # the per-feature fields of both formats, in file order
+    batch = report.batch
+    numbers = {"r": batch.r, "p": batch.p, "r_dcal": batch.r_dcal, "p_dcal": batch.p_dcal,
+               "flip": batch.sign_flip}
+    numbers.update((f"p_{corr}", report.adjusted[corr]) for corr in report.corrections)
+    fields = {"name": report.names, **{key: column.tolist() for key, column in numbers.items()},
+              "error": ["" if error is None else str(error) for error in batch.errors]}
     if format == "csv":
-        header = ["name", "r", "p", "r_dcal", "p_dcal", "flip"]
-        header += [f"p_{corr}" for corr in report.corrections]
-        header += ["error"]
-        lines = [",".join(header)]
-        for row in report.rows:
-            if row.error:
-                cells = [row.name] + [""] * (len(header) - 2) + [row.error.replace(",", ";")]
-            else:
-                cells = [
-                    row.name,
-                    repr(row.r),
-                    repr(row.p),
-                    repr(row.r_dcal),
-                    repr(row.p_dcal),
-                    "true" if row.sign_flip else "false",
-                ]
-                cells += [repr(row.adjusted[corr]) for corr in report.corrections]
-                cells += [""]
-            lines.append(",".join(cells))
-        payload = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        texts = [
+            column if key in ("name", "error")
+            else ["true" if flag else "false" for flag in column] if key == "flip"
+            else list(map(repr, column))
+            for key, column in fields.items()
+        ]
+        lines = [",".join(fields)] + [
+            ",".join([name, *[""] * len(cells), error.replace(",", ";")]) if error
+            else ",".join([name, *cells, ""])
+            for name, *cells, error in zip(*texts)
+        ]
+        text = "\n".join(lines) + "\n"
     elif format == "json":
         doc = {
             "target": report.target,
@@ -486,22 +461,14 @@ def write_report(report: ScreenReport, path, format: str = "csv") -> None:
             "n_samples": report.n_samples,
             "corrections": list(report.corrections),
             "rows": [
-                {
-                    "name": row.name,
-                    "r": None if row.error else row.r,
-                    "p": None if row.error else row.p,
-                    "r_dcal": None if row.error else row.r_dcal,
-                    "p_dcal": None if row.error else row.p_dcal,
-                    "flip": row.sign_flip,
-                    **{f"p_{corr}": row.adjusted.get(corr) for corr in report.corrections},
-                    "error": row.error,
-                }
-                for row in report.rows
+                {key: None if row[-1] and isinstance(value, float) else value
+                 for key, value in zip(fields, row)}
+                for row in zip(*fields.values())
             ],
             "summary": report.summary,
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(doc, indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

@@ -56,14 +56,16 @@ def _scheme_from_name(name: str, seed: int) -> OosScheme:
     raise ParseError(f"unknown scheme {name!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
+def _add_common(parser: argparse.ArgumentParser, with_alpha: bool, with_json: bool) -> None:
+    if with_alpha:
+        parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--scheme", choices=SCHEME_NAMES, default="loo",
         help="out-of-sample prediction scheme",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    if with_json:
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--threads", type=int, default=None, help="accepted and ignored")
 
 
@@ -327,7 +329,7 @@ def cmd_anscombe(args) -> int:
     names = sorted(datasets)
     X, Y = zip(*(datasets[name] for name in names))
     scheme = _scheme_from_name(args.scheme, args.seed)
-    rows = Rows(X, Y, scheme, [scheme.seed] * len(names), args.alpha)
+    rows = Rows(X, Y, scheme, [scheme.seed] * len(names))
     scored, _ = score_rows(rows, QUARTET_METHODS)
     results = {name: quartet_row(scored, rows, i) for i, name in enumerate(names)}
     if args.json:
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="run the calibrated test on one pair")
-    _add_common(p_test)
+    _add_common(p_test, with_alpha=True, with_json=True)
     p_test.add_argument("--input", help="two-column file (x, y)")
     p_test.add_argument("--x", help="inline comma-separated x values")
     p_test.add_argument("--y", help="inline comma-separated y values")
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_screen = sub.add_parser("screen", help="screen a feature matrix against a target")
-    _add_common(p_screen)
+    _add_common(p_screen, with_alpha=True, with_json=False)
     p_screen.add_argument("--matrix", required=True, help="feature matrix CSV")
     p_screen.add_argument("--target", required=True, help="target feature name")
     p_screen.add_argument(
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ans = sub.add_parser("anscombe", help="print the bundled quartet analysis")
-    _add_common(p_ans)
+    _add_common(p_ans, with_alpha=False, with_json=True)
     p_ans.set_defaults(func=cmd_anscombe)
 
     return parser

@@ -369,27 +369,27 @@ def run_battery_experiment(
     repetitions: int = 1,
     scheme: OosScheme = OosScheme.loo(),
     plan: PermutationPlan = PermutationPlan(),
-    fast: bool = False,
 ) -> ExperimentReport:
     """Generate batteries, run every method, and aggregate rejection counts.
 
-    The calibrated test runs without any additional correction; its score is
-    p_dcal itself.  Repetitions that abort with a toolkit error are excluded
-    from the averages and counted in the report metadata.
+    The calibrated test runs with the fast guard off (the report meta
+    records ``"fast": false``) and without any additional correction; its
+    score is p_dcal itself.  Repetitions that abort with a toolkit error are
+    excluded from the averages and counted in the report metadata.
     """
     methods = _check_methods(methods, BATTERY_METHODS)
     _check_run(alpha, repetitions)
     name = "null_battery" if isinstance(design, NullBattery) else "correlated_battery"
 
     def score_rep(X, y, base):
-        rows = Rows(X, y, scheme, _scheme_seeds(base, len(X)), alpha, fast)
+        rows = Rows(X, y, scheme, _scheme_seeds(base, len(X)), alpha)
         return battery_scores(
             rows, methods, PermutationPlan(plan.n_permutations, derive(base, _KEY_PERM))
         )
 
     return _run_battery(
         design, name, methods, score_rep, alpha, repetitions,
-        {"scheme": scheme.label, "n_permutations": plan.n_permutations, "fast": fast},
+        {"scheme": scheme.label, "n_permutations": plan.n_permutations, "fast": False},
     )
 
 

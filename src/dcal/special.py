@@ -11,10 +11,10 @@ array (Lentz 1976; Numerical Recipes ``betacf``) with the scalar code's
 operations in the scalar code's order, and each entry takes the value of
 the iteration at which its scalar twin stops, so every entry gets the
 scalar function's bits.  The prefactor
-``exp(lgamma(a+b) - lgamma(a) - lgamma(b) + a log x + b log1p(-x))`` stays
-a per-entry ``math`` expression: ``np.log``, ``np.log1p`` and ``np.exp``
-differ from the C library in the last bit for some inputs, which would move
-report bytes.  Calls with fewer than ``ARRAY_MIN_ROWS`` entries take the
+``exp(_ln_beta(a, b) + a log x + b log1p(-x))`` stays a per-entry
+``math`` expression: ``np.log``, ``np.log1p`` and ``np.exp`` differ from
+the C library in the last bit for some inputs, which would move report
+bytes.  Calls with fewer than ``ARRAY_MIN_ROWS`` entries take the
 scalar path, whose cost is per entry where the array loop's is per call.
 """
 
@@ -39,6 +39,26 @@ ARRAY_MIN_ROWS = 96
 # Iterations of the array continued fraction between convergence checks: an
 # entry that converges early rides along for the rest of its block.
 _BLOCK = 8
+
+# From this larger shape parameter up, _ln_beta takes Stirling's series and
+# _shifted sums above the mode; every t tail of fewer than 20,000 samples
+# stays below it, and keeps its bits.
+_STIRLING_MIN = 1e4
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """lgamma(a + b) - lgamma(a) - lgamma(b).  From ``_STIRLING_MIN`` up,
+    lgamma(s + t) - lgamma(t), s the smaller shape and t the larger, which
+    lost about log2(t) bits to cancellation, is Stirling's series with its
+    leading terms cancelled: (t - 1/2) log1p(s/t) + s log(s + t) - s plus
+    the difference of the 1/(12 z) corrections (the next term's is below
+    3e-15)."""
+    s, t = (a, b) if a <= b else (b, a)
+    if t < _STIRLING_MIN:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    u = t + s
+    correction = (1.0 / u - 1.0 / t) / 12.0
+    return (t - 0.5) * math.log1p(s / t) + s * math.log(u) - s + correction - math.lgamma(s)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -82,11 +102,30 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     )
 
 
+def _shifted(a: float, b: float, x: float, front: float) -> float | None:
+    """I_x(a, b) above the mode for a < ``_STIRLING_MIN`` <= b, where
+    1 - I_{1-x}(b, a) loses about log2(b/a) bits; None for other shapes or
+    more than ``_MAX_ITER`` shifts.  With t_n = (a+b)_n x^n / (a+1)_n and k
+    the first shift that puts x below the mode of (a + k, b), it is the
+    positive sum front / a * (t_0 + ... + t_{k-1} + t_k CF(a + k, b, x))."""
+    k = math.floor((x * (a + b + 2.0) - a - 1.0) / (1.0 - x)) + 1
+    if not a < _STIRLING_MIN <= b or k > _MAX_ITER:
+        return None
+    term, total = front / a, 0.0
+    for n in range(k):
+        total += term
+        term *= (a + b + n) * x / (a + 1.0 + n)
+    # front's relative error, below 1e-11 at these shapes, can carry a
+    # value within that of 1 past it
+    return min(1.0, total + term * _beta_continued_fraction(a + k, b, x))
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1].
 
     A value outside [0, 1] raises :class:`~dcal.errors.ConvergenceError`
-    naming the input; it takes a shape parameter near 1e13 or more.
+    naming the input; it takes both shape parameters large, about 1e14 or
+    more, where lgamma of the smaller one and ``a log x`` cancel.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
@@ -96,13 +135,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    ln_front = _ln_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
     try:
         front = math.exp(ln_front)
     except OverflowError:
@@ -110,10 +143,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     # the continued fraction converges fastest below the distribution mode
     if x < (a + 1.0) / (a + b + 2.0):
         value = front * _beta_continued_fraction(a, b, x) / a
-    else:
+    elif (value := _shifted(a, b, x, front)) is None:
         value = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-    # with a shape parameter near 1e13 or more, lgamma's rounding swamps the
-    # prefactor's logarithm
     if not 0.0 <= value <= 1.0:
         raise ConvergenceError(
             f"incomplete beta left [0, 1] (a={a}, b={b}, x={x}): got {value}"
@@ -241,10 +272,10 @@ def student_t_sf_two_sided_rows(t_abs_squared, df) -> np.ndarray:
             np.where(low, a, b), np.where(low, b, a), np.where(low, x, 1.0 - x)
         )
     front = []
-    ln_beta: dict[float, float] = {}  # lgamma(a + b) - lgamma(a) - lgamma(b) per df
+    ln_beta: dict[float, float] = {}  # per df
     for ak, xk in zip(a.tolist(), x.tolist()):
         if ak not in ln_beta:
-            ln_beta[ak] = math.lgamma(ak + b) - math.lgamma(ak) - math.lgamma(b)
+            ln_beta[ak] = _ln_beta(ak, b)
         front.append(math.exp(ln_beta[ak] + ak * math.log(xk) + b * math.log1p(-xk)))
     front = np.array(front)
     value = np.where(low, front * cf / a, 1.0 - front * cf / b)

@@ -5,7 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +30,16 @@ from dcal.rng import Stream, derive
 
 import screen_reference
 from conftest import csv_tables, steep_pair
+
+
+def _rows(report) -> list[tuple]:
+    """Per feature of a screen report: its name, the batch's numbers and
+    flags, its adjusted p per correction, and its error's text ('' if none)."""
+    batch = report.batch
+    columns = [batch.r, batch.p, batch.r_dcal, batch.p_dcal, batch.sign_flip, batch.skipped]
+    columns += [report.adjusted[corr] for corr in report.corrections]
+    errors = ["" if error is None else str(error) for error in batch.errors]
+    return list(zip(report.names, *(column.tolist() for column in columns), errors))
 
 
 def _write(tmp_path, name, text):
@@ -330,8 +340,8 @@ class TestScreen:
     def test_planted_correlates_found(self):
         matrix = _synthetic_matrix()
         report = screen(matrix, "target", corrections=("holm", "bh"))
-        assert len(report.rows) == 30  # target excluded
-        assert all(row.name != "target" for row in report.rows)
+        assert len(report.names) == len(report.batch.p) == 30  # target excluded
+        assert "target" not in report.names
         sets = report.significant_sets()
         planted = {f"f{j:03d}" for j in range(6)}
         assert planted <= sets["uncorrected"]
@@ -364,12 +374,12 @@ class TestScreen:
             sample_names=tuple("abcdef"),
         )
         report = screen(matrix, "target", corrections=("holm",))
-        by_name = {row.name: row for row in report.rows}
-        assert "zero variance" in by_name["flat"].error
-        assert by_name["ok"].error == ""
+        flat, ok = report.names.index("flat"), report.names.index("ok")
+        assert "zero variance" in str(report.batch.errors[flat])
+        assert report.batch.errors[ok] is None
         assert report.summary["failed"] == 1
         # corrections computed over successfully tested features only
-        assert by_name["ok"].adjusted["holm"] == by_name["ok"].p  # m = 1
+        assert report.adjusted["holm"][ok] == report.batch.p[ok]  # m = 1
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_overflowing_feature_recorded_not_fatal(self, fast):
@@ -385,12 +395,12 @@ class TestScreen:
         )
         options = dict(corrections=CORRECTIONS, fast=fast, plan=PermutationPlan(200, 3))
         report = screen(matrix, "target", **options)
-        assert report.rows[-1].name == "huge"
-        assert report.rows[-1].error == (
+        assert report.names[-1] == "huge"
+        assert _rows(report)[-1][-1] == (
             "centred sums of squares or products leave the float64 range"
         )
         assert report.summary["failed"] == 1
-        assert report.rows[:-1] == screen(clean, "target", **options).rows
+        assert _rows(report)[:-1] == _rows(screen(clean, "target", **options))
 
     @pytest.mark.parametrize("scheme", [OosScheme.repeated_kfold(10, 10, 0), OosScheme.boot632()],
                              ids=lambda scheme: scheme.label)
@@ -407,12 +417,12 @@ class TestScreen:
         options = dict(scheme=scheme, corrections=CORRECTIONS, fast=False,
                        plan=PermutationPlan(100, 3))
         report = screen(matrix, "target", **options)
-        assert report.rows[-1].name == "steep"
-        assert report.rows[-1].error == (
+        assert report.names[-1] == "steep"
+        assert _rows(report)[-1][-1] == (
             "out-of-sample predictions or their centred sums leave the float64 range"
         )
         assert report.summary["failed"] == 1
-        assert report.rows[:-1] == screen(clean, "target", **options).rows
+        assert _rows(report)[:-1] == _rows(screen(clean, "target", **options))
 
     def test_fast_matches_full_on_significant_sets(self):
         matrix = _synthetic_matrix()
@@ -422,7 +432,7 @@ class TestScreen:
         # the guard actually skipped OOS work, and only on non-significant tests
         assert fast.summary["fast_skipped"] > 0
         assert full.summary["fast_skipped"] == 0
-        skipped = {row.name for row in fast.rows if row.fast_skipped}
+        skipped = set(compress(fast.names, fast.batch.skipped.tolist()))
         assert skipped.isdisjoint(fast.significant_sets()["dcal"])
 
     def test_order_independence(self):
@@ -435,8 +445,8 @@ class TestScreen:
             sample_names=matrix.sample_names,
         )
         report2 = screen(shuffled, "target", scheme=OosScheme.boot632(30, 5))
-        a = {row.name: row for row in report.rows}
-        b = {row.name: row for row in report2.rows}
+        a = {row[0]: row for row in _rows(report)}
+        b = {row[0]: row for row in _rows(report2)}
         assert a == b
 
     def test_holm_subset_of_bh(self):
@@ -450,7 +460,7 @@ class TestScreen:
         matrix = _synthetic_matrix(n_features=700)
         a = screen(matrix, "target", scheme=OosScheme.boot632(20, 3), corrections=CORRECTIONS)
         b = screen(matrix, "target", scheme=OosScheme.boot632(20, 3), corrections=CORRECTIONS)
-        assert a.rows == b.rows and a.summary == b.summary
+        assert _rows(a) == _rows(b) and a.summary == b.summary
 
     @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("scheme", [
@@ -485,9 +495,9 @@ class TestScreen:
     def test_perm_corrections_attach(self):
         matrix = _synthetic_matrix(n_features=10, n_true=3, n=40)
         report = screen(matrix, "target", corrections=("perm", "perm_max"))
-        for row in report.rows:
-            assert set(row.adjusted) == {"perm", "perm_max"}
-            assert row.adjusted["perm_max"] >= row.adjusted["perm"]
+        assert set(report.adjusted) == {"perm", "perm_max"}
+        for perm, perm_max in zip(report.adjusted["perm"], report.adjusted["perm_max"]):
+            assert perm_max >= perm
 
 
 class TestWriteReport:
@@ -499,10 +509,11 @@ class TestWriteReport:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
-        for parsed, row in zip(rows, report.rows):
-            assert parsed["name"] == row.name
-            assert float(parsed["r"]) == row.r
-            assert float(parsed["p_dcal"]) == row.p_dcal
+        for parsed, name, r, p_dcal in zip(rows, report.names, report.batch.r.tolist(),
+                                           report.batch.p_dcal.tolist()):
+            assert parsed["name"] == name
+            assert float(parsed["r"]) == r
+            assert float(parsed["p_dcal"]) == p_dcal
             assert parsed["flip"] in ("true", "false")
 
     def test_csv_header_on_empty_battery(self, tmp_path):

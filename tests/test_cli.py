@@ -712,6 +712,9 @@ class TestMain:
     @pytest.mark.parametrize("argv, code", [
         (["test", "--bogus"], 2), (["test", "--scheme", "cv5x5"], 2), (["frobnicate"], 2),
         (["--help"], 0), (["screen", "--help"], 0),
+        # the report format comes from --format; no printed quartet value depends on alpha
+        (["screen", "--matrix", "m.csv", "--target", "t", "--output", "r", "--json"], 2),
+        (["anscombe", "--alpha", "0.05"], 2),
     ])
     def test_argument_errors_and_help(self, capsys, argv, code):
         assert main(argv) == code

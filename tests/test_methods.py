@@ -316,14 +316,14 @@ class TestSharedCorrections:
         scheme = OosScheme.boot632(20, 9)
         report = screen(matrix, "target", scheme=scheme, corrections=CORRECTIONS,
                         plan=PermutationPlan(199, 0))
-        p = np.array([row.p for row in report.rows])
+        p = report.batch.p
         per_test, max_stat = permutation_pvalues(
             X, y, PermutationPlan(199, derive(scheme.seed, 2 ** 35))
         )
         expected = {"holm": holm_adjust(p), "bh": bh_adjust(p),
                     "perm": per_test, "perm_max": max_stat}
         for name in CORRECTIONS:
-            assert [row.adjusted[name] for row in report.rows] == expected[name].tolist(), name
+            assert report.adjusted[name].tolist() == expected[name].tolist(), name
 
     def test_permutations_run_once_and_only_when_named(self):
         calls = []

@@ -97,16 +97,50 @@ def test_continued_fraction_clamps():
 
 
 @pytest.mark.parametrize("a,b,x", [
-    # returned 1.39e172 (scipy gives 0.5028)
-    (13113.54, 1.0348e17, 1.2673e-13),
-    # the prefactor's exp overflowed with a bare OverflowError
-    (296.08366556447294, 5.212880538095192e17, 2.9288916758322377e-17),
+    # returned 56.7 (scipy gives 0.73)
+    (2174750979020918.2, 2349542467693067.5, 0.4806829918862734),
+    # the prefactor's exp overflows (a bare OverflowError in earlier versions)
+    (1.3209827958698752e17, 3.8459540001307296e17, 0.2556607214407694),
 ])
 def test_incomplete_beta_outside_unit_interval_raises(a, b, x):
-    # shape parameters near 1e17 leave lgamma's rounding larger than the
-    # prefactor's logarithm; a value outside [0, 1] is an error naming the input
+    # with both shape parameters about 1e14 or more, lgamma's rounding is
+    # larger than the prefactor's logarithm; a value outside [0, 1] is an
+    # error naming the input
     with pytest.raises(ConvergenceError, match=re.escape(f"left [0, 1] (a={a}, b={b}, x={x})")):
         regularized_incomplete_beta(a, b, x)
+
+
+@pytest.mark.parametrize("a,b,x", [
+    # 2.13e-57 (scipy gives 0.584)
+    pytest.param(31.06, 1.52e17, 2.1e-16, id="a31-b1.52e17"),
+    # relative errors of 3e-8, 1.4e-6 and 5.5e-4 at x = a/b
+    pytest.param(31.06, 1e7, 31.06e-7, id="a31-b1e7"),
+    pytest.param(31.06, 1e9, 31.06e-9, id="a31-b1e9"),
+    pytest.param(31.06, 1e13, 31.06e-13, id="a31-b1e13"),
+    # 1.39e172 (scipy gives 0.5028), and a bare OverflowError
+    pytest.param(13113.54, 1.0348e17, 1.2673e-13, id="a13113-b1.03e17"),
+    pytest.param(296.08366556447294, 5.212880538095192e17, 2.9288916758322377e-17,
+                 id="a296-b5.21e17"),
+])
+def test_large_shape_matches_scipy(a, b, x):
+    # lgamma(a + b) - lgamma(b) used to lose about log2(b) bits
+    want = float(special.betainc(a, b, x))
+    assert regularized_incomplete_beta(a, b, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_large_shape_grid_matches_scipy():
+    # x below the mode, near it and above it (where 1 - I_{1-x}(b, a)
+    # loses about log2(b/a) bits)
+    for a in (0.5, 3.3, 31.06, 300.0):
+        for b in np.logspace(3.0, 17.0, 29):
+            if b <= a:
+                continue
+            for scale in (0.5, 0.97, 1.5):
+                x = scale * a / (a + b)
+                want = float(special.betainc(a, b, x))
+                assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+                    want, rel=1e-9, abs=0.0
+                ), (a, b, x)
 
 
 def test_incomplete_beta_against_scipy():

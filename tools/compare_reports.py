@@ -21,7 +21,8 @@ working tree when ``--head`` is left out, made with the export helpers of
   ``dcal screen`` with every correction at loo, cv10x10 and boot632, a wide
   one (800 features of 24 samples) fast and ``--no-fast`` as CSV and JSON,
   a 12-sample screen at cv10x10 and boot632 with a feature whose
-  out-of-sample predictions leave the float64 range, ``dcal anscombe`` as
+  out-of-sample predictions leave the float64 range (and at cv10x10 as JSON
+  with every correction, which writes that row's nulls), ``dcal anscombe`` as
   text and JSON and at ``--scheme boot632 --seed 3 --json``, and
   ``dcal test`` on the Anscombe pairs for
   each ``--methods`` spelling, each scheme, plain, ``--fast`` and
@@ -216,6 +217,14 @@ def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | 
          f"steep-{scheme}.csv")
         for scheme in ("cv10x10", "boot632")
     ]
+    # the failed row as JSON nulls, with every correction
+    cases.append(
+        ("screen steep --scheme cv10x10 --format json --corrections holm,bh,perm,perm_max",
+         ["screen", "--matrix", str(small), "--target", "target", "--scheme", "cv10x10",
+          "--format", "json", "--corrections", "holm,bh,perm,perm_max",
+          "--output", "{out}/steep-cv10x10.json"],
+         "steep-cv10x10.json")
+    )
     cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None),
               ("anscombe --scheme boot632 --seed 3 --json",
                ["anscombe", "--scheme", "boot632", "--seed", "3", "--json"], None)]

@@ -33,9 +33,15 @@ seconds of the draws (``derive_array``, ``raw_block`` and
 (n, m) standardized rows per block, summed over the calls, and the ratio
 of ``permutation_pvalues``'s seconds to that floor.
 
+A workload that calls ``skipped_rows`` gets the floor of the projection
+sweep the same way: on each call's pairs and in its blocks, the seconds of
+the (pairs, n, n) projection product and of its two ``np.sort`` calls (of
+the projections, and of their absolute deviations from their medians),
+and the ratio of ``skipped_rows``'s seconds to that floor.
+
 The output is one JSON line: per run the wall seconds and faults of the
-whole call and, per stage, its calls, seconds and faults (and the ingest
-and permutation floors); then the median of each over the runs.
+whole call and, per stage, its calls, seconds and faults (and the ingest,
+permutation and sweep floors); then the median of each over the runs.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import resource
 import statistics
 import sys
@@ -58,7 +65,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import dcal  # noqa: E402
-from dcal import cli, core, simulate  # noqa: E402
+from dcal import cli, core, robust, simulate  # noqa: E402
 from dcal.multitest import _shuffle_bytes  # noqa: E402
 from dcal.rng import derive_array, permutation_of, raw_block  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -66,7 +73,7 @@ from workloads import WORKLOADS  # noqa: E402
 STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
           "load_matrix", "write_report")
 METHOD_STAGES = (simulate.ExperimentReport, ("write_csv", "write_json"))
-FLOORS = ("ingest_floor", "permutation_floor")
+FLOORS = ("ingest_floor", "permutation_floor", "sweep_floor")
 
 
 def minor_faults() -> int:
@@ -75,11 +82,11 @@ def minor_faults() -> int:
 
 class Recorder:
     """Calls, seconds and faults per stage since the last :meth:`take`, and
-    the arguments of each ``permutation_pvalues`` call."""
+    the arguments of each call of a stage in ``CALL_FLOORS``."""
 
     def __init__(self):
         self.stages: dict[str, dict] = {}
-        self.permutation_calls: list[tuple] = []
+        self.calls: dict[str, list[tuple]] = {name: [] for name in CALL_FLOORS}
 
     def wrap(self, name: str, fn):
         @functools.wraps(fn)
@@ -88,8 +95,8 @@ class Recorder:
             if name == "calibration_phase":
                 scheme = args[1] if len(args) > 1 else kwargs["scheme"]
                 stage = f"{name}.{scheme.kind}"
-            if name == "permutation_pvalues":
-                self.permutation_calls.append((args, kwargs))
+            if name in self.calls:
+                self.calls[name].append((args, kwargs))
             faults, start = minor_faults(), time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -100,9 +107,9 @@ class Recorder:
                 entry["minflt"] += minor_faults() - faults
         return timed
 
-    def take(self) -> tuple[dict, list[tuple]]:
+    def take(self) -> tuple[dict, dict[str, list[tuple]]]:
         stages, self.stages = self.stages, {}
-        calls, self.permutation_calls = self.permutation_calls, []
+        calls, self.calls = self.calls, {name: [] for name in CALL_FLOORS}
         return stages, calls
 
 
@@ -165,6 +172,41 @@ def permutation_floor(columns, target, plan) -> dict:
     return {"draws_s": draws_s, "product_s": product_s, "s": draws_s + product_s}
 
 
+def sweep_floor(X, Y, cutoff=None) -> dict:
+    """Seconds of the (pairs, n, n) projection product and its two
+    ``np.sort`` calls of one ``skipped_rows`` call, in that call's blocks."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    m, n = X.shape
+    product_s = sort_s = 0.0
+    step = core.units_per_block(robust._PROJECTION_BYTES * n * n)
+    for start in range(0, m if n >= robust._MIN_SAMPLES else 0, step):
+        points = np.stack([X[start : start + step], Y[start : start + step]], axis=1)
+        centered = points - robust._sorted_median(np.sort(points))[..., None]
+        norms = np.hypot(centered[:, 0], centered[:, 1])
+        with np.errstate(invalid="ignore"):
+            directions = np.ascontiguousarray((centered / norms[:, None]).transpose(0, 2, 1))
+        begin = time.perf_counter()
+        projections = directions @ centered
+        middle = time.perf_counter()
+        work = np.sort(projections)
+        first = time.perf_counter()
+        np.abs(work - robust._sorted_median(work)[..., None], out=work)
+        second = time.perf_counter()
+        work.sort()
+        end = time.perf_counter()
+        product_s += middle - begin
+        sort_s += (first - middle) + (end - second)
+    return {"product_s": product_s, "sort_s": sort_s, "s": product_s + sort_s}
+
+
+# stage -> (the run's key for its floor, the floor of one call from its arguments)
+CALL_FLOORS = {
+    "permutation_pvalues": ("permutation_floor", permutation_floor),
+    "skipped_rows": ("sweep_floor", sweep_floor),
+}
+
+
 def run_once(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -215,12 +257,15 @@ def main() -> int:
                 floor = ingest_floor(case.matrix)
                 floor["load_matrix_over_floor"] = stages["load_matrix"]["s"] / floor["s"]
                 run["ingest_floor"] = floor
-            if calls:
-                parts = [permutation_floor(*args, **kwargs) for args, kwargs in calls]
-                floor = {key: sum(part[key] for part in parts) for key in parts[0]}
-                floor["permutation_pvalues_over_floor"] = (
-                    stages["permutation_pvalues"]["s"] / floor["s"])
-                run["permutation_floor"] = floor
+            for stage, stage_calls in calls.items():
+                if not stage_calls:
+                    continue
+                key, floor_of = CALL_FLOORS[stage]
+                parts = [floor_of(*args, **kwargs) for args, kwargs in stage_calls]
+                floor = {name: sum(part[name] for part in parts) for name in parts[0]}
+                floor[f"{stage}_over_floor"] = (
+                    stages[stage]["s"] / floor["s"] if floor["s"] else math.nan)
+                run[key] = floor
             runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "dcal": dcal.__file__,
                       "runs": runs, "median": median_of(runs)}))
