@@ -97,30 +97,16 @@ def _parse_cell(token: str, line_no: int, col_no: int) -> float:
     return value
 
 
-def _parse_row(cells: list[str], line_no: int) -> np.ndarray:
-    """A row's data cells as floats, NaN marking a missing cell.
-
-    numpy converts each token with Python's ``float``; only a row that fails
-    to convert or holds a non-finite value is parsed again cell by cell, to
-    mark its missing cells or to name its first bad cell.
-    """
-    try:
-        values = np.array(cells, dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    return np.array([_parse_cell(tok, line_no, c) for c, tok in enumerate(cells, start=2)])
-
-
 def _parse_block(cells: list[str], lines: list[int]) -> np.ndarray:
     """Consecutive rows' data cells, concatenated, as a (rows, cells per row)
     float matrix, NaN marking a missing cell; ``lines`` holds each row's
     line number.
 
-    One numpy call converts the whole block.  Only a block that fails to
-    convert or holds a non-finite value is parsed again row by row, in file
-    order, so the error names the first bad cell of the file.
+    One numpy call, which converts each token with Python's ``float``,
+    converts the whole block.  Only a block that fails to convert or holds a
+    non-finite value is parsed again: a block of several rows one row at a
+    time, in file order, and a single row cell by cell, so the error names
+    the first bad cell of the file.
     """
     try:
         values = np.array(cells, dtype=np.float64).reshape(len(lines), -1)
@@ -128,9 +114,11 @@ def _parse_block(cells: list[str], lines: list[int]) -> np.ndarray:
             return values
     except ValueError:
         pass
+    if len(lines) == 1:
+        return np.array([[_parse_cell(tok, lines[0], c) for c, tok in enumerate(cells, start=2)]])
     k = len(cells) // len(lines)
-    return np.array([
-        _parse_row(cells[i * k:(i + 1) * k], line_no) for i, line_no in enumerate(lines)
+    return np.concatenate([
+        _parse_block(cells[i * k:(i + 1) * k], [line_no]) for i, line_no in enumerate(lines)
     ])
 
 
@@ -385,7 +373,7 @@ def screen(
     if matrix.sample_count < 4:
         raise InsufficientDataError(f"need >= 4 samples, got {matrix.sample_count}")
     y = matrix.values[target_idx]
-    if np.ptp(y) == 0.0:
+    if y.min() == y.max():
         raise TargetError(f"target {target!r} is constant")
 
     feature_ids = np.delete(np.arange(len(matrix.feature_names)), target_idx)

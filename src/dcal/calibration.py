@@ -46,9 +46,9 @@ __all__ = [
 _INV_E = 1.0 / math.e
 
 # Bayes-factor series: the term cap, and the bytes charged per term of a
-# block, below its traced 33-41 so that 1000 rows keep blocks of 65 terms
+# block, the largest traced per-term peak of its blocks (33-51 B)
 _SERIES_MAX_TERMS = 2 ** 22
-_TERM_BYTES = 20
+_TERM_BYTES = 51
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 

@@ -183,9 +183,9 @@ class DcalBatch(NamedTuple):
 
 
 class Classical(NamedTuple):
-    """The samples, their :func:`~dcal.core.centred_rows`, r, ``rest`` =
-    1 - r**2 and p of :func:`classical_phase`; a row with an error in
-    ``errors`` (None elsewhere) has NaN r, rest and p."""
+    """The samples, their :func:`~dcal.core.centred_rows`, r and p of
+    :func:`classical_phase`; a row with an error in ``errors`` (None
+    elsewhere) has NaN r and p."""
 
     X: np.ndarray
     y: np.ndarray
@@ -193,7 +193,6 @@ class Classical(NamedTuple):
     v: np.ndarray
     sums: tuple
     r: np.ndarray
-    rest: np.ndarray
     p: np.ndarray
     errors: tuple
 
@@ -549,7 +548,7 @@ def classical_phase(X, y, invalid=None) -> Classical:
     failed = [k for k, error in enumerate(errors) if error is not None]
     if failed:
         r[failed] = rest[failed] = np.nan
-    return Classical(X, y, U, v, sums, r, rest, t_pvalues(r, rest, X.shape[1] - 2), tuple(errors))
+    return Classical(X, y, U, v, sums, r, t_pvalues(r, rest, X.shape[1] - 2), tuple(errors))
 
 
 def calibration_phase(
@@ -560,7 +559,7 @@ def calibration_phase(
     step in chunks of the rows that run it and one t tail for them all."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    X, y, U, v, sums, r, _, p, errors = classical
+    X, y, U, v, sums, r, p, errors = classical
     m, n = X.shape
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.shape != (m,):

@@ -22,7 +22,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -424,7 +424,7 @@ def _score_cells(
     methods: list[str],
     alpha: float,
     repetitions: int,
-) -> list:
+) -> Iterator[tuple[dict, list]]:
     """Score single-pair design cells with every method (the calibrated
     test at loo, fast guard off).  A cell is ``(n, draw)``; ``draw()``
     checks its design and returns its (repetitions, n) pairs (X, Y), or
@@ -432,9 +432,10 @@ def _score_cells(
 
     Cells of the same n are drawn into one array, as many whole cells as
     fit the work-space budget (at least one), and scored in one call.
-    Returns per cell, in the order given, the error its draw raised, or per
-    method the (score, estimate, rejected) arrays of the repetitions on which
-    no method failed, in repetition order, and each repetition's first error.
+    Yields per cell, in the order given, per method the (score, estimate,
+    rejected) arrays of the repetitions on which no method failed, in
+    repetition order, and each repetition's first error; a cell whose draw
+    failed raises that error in its turn.
     """
     out: list = [None] * len(cells)
     by_n: dict[int, list[int]] = {}
@@ -451,7 +452,7 @@ def _score_cells(
             for ci in group:
                 try:
                     x, y = cells[ci][1]()
-                except (DcalError, ValueError) as exc:  # raised in cell order by the caller
+                except (DcalError, ValueError) as exc:  # raised in its cell's turn
                     out[ci] = exc
                     continue
                 rows = slice(len(drawn) * repetitions, (len(drawn) + 1) * repetitions)
@@ -467,7 +468,10 @@ def _score_cells(
                 ok = np.array([error is None for error in errors[reps]])
                 kept = {m: (s.score[reps][ok], s.estimate[reps][ok]) for m, s in scored.items()}
                 out[ci] = ({m: (p, r, p < alpha) for m, (p, r) in kept.items()}, errors[reps])
-    return out
+    for outcome in out:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
 
 
 def run_effect_grid(
@@ -504,10 +508,7 @@ def run_effect_grid(
         [(n, functools.partial(draw, ci, rho, n)) for ci, (rho, n) in enumerate(cells)],
         methods, alpha, repetitions,
     )
-    for (rho, n), outcome in zip(cells, scored):
-        if isinstance(outcome, Exception):
-            raise outcome
-        cell_scores, errors = outcome
+    for (rho, n), (cell_scores, errors) in zip(cells, scored):
         raise_first(errors)
         for m in methods:
             add = functools.partial(report.add, "effect_grid", f"rho={rho},n={n}", m)
@@ -547,7 +548,8 @@ def run_outlier_suite(
         ))
         for ci, c in enumerate(cells)
     ]
-    for cell_design, outcome in zip(cells, _score_cells(draws, methods, alpha, repetitions)):
+    scored = _score_cells(draws, methods, alpha, repetitions)
+    for cell_design, (cell_scores, errors) in zip(cells, scored):
         kind = cell_design.outlier
         extra = (
             f",sd={kind.sd_outlier}" if kind.kind == "high_variance" else f",mag={kind.magnitude}"
@@ -556,9 +558,6 @@ def run_outlier_suite(
             f"kind={kind.kind},rho={cell_design.rho},fraction={cell_design.fraction}"
             f",n={cell_design.n}{extra}"
         )
-        if isinstance(outcome, Exception):
-            raise outcome
-        cell_scores, errors = outcome
         done = errors.count(None)
         if done == 0:
             raise DcalError(f"every repetition of outlier-suite cell {cell} failed")

@@ -16,6 +16,17 @@ scalar function's bits.  The prefactor
 the C library in the last bit for some inputs, which would move report
 bytes.  Calls with fewer than ``ARRAY_MIN_ROWS`` entries take the
 scalar path, whose cost is per entry where the array loop's is per call.
+
+Accuracy of the t tail, against 40-digit I_x(df/2, 1/2) at the exact
+x = df/(df + t**2) of the given t**2, for df from 1 to 20,000: a tail at
+or below 1/2, as at every t**2 >= 1, has relative error below 5e-14 * df.
+The largest errors measured were 3.6e-15 at df 1, 3.7e-13 at df 95,
+7.9e-12 at df 832 and 3.5e-10 at df 16,932, near t**2 = 3, where the tail
+is 1 - I_{1-x}(1/2, df/2) and the rounding of ``lgamma`` is amplified
+about tenfold.  A tail below the normal float range is only within
+``sys.float_info.min`` of exact.  Near a tail of 1, x itself loses t**2
+to rounding: at df 98 and t**2 = 5.6e-15 the relative error is 6e-8, at
+df 19,998 and t**2 = 1.8e-12 it is 1e-6.
 """
 
 from __future__ import annotations
@@ -153,20 +164,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_cdf(t: float, df: int) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom.
+    """CDF of Student's t distribution with ``df`` degrees of freedom, from
+    half the :func:`student_t_sf_two_sided` tail at t**2.
 
     Raises ``ValueError`` for ``df < 1`` or non-numeric ``t``.
     """
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if math.isnan(t):
+    if not df < 1 and math.isnan(t):  # a df below 1 is reported first, by the tail
         raise ValueError("t must be a number")
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
+    tail = 0.5 * student_t_sf_two_sided(t * t, df)
     return 1.0 - tail if t > 0 else tail
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from itertools import compress, islice
 from pathlib import Path
 from unittest import mock
@@ -205,13 +206,13 @@ class TestLoadMatrix:
             load_matrix(_write(tmp_path, "m.csv", text))
 
     def test_row_with_a_missing_cell_is_converted_on_its_own(self, tmp_path):
-        # the rows around it keep their block conversion; only it is parsed
-        # again cell by cell
+        # the rows around it keep their block conversion; only its cells,
+        # on line 6, are parsed again one by one
         rows = [f"g{i},{i},{i % 3}.5\n" for i in range(8)]
         rows[4] = "m,NA,1\n"
-        with mock.patch.object(batchio, "_parse_row", wraps=batchio._parse_row) as per_row:
+        with mock.patch.object(batchio, "_parse_cell", wraps=batchio._parse_cell) as per_cell:
             matrix = load_matrix(_write(tmp_path, "m.csv", "id,s1,s2\n" + "".join(rows)))
-        assert per_row.call_count == 1
+        assert [call.args for call in per_cell.call_args_list] == [("NA", 6, 2), ("1", 6, 3)]
         assert matrix.feature_names == ("g0", "g1", "g2", "g3", "g5", "g6", "g7")
         assert matrix.warnings == ("feature 'm' dropped: missing values",)
 
@@ -360,6 +361,21 @@ class TestScreen:
         )
         with pytest.raises(TargetError, match="constant"):
             screen(matrix, "a")
+
+    def test_target_spread_beyond_float64_is_not_constant(self):
+        # max - min of this target overflows; the constant check compares
+        # them instead, so nothing warns, and every feature fails alone on
+        # its centred sums
+        target = np.repeat([1.7e308, -1.7e308], 6)
+        matrix = FeatureMatrix(
+            feature_names=("t", "a", "b", "c"),
+            values=np.vstack([target, Stream(5).normals(36).reshape(3, 12)]),
+            sample_names=tuple(f"s{k}" for k in range(12)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = screen(matrix, "t")
+        assert report.summary["failed"] == 3
 
     def test_degenerate_feature_recorded_not_fatal(self):
         matrix = FeatureMatrix(

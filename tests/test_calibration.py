@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,10 +38,9 @@ class TestSellke:
         assert pcal_sellke(0.0) == 0.0
 
     def test_block_widths_do_not_change_bits(self, monkeypatch):
-        # 1000 active rows take blocks of 65 terms each, as before the
-        # shared budget; one row per block of 8 terms and unbounded
-        # doubling give the same bits
-        assert core.units_per_block(calibration._TERM_BYTES * 1000) == 65
+        # 1000 active rows take blocks of 25 terms each; one row per block
+        # of 8 terms and unbounded doubling give the same bits
+        assert core.units_per_block(calibration._TERM_BYTES * 1000) == 25
         r = np.concatenate([1.0 - np.geomspace(1e-5, 0.5, 60), np.linspace(-0.9, 0.9, 7)])
         want = calibration._bf_series(r, 5)
         for budget in (1, 2 ** 40):
@@ -349,6 +349,24 @@ class TestBfRows:
         assert got[0].tobytes() == want[0].tobytes()
         assert [repr(e) for e in got[1]] == [repr(e) for e in want[1]]
         assert np.isnan(want[0]).any() and not np.isnan(want[0]).all()
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("n", [3, 5, 8, 10])
+    def test_traced_peak_fits_the_budget(self, monkeypatch, n, gap):
+        # 1000 rows near |r| = 1: no row converges within 1024 terms, so
+        # their first blocks are the widest the budget allows, and a later
+        # block of fewer rows holds no more terms; the cap stops the series
+        # there (run in full, it peaks about 2% higher)
+        monkeypatch.setattr(calibration, "_SERIES_MAX_TERMS", 2 ** 10)
+        r = np.full(1000, 1.0 - gap)
+        calibration._bf_series(r, n)
+        tracemalloc.start()
+        try:
+            calibration._bf_series(r, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= core.CHUNK_BYTES
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

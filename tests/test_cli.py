@@ -283,6 +283,19 @@ class TestCmdScreen:
         warning = "feature 'T' " + reason.split(" ", 1)[1]
         assert capsys.readouterr().err == f"warning: {warning}\nerror: feature 'T' {reason}\n"
 
+    def test_constant_target_of_a_given_matrix_exits_3(self, tmp_path, capsys, monkeypatch):
+        # ingestion drops a constant row, so only a matrix built in code
+        # reaches the screen's own constant check
+        matrix = batchio.FeatureMatrix(
+            feature_names=("T", "g1"),
+            values=np.array([[2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]]),
+            sample_names=("s1", "s2", "s3", "s4"),
+        )
+        monkeypatch.setattr(cli, "load_matrix", lambda *args, **kwargs: matrix)
+        args = ["screen", "--matrix", "m.csv", "--target", "T", "--output", str(tmp_path / "r")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "error: target 'T' is constant\n"
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,s1,s2\n g1,1\n")

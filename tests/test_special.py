@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,13 @@ def test_df_zero_rejected():
     with pytest.raises(ValueError):
         student_t_cdf(1.0, 0)
     with pytest.raises(ValueError):
+        student_t_cdf(float("nan"), 5)
+
+
+def test_cdf_reports_df_before_t():
+    with pytest.raises(ValueError, match=r"^degrees of freedom must be >= 1, got 0$"):
+        student_t_cdf(float("nan"), 0)
+    with pytest.raises(ValueError, match="^t must be a number$"):
         student_t_cdf(float("nan"), 5)
 
 
@@ -177,6 +186,18 @@ def _scalar_loop(t2, df):
     return [student_t_sf_two_sided(t, k) for t, k in zip(t2, df)]
 
 
+def _exact_tail(t2: float, df: int):
+    """I_x(df/2, 1/2) to 40 digits at the exact x = df/(df + t2); above the
+    mode as 1 - I_{1-x}(1/2, df/2), where mpmath's direct form does not
+    converge."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(df) / (df + mpmath.mpf(t2))
+        a = mpmath.mpf(df) / 2
+        if x < (a + 1) / (a + 2.5):
+            return mpmath.betainc(a, 0.5, 0, x, regularized=True)
+        return 1 - mpmath.betainc(0.5, a, 0, 1 - x, regularized=True)
+
+
 def _rows_kernel(t2, df):
     return student_t_sf_two_sided_rows(np.array(t2, dtype=np.float64), np.array(df))
 
@@ -209,6 +230,17 @@ class TestTailRows:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dcal.special, "_MAX_ITER", 3)
             assert _outcome(_rows_kernel, entries) == _outcome(_scalar_loop, entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t2=st.floats(1.0, 1e12), df=st.integers(1, 20_000))
+    def test_accuracy_stated_in_the_module_docstring(self, t2, df):
+        # t**2 >= 1 puts the tail at or below 1/2 at every df
+        want = _exact_tail(t2, df)
+        got = student_t_sf_two_sided_rows([t2], df)[0]
+        if want >= sys.float_info.min:
+            assert abs(got - want) <= 5e-14 * df * want
+        else:  # below the normal range only an absolute bound holds
+            assert abs(got - want) <= sys.float_info.min
 
     def test_one_df_for_all_entries(self):
         t2 = np.linspace(0.0, 40.0, 2 * ARRAY_MIN_ROWS)

@@ -22,7 +22,11 @@ working tree when ``--head`` is left out, made with the export helpers of
   one (800 features of 24 samples) fast and ``--no-fast`` as CSV and JSON,
   a 12-sample screen at cv10x10 and boot632 with a feature whose
   out-of-sample predictions leave the float64 range (and at cv10x10 as JSON
-  with every correction, which writes that row's nulls), ``dcal anscombe`` as
+  with every correction, which writes that row's nulls), a screen with
+  every missing-cell spelling and a whitespace-only cell in a block of
+  rows, and the same with a ``1e999`` cell later in that block (each at the
+  default missing policy, at ``--missing-policy fail`` and with
+  ``--orientation samples_in_rows``), ``dcal anscombe`` as
   text and JSON and at ``--scheme boot632 --seed 3 --json``, and
   ``dcal test`` on the Anscombe pairs for
   each ``--methods`` spelling, each scheme, plain, ``--fast`` and
@@ -30,7 +34,8 @@ working tree when ``--head`` is left out, made with the export helpers of
 
 The inputs of the built-in cases are written to the scratch directory.  The
 exit code, standard output (with the output path and the screen's elapsed
-time masked) and the report bytes of the two sides must be equal; for a
+time masked), the CLI cases' standard error (warnings and error messages)
+and the report bytes of the two sides must be equal; for a
 differing standard output the differing lines are shown.  A differing field
 or line whose text differs in numbers only is marked with the largest
 relative difference between its numbers.  The script exits 1 if any case
@@ -60,19 +65,19 @@ CONFIG_GLOBS = ("src/dcal/fixtures/fig*.cfg", "benchmarks/configs/*.cfg")
 RUN_CLI = "import sys; from dcal.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # runs a JSON list of argument lists through the CLI; prints [exit code or
-# exception, stdout] per list
+# exception, stdout, stderr] per list
 RUN_MANY = """
 import contextlib, io, json, sys
 from dcal.cli import main
 results = []
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except BaseException as exc:
             code = f"{type(exc).__name__}: {exc}"
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -225,6 +230,27 @@ def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | 
           "--output", "{out}/steep-cv10x10.json"],
          "steep-cv10x10.json")
     )
+    # the loader's ladder: every missing spelling (rows 3-9 convert alone),
+    # a whitespace-only cell in a shared block and, in the second file, a
+    # 1e999 cell in a later row of that block
+    ladder = np.random.default_rng(1).standard_normal((30, 12)).tolist()
+    texts = [[repr(v) for v in row] for row in ladder]
+    for i, j, token in ((3, 3, "NA"), (5, 4, "nan"), (7, 5, "NULL"), (9, 6, ""), (11, 7, "   ")):
+        texts[i][j] = token
+    for name, bad in (("missing", None), ("infinite", (14, 8))):
+        cells = [row[:] for row in texts]
+        if bad:
+            cells[bad[0]][bad[1]] = "1e999"
+        path = scratch / f"ladder-{name}.csv"
+        path.write_text("id," + ",".join(f"c{j:02d}" for j in range(12)) + "\n" + "".join(
+            f"r{i:02d}," + ",".join(row) + "\n" for i, row in enumerate(cells)
+        ), encoding="utf-8")
+        for k, (flags, target) in enumerate((([], "r00"), (["--missing-policy", "fail"], "r00"),
+                                             (["--orientation", "samples_in_rows"], "c00"))):
+            cases.append((f"screen ladder-{name} {' '.join(flags)}".rstrip(),
+                          ["screen", "--matrix", str(path), "--target", target, *flags,
+                           "--output", f"{{out}}/ladder-{name}-{k}.csv"],
+                          f"ladder-{name}-{k}.csv"))
     cases += [("anscombe", ["anscombe"], None), ("anscombe --json", ["anscombe", "--json"], None),
               ("anscombe --scheme boot632 --seed 3 --json",
                ["anscombe", "--scheme", "boot632", "--seed", "3", "--json"], None)]
@@ -254,17 +280,19 @@ def write_inputs(copy: Path, scratch: Path) -> list[tuple[str, list[str], str | 
 
 def run_cli(copy: Path, cases: list, out_dir: Path) -> list[tuple]:
     """Run every case in one interpreter from ``copy``'s sources; return
-    per case (exit code, stdout, report bytes or None)."""
+    per case (exit code, stdout, report bytes or None, stderr)."""
     out_dir.mkdir()
     argvs = [[arg.replace("{out}", str(out_dir)) for arg in argv] for _, argv, _ in cases]
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     done = subprocess.run([sys.executable, "-c", RUN_MANY], input=json.dumps(argvs), cwd=copy,
                           env=env, capture_output=True, text=True, check=True)
     results = []
-    for (_, _, report), (code, stdout) in zip(cases, json.loads(done.stdout)):
+    for (_, _, report), (code, stdout, stderr) in zip(cases, json.loads(done.stdout)):
         stdout = ELAPSED.sub(" in <t> s", stdout.replace(str(out_dir), "<output>"))
+        stderr = stderr.replace(str(out_dir), "<output>")
         path = out_dir / report if report else None
-        results.append((code, stdout, path.read_bytes() if path and path.exists() else None))
+        results.append((code, stdout, path.read_bytes() if path and path.exists() else None,
+                        stderr))
     return results
 
 
@@ -353,7 +381,8 @@ def main() -> int:
                 identical += 1
             else:
                 failures += 1
-                print(f"{name}: DIFFERENT {describe(('exit code', 'stdout', 'report'), base, head)}")
+                fields = ("exit code", "stdout", "report", "stderr")
+                print(f"{name}: DIFFERENT {describe(fields, base, head)}")
         print(f"CLI cases: {identical} of {len(cases)} identical")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
