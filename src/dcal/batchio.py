@@ -39,6 +39,10 @@ _MISSING_TOKENS = {"", "na", "nan", "null"}
 # call (its string, its list slot and its float); a block holds whole rows
 _CELL_BYTES = 80
 
+# bytes charged per field of a report row written in one block (its Python
+# value, its text and its share of the block's lines)
+_FIELD_BYTES = 200
+
 # substream roles under the screen seed
 _KEY_SCREEN_PERM = 2 ** 35
 
@@ -364,9 +368,14 @@ def screen(
     successfully tested features only.  Per-feature failures are recorded
     in the batch's ``errors``, not raised.
 
-    Every feature is tested in one :func:`~dcal.engine.dcal_matrix` call,
-    which runs its out-of-sample step in chunks of rows.  The report does not
-    depend on that chunking or on the order of the matrix rows.
+    One :func:`~dcal.engine.dcal_matrix` call tests every row of the loaded
+    matrix, the target's against itself, and drops the target's row from the
+    batch; the permutation correction reads the same matrix with the target
+    and the failed rows masked out.  No step copies the tested rows: each
+    works in blocks of rows, so the work space beyond the loaded matrix is
+    about one budget (``core.CHUNK_BYTES``) plus vectors of one entry per
+    feature (and the (B, n) shuffled targets under ``perm`` or ``perm_max``).
+    The report does not depend on the blocks or on the order of the rows.
     """
     corrections = tuple(check(corrections, CORRECTIONS, "correction"))
     target_idx = matrix.index_of(target)
@@ -376,24 +385,26 @@ def screen(
     if y.min() == y.max():
         raise TargetError(f"target {target!r} is constant")
 
-    feature_ids = np.delete(np.arange(len(matrix.feature_names)), target_idx)
     names = matrix.feature_names[:target_idx] + matrix.feature_names[target_idx + 1:]
     # per-feature seeds follow the feature NAME, so permuting matrix
     # rows permutes report rows with identical values; loo reads none
     if scheme.kind == "loo":
-        seeds = np.zeros(len(names), dtype=np.uint64)
+        seeds = np.zeros(len(matrix.feature_names), dtype=np.uint64)
     else:
-        seeds = [derive_text(scheme.seed, name) for name in names]
-    batch = dcal_matrix(matrix.values[feature_ids], y, scheme, seeds, alpha, fast)
+        seeds = [derive_text(scheme.seed, name) for name in matrix.feature_names]
+    every = dcal_matrix(matrix.values, y, scheme, seeds, alpha, fast)
+    batch = DcalBatch(*(np.delete(column, target_idx) for column in every[:-1]),
+                      every.errors[:target_idx] + every.errors[target_idx + 1:])
 
-    ok = np.flatnonzero([error is None for error in batch.errors])
+    ok = np.array([error is None for error in batch.errors], dtype=bool)
     adjusted = {corr: np.full(len(names), np.nan) for corr in corrections}
-    if ok.size and corrections:
+    if ok.any() and corrections:
         columns = correct(
             batch.p[ok], corrections,
             lambda: permutation_pvalues(
-                matrix.values[feature_ids[ok]], y,
+                matrix.values, y,
                 PermutationPlan(plan.n_permutations, derive(scheme.seed, _KEY_SCREEN_PERM)),
+                np.insert(ok, target_idx, False),
             ),
         )
         for corr, column in columns.items():
@@ -413,50 +424,88 @@ def screen(
     return report
 
 
-def write_report(report: ScreenReport, path, format: str = "csv") -> None:
-    """Persist a ScreenReport as CSV (one row per feature) or JSON.
-
-    Numbers are written with full round-trip precision, so reloading the file
-    reproduces them bit for bit: the CSV writes each Python float's ``repr``.
-    A feature that could not be tested has empty cells (CSV) or nulls (JSON)
-    in place of its numbers.
-    """
-    # the per-feature fields of both formats, in file order
+def _field_blocks(report: ScreenReport):
+    """The per-feature fields of both formats, in file order (name, r, p,
+    r_dcal, p_dcal, flip, p_<correction>, error): the key list, then one
+    dict of field lists per block of rows."""
     batch = report.batch
     numbers = {"r": batch.r, "p": batch.p, "r_dcal": batch.r_dcal, "p_dcal": batch.p_dcal,
                "flip": batch.sign_flip}
     numbers.update((f"p_{corr}", report.adjusted[corr]) for corr in report.corrections)
-    fields = {"name": report.names, **{key: column.tolist() for key, column in numbers.items()},
-              "error": ["" if error is None else str(error) for error in batch.errors]}
-    if format == "csv":
+    keys = ["name", *numbers, "error"]
+    yield keys
+    step = units_per_block(_FIELD_BYTES * len(keys))
+    for start in range(0, len(report.names), step):
+        at = slice(start, start + step)
+        yield {"name": report.names[at], **{key: column[at].tolist() for key, column in numbers.items()},
+               "error": ["" if error is None else str(error) for error in batch.errors[at]]}
+
+
+def _csv_text(report: ScreenReport):
+    """The CSV report in pieces: the header, then each block's lines."""
+    blocks = _field_blocks(report)
+    yield ",".join(next(blocks)) + "\n"
+    for fields in blocks:
         texts = [
             column if key in ("name", "error")
             else ["true" if flag else "false" for flag in column] if key == "flip"
             else list(map(repr, column))
             for key, column in fields.items()
         ]
-        lines = [",".join(fields)] + [
-            ",".join([name, *[""] * len(cells), error.replace(",", ";")]) if error
-            else ",".join([name, *cells, ""])
+        yield "".join(
+            ",".join([name, *[""] * len(cells), error.replace(",", ";")]) + "\n" if error
+            else ",".join([name, *cells, ""]) + "\n"
             for name, *cells, error in zip(*texts)
-        ]
-        text = "\n".join(lines) + "\n"
-    elif format == "json":
-        doc = {
-            "target": report.target,
-            "alpha": report.alpha,
-            "scheme": report.scheme,
-            "n_samples": report.n_samples,
-            "corrections": list(report.corrections),
-            "rows": [
-                {key: None if row[-1] and isinstance(value, float) else value
-                 for key, value in zip(fields, row)}
-                for row in zip(*fields.values())
-            ],
-            "summary": report.summary,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
+        )
+
+
+# the C encoder, one JSON text per entry of a list: JSON escapes a newline
+# inside a string, so the separator splits the entries
+_encode_entries = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _json_text(report: ScreenReport):
+    """The JSON report in pieces, the bytes of ``json.dumps(doc, indent=2)``
+    with the rows listed under "rows": each block's values are encoded one
+    column at a time by the C encoder and set into a row template."""
+    doc = json.dumps({
+        "target": report.target,
+        "alpha": report.alpha,
+        "scheme": report.scheme,
+        "n_samples": report.n_samples,
+        "corrections": list(report.corrections),
+        "rows": [],
+        "summary": report.summary,
+    }, indent=2)
+    head, empty, tail = doc.partition('"rows": []')
+    blocks = _field_blocks(report)
+    keys = next(blocks)
+    row = "    {{\n" + ",\n".join(f"      {json.dumps(key)}: {{}}" for key in keys) + "\n    }}"
+    yield head + ('"rows": [' if report.names else empty)
+    for k, fields in enumerate(blocks):
+        failed = [i for i, error in enumerate(fields["error"]) if error]
+        for key in keys[1:-1]:
+            if key != "flip":  # a failed row's numbers are null
+                for i in failed:
+                    fields[key][i] = None
+        columns = [_encode_entries(list(column))[1:-1].split("\n") for column in fields.values()]
+        yield ("\n" if k == 0 else ",\n") + ",\n".join(row.format(*values)
+                                                    for values in zip(*columns))
+    yield ("\n  ]" if report.names else "") + tail + "\n"
+
+
+def write_report(report: ScreenReport, path, format: str = "csv") -> None:
+    """Persist a ScreenReport as CSV (one row per feature) or JSON.
+
+    Numbers are written with full round-trip precision, so reloading the file
+    reproduces them bit for bit: both formats write each Python float's
+    ``repr``.  A feature that could not be tested has empty cells (CSV) or
+    nulls (JSON) in place of its numbers.  Rows are formatted and written
+    in blocks of the work-space budget, so the text of the whole report is
+    never held.
+    """
+    text = {"csv": _csv_text, "json": _json_text}.get(format)
+    if text is None:
         raise ValueError(f"unknown report format {format!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(text(report))

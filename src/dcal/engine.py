@@ -23,22 +23,23 @@ Three out-of-sample schemes are supported:
 :func:`dcal_matrix` runs the whole test for every row of a matrix against a
 shared y, or against one y per row, with array operations; :func:`dcal_test`
 and :func:`oos_predict` are its one-row calls.  It is :func:`classical_phase`
-(centred rows, r, p and each row's error, once over every row of the call)
-then :func:`calibration_phase` (fast guard, out-of-sample step, calibrated
+(r, p and each row's error, from centred sums formed block by block) then
+:func:`calibration_phase` (fast guard, out-of-sample step, calibrated
 correlation); the methods of :mod:`dcal.methods` share one classical phase
-per row set, and a comparison of schemes calibrates one per scheme.
+per row set, and a comparison of schemes calibrates one per scheme.  Neither
+phase keeps centred copies of the rows: each block centres its own.
 Each training set is fitted
 from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts, one float array that afterwards holds the
 out-of-bag 0/1 mask.
-Only the out-of-sample step runs in chunks of rows, as many as fit the
-work-space budget ``core.CHUNK_BYTES`` (:func:`~dcal.core.units_per_block`),
-so its work space stays flat in the number of rows; a row is charged
-:func:`_row_bytes`.  Each call allocates its large arrays once and every
-chunk writes into them.
-One t-tail call at the end turns every chunk's calibrated correlations into
-p-values.
+Both phases run in blocks of rows, as many as fit the work-space budget
+``core.CHUNK_BYTES`` (:func:`~dcal.core.units_per_block`), so their work
+space stays flat in the number of rows: a row of the classical phase is
+charged ``_CENTRE_BYTES`` per sample, and a row of the out-of-sample step
+:func:`_row_bytes`.  The out-of-sample step allocates its large arrays once
+per call and every chunk writes into them.  Each phase ends with one t-tail
+call for all its rows.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ _W_IN = 0.368
 _W_OOB = 0.632
 
 _MAX_COVERAGE_RETRIES = 10
+
+# bytes per sample of a row whose centred sums the classical phase forms in
+# one block: the traced peak of centred_rows, 24 with a shared target and 32
+# with one per row (the centred rows, their first pass and the products)
+_CENTRE_BYTES = 33
 
 
 @dataclass(frozen=True)
@@ -183,15 +189,11 @@ class DcalBatch(NamedTuple):
 
 
 class Classical(NamedTuple):
-    """The samples, their :func:`~dcal.core.centred_rows`, r and p of
-    :func:`classical_phase`; a row with an error in ``errors`` (None
-    elsewhere) has NaN r and p."""
+    """The samples, r and p of :func:`classical_phase`; a row with an error
+    in ``errors`` (None elsewhere) has NaN r and p."""
 
     X: np.ndarray
     y: np.ndarray
-    U: np.ndarray
-    v: np.ndarray
-    sums: tuple
     r: np.ndarray
     p: np.ndarray
     errors: tuple
@@ -490,14 +492,16 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     return y_hat[0] + pair.y.mean() if direction == Y_FROM_X else x_hat[0] + pair.x.mean()
 
 
-def _calibrate(X, U, y, v, sums, scheme, seeds, r, work):
-    """Out-of-sample step and calibrated correlation for rows that run it.
+def _calibrate(X, y, scheme, seeds, r, work):
+    """Out-of-sample step and calibrated correlation for rows that run it,
+    which it centres (:func:`~dcal.core.centred_rows`).
 
     Returns the rows' calibrated r and 1 - r**2, whether each row keeps them
     (the others get the sentinel), the sign-flip flags and a dict from row
     to the error that row raised.
     """
-    rows = U.shape[0]
+    rows = X.shape[0]
+    U, v, sums = centred_rows(X, y)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, y, v, sums, scheme, seeds, work)
@@ -538,9 +542,14 @@ def classical_phase(X, y, invalid=None) -> Classical:
     if X.ndim != 2 or y.shape not in (X.shape[1:], X.shape):
         raise ValueError("X must be (m, n) with y of length n or of the shape of X")
     errors = pair_errors(X, y) if invalid is None else list(invalid)
+    sums = np.empty((3, X.shape[0]))  # each row's sxx, syy and sxy
+    step = units_per_block(_CENTRE_BYTES * X.shape[1])
     # sums that overflow are row errors (NaN r), not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        U, v, sums = centred_rows(X, y)
+        for start in range(0, X.shape[0], step):
+            at = slice(start, start + step)
+            for out, block in zip(sums, centred_rows(X[at], _rows(y, at))[2]):
+                out[at] = block
         r, rest = correlation_from_sums(*sums)
     for k in np.flatnonzero(np.isnan(r)).tolist():
         if errors[k] is None:
@@ -548,7 +557,7 @@ def classical_phase(X, y, invalid=None) -> Classical:
     failed = [k for k, error in enumerate(errors) if error is not None]
     if failed:
         r[failed] = rest[failed] = np.nan
-    return Classical(X, y, U, v, sums, r, t_pvalues(r, rest, X.shape[1] - 2), tuple(errors))
+    return Classical(X, y, r, t_pvalues(r, rest, X.shape[1] - 2), tuple(errors))
 
 
 def calibration_phase(
@@ -559,7 +568,7 @@ def calibration_phase(
     step in chunks of the rows that run it and one t tail for them all."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    X, y, U, v, sums, r, p, errors = classical
+    X, y, r, p, errors = classical
     m, n = X.shape
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.shape != (m,):
@@ -577,10 +586,9 @@ def calibration_phase(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, run.size, step):
             part = run[start : start + step]
-            at = slice(None) if part.size == m else part  # every row: views, not copies
+            at = slice(None) if part.size == m else part  # every row: a view, not a copy
             r_cal[part], rest_cal[part], keep[part], flipped[part], part_errors = _calibrate(
-                X[at], U[at], _rows(y, at), _rows(v, at),
-                [s[at] if s.ndim else s for s in sums], scheme, seeds[at], r[at], work,
+                X[at], _rows(y, at), scheme, seeds[at], r[at], work
             )
             for k, error in part_errors.items():
                 errors[part[k]] = error

@@ -77,17 +77,12 @@ class Rows:
 
     @cached_property
     def calibrated(self) -> DcalBatch:
-        batch = calibration_phase(self.phase, self.scheme, self.seeds, self.alpha, self.fast)
-        # nothing reads the centred rows again: free them before later methods
-        self.phase = self.phase._replace(U=None, v=None)
-        return batch
+        return calibration_phase(self.phase, self.scheme, self.seeds, self.alpha, self.fast)
 
     @cached_property
     def skipped(self) -> SkippedBatch:
         """Skipped correlation; an invalid pair fails with its ``DataPair``
         error (its retained points have no spread either)."""
-        # the sweep's work space is the peak: free the classical phase (a read recomputes it)
-        vars(self).pop("phase", None)
         batch = skipped_rows(self.X, np.broadcast_to(self.Y, self.X.shape))
         errors = tuple(a if a is not None else b for a, b in zip(self.invalid, batch.errors))
         return batch._replace(errors=errors)

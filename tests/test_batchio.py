@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from dcal import (
     FeatureMatrix,
+    NumericRangeError,
     OosScheme,
     ParseError,
     PermutationPlan,
@@ -337,6 +338,45 @@ class TestLoadMemory:
         assert peak <= 2.25 * matrix.values.nbytes
 
 
+class TestScreenMemory:
+    """The traced peak of one warm ``screen`` call beyond the loaded matrix
+    stays within one budget of block work space, the (B, n) shuffled
+    targets of ``perm_max`` and ROW_BYTES per feature for the per-feature
+    vectors; the classical phase's one t tail is the largest of them, at
+    about 590 bytes per row.  It holds no (m, n) copy: from 2000 to 8000
+    features at n = 100 the peak grows by less than a copy of the added
+    rows.  Gathering the tested rows, centring them and standardizing them
+    for the permutations took 22 MB at 8000 features."""
+
+    ROW_BYTES = 700
+
+    @pytest.mark.parametrize("scheme", [OosScheme.loo(), OosScheme.boot632(20, 1)],
+                             ids=lambda scheme: scheme.label)
+    def test_traced_peak(self, scheme):
+        n, plan, peaks = 100, PermutationPlan(199, 0), {}
+        for m in (2000, 8000):
+            values = Stream(m).normals(m * n).reshape(m, n)
+            values[1 : m // 50] += 0.5 * values[0]  # planted features run the calibration
+            names = tuple(f"f{i}" for i in range(m))
+            matrix = FeatureMatrix(names, values, tuple(f"s{j}" for j in range(n)))
+
+            def run():
+                return screen(matrix, "f0", scheme=scheme, corrections=("holm", "bh", "perm_max"),
+                              plan=plan)
+
+            run()
+            tracemalloc.start()
+            try:
+                report = run()
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.summary["tested"] == m - 1
+            targets = 8 * plan.n_permutations * n
+            assert peaks[m] <= core.CHUNK_BYTES + targets + self.ROW_BYTES * m
+        assert peaks[8000] - peaks[2000] < 8 * n * 6000
+
+
 class TestScreen:
     def test_planted_correlates_found(self):
         matrix = _synthetic_matrix()
@@ -574,3 +614,71 @@ class TestWriteReport:
         report = screen(matrix, "target")
         with pytest.raises(ValueError):
             write_report(report, tmp_path / "x.bin", format="parquet")
+        assert not (tmp_path / "x.bin").exists()
+
+    @staticmethod
+    def _mixed_report():
+        """A screen report whose features have non-ASCII and quoted names,
+        including two that failed (null numbers) with commas in their error
+        text, and a summary counted from it."""
+        report = screen(_synthetic_matrix(n_features=12), "target",
+                        corrections=CORRECTIONS, plan=PermutationPlan(199, 3))
+        batch = report.batch
+        errors = list(batch.errors)
+        for k in (2, 9):
+            errors[k] = NumericRangeError(f"row {k}, say, left the range")
+            for column in (batch.r, batch.p, batch.r_dcal, batch.p_dcal,
+                           *report.adjusted.values()):
+                column[k] = np.nan
+        report.names = tuple(f'f{k}-é"ß\u2603,{{}}' for k in range(len(report.names)))
+        report.batch = batch._replace(errors=tuple(errors))
+        report.build_summary()
+        return report
+
+    @staticmethod
+    def _indented(report) -> str:
+        """The report as one ``json.dumps(doc, indent=2)`` call writes it."""
+        batch = report.batch
+        numbers = {"r": batch.r, "p": batch.p, "r_dcal": batch.r_dcal, "p_dcal": batch.p_dcal,
+                   **{f"p_{corr}": report.adjusted[corr] for corr in report.corrections}}
+        rows = []
+        for k, (name, error) in enumerate(zip(report.names, batch.errors)):
+            row = {"name": name}
+            row.update((key, None if error else column[k].item())
+                       for key, column in list(numbers.items())[:4])
+            row["flip"] = bool(batch.sign_flip[k])
+            row.update((key, None if error else column[k].item())
+                       for key, column in list(numbers.items())[4:])
+            row["error"] = "" if error is None else str(error)
+            rows.append(row)
+        doc = {"target": report.target, "alpha": report.alpha, "scheme": report.scheme,
+               "n_samples": report.n_samples, "corrections": list(report.corrections),
+               "rows": rows, "summary": report.summary}
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("budget", [1, 3000, core.CHUNK_BYTES])
+    def test_json_bytes_match_the_indented_encoder(self, tmp_path, monkeypatch, budget):
+        # one row per block, a few rows per block, and one block
+        report = self._mixed_report()
+        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        write_report(report, tmp_path / "r.json", format="json")
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        assert text == self._indented(report)
+        assert sum(row["error"] != "" for row in json.loads(text)["rows"]) == 2
+
+    def test_json_bytes_of_an_empty_battery(self, tmp_path):
+        matrix = FeatureMatrix(("target",), np.array([[0.1, 0.9, 0.4, 0.7]]), tuple("abcd"))
+        report = screen(matrix, "target")
+        write_report(report, tmp_path / "r.json", format="json")
+        assert (tmp_path / "r.json").read_text(encoding="utf-8") == self._indented(report)
+
+    def test_csv_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
+        report = self._mixed_report()
+        texts = []
+        for budget in (1, 3000, core.CHUNK_BYTES):
+            monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+            write_report(report, tmp_path / "r.csv", format="csv")
+            texts.append((tmp_path / "r.csv").read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        lines = texts[0].decode("utf-8").splitlines()
+        assert lines[3].endswith(",,,,,,,,,,row 2; say; left the range")

@@ -262,16 +262,19 @@ class TestOneClassicalPhase:
                 monkeypatch.setattr(module, "centred_rows", counted)
         return calls
 
-    def test_one_row_set_centres_once(self, monkeypatch):
+    def test_one_row_set_centres_once_per_phase(self, monkeypatch):
+        # the classical phase (one block) is shared by every method; the
+        # calibrated test's one chunk centres its own rows again
         calls = self._count_centring(monkeypatch)
         X, y = _battery()
         score_rows(Rows(X, y), ["uncorrected", "dcal", "ppbf", "pcal_sellke"])
-        assert len(calls) == 1
+        assert len(calls) == 2
 
-    def test_scheme_comparison_centres_once_per_repetition(self, monkeypatch):
+    def test_scheme_comparison_centres_once_per_phase(self, monkeypatch):
+        # per repetition: one classical phase, then one chunk per scheme
         calls = self._count_centring(monkeypatch)
         run_oos_comparison(NullBattery(m=20, n=30, seed=3), _SCHEMES, repetitions=3)
-        assert len(calls) == 3
+        assert len(calls) == 3 * (1 + len(_SCHEMES))
 
 
 def _battery(m=30, n=20, seed=4):

@@ -14,7 +14,7 @@ from dcal import (
     permutation_pvalues,
 )
 from dcal import core
-from dcal.multitest import _shuffle_bytes
+from dcal.multitest import _column_bytes, _column_edges
 from dcal.rng import Stream, derive
 
 import screen_reference
@@ -127,13 +127,13 @@ class TestPermTest:
 
 
 def _blocks(m, n, n_permutations):
-    """Blocks of one call at the current budget."""
-    return -(-n_permutations // max(1, core.CHUNK_BYTES // _shuffle_bytes(m, n)))
+    """Column blocks of one call at the current budget."""
+    return len(_column_edges(m, n, n_permutations)) - 1
 
 
 def _one_block_budget(m, n):
-    """The budget at which 199 shuffles of an (m, n) battery just fit one block."""
-    return 199 * _shuffle_bytes(m, n)
+    """The budget at which m columns of 199 shuffles at n samples just fit one block."""
+    return m * _column_bytes(n, 199)
 
 
 def _assert_matches_loop(X, y, n_permutations, seed):
@@ -168,12 +168,13 @@ def _tie_heavy_batteries(draw):
 
 
 class TestBatchedShuffles:
-    """The blocked shuffles give exactly the p-values of the frozen loop that
+    """The column blocks give exactly the p-values of the frozen loop that
     scored one ``Stream`` shuffle at a time."""
 
-    # Under the budget that just fits 199 shuffles of ONE_BLOCK columns in
-    # one block, ONE_BLOCK + 1 columns need a second block and 700 columns
-    # end on a partly filled block.
+    # Under the budget that just fits ONE_BLOCK columns of 199 shuffles in
+    # one block (a multiple of four), ONE_BLOCK + 1 columns are one block too
+    # (a lone last column joins the block before it) and 700 columns end on
+    # a partly filled block; ONE_BLOCK + 2 columns are two blocks.
     ONE_BLOCK = 164
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -190,23 +191,43 @@ class TestBatchedShuffles:
         _assert_matches_loop(X, y, 199, seed)
 
     def test_block_shapes_covered(self, monkeypatch):
-        # the cases above include one block, two blocks, and a last block
-        # that is only partly filled (199 is not a multiple of the block)
+        # the cases above include one block, one block with a lone last
+        # column joined to it, and a last block that is only partly filled
         for n in (4, 50):
             monkeypatch.setattr(core, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
-            assert _blocks(self.ONE_BLOCK, n, 199) == 1
-            assert _blocks(self.ONE_BLOCK + 1, n, 199) == 2
-            assert 199 % (core.CHUNK_BYTES // _shuffle_bytes(700, n)) != 0
+            assert _column_edges(self.ONE_BLOCK, n, 199) == [0, self.ONE_BLOCK]
+            assert _column_edges(self.ONE_BLOCK + 1, n, 199) == [0, self.ONE_BLOCK + 1]
+            assert _column_edges(self.ONE_BLOCK + 2, n, 199) == [0, self.ONE_BLOCK,
+                                                                 self.ONE_BLOCK + 2]
+            edges = _column_edges(700, n, 199)
+            assert len(edges) == 6 and 0 < edges[-1] - edges[-2] < self.ONE_BLOCK
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_ties_across_two_blocks(self, monkeypatch, n):
+        # 0/1 columns against a three-valued target tie under many shuffles.
+        # At n >= 8 BLAS rounds a column by its place in a group of four, so
+        # the budget of 10 columns gives blocks of 8: the second block holds
+        # the last 2, 3 or 5 columns
+        monkeypatch.setattr(core, "CHUNK_BYTES", _one_block_budget(10, n))
+        for m in (10, 11, 13):
+            stream = Stream(1000 * n + m)
+            X = np.floor(2.0 * stream.uniforms(m * n)).reshape(m, n)
+            X[:, :2] = 0.0, 1.0
+            y = np.floor(3.0 * stream.uniforms(n))
+            y[:2] = 0.0, 1.0
+            assert _column_edges(m, n, 199) == [0, 8, m]
+            _assert_matches_loop(X, y, 199, m)
 
     @pytest.mark.parametrize("n", [4, 50])
     def test_default_budget_block_shapes(self, n):
-        # the widest battery whose 199 shuffles fit one block at the default
-        # budget, one column more (two blocks), and 2000 columns (a partly
-        # filled last block)
+        # the widest battery that is one column block at the default budget
+        # (a full block and a lone column), one column more (two blocks), and
+        # 2010 columns (a partly filled last block)
         one = next(m for m in range(10 ** 4, 0, -1) if _blocks(m, n, 199) == 1)
         assert _blocks(one + 1, n, 199) == 2
-        assert 199 % (core.CHUNK_BYTES // _shuffle_bytes(2000, n)) != 0
-        for m in (one, one + 1, 2000):
+        edges = _column_edges(2010, n, 199)
+        assert edges[-1] - edges[-2] < edges[1]
+        for m in (one, one + 1, 2010):
             X, y = _battery(m, n, 31 + m)
             X[: m // 2, 1] = X[: m // 2, 0]
             _assert_matches_loop(X, y, 199, 7)
@@ -231,6 +252,18 @@ class TestBatchedShuffles:
         assert _blocks(40, 6, 1000) == 1
         _assert_matches_loop(X, y, 1000, 3)
 
+    def test_masked_rows_equal_the_gathered_battery(self):
+        # the screen's row mask gives the p-values of the gathered rows
+        X, y = _battery(300, 20, 17)
+        rows = np.ones(300, dtype=bool)
+        rows[[0, 7, 8, 150, 299]] = False
+        got = permutation_pvalues(X, y, PermutationPlan(199, 4), rows)
+        expected = permutation_pvalues(X[rows], y, PermutationPlan(199, 4))
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        with pytest.raises(ValueError, match="one flag per row"):
+            permutation_pvalues(X, y, PermutationPlan(199, 4), rows[:-1])
+
     def test_tied_target_values(self):
         # shuffles that only swap equal target values reproduce the observed
         # statistics exactly
@@ -247,19 +280,15 @@ class TestBatchedShuffles:
 
 
 class TestPermutationMemory:
-    """The traced peak of one call stays within that of the kernel with
-    blocks of 2**15 statistics, plus one budget of block work space, plus a
-    slack.  The contiguous (n, m) copy of the standardized rows is charged
-    to the standardization: that kernel divided into a new array, so its
-    peak already held two (m, n) arrays; this one divides in place.  The
-    slack holds the per-column vectors (standard deviations, observed
-    statistics, their sorted copy, the counts) that the standardization's
-    peak did not, 32 m bytes: 160 KB at m = 4989."""
+    """The traced peak of one call stays within the (B, n) shuffled
+    targets, plus one budget of column-block work space, plus 64 bytes per
+    column for the per-column vectors (the tested rows' indices, observed
+    statistics, counts, their sorted copy and the max-statistic counts) and
+    a slack of 64 KB.  It holds no copy of the battery: 4989 x 100 took
+    9.6 MB with the standardized rows and their transposed copy."""
 
-    SLACK_BYTES = 256 * 1024
-    # the traced peaks of a warm call of that kernel at 999 shuffles
-    # (numpy 2.4, Python 3.11); they depend on the shape only
-    BLOCKED_PEAKS = {(4989, 100): 8_088_632, (1000, 50): 981_160}
+    COLUMN_BYTES = 64
+    SLACK_BYTES = 64 * 1024
 
     @pytest.mark.parametrize("m,n", [(4989, 100), (1000, 50)], ids=["screen", "sim-null"])
     def test_traced_peak(self, m, n):
@@ -272,4 +301,5 @@ class TestPermutationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.BLOCKED_PEAKS[m, n] + core.CHUNK_BYTES + self.SLACK_BYTES
+        targets = 8 * plan.n_permutations * n
+        assert peak <= targets + core.CHUNK_BYTES + self.COLUMN_BYTES * m + self.SLACK_BYTES

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_2.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718
+        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200
 
 Each side is a clean copy of the committed files of a revision (``git
 archive``), or of the working tree when ``--head`` is left out (tracked and
@@ -14,6 +14,15 @@ and run length.  A case is a workload, or ``workload@seed`` to run it at
 another benchmark seed than ``--seed``.  Afterwards each side gets one
 traced run (``--trace 1``) of every workload at ``--seed`` for the
 per-layer metrics.
+
+The case ``screen-20000x200`` is not a benchmark workload: it writes a
+20,000 x 200 features x samples CSV from ``--seed`` (a target row and 2% of
+the features planted at rho = 0.5) once, and runs ``dcal screen --scheme loo
+--corrections holm,bh,perm_max --permutations 199`` on it in a fresh
+interpreter of each copy, in the same alternating pairs.  Its metrics are
+the wall time of the command and the child's peak resident memory (VmHWM);
+its comparison also says whether every run of both sides wrote the same
+report bytes.
 
 The output JSON holds every run's metrics, per-side medians and quartiles
 in the record schema ``{case, layer, n, m, scheme, threads,
@@ -46,9 +55,63 @@ SHAPES = {
     "sim-oos": {"n": 50, "m": 100, "scheme": "loo,cv10x10,boot632"},
     "sim-null": {"n": 50, "m": 1000, "scheme": "loo"},
     "sim-outlier": {"n": 100, "m": 9, "scheme": "loo"},
+    "screen-20000x200": {"n": 200, "m": 19999, "scheme": "loo"},
 }
 
 BETTER = {"tests_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+SCALED_SCREEN = "screen-20000x200"
+SCALED_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
+
+# runs the dcal command line once; prints its exit code, wall seconds and
+# this process's VmHWM
+RUN_SCALED = """\
+import contextlib, io, json, sys, time
+from dcal.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+wall = time.perf_counter() - start
+with open("/proc/self/status", encoding="ascii") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_kb": hwm_kb}))
+"""
+
+
+def write_scaled_matrix(path: Path, seed: int, features: int = 20000, samples: int = 200) -> None:
+    """The scaled screen's CSV: row 0 is TARGET, and 2% of the other rows
+    are planted at rho = 0.5 against it."""
+    import numpy
+
+    rng = numpy.random.default_rng(seed)
+    values = rng.standard_normal((features, samples))
+    planted = rng.choice(numpy.arange(1, features), features // 50, replace=False)
+    values[planted] = 0.5 * values[0] + 0.75 ** 0.5 * values[planted]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("feature," + ",".join(f"S{j:03d}" for j in range(samples)) + "\n")
+        for i, row in enumerate(values.tolist()):
+            fh.write(("TARGET" if i == 0 else f"F{i:05d}") + "," + ",".join(map(repr, row)) + "\n")
+
+
+def run_scaled(copy: Path, matrix: Path) -> dict:
+    """One scaled screen in a fresh interpreter of ``copy``: its metrics and
+    the report's bytes."""
+    report = copy / "scaled-report.csv"
+    argv = ["screen", "--matrix", str(matrix), "--target", "TARGET", "--scheme", "loo",
+            "--corrections", "holm,bh,perm_max", "--permutations", "199",
+            "--output", str(report)]
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_SCALED, *argv], cwd=copy, check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if result["exit"] != 0:
+        raise SystemExit(f"{copy.name} {SCALED_SCREEN}: dcal screen exited {result['exit']}")
+    return {
+        "metrics": {"wall_s": {"value": result["wall_s"], "unit": "s"},
+                    "peak_rss_mb": {"value": result["peak_rss_kb"] / 1024.0, "unit": "MB"}},
+        "report": report.read_bytes(),
+    }
 
 
 def git(*args: str) -> bytes:
@@ -98,11 +161,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]:
     workload, seed = parse_case(case, default_seed)
     records = []
-    for metric in BETTER:
+    for metric in SCALED_BETTER if case == SCALED_SCREEN else BETTER:
         values = [run["metrics"][metric]["value"] for run in runs[side][case]]
         q1, median, q3 = quartiles(values)
         # time per test for throughput, the value itself for set-up time
-        seconds = {"tests_per_s": [1.0 / v for v in values], "setup_s": values}.get(metric)
+        seconds = {"tests_per_s": [1.0 / v for v in values], "setup_s": values,
+                   "wall_s": values}.get(metric)
         sq1, smedian, sq3 = quartiles(seconds) if seconds else (None, None, None)
         records.append({
             "case": workload, "layer": "end_to_end", **SHAPES[workload], "threads": 1,
@@ -115,7 +179,7 @@ def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]
 
 def compare(runs: dict, case: str) -> dict:
     out = {}
-    for metric, better in BETTER.items():
+    for metric, better in (SCALED_BETTER if case == SCALED_SCREEN else BETTER).items():
         base = [run["metrics"][metric]["value"] for run in runs["base"][case]]
         head = [run["metrics"][metric]["value"] for run in runs["head"][case]]
         wins = sum((h > b) if better == "higher" else (h < b) for b, h in zip(base, head))
@@ -136,6 +200,8 @@ def compare(runs: dict, case: str) -> dict:
 
 def parse_case(case: str, default_seed: int | None) -> tuple[str, int | None]:
     workload, _, seed = case.partition("@")
+    if case == SCALED_SCREEN:
+        return case, default_seed
     if workload not in WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}")
     return workload, int(seed) if seed else default_seed
@@ -184,16 +250,25 @@ def main() -> int:
         }
         runs = {side: {c: [] for c in cases} for side in copies}
         order = []
+        matrix = scratch / "scaled-matrix.csv"
+        if SCALED_SCREEN in cases:
+            write_scaled_matrix(matrix, args.seed)
+        reports = set()  # the scaled screen's report bytes, over every run of both sides
         for pair in range(args.pairs):
             first = ("base", "head") if pair % 2 == 0 else ("head", "base")
             order.append(first[0])
             for case in cases:
                 workload, seed = seeds[case]
                 for side in first:
-                    runs[side][case].append(run_benchmark(copies[side], workload, seed, 0))
-                    print(f"pair {pair + 1}/{args.pairs} {case} {side}: tests_per_s "
-                          f"{runs[side][case][-1]['metrics']['tests_per_s']['value']:.1f}",
-                          file=sys.stderr)
+                    if case == SCALED_SCREEN:
+                        run = run_scaled(copies[side], matrix)
+                        reports.add(run.pop("report"))
+                    else:
+                        run = run_benchmark(copies[side], workload, seed, 0)
+                    runs[side][case].append(run)
+                    print(f"pair {pair + 1}/{args.pairs} {case} {side}: " + ", ".join(
+                        f"{name} {metric['value']:.4g}" for name, metric in run["metrics"].items()
+                        if name in ("tests_per_s", "wall_s", "peak_rss_mb")), file=sys.stderr)
         traced = {side: run_benchmark(copy, "all", args.seed, 1) for side, copy in copies.items()}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -221,6 +296,7 @@ def main() -> int:
         "first_in_pair": order,
         "host": host(),
         "comparison": {c: compare(runs, c) for c in cases},
+        **({"scaled_reports_identical": len(reports) == 1} if SCALED_SCREEN in cases else {}),
         "records": records,
     }
     Path(args.output).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -27,11 +27,11 @@ convert to finite numbers (the cells are split out untimed), and the ratio
 of ``load_matrix``'s seconds to that floor.
 
 A workload that calls ``permutation_pvalues`` gets its floor after each
-run: on the arguments of each call and in the call's own blocks, the
-seconds of the draws (``derive_array``, ``raw_block`` and
-``permutation_of``) plus one ``np.matmul`` of the shuffled targets by the
-(n, m) standardized rows per block, summed over the calls, and the ratio
-of ``permutation_pvalues``'s seconds to that floor.
+run: on the arguments of each call and in the call's own column blocks,
+the seconds of the draws of the (B, n) shuffled targets (``_shuffled``)
+plus one ``np.matmul`` of each block's standardized columns by the
+targets, summed over the calls, and the ratio of ``permutation_pvalues``'s
+seconds to that floor.
 
 A workload that calls ``skipped_rows`` gets the floor of the projection
 sweep the same way: on each call's pairs and in its blocks, the seconds of
@@ -66,8 +66,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import dcal  # noqa: E402
 from dcal import cli, core, robust, simulate  # noqa: E402
-from dcal.multitest import _shuffle_bytes  # noqa: E402
-from dcal.rng import derive_array, permutation_of, raw_block  # noqa: E402
+from dcal.multitest import _column_edges, _shuffled  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
@@ -148,28 +147,25 @@ def ingest_floor(path: Path) -> dict:
             "s": read_s + convert_s}
 
 
-def permutation_floor(columns, target, plan) -> dict:
-    """Seconds of the draws plus one block product per block of one
+def permutation_floor(columns, target, plan, rows=None) -> dict:
+    """Seconds of the draws of the (B, n) shuffled targets plus one product
+    of the targets by each column block's standardized columns of one
     ``permutation_pvalues`` call, in that call's blocks."""
     X = np.asarray(columns, dtype=np.float64)
+    X = X if rows is None else X[rows]
     y = np.asarray(target, dtype=np.float64)
-    m, n = X.shape
-    B = plan.n_permutations
-    block = min(B, core.units_per_block(_shuffle_bytes(m, n)))
-    XsT = np.ascontiguousarray(((X - X.mean(axis=1, keepdims=True)) / X.std(axis=1)[:, None]).T)
+    B, (m, n) = plan.n_permutations, X.shape
+    edges = _column_edges(m, n, B)
+    Xs = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1)[:, None]
     ys = (y - y.mean()) / y.std()
-    stats_buf = np.empty((block, m))
-    draws_s = product_s = 0.0
-    for start in range(0, B, block):
-        begin = time.perf_counter()
-        keys = np.arange(start, min(start + block, B), dtype=np.uint64)
-        perms = permutation_of(raw_block(derive_array(plan.seed, keys), n))
-        middle = time.perf_counter()
-        np.matmul(ys[perms], XsT, out=stats_buf[: keys.size])
-        end = time.perf_counter()
-        draws_s += middle - begin
-        product_s += end - middle
-    return {"draws_s": draws_s, "product_s": product_s, "s": draws_s + product_s}
+    stats_buf = np.empty(B * max(np.diff(edges)))
+    begin = time.perf_counter()
+    targets = _shuffled(ys, plan)
+    middle = time.perf_counter()
+    for start, stop in zip(edges, edges[1:]):
+        np.matmul(Xs[start:stop], targets.T, out=stats_buf[: (stop - start) * B].reshape(-1, B))
+    end = time.perf_counter()
+    return {"draws_s": middle - begin, "product_s": end - middle, "s": end - begin}
 
 
 def sweep_floor(X, Y, cutoff=None) -> dict:
