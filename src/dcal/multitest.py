@@ -12,6 +12,16 @@ shuffle against a block into a (columns, B) array, and the statistics and a
 mask of their compares with the observed ones are written into two buffers
 allocated once per call.  Each shuffle's peak over the columns is kept as a
 running maximum.
+
+Up to ``_FLOAT32_MAX_SAMPLES`` samples that product and the passes over its
+output run in float32: the shuffled targets are cast once, each block's
+standardized columns into a float32 copy, and the (columns, B) statistics
+are float32, which halves the memory the passes read.  The float32
+statistics only sort each statistic into above, below or near the observed
+one; every near statistic is scored again in float64, so the p-values are
+those of the float64 kernel (see :func:`permutation_pvalues` for the
+bound).  The band of near statistics grows as n**2, and with it the
+rescoring, so larger samples keep float64 throughout.
 """
 
 from __future__ import annotations
@@ -33,10 +43,39 @@ __all__ = [
 ]
 
 
+# The most samples whose permutation blocks are scored in float32.  The
+# float32 band grows as n**2, and its rescorings with it: on 1000 null
+# columns and 999 shuffles (2-core Xeon, OpenBLAS at two threads) float32
+# took 0.75 of the float64 time at n = 50, 0.86 at 100 and 1.05 at 200, and
+# unthreaded 1.26 at 500.  The limit sits below that crossover: the time
+# saved shrinks with n while the float32 copy of the targets (4 B n bytes)
+# grows, and ``dcal screen``'s benchmark (n = 100) keeps a workload on the
+# float64 path.
+_FLOAT32_MAX_SAMPLES = 64
+
+
+def _float32_error(n: int) -> float:
+    """E32 of :func:`permutation_pvalues`: the most by which a float32 block
+    statistic of n standardized samples, and the float32 rounding of its
+    bounds, can move it from the float64 matrix-vector statistic."""
+    return n * (n + 4) * 2.0 ** -24
+
+
+def _scoring(n: int) -> tuple[type, float]:
+    """The dtype permutation blocks of n samples are scored in, and its
+    error beyond the float64 one (0 for float64)."""
+    if n <= _FLOAT32_MAX_SAMPLES:
+        return np.float32, _float32_error(n)
+    return np.float64, 0.0
+
+
 def _column_bytes(n: int, shuffles: int) -> int:
     """Work space of one column in a block: its column of the statistics
-    (float64) and of the mask (bool), and its standardized samples and
-    their squares."""
+    and of the mask (bool), its standardized samples and their squares
+    (float64) and, when the block is scored in float32, their float32
+    copy."""
+    if n <= _FLOAT32_MAX_SAMPLES:
+        return 5 * shuffles + 20 * n
     return 9 * shuffles + 16 * n
 
 
@@ -63,6 +102,22 @@ def _shuffled(ys: np.ndarray, plan: "PermutationPlan") -> np.ndarray:
         np.take(ys, permutation_of(raw_block(derive_array(plan.seed, keys), n)),
                 out=targets[start : start + keys.size], mode="clip")
     return targets
+
+
+def _rescored(Xs: np.ndarray, shuffled: np.ndarray, n: int) -> np.ndarray:
+    """(shuffles, columns): |x . t| / n for each row t of ``shuffled`` and
+    row x of ``Xs``, by one float64 matrix-vector product per shuffle, the
+    arithmetic of the observed statistics."""
+    return np.array([np.abs(Xs @ t) / n for t in shuffled])
+
+
+def _rescored_peaks(blocks, shuffled: np.ndarray, n: int) -> np.ndarray:
+    """The largest :func:`_rescored` statistic of each row of ``shuffled``
+    over every block that ``blocks()`` yields."""
+    peaks = np.zeros(len(shuffled))
+    for _, Xs in blocks():
+        np.maximum(peaks, _rescored(Xs, shuffled, n).max(axis=1), out=peaks)
+    return peaks
 
 
 @dataclass(frozen=True)
@@ -119,23 +174,47 @@ def permutation_pvalues(
     ``(plan.seed, b)``, so results do not depend on evaluation order.
     P-values use the add-one convention (1 + #{more extreme}) / (B + 1).
 
-    A block's statistics stay in the product domain, |x . y| for
-    standardized rows, where |x . y| <= n.  Four passes follow the product:
-    the absolute values, each shuffle's maximum, and two compares with the
-    per-column bounds ``n*observed -/+ n*tol``, each counted per column
-    through a one-byte view of the mask.  A statistic above the upper bound
-    counts; one below the lower bound does not; a shuffle with a statistic
-    in between is rescored against the block with the matrix-vector product
-    the observed statistics came from.  After the last block, a shuffle
-    whose peak lies within ``tol`` of an observed statistic is rescored
-    the same way over every block.  This is exact: the block product and
-    that product differ by at most about 2 n**2 u (u the unit roundoff, n
-    terms each of size up to 1), dividing by n and rounding the bounds add
-    about 2 n u, and the band's half-width ``n*tol`` is 16 n**2 u, larger
-    than both.  So a statistic outside the band lies on the same side of
-    ``n*observed`` as the rescored one.  Division by n is monotone, so a
-    maximum divided by n, ``fl(max |s| / n)``, is ``max fl(|s| / n)``: a
-    peak that is not rescored keeps the bits of the one-at-a-time score.
+    A block's statistics stay in the product domain, |x . t| for a
+    standardized column x and shuffled target t, where |x . t| <= n.  Four
+    passes follow the product: the absolute values, each shuffle's maximum,
+    and two compares with the per-column bounds ``n*observed -/+ h``, each
+    counted per column through a one-byte view of the mask.  A statistic
+    above the upper bound counts; one below the lower bound does not; a
+    shuffle with a statistic in between is rescored against the block with
+    the float64 matrix-vector product the observed statistics came from.
+    After the last block, a shuffle whose peak lies within ``h / n`` of an
+    observed statistic is rescored the same way over every block.
+
+    This is exact because h exceeds the most by which a block statistic, on
+    its side of a rounded bound, can differ from the matrix-vector one.
+    Let S = sum |x_i t_i|; for standardized rows S <= ||x|| ||t|| = n
+    (Cauchy-Schwarz), up to the relative O(n u) by which float64 rows miss
+    a norm of sqrt(n).  A float sum of n products, in any order and with
+    or without fused multiply-adds, is within gamma_n S of the exact dot
+    product, gamma_n = n u / (1 - n u) for the unit roundoff u (Higham
+    2002, section 3.1).  In float64 (u = 2**-53) two products differ by at
+    most about 2 n**2 u, and dividing by n and rounding the bounds add about
+    2 n u; the half-width h = n*tol, with ``tol`` = 8 n eps = 16 n u, is
+    larger than both.  In float32 (v = 2**-24) three more errors join the
+    float64 ones: rounding x and t to float32 moves each product by at most
+    (2 v + v**2) |x_i t_i|, the float32 sum adds gamma_n(v) (1 + v)**2 S,
+    and rounding the bounds to float32 moves them by at most v (n + h).
+    With S <= n they total n (n + 3) v plus terms of order n**3 v**2, and
+    ``_float32_error``'s E32 = n (n + 4) v covers them with about n v to
+    spare while n**2 v < 1/2 (n <= 2896); underflow of float32 products
+    adds at most about n**1.5 2**-149, far inside the spare.  There
+    h = n*tol + E32.  So a statistic outside the band lies on the same side
+    of ``n*observed`` as the rescored one.  A block's largest statistic is
+    within the same bound of its largest rescored one, and division by n
+    is monotone, so a peak farther than h / n from every observed
+    statistic lies on the same side of each as the rescored peak.  In
+    float64 a peak that is not rescored even keeps the bits of the
+    one-at-a-time score, ``fl(max |s| / n)`` being ``max fl(|s| / n)``.
+
+    The float32 band is wider by E32, which grows as n**2, and so do the
+    rescorings it brings; above ``_FLOAT32_MAX_SAMPLES`` samples the blocks
+    are scored in float64 (the constant states the measured crossover).
+
     Every block but the last holds a multiple of four columns, and the last
     is never a lone column of a wider battery: OpenBLAS rounds a column's
     matrix-vector product by its place in a group of four, and numpy scores
@@ -179,7 +258,11 @@ def permutation_pvalues(
 
     # Two summation orders of one statistic differ by less than ``tol``.
     tol = 8.0 * n * np.finfo(np.float64).eps
-    stats_buf, mask_buf = np.empty(B * width), np.empty(B * width, dtype=bool)
+    dtype, error = _scoring(n)
+    half = n * tol + error  # the band's half-width, in the product domain
+    near_tol = tol + error / n  # the same, divided by n
+    scored = targets.astype(dtype, copy=False)
+    stats_buf, mask_buf = np.empty(B * width, dtype), np.empty(B * width, dtype=bool)
     count = np.min_scalar_type(B)  # holds one column's count over the shuffles
     observed = np.empty(m)
     count_per = np.zeros(m, dtype=np.int64)
@@ -187,14 +270,13 @@ def permutation_pvalues(
     for at, Xs in blocks():
         obs, counts = observed[at], count_per[at]
         np.divide(np.abs(Xs @ ys), n, out=obs)
-        hi = obs[:, None] * n
-        lo = hi - n * tol
-        hi += n * tol
-        stats = np.matmul(Xs, targets.T, out=stats_buf[: obs.size * B].reshape(-1, B))
+        centre = obs[:, None] * n
+        lo = (centre - half).astype(dtype, copy=False)
+        hi = (centre + half).astype(dtype, copy=False)
+        stats = np.matmul(Xs.astype(dtype, copy=False), scored.T,
+                          out=stats_buf[: obs.size * B].reshape(-1, B))
         np.abs(stats, out=stats)  # (columns, shuffles)
-        peak = stats.max(axis=0)
-        peak /= n
-        np.maximum(peaks, peak, out=peaks)
+        np.maximum(peaks, np.divide(stats.max(axis=0), n, dtype=np.float64), out=peaks)
         mask = mask_buf[: stats.size].reshape(stats.shape)
         above = np.add.reduce(np.greater(stats, hi, out=mask).view(np.uint8), axis=1, dtype=count)
         reach = np.add.reduce(np.greater_equal(stats, lo, out=mask).view(np.uint8), axis=1,
@@ -202,17 +284,15 @@ def permutation_pvalues(
         counts += above
         cols = np.flatnonzero(reach != above)  # columns with a statistic in the band
         band = stats[cols]
-        for j in np.flatnonzero(((band >= lo[cols]) & (band <= hi[cols])).any(axis=0)):
-            counts += np.abs(Xs @ targets[j]) / n >= obs
-            counts -= stats[:, j] > hi[:, 0]  # takes back the block's count of this shuffle
+        shuffles = np.flatnonzero(((band >= lo[cols]) & (band <= hi[cols])).any(axis=0))
+        if shuffles.size:  # rescored, and the block's counts of them taken back
+            counts += np.add.reduce(_rescored(Xs, targets[shuffles], n) >= obs, axis=0)
+            counts -= np.add.reduce(stats[:, shuffles] > hi, axis=1)
     ordered = np.sort(observed)
-    at = np.minimum(np.searchsorted(ordered, peaks - tol), m - 1)
-    near = np.flatnonzero(np.abs(ordered[at] - peaks) <= tol)
+    at = np.minimum(np.searchsorted(ordered, peaks - near_tol), m - 1)
+    near = np.flatnonzero(np.abs(ordered[at] - peaks) <= near_tol)
     if near.size:
-        peaks[near] = 0.0
-        for _, Xs in blocks():
-            for j in near:
-                peaks[j] = max(peaks[j], (np.abs(Xs @ targets[j]) / n).max())
+        peaks[near] = _rescored_peaks(blocks, targets[near], n)
     count_max = B - np.searchsorted(np.sort(peaks), observed, side="left")
     per_test = (1.0 + count_per) / (B + 1.0)
     max_stat = (1.0 + count_max) / (B + 1.0)

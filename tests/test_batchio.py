@@ -342,13 +342,14 @@ class TestScreenMemory:
     """The traced peak of one warm ``screen`` call beyond the loaded matrix
     stays within one budget of block work space, the (B, n) shuffled
     targets of ``perm_max`` and ROW_BYTES per feature for the per-feature
-    vectors; the classical phase's one t tail is the largest of them, at
-    about 590 bytes per row.  It holds no (m, n) copy: from 2000 to 8000
+    vectors (162 to 208 bytes per feature measured; the t tail runs in
+    blocks of the budget, and as one tail over every row it took about 590
+    and the peak up to 504).  It holds no (m, n) copy: from 2000 to 8000
     features at n = 100 the peak grows by less than a copy of the added
     rows.  Gathering the tested rows, centring them and standardizing them
     for the permutations took 22 MB at 8000 features."""
 
-    ROW_BYTES = 700
+    ROW_BYTES = 250
 
     @pytest.mark.parametrize("scheme", [OosScheme.loo(), OosScheme.boot632(20, 1)],
                              ids=lambda scheme: scheme.label)

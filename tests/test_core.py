@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +15,10 @@ from dcal import (
     pearson,
     pearson_rows,
 )
-from dcal.core import pair_errors
+from dcal import core
+from dcal.core import pair_errors, t_pvalues
 from dcal.rng import Stream, derive
+from dcal.special import student_t_sf_two_sided
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair
 
@@ -133,6 +137,48 @@ class TestPearsonRows:
         assert (r[1], p[1]) == (pearson(DataPair(y[::-1], y)).r, pearson(DataPair(y[::-1], y)).p)
         with pytest.raises(NumericRangeError, match="leave the float64 range"):
             pearson(DataPair(values, y))
+
+
+class TestTPvalueBlocks:
+    """``t_pvalues`` runs the t tail in row blocks of ``core._TAIL_BYTES``."""
+
+    @staticmethod
+    def _correlations(rows, seed):
+        stream = Stream(seed)
+        r = np.tanh(stream.normals(rows) / 3.0)
+        r[::7] = np.nan  # rows whose sums left the range
+        r[3::11] = 1.0  # collinear rows: p = 0
+        rest = (1.0 - r) * (1.0 + r)
+        return r, rest
+
+    @pytest.mark.parametrize("budget", [1, 150 * core._TAIL_BYTES, core.CHUNK_BYTES, 2 ** 40])
+    def test_every_block_size_gives_each_entry_its_scalar_bits(self, monkeypatch, budget):
+        # blocks of one row, of 150 (the last below the array tail's
+        # ARRAY_MIN_ROWS), the default's and one block
+        r, rest = self._correlations(1000, 5)
+        df = 1 + np.arange(1000) % 60
+        monkeypatch.setattr(core, "CHUNK_BYTES", budget)
+        for k in (df, 48):
+            got = t_pvalues(r, rest, k)
+            dfs = np.broadcast_to(k, r.shape)
+            want = [math.nan if math.isnan(q) else 0.0 if q == 0.0
+                    else min(1.0, student_t_sf_two_sided(v * v * d / q, int(d)))
+                    for v, q, d in zip(r.tolist(), rest.tolist(), dfs.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_traced_peak_on_8000_rows(self):
+        # one budget of tail work space plus about 48 bytes per row of
+        # per-row vectors (p, the tail mask, r, 1 - r**2, t**2 and their
+        # temporaries); one tail over all rows traced 4.69 MB here
+        r, rest = self._correlations(8000, 9)
+        t_pvalues(r, rest, 98)
+        tracemalloc.start()
+        try:
+            t_pvalues(r, rest, 98)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= core.CHUNK_BYTES + 48 * 8000 + 64 * 1024
 
 
 class TestOlsFit:

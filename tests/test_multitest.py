@@ -13,8 +13,15 @@ from dcal import (
     holm_adjust,
     permutation_pvalues,
 )
-from dcal import core
-from dcal.multitest import _column_bytes, _column_edges
+from dcal import core, multitest
+from dcal.multitest import (
+    _FLOAT32_MAX_SAMPLES,
+    _column_bytes,
+    _column_edges,
+    _float32_error,
+    _scoring,
+    _shuffled,
+)
 from dcal.rng import Stream, derive
 
 import screen_reference
@@ -149,7 +156,7 @@ def _tie_heavy_batteries(draw):
     shuffle in 24), a target of few distinct values, 0/1 columns, and rows
     that repeat other rows or have two equal entries."""
     m = draw(st.integers(1, 12))
-    n = draw(st.sampled_from([4, 4, 5, 8, 12]))
+    n = draw(st.sampled_from([4, 4, 5, 8, 12, 100]))
     stream = Stream(draw(st.integers(0, 2 ** 64 - 1)))
     X = stream.normals(m * n).reshape(m, n)
     y = stream.normals(n)
@@ -178,7 +185,7 @@ class TestBatchedShuffles:
     ONE_BLOCK = 164
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-    @pytest.mark.parametrize("n", [4, 50])
+    @pytest.mark.parametrize("n", [4, 50, 100])
     @pytest.mark.parametrize("m", [1, 2, ONE_BLOCK, ONE_BLOCK + 1, 700])
     def test_equals_per_shuffle_loop(self, monkeypatch, m, n, seed):
         monkeypatch.setattr(core, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
@@ -193,7 +200,7 @@ class TestBatchedShuffles:
     def test_block_shapes_covered(self, monkeypatch):
         # the cases above include one block, one block with a lone last
         # column joined to it, and a last block that is only partly filled
-        for n in (4, 50):
+        for n in (4, 50, 100):
             monkeypatch.setattr(core, "CHUNK_BYTES", _one_block_budget(self.ONE_BLOCK, n))
             assert _column_edges(self.ONE_BLOCK, n, 199) == [0, self.ONE_BLOCK]
             assert _column_edges(self.ONE_BLOCK + 1, n, 199) == [0, self.ONE_BLOCK + 1]
@@ -279,13 +286,79 @@ class TestBatchedShuffles:
             permutation_pvalues(np.empty((0, 10)), np.arange(10.0), PermutationPlan())
 
 
+@st.composite
+def _float32_batteries(draw):
+    """Columns at n up to the float32 limit, their target and a seed: normal
+    columns, columns with one huge value and 0/1 columns, and a target that
+    is normal, few-valued or 0/1; the first column is the target itself, so
+    the identity shuffle reaches the largest statistic, n."""
+    n = draw(st.integers(4, _FLOAT32_MAX_SAMPLES))
+    stream = Stream(draw(st.integers(0, 2 ** 64 - 1)))
+    X = stream.normals(9 * n).reshape(9, n)
+    y = stream.normals(n)
+    target = draw(st.sampled_from(["normal", "few", "binary"]))
+    if target != "normal":
+        y = np.floor((3.0 if target == "few" else 2.0) * stream.uniforms(n))
+        y[:2] = 0.0, 1.0
+    X[0] = y
+    X[1:4, draw(st.integers(0, n - 1))] = draw(st.sampled_from([1e3, 1e12, -1e150]))
+    X[4:] = np.floor(2.0 * stream.uniforms(5 * n)).reshape(5, n)
+    X[4:, :2] = 0.0, 1.0
+    return X, y, draw(st.integers(0, 2 ** 64 - 1))
+
+
+class TestFloat32Scoring:
+    """Blocks of at most ``_FLOAT32_MAX_SAMPLES`` samples are scored in
+    float32 within a band of E32 around the float64 statistics."""
+
+    def test_benchmark_shapes_sit_on_each_side_of_the_limit(self):
+        # the null battery (n = 50) scores in float32, the screen (n = 100)
+        # in float64; the tests above run both
+        assert _scoring(4)[0] is np.float32 and _scoring(50)[0] is np.float32
+        assert _scoring(_FLOAT32_MAX_SAMPLES)[0] is np.float32
+        assert _scoring(_FLOAT32_MAX_SAMPLES + 1) == (np.float64, 0.0)
+        assert _scoring(100) == (np.float64, 0.0)
+        assert _scoring(50)[1] == _float32_error(50) == 50 * 54 * 2.0 ** -24
+
+    def test_band_and_peak_rescoring_run_and_match_the_loop(self):
+        # at n = 4 about 1 shuffle in 24 is the identity: its statistics equal
+        # the observed ones, so they fall in the band, and its peak equals
+        # the largest observed statistic, which duplicated columns share, so
+        # the peak is rescored too
+        X, y = _battery(40, 4, 5)
+        X[1::2] = X[:-1:2]
+        assert _scoring(4)[0] is np.float32 and _blocks(40, 4, 199) == 1
+        with mock.patch.object(multitest, "_rescored", wraps=multitest._rescored) as rescored, \
+                mock.patch.object(multitest, "_rescored_peaks",
+                                  wraps=multitest._rescored_peaks) as peaks:
+            _assert_matches_loop(X, y, 199, 3)
+        # one block: one peak rescoring pass, the other calls are band rescorings
+        assert peaks.call_count == 1
+        assert rescored.call_count >= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float32_batteries())
+    def test_float32_statistics_lie_within_e32_of_the_float64_ones(self, battery):
+        X, y, seed = battery
+        n = X.shape[1]
+        Xs = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1)[:, None]
+        ys = (y - y.mean()) / y.std()
+        targets = np.vstack([ys, _shuffled(ys, PermutationPlan(100, seed))])
+        low = np.matmul(Xs.astype(np.float32), targets.astype(np.float32).T)
+        exact = np.array([Xs @ t for t in targets]).T
+        assert np.abs(low - exact).max() <= _float32_error(n)
+        assert abs(low[0, 0] - n) <= _float32_error(n)  # the target against itself
+
+
 class TestPermutationMemory:
     """The traced peak of one call stays within the (B, n) shuffled
-    targets, plus one budget of column-block work space, plus 64 bytes per
-    column for the per-column vectors (the tested rows' indices, observed
-    statistics, counts, their sorted copy and the max-statistic counts) and
-    a slack of 64 KB.  It holds no copy of the battery: 4989 x 100 took
-    9.6 MB with the standardized rows and their transposed copy."""
+    targets (8 bytes per value, and 4 more for their float32 copy when the
+    blocks are scored in float32), plus one budget of column-block work
+    space, plus 64 bytes per column for the per-column vectors (the tested
+    rows' indices, observed statistics, counts, their sorted copy and the
+    max-statistic counts) and a slack of 64 KB.  It holds no copy of the
+    battery: 4989 x 100 took 9.6 MB with the standardized rows and their
+    transposed copy."""
 
     COLUMN_BYTES = 64
     SLACK_BYTES = 64 * 1024
@@ -301,5 +374,6 @@ class TestPermutationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        targets = 8 * plan.n_permutations * n
+        per_value = 12 if _scoring(n)[0] is np.float32 else 8
+        targets = per_value * plan.n_permutations * n
         assert peak <= targets + core.CHUNK_BYTES + self.COLUMN_BYTES * m + self.SLACK_BYTES

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_2.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200
+        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20
 
 Each side is a clean copy of the committed files of a revision (``git
 archive``), or of the working tree when ``--head`` is left out (tracked and
@@ -15,14 +15,21 @@ another benchmark seed than ``--seed``.  Afterwards each side gets one
 traced run (``--trace 1``) of every workload at ``--seed`` for the
 per-layer metrics.
 
-The case ``screen-20000x200`` is not a benchmark workload: it writes a
-20,000 x 200 features x samples CSV from ``--seed`` (a target row and 2% of
-the features planted at rho = 0.5) once, and runs ``dcal screen --scheme loo
---corrections holm,bh,perm_max --permutations 199`` on it in a fresh
-interpreter of each copy, in the same alternating pairs.  Its metrics are
-the wall time of the command and the child's peak resident memory (VmHWM);
-its comparison also says whether every run of both sides wrote the same
-report bytes.
+Two cases are not benchmark workloads but scaled runs of one ``dcal``
+command in a fresh interpreter of each copy, in the same alternating pairs:
+
+- ``screen-20000x200`` writes a 20,000 x 200 features x samples CSV from
+  ``--seed`` (a target row and 2% of the features planted at rho = 0.5)
+  once, and runs ``dcal screen --scheme loo --corrections holm,bh,perm_max
+  --permutations 199`` on it;
+- ``sim-null-x20`` runs ``dcal simulate`` on each copy's
+  ``benchmarks/configs/sim-null.cfg`` at 20 repetitions and ``--seed``: the
+  benchmark's null battery, long enough that its permutation and
+  calibration kernels outweigh the interpreter's start-up.
+
+Their metrics are the wall time of the command and the child's peak
+resident memory (VmHWM); the output also says, per scaled case, whether
+every run of both sides wrote the same report bytes.
 
 The output JSON holds every run's metrics, per-side medians and quartiles
 in the record schema ``{case, layer, n, m, scheme, threads,
@@ -56,11 +63,13 @@ SHAPES = {
     "sim-null": {"n": 50, "m": 1000, "scheme": "loo"},
     "sim-outlier": {"n": 100, "m": 9, "scheme": "loo"},
     "screen-20000x200": {"n": 200, "m": 19999, "scheme": "loo"},
+    "sim-null-x20": {"n": 50, "m": 1000, "scheme": "loo"},
 }
 
 BETTER = {"tests_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 SCALED_SCREEN = "screen-20000x200"
+SCALED_CASES = (SCALED_SCREEN, "sim-null-x20")
 SCALED_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 # runs the dcal command line once; prints its exit code, wall seconds and
@@ -93,24 +102,34 @@ def write_scaled_matrix(path: Path, seed: int, features: int = 20000, samples: i
             fh.write(("TARGET" if i == 0 else f"F{i:05d}") + "," + ",".join(map(repr, row)) + "\n")
 
 
-def run_scaled(copy: Path, matrix: Path) -> dict:
-    """One scaled screen in a fresh interpreter of ``copy``: its metrics and
-    the report's bytes."""
-    report = copy / "scaled-report.csv"
-    argv = ["screen", "--matrix", str(matrix), "--target", "TARGET", "--scheme", "loo",
-            "--corrections", "holm,bh,perm_max", "--permutations", "199",
-            "--output", str(report)]
+def scaled_command(case: str, copy: Path, matrix: Path, seed: int) -> tuple[list[str], list[Path]]:
+    """The ``dcal`` arguments of a scaled case in ``copy`` and the reports it writes."""
+    if case == SCALED_SCREEN:
+        report = copy / "scaled-report.csv"
+        return ["screen", "--matrix", str(matrix), "--target", "TARGET", "--scheme", "loo",
+                "--corrections", "holm,bh,perm_max", "--permutations", "199",
+                "--output", str(report)], [report]
+    report = copy / "scaled-report"
+    return ["simulate", "--config", str(copy / "benchmarks" / "configs" / "sim-null.cfg"),
+            "--repetitions", "20", "--seed", str(seed), "--output", str(report)], [
+        report.with_suffix(".csv"), report.with_suffix(".json")]
+
+
+def run_scaled(case: str, copy: Path, matrix: Path, seed: int) -> dict:
+    """One run of a scaled case in a fresh interpreter of ``copy``: its
+    metrics and the bytes of its reports."""
+    argv, reports = scaled_command(case, copy, matrix, seed)
     done = subprocess.run(
         [sys.executable, "-c", RUN_SCALED, *argv], cwd=copy, check=True, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if result["exit"] != 0:
-        raise SystemExit(f"{copy.name} {SCALED_SCREEN}: dcal screen exited {result['exit']}")
+        raise SystemExit(f"{copy.name} {case}: dcal {argv[0]} exited {result['exit']}")
     return {
         "metrics": {"wall_s": {"value": result["wall_s"], "unit": "s"},
                     "peak_rss_mb": {"value": result["peak_rss_kb"] / 1024.0, "unit": "MB"}},
-        "report": report.read_bytes(),
+        "report": tuple(report.read_bytes() for report in reports),
     }
 
 
@@ -161,7 +180,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]:
     workload, seed = parse_case(case, default_seed)
     records = []
-    for metric in SCALED_BETTER if case == SCALED_SCREEN else BETTER:
+    for metric in SCALED_BETTER if case in SCALED_CASES else BETTER:
         values = [run["metrics"][metric]["value"] for run in runs[side][case]]
         q1, median, q3 = quartiles(values)
         # time per test for throughput, the value itself for set-up time
@@ -179,7 +198,7 @@ def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]
 
 def compare(runs: dict, case: str) -> dict:
     out = {}
-    for metric, better in (SCALED_BETTER if case == SCALED_SCREEN else BETTER).items():
+    for metric, better in (SCALED_BETTER if case in SCALED_CASES else BETTER).items():
         base = [run["metrics"][metric]["value"] for run in runs["base"][case]]
         head = [run["metrics"][metric]["value"] for run in runs["head"][case]]
         wins = sum((h > b) if better == "higher" else (h < b) for b, h in zip(base, head))
@@ -200,7 +219,7 @@ def compare(runs: dict, case: str) -> dict:
 
 def parse_case(case: str, default_seed: int | None) -> tuple[str, int | None]:
     workload, _, seed = case.partition("@")
-    if case == SCALED_SCREEN:
+    if case in SCALED_CASES:
         return case, default_seed
     if workload not in WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}")
@@ -253,16 +272,16 @@ def main() -> int:
         matrix = scratch / "scaled-matrix.csv"
         if SCALED_SCREEN in cases:
             write_scaled_matrix(matrix, args.seed)
-        reports = set()  # the scaled screen's report bytes, over every run of both sides
+        reports = {c: set() for c in cases if c in SCALED_CASES}  # over every run of both sides
         for pair in range(args.pairs):
             first = ("base", "head") if pair % 2 == 0 else ("head", "base")
             order.append(first[0])
             for case in cases:
                 workload, seed = seeds[case]
                 for side in first:
-                    if case == SCALED_SCREEN:
-                        run = run_scaled(copies[side], matrix)
-                        reports.add(run.pop("report"))
+                    if case in SCALED_CASES:
+                        run = run_scaled(case, copies[side], matrix, seed)
+                        reports[case].add(run.pop("report"))
                     else:
                         run = run_benchmark(copies[side], workload, seed, 0)
                     runs[side][case].append(run)
@@ -296,7 +315,8 @@ def main() -> int:
         "first_in_pair": order,
         "host": host(),
         "comparison": {c: compare(runs, c) for c in cases},
-        **({"scaled_reports_identical": len(reports) == 1} if SCALED_SCREEN in cases else {}),
+        **({"scaled_reports_identical": {c: len(r) == 1 for c, r in reports.items()}}
+           if reports else {}),
         "records": records,
     }
     Path(args.output).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -31,7 +31,9 @@ run: on the arguments of each call and in the call's own column blocks,
 the seconds of the draws of the (B, n) shuffled targets (``_shuffled``)
 plus one ``np.matmul`` of each block's standardized columns by the
 targets, summed over the calls, and the ratio of ``permutation_pvalues``'s
-seconds to that floor.
+seconds to that floor.  The product runs in the dtype the kernel scores
+blocks of that n in (float32 up to ``multitest._FLOAT32_MAX_SAMPLES``
+samples, float64 above), and the floor names it as ``dtype``.
 
 A workload that calls ``skipped_rows`` gets the floor of the projection
 sweep the same way: on each call's pairs and in its blocks, the seconds of
@@ -66,7 +68,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import dcal  # noqa: E402
 from dcal import cli, core, robust, simulate  # noqa: E402
-from dcal.multitest import _column_edges, _shuffled  # noqa: E402
+from dcal.multitest import _column_edges, _scoring, _shuffled  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
@@ -150,22 +152,27 @@ def ingest_floor(path: Path) -> dict:
 def permutation_floor(columns, target, plan, rows=None) -> dict:
     """Seconds of the draws of the (B, n) shuffled targets plus one product
     of the targets by each column block's standardized columns of one
-    ``permutation_pvalues`` call, in that call's blocks."""
+    ``permutation_pvalues`` call, in that call's blocks and scoring dtype
+    (the casts to it are not timed)."""
     X = np.asarray(columns, dtype=np.float64)
     X = X if rows is None else X[rows]
     y = np.asarray(target, dtype=np.float64)
     B, (m, n) = plan.n_permutations, X.shape
     edges = _column_edges(m, n, B)
-    Xs = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1)[:, None]
+    dtype = _scoring(n)[0]
+    Xs = ((X - X.mean(axis=1, keepdims=True)) / X.std(axis=1)[:, None]).astype(dtype)
     ys = (y - y.mean()) / y.std()
-    stats_buf = np.empty(B * max(np.diff(edges)))
+    stats_buf = np.empty(B * max(np.diff(edges)), dtype)
     begin = time.perf_counter()
     targets = _shuffled(ys, plan)
-    middle = time.perf_counter()
+    draws_s = time.perf_counter() - begin
+    targets = targets.astype(dtype, copy=False)
+    begin = time.perf_counter()
     for start, stop in zip(edges, edges[1:]):
         np.matmul(Xs[start:stop], targets.T, out=stats_buf[: (stop - start) * B].reshape(-1, B))
-    end = time.perf_counter()
-    return {"draws_s": middle - begin, "product_s": end - middle, "s": end - begin}
+    product_s = time.perf_counter() - begin
+    return {"dtype": np.dtype(dtype).name, "draws_s": draws_s, "product_s": product_s,
+            "s": draws_s + product_s}
 
 
 def sweep_floor(X, Y, cutoff=None) -> dict:
@@ -224,7 +231,9 @@ def median_of(runs: list[dict]) -> dict:
     for floor in FLOORS:
         if floor in runs[0]:
             median[floor] = {key: statistics.median(run[floor][key] for run in runs)
-                             for key in runs[0][floor]}
+                             for key in runs[0][floor] if key != "dtype"}
+            if "dtype" in runs[0][floor]:
+                median[floor]["dtype"] = runs[0][floor]["dtype"]
     return median
 
 
@@ -258,7 +267,10 @@ def main() -> int:
                     continue
                 key, floor_of = CALL_FLOORS[stage]
                 parts = [floor_of(*args, **kwargs) for args, kwargs in stage_calls]
-                floor = {name: sum(part[name] for part in parts) for name in parts[0]}
+                floor = {name: sum(part[name] for part in parts) for name in parts[0]
+                         if name != "dtype"}
+                if "dtype" in parts[0]:  # the dtypes of the calls' products
+                    floor["dtype"] = ",".join(sorted({part["dtype"] for part in parts}))
                 floor[f"{stage}_over_floor"] = (
                     stages[stage]["s"] / floor["s"] if floor["s"] else math.nan)
                 run[key] = floor
