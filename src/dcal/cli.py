@@ -3,8 +3,12 @@ the bundled quartet demonstration.
 
 Every command is reproducible from its flags and seed alone.  Output files
 never embed timestamps, so identical invocations produce byte-identical
-reports.  No command starts worker threads: ``--threads`` and the
-``DCAL_THREADS`` environment variable are accepted and have no effect.
+reports.  No command starts worker threads of its own: ``--threads`` and
+the ``DCAL_THREADS`` environment variable are accepted and have no effect.
+numpy's BLAS keeps its own pool (OpenBLAS: one thread per core by default),
+which ``OPENBLAS_NUM_THREADS`` sets; reports are byte-identical at any BLAS
+thread count, since :mod:`dcal.multitest` scores permutation columns in
+blocks of a multiple of four.
 
 ``test --methods`` and ``anscombe`` score their pairs through the method
 table of :mod:`dcal.methods`, whose classical p is the one they print.

@@ -33,6 +33,12 @@ from sufficient statistics of mean-centred data: k-fold adds up the means
 and scatter of the other folds, and the bootstrap weights each replicate's
 sums by its multiplicity counts, one float array that afterwards holds the
 out-of-bag 0/1 mask.
+A row, or a shared y, whose values are all distinct cannot give a constant
+training set (it keeps at least 3 samples) or a bag of one value other than
+its first sample drawn n times, so each chunk finds its rows with a tie
+(:func:`_tied_rows`) and only those run the exact checks; for k-fold the
+tie must fill the smallest training set, one value repeated at least that
+often.
 Both phases run in blocks of rows, as many as fit the work-space budget
 ``core.CHUNK_BYTES`` (:func:`~dcal.core.units_per_block`), so their work
 space stays flat in the number of rows: a row of the classical phase is
@@ -247,11 +253,17 @@ def _constant_training(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per row: does some fold leave a training set of one repeated value?
 
     ``values`` holds raw predictor values in permutation order, folds being
-    the contiguous segments that begin at ``starts``.
+    the contiguous segments that begin at ``starts``.  The training set of
+    fold k is every other fold: its largest value is the largest fold
+    maximum, or the second largest where fold k holds the largest (equal
+    to it when two folds do), and its smallest value likewise.
     """
-    hi = _excluding_each(np.maximum.reduceat(values, starts, axis=-1), np.maximum, -np.inf)
-    lo = _excluding_each(np.minimum.reduceat(values, starts, axis=-1), np.minimum, np.inf)
-    return (hi == lo).any(axis=(1, 2))
+    hi = np.maximum.reduceat(values, starts, axis=-1)
+    lo = np.minimum.reduceat(values, starts, axis=-1)
+    top, bottom = np.sort(hi, axis=-1)[..., -2:], np.sort(lo, axis=-1)[..., :2]
+    hi_other = np.where(hi == top[..., 1:], top[..., :1], top[..., 1:])
+    lo_other = np.where(lo == bottom[..., :1], bottom[..., 1:], bottom[..., :1])
+    return (hi_other == lo_other).any(axis=(1, 2))
 
 
 def _kfold_rows(X, U, y, v, sums, scheme, seeds, work):
@@ -265,11 +277,27 @@ def _kfold_rows(X, U, y, v, sums, scheme, seeds, work):
     order = permutation_of(words)
     flat = np.add(order, (np.arange(rows) * n)[:, None, None], out=a.view(np.int64))
 
-    def permuted(values, out):  # a shared sample or one per row, in each repeat's order
-        return np.take(values, order if values.ndim == 1 else flat, out=out, mode="clip")
+    def positions(values):  # of a shared sample or of one per row, in each repeat's order
+        return order if values.ndim == 1 else flat
 
-    deg_x = _constant_training(permuted(X, b), starts)
-    deg_y = _constant_training(permuted(y, b), starts)
+    def permuted(values, out):
+        return np.take(values, positions(values), out=out, mode="clip")
+
+    # A training set of one repeated value needs that value at least as
+    # often as the smallest training set holds samples (3 or more), so only
+    # rows (or a shared y) with such a tie are permuted and scanned, their
+    # positions gathered into "up" and their values into "b"; a row whose
+    # values are all distinct never is.
+    deg_x, deg_y = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
+    for deg, values in ((deg_x, X), (deg_y, y)):
+        tied = _tied_rows(values, rows, n - sizes[0])
+        if tied.size:
+            at = positions(values)
+            if tied.size < rows:
+                at = np.take(at, tied, axis=0, mode="clip",
+                             out=work("up", shape, np.int64)[: tied.size])
+            tied_values = np.take(values, at, out=b[: tied.size], mode="clip")
+            deg[tied] = _constant_training(tied_values, starts)
 
     # Training set of fold k = every other fold.  Its sums come from each
     # fold's mean and scatter about that mean (parallel axis theorem), added
@@ -317,27 +345,35 @@ def _kfold_rows(X, U, y, v, sums, scheme, seeds, work):
     return y_hat.reshape(rows, -1), x_hat.reshape(rows, -1), deg_x, deg_y, None
 
 
-def _has_tie(values: np.ndarray) -> np.ndarray:
-    """Per sample along the last axis: do two of its values compare equal?"""
+def _tied_rows(values: np.ndarray, rows: int, count: int = 2) -> np.ndarray:
+    """Indices of the ``rows`` rows whose sample holds one value at least
+    ``count`` times (by default, two equal values); a shared sample (n,)
+    gives every row or none."""
     ordered = np.sort(values, axis=-1)
-    return (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
+    n = ordered.shape[-1]
+    tie = (ordered[..., count - 1 :] == ordered[..., : n - count + 1]).any(axis=-1)
+    return np.flatnonzero(tie) if tie.ndim else np.arange(rows if tie else 0)
 
 
-def _one_value_bags(values, counts, first):
+def _bags_of_one_value(values, counts, first):
+    """(rows, B): does every value in each bag equal its first draw's?"""
+    other = (counts > 0) & (values[..., None, :] != _gather(values, first)[..., None])
+    return ~other.any(axis=-1)
+
+
+def _one_value_bags(values, counts, first, single):
     """(rows, B): is each bag one repeated value of ``values``?
 
     ``values`` is a shared sample (n,) or one per row, ``counts`` the bags'
-    multiplicities and ``first`` each bag's first draw.  Where a row's values
-    are all distinct, that is the bag holding only its first sample, n
-    times; rows with a tie compare every bagged value with the first one.
+    multiplicities, ``first`` each bag's first draw and ``single`` whether a
+    bag holds only that sample, n times.  Where a row's values are all
+    distinct, that is the answer; rows with a tie compare every bagged
+    value with the first one.
     """
-    n = counts.shape[-1]
-    out = np.take_along_axis(counts, first[..., None], axis=-1)[..., 0] == n
-    tied = np.flatnonzero(np.broadcast_to(_has_tie(values), out.shape[:1]))
+    out = single.copy()
+    tied = _tied_rows(values, len(out))
     if tied.size:
-        sub = _rows(values, tied)
-        other = (counts[tied] > 0) & (sub[..., None, :] != _gather(sub, first[tied])[..., None])
-        out[tied] = ~other.any(axis=-1)
+        out[tied] = _bags_of_one_value(_rows(values, tied), counts[tied], first[tied])
     return out
 
 
@@ -359,8 +395,9 @@ def _bootstrap_block(streams, X, U, y, v, work):
     # one float array of multiplicities; its integer values are exact
     counts = work("b", shape)
     np.copyto(counts.reshape(-1), np.bincount(idx.ravel(), minlength=rows * B * n))
-    deg_x = _one_value_bags(X, counts, first)
-    deg_y = _one_value_bags(y, counts, first)
+    single = counts.reshape(-1)[idx[..., 0]] == n  # idx[..., 0]: each first draw, flat
+    deg_x = _one_value_bags(X, counts, first, single)
+    deg_y = _one_value_bags(y, counts, first, single)
 
     # two passes (replicate means, then centred sums): a bootstrap sample can
     # sit far from the row mean relative to its own spread.  einsum, not

@@ -29,7 +29,7 @@ from dcal import (
 )
 from dcal.core import centred_rows, units_per_block
 from dcal.methods import Rows
-from dcal.rng import Stream, derive, derive_array
+from dcal.rng import Stream, derive, derive_array, permutation_of, raw_block
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair, steep_pair
 
@@ -756,8 +756,17 @@ _SAMPLE_KINDS = ("normal", "ties", "binary", "one_off")
 
 def _sample(kind: str, stream: Stream, n: int) -> np.ndarray:
     """n values of one kind: distinct normals, normals rounded to a few
-    tied values, 0/1 values, or one value repeated but once."""
+    tied values, 0/1 values, one value repeated but once, normals with one
+    sample duplicated, or one value repeated but for up to half the samples."""
     z = stream.normals(n)
+    if kind == "duplicate":
+        z[stream.integers(1, n - 1)[0]] = z[-1]
+        return z
+    if kind == "few_off":
+        out = np.full(n, 1.5)
+        others = stream.permutation(n)[: 1 + stream.integers(1, n // 2)[0]]
+        out[others] = z[others]
+        return out
     if kind == "ties":
         return np.round(z)
     if kind == "binary":
@@ -843,6 +852,141 @@ class TestBootstrapKernel:
         with np.errstate(all="ignore"):
             count = engine._bootstrap_block(first, X, U, y, v, engine._Work())[4]
         assert ((count == 0).any(axis=1) & (missing < 0)).any()  # covered by a retry
+
+
+_TIE_KINDS = _SAMPLE_KINDS + ("duplicate", "few_off")
+
+
+class TestTiedRowsOnly:
+    """Only a row, or a shared target, with a tie runs the exact check for
+    a bag of one repeated value (two equal values) or a constant k-fold
+    training set (one value filling the smallest training set): a row whose
+    values are all distinct cannot give either."""
+
+    SCHEMES = [OosScheme.repeated_kfold(), OosScheme.boot632()]
+    CHECK = {"kfold": "_constant_training", "boot632": "_bags_of_one_value"}
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """(check, values) of every call of either exact check."""
+        seen = []
+        for name in TestTiedRowsOnly.CHECK.values():
+            def spy(values, *args, _name=name, _check=getattr(engine, name)):
+                seen.append((_name, values.copy()))
+                return _check(values, *args)
+            monkeypatch.setattr(engine, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.label)
+    def test_tie_free_battery_runs_no_exact_check(self, monkeypatch, scheme):
+        X, y = _generic_battery(7, 40, 50, 0.0)
+        seen = self._spy(monkeypatch)
+        batch = dcal_matrix(X, y, scheme, np.arange(40))
+        assert seen == []
+        assert not any(batch.errors)
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda scheme: scheme.label)
+    def test_one_binary_row_runs_it_alone(self, monkeypatch, scheme):
+        # 47 zeros: enough for a k-fold training set of 45 samples
+        X, y = _generic_battery(7, 40, 50, 0.0)
+        X[4] = 0.0
+        X[4, [3, 17, 30]] = 1.0
+        seen = self._spy(monkeypatch)
+        dcal_matrix(X, y, scheme, np.arange(40))
+        assert seen  # once, or once per coverage retry of the row
+        for name, values in seen:
+            assert name == self.CHECK[scheme.kind]
+            assert values.shape[0] == 1  # the 0/1 row, in each repeat's order for k-fold
+            assert np.array_equal(np.sort(values.reshape(-1, 50), axis=-1),
+                                  np.sort(np.broadcast_to(X[4], (values.size // 50, 50)), axis=-1))
+
+    def test_kfold_skips_a_tie_shorter_than_a_training_set(self, monkeypatch):
+        # a balanced 0/1 row has ties, but no value fills 45 of 50 samples
+        X, y = _generic_battery(7, 40, 50, 0.0)
+        X[4] = np.arange(50) % 2
+        X[5] = 0.0
+        X[5, 45:] = 1.0  # 45 zeros: just enough
+        seen = self._spy(monkeypatch)
+        dcal_matrix(X, y, OosScheme.repeated_kfold(), np.arange(40))
+        assert len(seen) == 1 and np.array_equal(np.sort(seen[0][1], axis=None),
+                                                 np.sort(np.tile(X[5], 10)))
+
+    @staticmethod
+    def _full_scan(values, scheme, seeds, n):
+        """Per row: does some fold, in some repeat's order, leave a training
+        set of one repeated value?  Every row, repeat and fold, one by one."""
+        sizes, starts = engine._kfold_layout(n, scheme)
+        keys = np.arange(scheme.repeats)
+        order = permutation_of(raw_block(derive_array(seeds[:, None], keys), n))
+        out = []
+        for j, row_order in enumerate(order):
+            row = values if values.ndim == 1 else values[j]
+            out.append(any(
+                np.ptp(np.delete(row[perm], np.arange(start, start + size))) == 0.0
+                for perm in row_order for start, size in zip(starts, sizes)
+            ))
+        return np.array(out)
+
+    def test_kfold_tie_that_just_fills_a_training_set(self):
+        # 7 samples in folds of 3, 2 and 2 leave training sets of 4 or 5: a
+        # value held 4 times gives a constant one when the other three
+        # samples make up the fold of 3 (1 in 35 permutations)
+        n, scheme = 7, OosScheme.repeated_kfold(3, 10)
+        X = np.tile([1.5, -1.0, 1.5, 0.25, 1.5, 2.0, 1.5], (40, 1))
+        y = Stream(3).normals(n)
+        U, v, sums = centred_rows(X, y)
+        seeds = np.arange(40, dtype=np.uint64)
+        with np.errstate(all="ignore"):
+            deg_x = engine._kfold_rows(X, U, y, v, sums, scheme, seeds, engine._Work())[2]
+        assert deg_x.any() and not deg_x.all()
+        assert np.array_equal(deg_x, self._full_scan(X, scheme, seeds, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2 ** 64 - 1),
+        n=st.one_of(st.sampled_from([4, 5, 7]), st.integers(6, 40)),
+        kind=st.sampled_from(["kfold", "boot632"]),
+        per_row_y=st.booleans(),
+    )
+    def test_equals_the_scan_of_every_row(self, data, seed, n, kind, per_row_y):
+        # 0/1, few-valued and one-off rows and targets, one value filling
+        # from half to all but one of the samples (about as many as a
+        # training set holds), and normals with one sample duplicated: a tie
+        # that a bag, but no training set, can be made of
+        x_kinds = data.draw(st.lists(st.sampled_from(_TIE_KINDS), min_size=1, max_size=8))
+        y_kinds = (
+            [data.draw(st.sampled_from(_TIE_KINDS)) for _ in x_kinds] if per_row_y
+            else data.draw(st.sampled_from(_TIE_KINDS))
+        )
+        X, y, U, v, sums, seeds = _bootstrap_inputs(seed, x_kinds, y_kinds, n)
+        with np.errstate(all="ignore"):
+            if kind == "kfold":
+                valid = [k for k in range(2, min(10, n) + 1) if n - -(-n // k) >= 3]
+                scheme = OosScheme.repeated_kfold(data.draw(st.sampled_from(valid)),
+                                                  data.draw(st.integers(1, 3)))
+                deg_x, deg_y = engine._kfold_rows(X, U, y, v, sums, scheme, seeds,
+                                                  engine._Work())[2:4]
+                assert np.array_equal(deg_x, self._full_scan(X, scheme, seeds, n))
+                assert np.array_equal(deg_y, self._full_scan(y, scheme, seeds, n))
+            else:  # the frozen kernel compares every bagged value of every row
+                scheme = OosScheme.boot632(data.draw(st.integers(1, 30)))
+                _same_bits(engine._boot632_rows(X, U, y, v, sums, scheme, seeds, engine._Work()),
+                           pairwise_reference.boot632_rows(X, U, y, v, sums, scheme, seeds))
+        # every row of the battery is its one-row test
+        batch = dcal_matrix(X, y, scheme, seeds)
+        for j in range(len(x_kinds)):
+            target = y[j] if per_row_y else y
+            want, want_error = _outcome(
+                lambda: dcal_test(DataPair(X[j], target), scheme=scheme.reseeded(seeds[j]))
+            )
+            got_error = batch.errors[j]
+            assert want_error == (None if got_error is None else (type(got_error), str(got_error)))
+            if want is not None:
+                assert (want.r, want.p, want.r_dcal, want.p_dcal) == (
+                    batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j])
+                assert (want.sign_flip_triggered, want.skipped_by_fast_flag) == (
+                    batch.sign_flip[j], batch.skipped[j])
 
 
 class TestChunkMemory:

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_2.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20
+        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20,sim-oos-x10
 
 Each side is a clean copy of the committed files of a revision (``git
 archive``), or of the working tree when ``--head`` is left out (tracked and
@@ -15,7 +15,7 @@ another benchmark seed than ``--seed``.  Afterwards each side gets one
 traced run (``--trace 1``) of every workload at ``--seed`` for the
 per-layer metrics.
 
-Two cases are not benchmark workloads but scaled runs of one ``dcal``
+Three cases are not benchmark workloads but scaled runs of one ``dcal``
 command in a fresh interpreter of each copy, in the same alternating pairs:
 
 - ``screen-20000x200`` writes a 20,000 x 200 features x samples CSV from
@@ -25,7 +25,11 @@ command in a fresh interpreter of each copy, in the same alternating pairs:
 - ``sim-null-x20`` runs ``dcal simulate`` on each copy's
   ``benchmarks/configs/sim-null.cfg`` at 20 repetitions and ``--seed``: the
   benchmark's null battery, long enough that its permutation and
-  calibration kernels outweigh the interpreter's start-up.
+  calibration kernels outweigh the interpreter's start-up;
+- ``sim-oos-x10`` runs ``dcal simulate`` on each copy's
+  ``src/dcal/fixtures/fig2.cfg`` (the benchmark's ``sim-oos``) at 10
+  repetitions and ``--seed``: the loo, cv10x10 and boot632 out-of-sample
+  steps over 100 columns, ten times over.
 
 Their metrics are the wall time of the command and the child's peak
 resident memory (VmHWM); the output also says, per scaled case, whether
@@ -64,12 +68,18 @@ SHAPES = {
     "sim-outlier": {"n": 100, "m": 9, "scheme": "loo"},
     "screen-20000x200": {"n": 200, "m": 19999, "scheme": "loo"},
     "sim-null-x20": {"n": 50, "m": 1000, "scheme": "loo"},
+    "sim-oos-x10": {"n": 50, "m": 100, "scheme": "loo,cv10x10,boot632"},
 }
 
 BETTER = {"tests_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 SCALED_SCREEN = "screen-20000x200"
-SCALED_CASES = (SCALED_SCREEN, "sim-null-x20")
+# scaled simulate case -> its config, as a path within a copy, and repetitions
+SCALED_SIMULATE = {
+    "sim-null-x20": ("benchmarks/configs/sim-null.cfg", 20),
+    "sim-oos-x10": ("src/dcal/fixtures/fig2.cfg", 10),
+}
+SCALED_CASES = (SCALED_SCREEN, *SCALED_SIMULATE)
 SCALED_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 # runs the dcal command line once; prints its exit code, wall seconds and
@@ -109,9 +119,10 @@ def scaled_command(case: str, copy: Path, matrix: Path, seed: int) -> tuple[list
         return ["screen", "--matrix", str(matrix), "--target", "TARGET", "--scheme", "loo",
                 "--corrections", "holm,bh,perm_max", "--permutations", "199",
                 "--output", str(report)], [report]
+    config, repetitions = SCALED_SIMULATE[case]
     report = copy / "scaled-report"
-    return ["simulate", "--config", str(copy / "benchmarks" / "configs" / "sim-null.cfg"),
-            "--repetitions", "20", "--seed", str(seed), "--output", str(report)], [
+    return ["simulate", "--config", str(copy / config), "--repetitions", str(repetitions),
+            "--seed", str(seed), "--output", str(report)], [
         report.with_suffix(".csv"), report.with_suffix(".json")]
 
 

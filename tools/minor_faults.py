@@ -35,6 +35,14 @@ seconds to that floor.  The product runs in the dtype the kernel scores
 blocks of that n in (float32 up to ``multitest._FLOAT32_MAX_SAMPLES``
 samples, float64 above), and the floor names it as ``dtype``.
 
+A workload that runs the k-fold or bootstrap out-of-sample step
+(``calibration_phase.kfold``, ``calibration_phase.boot632``) gets the floor
+of its draws: on each call's seeds and in its chunks of the rows that run,
+the seconds of ``raw_block`` (every row's words) plus ``permutation_of``
+(k-fold: one permutation per repeat) or ``integers_of`` (bootstrap: each
+replicate's sample indices), without the coverage retries, and the ratio of
+the stage's seconds to that floor.
+
 A workload that calls ``skipped_rows`` gets the floor of the projection
 sweep the same way: on each call's pairs and in its blocks, the seconds of
 the (pairs, n, n) projection product and of its two ``np.sort`` calls (of
@@ -43,7 +51,7 @@ and the ratio of ``skipped_rows``'s seconds to that floor.
 
 The output is one JSON line: per run the wall seconds and faults of the
 whole call and, per stage, its calls, seconds and faults (and the ingest,
-permutation and sweep floors); then the median of each over the runs.
+permutation, draws and sweep floors); then the median of each over the runs.
 """
 
 from __future__ import annotations
@@ -67,14 +75,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import dcal  # noqa: E402
-from dcal import cli, core, robust, simulate  # noqa: E402
+from dcal import cli, core, engine, robust, simulate  # noqa: E402
 from dcal.multitest import _column_edges, _scoring, _shuffled  # noqa: E402
+from dcal.rng import derive_array, integers_of, permutation_of, raw_block  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
           "load_matrix", "write_report")
 METHOD_STAGES = (simulate.ExperimentReport, ("write_csv", "write_json"))
-FLOORS = ("ingest_floor", "permutation_floor", "sweep_floor")
+FLOORS = ("ingest_floor", "permutation_floor", "kfold_draws_floor", "boot632_draws_floor",
+          "sweep_floor")
 
 
 def minor_faults() -> int:
@@ -83,7 +93,8 @@ def minor_faults() -> int:
 
 class Recorder:
     """Calls, seconds and faults per stage since the last :meth:`take`, and
-    the arguments of each call of a stage in ``CALL_FLOORS``."""
+    the arguments of each call of a stage in ``CALL_FLOORS`` (a
+    ``calibration_phase`` stage is named after its scheme kind)."""
 
     def __init__(self):
         self.stages: dict[str, dict] = {}
@@ -96,8 +107,8 @@ class Recorder:
             if name == "calibration_phase":
                 scheme = args[1] if len(args) > 1 else kwargs["scheme"]
                 stage = f"{name}.{scheme.kind}"
-            if name in self.calls:
-                self.calls[name].append((args, kwargs))
+            if stage in self.calls:
+                self.calls[stage].append((args, kwargs))
             faults, start = minor_faults(), time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -175,6 +186,36 @@ def permutation_floor(columns, target, plan, rows=None) -> dict:
             "s": draws_s + product_s}
 
 
+def draws_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
+    """Seconds of the resampling draws of one k-fold or bootstrap
+    ``calibration_phase`` call, in that call's chunks of the rows that run:
+    ``raw_block`` of every row's words, then ``permutation_of`` (k-fold) or
+    ``integers_of`` (bootstrap).  Coverage retries are left out."""
+    X, _, r, p, _ = classical
+    n = X.shape[1]
+    tested = ~np.isnan(r)
+    run = np.flatnonzero(tested & (p < alpha) if fast else tested)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    keys = np.arange(scheme.repeats if scheme.kind == "kfold" else scheme.replicates)
+    step = core.units_per_block(engine._row_bytes(scheme, n))
+    raw_s = indices_s = 0.0
+    for start in range(0, run.size, step):
+        streams = derive_array(seeds[run[start : start + step], None], keys)
+        words = np.empty(streams.shape + (n,), np.uint64)
+        temp = np.empty_like(words)
+        begin = time.perf_counter()
+        raw_block(streams, n, words, temp)
+        middle = time.perf_counter()
+        if scheme.kind == "kfold":
+            permutation_of(words)
+        else:
+            integers_of(words, n, words.view(np.int64), temp.view(np.float64))
+        end = time.perf_counter()
+        raw_s += middle - begin
+        indices_s += end - middle
+    return {"raw_block_s": raw_s, "indices_s": indices_s, "s": raw_s + indices_s}
+
+
 def sweep_floor(X, Y, cutoff=None) -> dict:
     """Seconds of the (pairs, n, n) projection product and its two
     ``np.sort`` calls of one ``skipped_rows`` call, in that call's blocks."""
@@ -206,6 +247,8 @@ def sweep_floor(X, Y, cutoff=None) -> dict:
 # stage -> (the run's key for its floor, the floor of one call from its arguments)
 CALL_FLOORS = {
     "permutation_pvalues": ("permutation_floor", permutation_floor),
+    "calibration_phase.kfold": ("kfold_draws_floor", draws_floor),
+    "calibration_phase.boot632": ("boot632_draws_floor", draws_floor),
     "skipped_rows": ("sweep_floor", sweep_floor),
 }
 
