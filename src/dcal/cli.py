@@ -8,7 +8,8 @@ the ``DCAL_THREADS`` environment variable are accepted and have no effect.
 numpy's BLAS keeps its own pool (OpenBLAS: one thread per core by default),
 which ``OPENBLAS_NUM_THREADS`` sets; reports are byte-identical at any BLAS
 thread count, since :mod:`dcal.multitest` scores permutation columns in
-blocks of a multiple of four.
+blocks of a multiple of four.  ``python -m dcal`` and ``python -m dcal.cli``
+run :func:`entry`.
 
 ``test --methods`` and ``anscombe`` score their pairs through the method
 table of :mod:`dcal.methods`, whose classical p is the one they print.
@@ -445,3 +446,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

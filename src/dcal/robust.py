@@ -11,9 +11,11 @@ MAD collapses to zero.
 The projections are held one direction per row, so each direction's
 values lie along the contiguous last axis; the medians are read off one
 ``np.sort`` of all rows (the midpoint of the two middle values for an even
-count, which is ``np.median``'s arithmetic), and the MADs off a second sort
-of the absolute deviations, made in place in the first sort's array.
-``np.percentile`` runs only for the rare directions whose MAD is zero.
+count, which is ``np.median``'s arithmetic), and so are the MADs: the
+smallest deviations from a median lie in one window of its sorted row,
+which a bisection over all rows at once finds (:func:`_sorted_mad`), so
+the deviations are never formed or sorted.  ``np.percentile`` runs only
+for the rare directions whose MAD is zero.
 
 :func:`skipped_rows` scores many pairs at once: the sweep runs over blocks
 of as many pairs as fit the work-space budget ``core.CHUNK_BYTES``, one
@@ -55,10 +57,10 @@ _MIN_SAMPLES = 10
 # bytes charged per value of a block's (pairs, n, n) projection array, 6
 # pairs at n = 100 and 72 at n = 30: a warm ``_sweep`` call's traced peak
 # was 18.9 and 20.7 bytes per value there.  On a 2-core Xeon (4 MB L2 per
-# core), best of 15 runs at n = 100: the pair loop took 101 us per pair,
-# blocks of 3, 6 and 12 pairs 73, 68 and 72 us, and one block of 120 pairs
-# 99 us, its arrays being 9.6 MB each; at n = 30 the loop took 40 us and
-# blocks of 72 pairs 8.
+# core), best of 15 runs at n = 100: the pair loop took 94 us per pair,
+# blocks of 3, 6 and 12 pairs 57, 47 and 47 us, and one block of 120 pairs
+# 71 us, its arrays being 9.6 MB each; at n = 30 the loop took 55 us and
+# blocks of 72 pairs 6.
 _PROJECTION_BYTES = 20
 
 
@@ -95,6 +97,65 @@ def _sorted_median(values: np.ndarray) -> np.ndarray:
     return (values[..., half - 1] + values[..., half]) / 2.0
 
 
+def _sorted_mad(values: np.ndarray, medians: np.ndarray) -> np.ndarray:
+    """Median absolute deviations of values sorted along the last axis
+    from their ``medians``: bit for bit the :func:`_sorted_median` of the
+    sorted ``|values - medians|``, without forming or sorting them.
+
+    Along a sorted row s with median m the deviations fall and then rise,
+    so the ``h + 1`` smallest (``h = n // 2``) fill one window
+    ``s[i : i + h + 1]``.  Its start i is the number of starts j that the
+    window leaves behind, those with ``m - s[j] > s[j + h + 1] - m``; that
+    test holds on a prefix of the starts, so one bisection over every row
+    at once finds i.  Its first probe is placed so that every later one
+    stays in the row.  The window's larger end deviation is the
+    (h + 1)-th smallest, the MAD of an odd count; for an even count the
+    h-th smallest is the window's second largest, the larger of its
+    smaller end and its two inner values, and the MAD is their midpoint.
+
+    Each deviation is the float the sort form takes (``fl(m - s) =
+    -fl(s - m)``).  A NaN, which both sorts put last, fails the test and so
+    counts as the farthest value; a finite median leaves at least h + 1
+    values that are not NaN, so no window holds one.  A row whose median
+    is not finite, whose deviations need not fall and rise (a median that
+    overflows to -inf makes those of its -inf values NaN), goes through the
+    deviation sort instead.
+    """
+    n = values.shape[-1]
+    half, odd = divmod(n, 2)
+    span = half + 1
+    flat = values.reshape(-1)
+    centre = medians.reshape(-1)
+    start = np.arange(0, flat.size, n)  # each row's window start, as a flat index
+    behind = n - span  # the starts j a window can leave behind: 0 <= j < behind
+    step = 1 << (behind.bit_length() - 1)
+    probe, shift = behind - step, behind - step + 1
+    while shift:
+        ahead = centre - flat[probe:][start] > flat[probe + span :][start] - centre
+        start += ahead * shift
+        step //= 2
+        probe, shift = step - 1, step
+
+    def deviation(offset):  # of each row's window value at this offset
+        picked = flat[offset:][start]
+        picked -= centre
+        return np.abs(picked, out=picked)
+
+    low, high = deviation(0), deviation(half)
+    mads = np.maximum(low, high)
+    if not odd:  # the second largest, in low, and the midpoint
+        np.minimum(low, high, out=low)
+        np.maximum(low, deviation(1), out=low)
+        np.maximum(low, deviation(half - 1), out=low)
+        mads += low
+        mads /= 2.0
+    wild = ~np.isfinite(centre)
+    if wild.any():
+        rows = values.reshape(-1, n)[wild]
+        mads[wild] = _sorted_median(np.sort(np.abs(rows - centre[wild, None])))
+    return mads.reshape(medians.shape)
+
+
 def _sweep(X: np.ndarray, Y: np.ndarray, cutoff: float) -> tuple[np.ndarray, list]:
     """The flags of the projection sweep over each pair of rows
     ``(X[i], Y[i])``, (k, n), and each pair's error (None where it ran).
@@ -116,11 +177,8 @@ def _sweep(X: np.ndarray, Y: np.ndarray, cutoff: float) -> tuple[np.ndarray, lis
 
     projections = directions @ centered  # (k, n anchors, n points)
     work = np.sort(projections)
-    medians = np.array(_sorted_median(work))  # a copy: the MAD overwrites work
-    np.subtract(work, medians[..., None], out=work)
-    np.abs(work, out=work)
-    work.sort()
-    scales = _sorted_median(work) / _MAD_TO_SIGMA
+    medians = _sorted_median(work)
+    scales = _sorted_mad(work, medians) / _MAD_TO_SIGMA
     flat = scales == 0.0
     any_flat = flat.any()
     if any_flat:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from importlib import resources
@@ -740,6 +742,70 @@ class TestMain:
             cli.entry()
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == "error: y has zero variance\n"
+
+    @pytest.mark.parametrize("module", ["dcal", "dcal.cli"])
+    @pytest.mark.parametrize("argv, code", [
+        (["test", "--x", "1,2,3,4,5", "--y", "2,1,4,3,5"], 0), (["test", "--bogus"], 2),
+    ])
+    def test_module_runs_exit_with_the_status_of_main(self, module, argv, code):
+        done = _run_module(module, argv)
+        assert done.returncode == code
+        assert ("p_dcal" in done.stdout) if code == 0 else ("--bogus" in done.stderr)
+
+
+def _run_module(module, argv, **env):
+    """``python -m module *argv`` in a fresh interpreter of this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", module, *map(str, argv)], env=env,
+                          capture_output=True, text=True)
+
+
+def _tied_matrix(tmp_path, n, n_features=37, seed=11):
+    """A features x samples CSV of a few integer levels, so nearly every
+    value is tied, with a target row and a feature count no multiple of four."""
+    rng = np.random.default_rng(seed)
+    target = rng.integers(0, 3, n)
+    rows = [("target", target)] + [
+        (f"f{j:02d}", np.clip(target * (j % 2) + rng.integers(-1, 2, n), 0, 3))
+        for j in range(n_features)
+    ]
+    path = tmp_path / f"tied{n}.csv"
+    path.write_text("id," + ",".join(f"s{i}" for i in range(n)) + "\n" + "".join(
+        name + "," + ",".join(map(str, row.tolist())) + "\n" for name, row in rows))
+    return path
+
+
+class TestBlasThreads:
+    """Reports are byte-identical at any BLAS thread count: the products that
+    run through BLAS (the permutation blocks and observed statistics, the
+    sweep's stacked projection product, the least-squares fits) give every
+    row the same bits whatever OpenBLAS's pool.  The pool's size is read at
+    import, so each count runs in fresh interpreters."""
+
+    def test_reports_identical_at_one_and_three_threads(self, tmp_path):
+        fig6 = resources.files("dcal.fixtures").joinpath("fig6.cfg")
+        sim_null = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "sim-null.cfg"
+        commands = [
+            ["simulate", "--config", fig6, "--repetitions", "30", "--output", "fig6"],
+            ["simulate", "--config", sim_null, "--repetitions", "1", "--output", "null"],
+        ]
+        # perm_max on each side of the float32 scoring limit
+        for n in (multitest._FLOAT32_MAX_SAMPLES - 4, multitest._FLOAT32_MAX_SAMPLES + 6):
+            commands.append(["screen", "--matrix", _tied_matrix(tmp_path, n), "--target", "target",
+                             "--corrections", "holm,perm_max", "--permutations", "199",
+                             "--output", f"screen{n}.csv"])
+        reports = {}
+        for threads in ("1", "3"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            for argv in commands:
+                argv = argv[:-1] + [out / argv[-1]]
+                done = _run_module("dcal", argv, OPENBLAS_NUM_THREADS=threads)
+                assert done.returncode == 0, done.stderr
+            reports[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert len(reports["1"]) == 6
+        assert reports["1"] == reports["3"]
 
 
 class TestWorkSpaceBudget:

@@ -254,6 +254,17 @@ def _shaped(kind, n, seed):
         return x, np.round(x + rng.standard_normal(n), 1)
     if kind == "integers":
         return rng.integers(-3, 4, (2, n)).astype(float)
+    if kind == "huge":  # centred coordinates overflow: projections of +-inf and NaN
+        levels = [-1.7e308, -1e308, -1.0, 0.0, 1.0, 1e308, 1.7e308]
+        return rng.choice(levels, (2, n)) * rng.uniform(0.5, 1.0, (2, n))
+    if kind == "limit":  # along the diagonal most points project near -1.7e308
+        x, y = rng.uniform(0.5, 2.0, (2, n))
+        k = 45 * n // 100
+        x[:k] = -1.7e308 * rng.uniform(0.9, 1.0, k)
+        y[k : 2 * k] = -1.7e308 * rng.uniform(0.9, 1.0, k)
+        x[2 * k : 2 * k + 2] = y[2 * k : 2 * k + 2] = -1.7e308
+        order = rng.permutation(n)
+        return x[order], y[order]
     assert kind == "offset"
     return rng.standard_normal(n) + 1e8, rng.standard_normal(n) * 1e-3 - 1e9
 
@@ -335,11 +346,64 @@ class TestBlockedSweep:
         X, Y = (np.array(coord) for coord in zip(*pairs))
         self._check(X, Y, cutoff)
 
+    @pytest.mark.parametrize("n", [10, 11, 99, 100, 101])
+    def test_pairs_near_the_float_limit(self, n):
+        # rows of NaN beside values, and medians of +-inf (at even n, a
+        # median of -inf beside -inf values), which take the deviation sort;
+        # mixed with ordinary pairs in every block
+        layout = ["huge", "limit", "contaminated", "huge", "centre", "limit", "huge", "ties"]
+        pairs = [_shaped(kind, n, 5 * k + n) for k, kind in enumerate(layout)]
+        X, Y = (np.array(coord) for coord in zip(*pairs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._check(X, Y)
+
     def test_short_pairs_fail_every_row(self):
         X = np.arange(27.0).reshape(3, 9)
         batch = skipped_rows(X, X[::-1] ** 2)
         assert all(isinstance(error, InsufficientDataError) for error in batch.errors)
         assert len({id(error) for error in batch.errors}) == 3
+
+
+@st.composite
+def _sorted_rows(draw):
+    """Rows sorted along the last axis: tie-heavy, 0/1, few-valued or
+    continuous, at tiny or huge scales, some all NaN (an anchor on its
+    pair's median centre) and some holding NaN, +-inf or values near the
+    float limit beside ordinary ones (centred coordinates that overflow)."""
+    n = draw(st.integers(10, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 6)), n)
+    kind = draw(st.sampled_from(["normal", "ties", "binary", "few", "nonfinite", "limit"]))
+    if kind == "normal":
+        values = rng.standard_normal(shape)
+    elif kind == "ties":
+        values = np.round(rng.standard_normal(shape), 1)
+    elif kind == "binary":
+        values = rng.integers(0, 2, shape).astype(float)
+    elif kind == "few":
+        values = rng.choice(rng.standard_normal(3), shape)
+    elif kind == "limit":  # even-count medians that overflow to -inf beside -inf values
+        levels = [-np.inf, -1.7e308, -1.2e308, 1.0, np.inf, np.nan]
+        values = rng.choice(levels, shape, p=[0.1, 0.3, 0.3, 0.2, 0.05, 0.05])
+    else:
+        values = rng.standard_normal(shape)
+        odd = rng.random(shape) < rng.random((shape[0], 1))
+        values[odd] = rng.choice([np.nan, -np.inf, np.inf, -1.7e308, 1.7e308, -0.0], odd.sum())
+    with np.errstate(over="ignore"):
+        values = values * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    values[rng.random(shape[0]) < 0.2] = np.nan
+    return np.sort(values)
+
+
+class TestSortedMad:
+    @settings(max_examples=200, deadline=None)
+    @given(values=_sorted_rows())
+    def test_equals_the_deviation_sort(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            medians = robust._sorted_median(values)
+            want = robust._sorted_median(np.sort(np.abs(values - medians[:, None])))
+            got = robust._sorted_mad(values, medians)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSkipped:

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_2.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20,sim-oos-x10
+        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20,sim-oos-x10,sim-outlier-x5
 
 Each side is a clean copy of the committed files of a revision (``git
 archive``), or of the working tree when ``--head`` is left out (tracked and
@@ -15,7 +15,7 @@ another benchmark seed than ``--seed``.  Afterwards each side gets one
 traced run (``--trace 1``) of every workload at ``--seed`` for the
 per-layer metrics.
 
-Three cases are not benchmark workloads but scaled runs of one ``dcal``
+Four cases are not benchmark workloads but scaled runs of one ``dcal``
 command in a fresh interpreter of each copy, in the same alternating pairs:
 
 - ``screen-20000x200`` writes a 20,000 x 200 features x samples CSV from
@@ -29,7 +29,11 @@ command in a fresh interpreter of each copy, in the same alternating pairs:
 - ``sim-oos-x10`` runs ``dcal simulate`` on each copy's
   ``src/dcal/fixtures/fig2.cfg`` (the benchmark's ``sim-oos``) at 10
   repetitions and ``--seed``: the loo, cv10x10 and boot632 out-of-sample
-  steps over 100 columns, ten times over.
+  steps over 100 columns, ten times over;
+- ``sim-outlier-x5`` runs ``dcal simulate`` on each copy's
+  ``src/dcal/fixtures/fig6.cfg`` (the benchmark's ``sim-outlier``) at 500
+  repetitions and ``--seed``: the outlier suite's skipped correlations,
+  five times the benchmark's run.
 
 Their metrics are the wall time of the command and the child's peak
 resident memory (VmHWM); the output also says, per scaled case, whether
@@ -69,6 +73,7 @@ SHAPES = {
     "screen-20000x200": {"n": 200, "m": 19999, "scheme": "loo"},
     "sim-null-x20": {"n": 50, "m": 1000, "scheme": "loo"},
     "sim-oos-x10": {"n": 50, "m": 100, "scheme": "loo,cv10x10,boot632"},
+    "sim-outlier-x5": {"n": 100, "m": 9, "scheme": "loo"},
 }
 
 BETTER = {"tests_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
@@ -78,6 +83,7 @@ SCALED_SCREEN = "screen-20000x200"
 SCALED_SIMULATE = {
     "sim-null-x20": ("benchmarks/configs/sim-null.cfg", 20),
     "sim-oos-x10": ("src/dcal/fixtures/fig2.cfg", 10),
+    "sim-outlier-x5": ("src/dcal/fixtures/fig6.cfg", 500),
 }
 SCALED_CASES = (SCALED_SCREEN, *SCALED_SIMULATE)
 SCALED_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
