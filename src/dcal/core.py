@@ -3,6 +3,9 @@
 Pearson correlation and leave-one-out prediction each have one row-wise
 kernel: every row of a matrix against a shared sample or against its own
 row.  The single-pair functions are one-row calls of those kernels.
+Pearson's, :func:`classical_rows`, centres in row blocks of ``_CENTRE_BYTES``
+(defined here) per sample and has the one error rule; :func:`pearson_rows`,
+``engine.classical_phase`` and skipped correlation call it too.
 
 All operations are pure functions of immutable inputs.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, InsufficientDataError, NumericRangeError
+from .errors import DegenerateVarianceError, InsufficientDataError, NumericRangeError, raise_first
 from .special import student_t_sf_two_sided_rows
 
 __all__ = [
@@ -233,16 +236,36 @@ def t_pvalues(r: np.ndarray, one_minus_r2: np.ndarray, df) -> np.ndarray:
     return p
 
 
-def correlation_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson r and 1 - r**2 of every row of ``X`` against ``y``.
+# bytes per sample of a row whose centred sums :func:`classical_rows` forms
+# in one block: the traced peak of centred_rows, 24 with a shared target and
+# 32 with one per row (the centred rows, their first pass and the products)
+_CENTRE_BYTES = 33
 
-    The shapes are those of :func:`pearson_rows`; a row whose centred sums
-    leave the float64 range gets NaN for both.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows give NaN
-        return correlation_from_sums(*centred_rows(X, y)[2])
+
+def classical_rows(X: np.ndarray, y: np.ndarray, errors) -> tuple[np.ndarray, np.ndarray, list]:
+    """Pearson r and 1 - r**2 of every row of ``X`` (m, n) against ``y``, (n,)
+    or (m, n), and each row's error: its pair error from ``errors`` (None
+    for a valid pair), else :func:`range_error` where its centred sums leave
+    the float64 range.  A row in error gets NaN for both numbers.  The rows
+    are centred (:func:`centred_rows`) in blocks of ``_CENTRE_BYTES`` per
+    sample, which keep only their sums."""
+    m = X.shape[0]
+    r, rest = np.empty(m), np.empty(m)
+    step = units_per_block(_CENTRE_BYTES * X.shape[1])
+    # sums that overflow are row errors (NaN r), not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, step):
+            at = slice(start, start + step)
+            sums = centred_rows(X[at], y if y.ndim == 1 else y[at])[2]
+            r[at], rest[at] = correlation_from_sums(*sums)
+    errors = list(errors)
+    for k in np.flatnonzero(np.isnan(r)).tolist():
+        if errors[k] is None:
+            errors[k] = range_error()
+    if errors.count(None) < m:
+        failed = [k for k, error in enumerate(errors) if error is not None]
+        r[failed] = rest[failed] = np.nan
+    return r, rest, errors
 
 
 def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -256,21 +279,22 @@ def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     :class:`DataPair` for the conditions the statistic needs.  A row whose
     centred sums leave the float64 range gets NaN for r and p.
     """
-    r, one_minus_r2 = correlation_rows(X, y)
-    return r, t_pvalues(r, one_minus_r2, np.shape(X)[-1] - 2)
+    X = np.asarray(X, dtype=np.float64)
+    r, one_minus_r2, _ = classical_rows(X, np.asarray(y, dtype=np.float64), [None] * len(X))
+    return r, t_pvalues(r, one_minus_r2, X.shape[-1] - 2)
 
 
 def pearson(pair: DataPair) -> CorrelationResult:
     """Pearson correlation with the exact two-sided t-test p-value
-    (:func:`pearson_rows` on one row).
+    (:func:`classical_rows` on one row).
 
     Raises :class:`~dcal.errors.NumericRangeError` when the centred sums of
     squares of the pair leave the float64 range, e.g. for a value near
     +-1e308 among ordinary ones.
     """
-    r, p = pearson_rows(pair.x[None, :], pair.y)
-    if math.isnan(r[0]):
-        raise range_error()
+    r, one_minus_r2, errors = classical_rows(pair.x[None, :], pair.y, [None])
+    raise_first(errors)
+    p = t_pvalues(r, one_minus_r2, pair.n - 2)
     return CorrelationResult(r=float(r[0]), p=float(p[0]), n=pair.n, df=pair.n - 2)
 
 
@@ -289,7 +313,8 @@ def ols_fit(predictor, response) -> OlsFit:
     xbar = x.mean()
     xc = x - xbar
     sxx = float(np.dot(xc, xc))
-    if sxx == 0.0:
+    # a constant sample need not centre to zeros, and a tiny spread can square to 0
+    if np.maximum.reduce(x) == np.minimum.reduce(x) or sxx == 0.0:
         raise DegenerateVarianceError("predictor has zero variance")
     ybar = y.mean()
     slope = float(np.dot(xc, y - ybar)) / sxx

@@ -23,16 +23,15 @@ Three out-of-sample schemes are supported:
 :func:`dcal_matrix` runs the whole test for every row of a matrix against a
 shared y, or against one y per row, with array operations; :func:`dcal_test`
 and :func:`oos_predict` are its one-row calls.  It is :func:`classical_phase`
-(r, p and each row's error, from centred sums formed block by block) then
-:func:`calibration_phase` (fast guard, out-of-sample step, calibrated
-correlation); the methods of :mod:`dcal.methods` share one classical phase
-per row set, and a comparison of schemes calibrates one per scheme.  Neither
-phase keeps centred copies of the rows: each block centres its own.
-Each training set is fitted
-from sufficient statistics of mean-centred data: k-fold adds up the means
-and scatter of the other folds, and the bootstrap weights each replicate's
-sums by its multiplicity counts, one float array that afterwards holds the
-out-of-bag 0/1 mask.
+(Pearson's one kernel, :func:`~dcal.core.classical_rows`, and its t tail: r, p
+and each row's error) then :func:`calibration_phase` (fast guard, out-of-sample
+step, calibrated correlation); the methods of :mod:`dcal.methods` share one
+classical phase per row set, and a comparison of schemes calibrates one per
+scheme.  Neither phase keeps centred copies of the rows: each block centres its
+own.  Each training set is fitted from sufficient statistics of mean-centred
+data: k-fold adds up the means and scatter of the other folds, and the
+bootstrap weights each replicate's sums by its multiplicity counts, one float
+array that afterwards holds the out-of-bag 0/1 mask.
 A row, or a shared y, whose values are all distinct cannot give a constant
 training set (it keeps at least 3 samples) or a bag of one value other than
 its first sample drawn n times, so each chunk finds its rows with a tie
@@ -42,10 +41,10 @@ often.
 Both phases run in blocks of rows, as many as fit the work-space budget
 ``core.CHUNK_BYTES`` (:func:`~dcal.core.units_per_block`), so their work
 space stays flat in the number of rows: a row of the classical phase is
-charged ``_CENTRE_BYTES`` per sample, and a row of the out-of-sample step
-:func:`_row_bytes`.  The out-of-sample step allocates its large arrays once
-per call and every chunk writes into them.  Each phase ends with one t-tail
-call for all its rows.
+charged ``core._CENTRE_BYTES`` per sample, and a row of the out-of-sample
+step :func:`_row_bytes`.  The out-of-sample step allocates its large arrays
+once per call and every chunk writes into them.  Each phase ends with one
+t-tail call for all its rows.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from .core import (
     centred,
     centred_rows,
     centred_sums,
+    classical_rows,
     correlation_from_sums,
     loo_residuals,
     ols_fit,
@@ -102,12 +102,6 @@ _W_IN = 0.368
 _W_OOB = 0.632
 
 _MAX_COVERAGE_RETRIES = 10
-
-# bytes per sample of a row whose centred sums the classical phase forms in
-# one block: the traced peak of centred_rows, 24 with a shared target and 32
-# with one per row (the centred rows, their first pass and the products)
-_CENTRE_BYTES = 33
-
 
 @dataclass(frozen=True)
 class OosScheme:
@@ -578,22 +572,7 @@ def classical_phase(X, y, invalid=None) -> Classical:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape not in (X.shape[1:], X.shape):
         raise ValueError("X must be (m, n) with y of length n or of the shape of X")
-    errors = pair_errors(X, y) if invalid is None else list(invalid)
-    sums = np.empty((3, X.shape[0]))  # each row's sxx, syy and sxy
-    step = units_per_block(_CENTRE_BYTES * X.shape[1])
-    # sums that overflow are row errors (NaN r), not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, X.shape[0], step):
-            at = slice(start, start + step)
-            for out, block in zip(sums, centred_rows(X[at], _rows(y, at))[2]):
-                out[at] = block
-        r, rest = correlation_from_sums(*sums)
-    for k in np.flatnonzero(np.isnan(r)).tolist():
-        if errors[k] is None:
-            errors[k] = range_error()
-    failed = [k for k, error in enumerate(errors) if error is not None]
-    if failed:
-        r[failed] = rest[failed] = np.nan
+    r, rest, errors = classical_rows(X, y, pair_errors(X, y) if invalid is None else invalid)
     return Classical(X, y, r, t_pvalues(r, rest, X.shape[1] - 2), tuple(errors))
 
 

@@ -226,7 +226,7 @@ def permutation_pvalues(
     if X.ndim == 2 and rows is not None and np.shape(rows) != X.shape[:1]:
         raise ValueError("rows must hold one flag per row of columns")
     tested = np.flatnonzero(np.ones(X.shape[:1], dtype=bool) if rows is None else rows)
-    if X.ndim != 2 or tested.size == 0 or X.shape[1] != y.shape[0]:
+    if X.ndim != 2 or tested.size == 0 or X.shape[1] != y.shape[0] or y.size == 0:
         raise ValueError("columns must be (m, n), m >= 1, with n matching the target length")
     m, n = tested.size, X.shape[1]
     B = plan.n_permutations
@@ -239,17 +239,20 @@ def permutation_pvalues(
         for start, stop in zip(edges, edges[1:]):
             at = slice(start, stop)
             Xs = np.take(X, tested[at], axis=0, out=xs_buf[: stop - start], mode="clip")
+            # a constant column need not centre to zeros (0.1 seven times has
+            # an sd of 1.4e-17), and a tiny spread can square to 0
+            flat = np.maximum.reduce(Xs, axis=1) == np.minimum.reduce(Xs, axis=1)
             Xs -= Xs.mean(axis=1, keepdims=True)
             # numpy's own std arithmetic on the centred rows, X.std(axis=1)'s bits
             sd_x = np.add.reduce(Xs * Xs, axis=1)
             sd_x /= n
             np.sqrt(sd_x, out=sd_x)
-            for j in np.flatnonzero(sd_x == 0.0):
+            for j in np.flatnonzero(flat | (sd_x == 0.0)):
                 raise DegenerateVarianceError(f"column {int(tested[start + j])} has zero variance")
             Xs /= sd_x[:, None]
             yield at, Xs
 
-    if y.std() == 0.0:
+    if np.maximum.reduce(y) == np.minimum.reduce(y) or y.std() == 0.0:
         for _ in blocks():  # a column's error comes first
             pass
         raise DegenerateVarianceError("target has zero variance")

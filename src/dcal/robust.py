@@ -17,14 +17,14 @@ which a bisection over all rows at once finds (:func:`_sorted_mad`), so
 the deviations are never formed or sorted.  ``np.percentile`` runs only
 for the rare directions whose MAD is zero.
 
-:func:`skipped_rows` scores many pairs at once: the sweep runs over blocks
-of as many pairs as fit the work-space budget ``core.CHUNK_BYTES``, one
-(pairs, n, n) projection product per block, so its work space stays flat
-in the number of pairs; the retained points of all pairs that keep the
-same number of points share one correlation kernel call, and one t-tail
-call, with one df per pair, gives every p.  :func:`skipped_correlation`
-is its one-pair call; :func:`detect_bivariate_outliers` runs the sweep on
-one pair.
+:func:`skipped_rows` scores many pairs at once: the sweep runs over blocks of
+as many pairs as fit the work-space budget ``core.CHUNK_BYTES``, one (pairs,
+n, n) projection product per block, so its work space stays flat in the
+number of pairs; the retained points of all pairs that keep the same number
+of points share one call of Pearson's kernel, ``core.classical_rows``
+(blocked by ``core._CENTRE_BYTES``), and one t-tail call, with one df per
+pair, gives every p.  :func:`skipped_correlation` is its one-pair call;
+:func:`detect_bivariate_outliers` runs the sweep on one pair.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataPair, correlation_rows, pair_errors, range_error, t_pvalues, units_per_block
+from .core import DataPair, classical_rows, pair_errors, t_pvalues, units_per_block
 from .errors import DegenerateGeometryError, InsufficientDataError, raise_first
 
 __all__ = [
@@ -54,14 +54,18 @@ _IQR_TO_SIGMA = 1.3489795003921634  # 2 * Phi^-1(0.75)
 
 _MIN_SAMPLES = 10
 
-# bytes charged per value of a block's (pairs, n, n) projection array, 6
-# pairs at n = 100 and 72 at n = 30: a warm ``_sweep`` call's traced peak
-# was 18.9 and 20.7 bytes per value there.  On a 2-core Xeon (4 MB L2 per
-# core), best of 15 runs at n = 100: the pair loop took 94 us per pair,
-# blocks of 3, 6 and 12 pairs 57, 47 and 47 us, and one block of 120 pairs
-# 71 us, its arrays being 9.6 MB each; at n = 30 the loop took 55 us and
-# blocks of 72 pairs 6.
+# bytes charged per pair of a sweep block (:func:`_pair_bytes`): per value
+# of its (pairs, n, n) projection array and per point.  A warm ``_sweep``
+# call's traced peak was about 18 n**2 + 85 n bytes per pair from n = 10 to
+# 100 (2,653 at n = 10, 18,678 at 30, 189,364 at 100); charged 20 n**2
+# alone, a block at n = 10 peaked at 1.33 budgets.  This charge gives 6
+# pairs at n = 100 and 62 at n = 30.  On a 2-core Xeon (4 MB L2 per core),
+# best of 15 runs at n = 100: the pair loop took 94 us per pair, blocks of
+# 3, 6 and 12 pairs 57, 47 and 47 us, and one block of 120 pairs 71 us, its
+# arrays being 9.6 MB each; at n = 30 the loop took 55 us and blocks of 72
+# pairs 6.
 _PROJECTION_BYTES = 20
+_POINT_BYTES = 100
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,11 @@ def _sorted_mad(values: np.ndarray, medians: np.ndarray) -> np.ndarray:
     return mads.reshape(medians.shape)
 
 
+def _pair_bytes(n: int) -> int:
+    """Work space charged for one pair of n points in a sweep block."""
+    return _PROJECTION_BYTES * n * n + _POINT_BYTES * n
+
+
 def _sweep(X: np.ndarray, Y: np.ndarray, cutoff: float) -> tuple[np.ndarray, list]:
     """The flags of the projection sweep over each pair of rows
     ``(X[i], Y[i])``, (k, n), and each pair's error (None where it ran).
@@ -170,21 +179,22 @@ def _sweep(X: np.ndarray, Y: np.ndarray, cutoff: float) -> tuple[np.ndarray, lis
         message = f"projection outlier detection needs >= {_MIN_SAMPLES} points, got {n}"
         return np.zeros((k, n), dtype=bool), [InsufficientDataError(message) for _ in range(k)]
     points = np.stack([X, Y], axis=1)  # (k, 2, n)
-    centered = points - _sorted_median(np.sort(points))[..., None]
-    norms = np.hypot(centered[:, 0], centered[:, 1])
-    with np.errstate(invalid="ignore"):
+    # values near the float limit overflow to inf or NaN from the centring
+    # on; the flags and errors below follow from those values, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = points - _sorted_median(np.sort(points))[..., None]
+        norms = np.hypot(centered[:, 0], centered[:, 1])
         directions = np.ascontiguousarray((centered / norms[:, None]).transpose(0, 2, 1))
-
-    projections = directions @ centered  # (k, n anchors, n points)
-    work = np.sort(projections)
-    medians = _sorted_median(work)
-    scales = _sorted_mad(work, medians) / _MAD_TO_SIGMA
-    flat = scales == 0.0
-    any_flat = flat.any()
-    if any_flat:
-        q75, q25 = np.percentile(projections[flat], [75, 25], axis=1)
-        scales[flat] = (q75 - q25) / _IQR_TO_SIGMA
-    flags = (projections > (medians + cutoff * scales)[..., None]).any(axis=1)
+        projections = directions @ centered  # (k, n anchors, n points)
+        work = np.sort(projections)
+        medians = _sorted_median(work)
+        scales = _sorted_mad(work, medians) / _MAD_TO_SIGMA
+        flat = scales == 0.0
+        any_flat = flat.any()
+        if any_flat:
+            q75, q25 = np.percentile(projections[flat], [75, 25], axis=1)
+            scales[flat] = (q75 - q25) / _IQR_TO_SIGMA
+        flags = (projections > (medians + cutoff * scales)[..., None]).any(axis=1)
 
     errors: list = [None] * k
     spanned = (norms > 0.0).any(axis=1)
@@ -224,7 +234,7 @@ def skipped_rows(X, Y, cutoff: float = DEFAULT_CUTOFF) -> SkippedBatch:
     m, n = X.shape
     outliers = np.zeros((m, n), dtype=bool)
     errors: list = []
-    step = units_per_block(_PROJECTION_BYTES * n * n)
+    step = units_per_block(_pair_bytes(n))
     for start in range(0, m, step):
         flags, block_errors = _sweep(X[start : start + step], Y[start : start + step], cutoff)
         outliers[start : start + step] = flags
@@ -245,13 +255,9 @@ def skipped_rows(X, Y, cutoff: float = DEFAULT_CUTOFF) -> SkippedBatch:
         keep = ~outliers[rows]
         Xk = X[rows][keep].reshape(rows.size, count)
         Yk = Y[rows][keep].reshape(rows.size, count)
-        r[rows], one_minus_r2[rows] = correlation_rows(Xk, Yk)
-        for i, error in zip(rows.tolist(), pair_errors(Xk, Yk)):
-            if error is None and np.isnan(r[i]):
-                error = range_error()
+        r[rows], one_minus_r2[rows], kept_errors = classical_rows(Xk, Yk, pair_errors(Xk, Yk))
+        for i, error in zip(rows.tolist(), kept_errors):
             errors[i] = error
-    failed = np.array([error is not None for error in errors], dtype=bool)
-    r[failed] = one_minus_r2[failed] = np.nan
     # and one t tail for all pairs, each at its own n_used - 2 df
     p = t_pvalues(r, one_minus_r2, n_used - 2)
     return SkippedBatch(r, p, n_used, outliers, tuple(errors))

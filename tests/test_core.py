@@ -215,6 +215,15 @@ class TestOlsFit:
         with pytest.raises(DegenerateVarianceError):
             ols_fit([3, 3, 3, 3], [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("n", [7, 50])
+    def test_predictor_constant_or_squaring_to_zero(self, n):
+        # 0.1 repeated does not centre to zeros (slope 0.43 at n = 7 under
+        # the sxx test alone); a spread of 1e-170 has sxx = 0
+        y = Stream(3).normals(n)
+        for x in (np.full(n, 0.1), 1e-170 * Stream(4).normals(n)):
+            with pytest.raises(DegenerateVarianceError, match="predictor has zero variance"):
+                ols_fit(x, y)
+
     def test_slope_exact_far_from_zero(self):
         # exact rational slope of the floats actually passed in
         stream = Stream(derive(912, 0))

@@ -3,6 +3,7 @@ and the summation order of the simulation reports' means."""
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dcal import (
     DegenerateVarianceError,
     FeatureMatrix,
     NullBattery,
+    NumericRangeError,
     OosScheme,
     PermutationPlan,
     bf_to_posterior,
@@ -42,6 +44,7 @@ from dcal.methods import (
     score_rows,
 )
 from dcal import batchio, core, simulate
+from dcal.engine import classical_phase
 from dcal.rng import Stream, derive
 from dcal.simulate import _ordered_sum
 
@@ -224,6 +227,35 @@ def _offset_rows(draw):
 _SCHEMES = [OosScheme.loo(), OosScheme.repeated_kfold(3, 2, 0), OosScheme.boot632(15, 0)]
 
 
+@st.composite
+def _edge_rows(draw):
+    """``_offset_rows`` with some rows, and some per-row targets, replaced:
+    a -1e308 value (the centred sums overflow), values near 1e-170 (they
+    underflow to 0) or one value repeated (0.1 and 1/3 do not centre to
+    zeros in one pass).  Some batteries keep 3 samples, too few for a pair,
+    though their sums give an r."""
+    X, Y = draw(_offset_rows())
+    short = draw(st.sampled_from([None] * 9 + [3]))
+    X, Y = X[:, :short], Y[..., :short]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = X.shape[1]
+
+    def replace_some(rows):
+        for i in np.flatnonzero(rng.random(len(rows)) < rng.random()):
+            kind = rng.integers(3)
+            if kind == 0:
+                rows[i, rng.integers(n)] = -1e308
+            elif kind == 1:
+                rows[i] = 1e-170 * rng.standard_normal(n)
+            else:
+                rows[i] = rng.choice([0.1, 1.0 / 3.0, -2.5e6])
+
+    replace_some(X)
+    if Y.ndim == 2:
+        replace_some(Y)
+    return X, Y
+
+
 class TestOneClassicalPhase:
     @settings(max_examples=40, deadline=None)
     @given(rows=_offset_rows(), scheme=st.sampled_from(_SCHEMES), fast=st.booleans())
@@ -246,6 +278,36 @@ class TestOneClassicalPhase:
             assert (float(batch.r[i]), float(batch.p[i])) == expected, i
             assert (single.r, single.p) == expected, i
             assert (classical.r, classical.p) == expected, i
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_edge_rows())
+    def test_one_kernel_gives_each_row_one_result(self, rows):
+        # pearson, pearson_rows and the classical phase share the kernel and
+        # its error rule: one row's bits, or its error, at every block size
+        X, Y = rows
+        want = []
+        for i in range(len(X)):
+            try:
+                single = pearson(_pair_of(X, Y, i)())
+            except DcalError as exc:
+                want.append((type(exc), str(exc)))
+            else:
+                want.append((float(single.r).hex(), float(single.p).hex()))
+        for budget in (1, 3 * core._CENTRE_BYTES * X.shape[1], core.CHUNK_BYTES, 2 ** 40):
+            with mock.patch.object(core, "CHUNK_BYTES", budget):
+                r, p = pearson_rows(X, Y)
+                phase = classical_phase(X, Y)
+            for i, expected in enumerate(want):
+                error = phase.errors[i]
+                if error is None:
+                    got = (float(phase.r[i]).hex(), float(phase.p[i]).hex())
+                    assert (float(r[i]).hex(), float(p[i]).hex()) == got == expected, (budget, i)
+                    continue
+                assert (type(error), str(error)) == expected, (budget, i)
+                assert np.isnan(phase.r[i]) and np.isnan(phase.p[i])
+                if isinstance(error, NumericRangeError):  # unvalidated rows are NaN there only
+                    assert np.isnan(r[i]) and np.isnan(p[i])
 
     @staticmethod
     def _count_centring(monkeypatch) -> list:

@@ -120,6 +120,22 @@ class TestPermTest:
         with pytest.raises(DegenerateVarianceError, match="target has zero variance"):
             permutation_pvalues(X[[0, 2]], np.full(20, 2.0), PermutationPlan(199, 1))
 
+    @pytest.mark.parametrize("n", [7, 50])
+    def test_constant_samples_that_do_not_centre_to_zeros(self, n):
+        # 0.1 repeated has an sd of about 1e-17, which the sd test alone
+        # let through; a spread of 1e-170 squares to 0, which only it sees
+        y = Stream(7).normals(n)
+        X = Stream(8).normals(3 * n).reshape(3, n)
+        plan = PermutationPlan(199, 1)
+        for column in (np.full(n, 0.1), 1e-170 * Stream(9).normals(n)):
+            X[2] = column
+            with pytest.raises(DegenerateVarianceError, match="column 2 has zero variance"):
+                permutation_pvalues(X, y, plan)
+            with pytest.raises(DegenerateVarianceError, match="column 2 has zero variance"):
+                permutation_pvalues(X, column, plan)  # a column's error comes first
+            with pytest.raises(DegenerateVarianceError, match="target has zero variance"):
+                permutation_pvalues(X[:2], column, plan)
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             PermutationPlan(99, 0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -304,12 +305,13 @@ class TestBlockedSweep:
 
     def _check(self, X, Y, cutoff=DEFAULT_CUTOFF):
         n = X.shape[1]
-        want = _reference_rows(X, Y, cutoff)
-        for budget in (1, 3 * robust._PROJECTION_BYTES * n * n, core.CHUNK_BYTES, 2 ** 40):
+        with np.errstate(over="ignore", invalid="ignore"):  # the frozen reference warns
+            want = _reference_rows(X, Y, cutoff)
+        for budget in (1, 3 * robust._pair_bytes(n), core.CHUNK_BYTES, 2 ** 40):
             with mock.patch.object(core, "CHUNK_BYTES", budget):
                 assert _batch_rows(skipped_rows(X, Y, cutoff)) == want, budget
 
-    @pytest.mark.parametrize("n, blocks", [(100, [6, 6, 1]), (30, [72, 72, 6])])
+    @pytest.mark.parametrize("n, blocks", [(100, [6, 6, 1]), (30, [62, 62, 6])])
     def test_benchmark_blocks_unchanged(self, n, blocks):
         # the outlier suite sweeps pairs at n = 100 in blocks of 6
         sizes, sweep = [], robust._sweep
@@ -346,16 +348,43 @@ class TestBlockedSweep:
         X, Y = (np.array(coord) for coord in zip(*pairs))
         self._check(X, Y, cutoff)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [10, 11, 99, 100, 101])
     def test_pairs_near_the_float_limit(self, n):
         # rows of NaN beside values, and medians of +-inf (at even n, a
         # median of -inf beside -inf values), which take the deviation sort;
-        # mixed with ordinary pairs in every block
+        # mixed with ordinary pairs in every block, and swept without a warning
         layout = ["huge", "limit", "contaminated", "huge", "centre", "limit", "huge", "ties"]
         pairs = [_shaped(kind, n, 5 * k + n) for k, kind in enumerate(layout)]
         X, Y = (np.array(coord) for coord in zip(*pairs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._check(X, Y)
+        self._check(X, Y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_pair_fails_without_a_warning(self):
+        # the centred points' norms and the projection product overflow
+        x, y = Stream(1).normals(30), Stream(2).normals(30)
+        x[3] = y[3] = 1.7e308
+        x[7] = -1.7e308
+        message = "a projection direction has zero MAD and zero interquartile spread"
+        error = skipped_rows(x[None], y[None]).errors[0]
+        assert (type(error), str(error)) == (DegenerateGeometryError, message)
+        with pytest.raises(DegenerateGeometryError, match=message):
+            skipped_correlation(DataPair(x, y))
+
+    @pytest.mark.parametrize("n", [10, 30, 100])
+    def test_traced_peak_fits_the_budget(self, n):
+        # a warm default block of the sweep; charged 20 n**2 per pair, one
+        # at n = 10 traced 1.33 budgets
+        X, Y = (Stream(seed).normals(1000 * n).reshape(1000, n) for seed in (3, 4))
+        block = core.units_per_block(robust._pair_bytes(n))
+        robust._sweep(X[:block], Y[:block], DEFAULT_CUTOFF)
+        tracemalloc.start()
+        try:
+            robust._sweep(X[:block], Y[:block], DEFAULT_CUTOFF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= core.CHUNK_BYTES
 
     def test_short_pairs_fail_every_row(self):
         X = np.arange(27.0).reshape(3, 9)

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_2.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20,sim-oos-x10,sim-outlier-x5
+        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20,sim-oos-x10,sim-outlier-x5,screen-boot632,screen-boot632-no-fast
 
 Each side is a clean copy of the committed files of a revision (``git
 archive``), or of the working tree when ``--head`` is left out (tracked and
@@ -15,13 +15,19 @@ another benchmark seed than ``--seed``.  Afterwards each side gets one
 traced run (``--trace 1``) of every workload at ``--seed`` for the
 per-layer metrics.
 
-Four cases are not benchmark workloads but scaled runs of one ``dcal``
+Six cases are not benchmark workloads but scaled runs of one ``dcal``
 command in a fresh interpreter of each copy, in the same alternating pairs:
 
 - ``screen-20000x200`` writes a 20,000 x 200 features x samples CSV from
   ``--seed`` (a target row and 2% of the features planted at rho = 0.5)
   once, and runs ``dcal screen --scheme loo --corrections holm,bh,perm_max
   --permutations 199`` on it;
+- ``screen-boot632`` and ``screen-boot632-no-fast`` write the benchmark
+  screen's own 5000 x 100 CSV at ``--seed`` once, with
+  ``write_screen_matrix`` of ``benchmarks/workloads.py``, and run ``dcal
+  screen --scheme boot632 --corrections holm,bh`` on it at ``--seed``, with
+  ``--fast`` and with ``--no-fast``: a screen at boot632, which no
+  benchmark workload runs, on the rows the guard passes and on every row;
 - ``sim-null-x20`` runs ``dcal simulate`` on each copy's
   ``benchmarks/configs/sim-null.cfg`` at 20 repetitions and ``--seed``: the
   benchmark's null battery, long enough that its permutation and
@@ -74,18 +80,22 @@ SHAPES = {
     "sim-null-x20": {"n": 50, "m": 1000, "scheme": "loo"},
     "sim-oos-x10": {"n": 50, "m": 100, "scheme": "loo,cv10x10,boot632"},
     "sim-outlier-x5": {"n": 100, "m": 9, "scheme": "loo"},
+    "screen-boot632": {"n": 100, "m": 4989, "scheme": "boot632"},
+    "screen-boot632-no-fast": {"n": 100, "m": 4989, "scheme": "boot632"},
 }
 
 BETTER = {"tests_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 SCALED_SCREEN = "screen-20000x200"
+# boot632 screen case on the benchmark's matrix -> its fast-guard flag
+SCALED_BOOT632 = {"screen-boot632": "--fast", "screen-boot632-no-fast": "--no-fast"}
 # scaled simulate case -> its config, as a path within a copy, and repetitions
 SCALED_SIMULATE = {
     "sim-null-x20": ("benchmarks/configs/sim-null.cfg", 20),
     "sim-oos-x10": ("src/dcal/fixtures/fig2.cfg", 10),
     "sim-outlier-x5": ("src/dcal/fixtures/fig6.cfg", 500),
 }
-SCALED_CASES = (SCALED_SCREEN, *SCALED_SIMULATE)
+SCALED_CASES = (SCALED_SCREEN, *SCALED_BOOT632, *SCALED_SIMULATE)
 SCALED_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 # runs the dcal command line once; prints its exit code, wall seconds and
@@ -118,18 +128,31 @@ def write_scaled_matrix(path: Path, seed: int, features: int = 20000, samples: i
             fh.write(("TARGET" if i == 0 else f"F{i:05d}") + "," + ",".join(map(repr, row)) + "\n")
 
 
+def write_benchmark_matrix(path: Path, seed: int) -> None:
+    """The benchmark screen's own CSV at ``seed``, from ``benchmarks/workloads.py``."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import write_screen_matrix
+
+    write_screen_matrix(seed, path)
+
+
 def scaled_command(case: str, copy: Path, matrix: Path, seed: int) -> tuple[list[str], list[Path]]:
-    """The ``dcal`` arguments of a scaled case in ``copy`` and the reports it writes."""
+    """The ``dcal`` arguments of a scaled case in ``copy`` and the reports it
+    writes; ``matrix`` is the CSV a screen case reads."""
+    if case in SCALED_SIMULATE:
+        config, repetitions = SCALED_SIMULATE[case]
+        report = copy / "scaled-report"
+        return ["simulate", "--config", str(copy / config), "--repetitions", str(repetitions),
+                "--seed", str(seed), "--output", str(report)], [
+            report.with_suffix(".csv"), report.with_suffix(".json")]
     if case == SCALED_SCREEN:
-        report = copy / "scaled-report.csv"
-        return ["screen", "--matrix", str(matrix), "--target", "TARGET", "--scheme", "loo",
-                "--corrections", "holm,bh,perm_max", "--permutations", "199",
-                "--output", str(report)], [report]
-    config, repetitions = SCALED_SIMULATE[case]
-    report = copy / "scaled-report"
-    return ["simulate", "--config", str(copy / config), "--repetitions", str(repetitions),
-            "--seed", str(seed), "--output", str(report)], [
-        report.with_suffix(".csv"), report.with_suffix(".json")]
+        flags = ["--scheme", "loo", "--corrections", "holm,bh,perm_max", "--permutations", "199"]
+    else:
+        flags = ["--scheme", "boot632", "--corrections", "holm,bh", SCALED_BOOT632[case],
+                 "--seed", str(seed)]
+    report = copy / "scaled-report.csv"
+    return ["screen", "--matrix", str(matrix), "--target", "TARGET", *flags,
+            "--output", str(report)], [report]
 
 
 def run_scaled(case: str, copy: Path, matrix: Path, seed: int) -> dict:
@@ -286,9 +309,13 @@ def main() -> int:
         }
         runs = {side: {c: [] for c in cases} for side in copies}
         order = []
-        matrix = scratch / "scaled-matrix.csv"
+        # the CSV each screen case reads
+        matrices = {SCALED_SCREEN: scratch / "scaled-matrix.csv"}
+        matrices.update(dict.fromkeys(SCALED_BOOT632, scratch / "benchmark-matrix.csv"))
         if SCALED_SCREEN in cases:
-            write_scaled_matrix(matrix, args.seed)
+            write_scaled_matrix(matrices[SCALED_SCREEN], args.seed)
+        if any(case in SCALED_BOOT632 for case in cases):
+            write_benchmark_matrix(matrices["screen-boot632"], args.seed)
         reports = {c: set() for c in cases if c in SCALED_CASES}  # over every run of both sides
         for pair in range(args.pairs):
             first = ("base", "head") if pair % 2 == 0 else ("head", "base")
@@ -297,7 +324,7 @@ def main() -> int:
                 workload, seed = seeds[case]
                 for side in first:
                     if case in SCALED_CASES:
-                        run = run_scaled(case, copies[side], matrix, seed)
+                        run = run_scaled(case, copies[side], matrices.get(case), seed)
                         reports[case].add(run.pop("report"))
                     else:
                         run = run_benchmark(copies[side], workload, seed, 0)

@@ -223,7 +223,7 @@ def sweep_floor(X, Y, cutoff=None) -> dict:
     Y = np.asarray(Y, dtype=np.float64)
     m, n = X.shape
     product_s = sort_s = 0.0
-    step = core.units_per_block(robust._PROJECTION_BYTES * n * n)
+    step = core.units_per_block(robust._pair_bytes(n))
     for start in range(0, m if n >= robust._MIN_SAMPLES else 0, step):
         points = np.stack([X[start : start + step], Y[start : start + step]], axis=1)
         centered = points - robust._sorted_median(np.sort(points))[..., None]
