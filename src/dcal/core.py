@@ -277,10 +277,13 @@ def pearson_rows(X, y) -> tuple[np.ndarray, np.ndarray]:
     through the incomplete beta identity so that near-perfect correlations do
     not lose precision to cancellation.  Inputs are not validated; see
     :class:`DataPair` for the conditions the statistic needs.  A row whose
-    centred sums leave the float64 range gets NaN for r and p.
+    centred sums leave the float64 range gets NaN for r and p, and below 3
+    samples, where no t distribution exists, every row gets NaN for p.
     """
     X = np.asarray(X, dtype=np.float64)
     r, one_minus_r2, _ = classical_rows(X, np.asarray(y, dtype=np.float64), [None] * len(X))
+    if X.shape[-1] < 3:
+        return r, np.full_like(r, np.nan)
     return r, t_pvalues(r, one_minus_r2, X.shape[-1] - 2)
 
 

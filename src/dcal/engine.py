@@ -451,7 +451,18 @@ def _loo_rows(X, U, y, v, sums, scheme, seeds, work):
     return v - e_y / margin_x, U - e_x / margin_y, deg_x, deg_y, None
 
 
+# Out-of-sample predictions of both directions for every row of ``X``, as
+# ``_SCHEME_ROWS[scheme.kind](X, U, y, v, sums, scheme, seeds, work)``.
+# ``y`` is shared (n,) or one sample per row (rows, n).  ``U`` and ``v`` are
+# ``X`` and ``y`` minus their means, ``sums`` their
+# :func:`~dcal.core.centred_sums`; predictions come back on that centred
+# scale as ``(y_hat, x_hat)``, each (rows, L).  Also returns flags,
+# broadcastable to one per row, for a degenerate training set in each
+# direction (``deg_x`` for y-from-x) and, for the bootstrap, the first sample
+# left in every bag after all retries (-1 when every sample was out of bag;
+# None for the other schemes).
 _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows}
+
 
 def _row_bytes(scheme: OosScheme, n: int) -> int:
     """Bytes of work space one row of the out-of-sample step is charged,
@@ -472,21 +483,6 @@ def _row_bytes(scheme: OosScheme, n: int) -> int:
     # (24 n) instead.  The first is the larger below n of about 80 at 10 folds.
     folds = scheme.folds
     return scheme.repeats * (max(64 * n + 132 * folds, 80 * n) + 24 * folds * folds)
-
-
-def _oos_rows(X, U, y, v, sums, scheme: OosScheme, seeds: np.ndarray, work: "_Work"):
-    """Out-of-sample predictions of both directions for every row of ``X``.
-
-    ``y`` is shared (n,) or one sample per row (rows, n).  ``U`` and ``v``
-    are ``X`` and ``y`` minus their means, ``sums`` their
-    :func:`~dcal.core.centred_sums`; predictions come back on that centred
-    scale as ``(y_hat, x_hat)``, each (rows, L).  Also
-    returns flags, broadcastable to one per row, for a degenerate training
-    set in each direction (``deg_x`` for y-from-x) and, for the bootstrap,
-    the first sample left in every bag after all retries (-1 when every
-    sample was out of bag; None for the other schemes).
-    """
-    return _SCHEME_ROWS[scheme.kind](X, U, y, v, sums, scheme, seeds, work)
 
 
 def _coverage_error(scheme: OosScheme, missing: int) -> ResampleCoverageError:
@@ -512,8 +508,8 @@ def oos_predict(pair: DataPair, direction: Direction, scheme: OosScheme) -> np.n
     U, v, sums = centred_rows(X, pair.y)
     seeds = np.array([scheme.seed], dtype=np.uint64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, pair.y, v, sums, scheme, seeds,
-                                                        _Work())
+        y_hat, x_hat, deg_x, deg_y, missing = _SCHEME_ROWS[scheme.kind](
+            X, U, pair.y, v, sums, scheme, seeds, _Work())
     if np.any(deg_x if direction == Y_FROM_X else deg_y):  # 0-d for loo's shared y
         if scheme.kind == "boot632":
             raise DegenerateVarianceError("bootstrap training sample has zero predictor variance")
@@ -535,7 +531,8 @@ def _calibrate(X, y, scheme, seeds, r, work):
     U, v, sums = centred_rows(X, y)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_hat, x_hat, deg_x, deg_y, missing = _oos_rows(X, U, y, v, sums, scheme, seeds, work)
+            y_hat, x_hat, deg_x, deg_y, missing = _SCHEME_ROWS[scheme.kind](
+                X, U, y, v, sums, scheme, seeds, work)
             r_cal, rest_cal = correlation_from_sums(*centred_sums(centred(x_hat), centred(y_hat)))
     except InsufficientDataError as exc:
         errors = {k: InsufficientDataError(str(exc)) for k in range(rows)}

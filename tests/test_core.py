@@ -16,7 +16,7 @@ from dcal import (
     pearson_rows,
 )
 from dcal import core
-from dcal.core import pair_errors, t_pvalues
+from dcal.core import classical_rows, pair_errors, t_pvalues
 from dcal.rng import Stream, derive
 from dcal.special import student_t_sf_two_sided
 
@@ -118,6 +118,26 @@ class TestPearsonRows:
         r, p = pearson_rows(np.vstack([2 * y + 1, -y]), y)
         assert list(r) == [1.0, -1.0] and list(p) == [0.0, 0.0]
 
+    @pytest.mark.parametrize("X, y, r_want", [
+        # rounding leaves 1 - r**2 above 0, which sent df = 0 to the t tail
+        ([[27705.089164269993, -93373.224437154]], [[5800.532247005878, 6310.765408612602]],
+         [-1.0]),
+        ([[1.0, 2.0]], [3.0, 5.0], [1.0]),  # p was 0: certainty from two points
+    ])
+    def test_two_samples_have_nan_p(self, X, y, r_want):
+        r, p = pearson_rows(X, y)
+        assert list(r) == r_want and np.isnan(p).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_fewer_than_three_samples_have_nan_p(self, n, shared):
+        # no t distribution below 1 degree of freedom; r is the kernel's
+        X = np.arange(3.0 * n).reshape(3, n) ** 2
+        y = np.arange(n, 0, -1.0) if shared else X[::-1] * 3.0 + 1.0
+        r, p = pearson_rows(X, y)
+        want = classical_rows(X, y, [None] * 3)[0]
+        assert p.shape == (3,) and np.isnan(p).all()
+        assert np.array_equal(r, want, equal_nan=True)
 
     def test_pair_errors_reject_a_non_finite_target(self):
         with pytest.raises(ValueError, match="y contains non-finite values"):

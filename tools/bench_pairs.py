@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_2.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,sim-oos@2718,screen-20000x200,sim-null-x20,sim-oos-x10,sim-outlier-x5,screen-boot632,screen-boot632-no-fast
+    python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_28.json \
+        --cases screen,sim-oos,sim-null,sim-outlier,screen-20000x200,screen-boot632,screen-boot632-no-fast,sim-null-x20,sim-oos-x10,sim-outlier-x5
 
 Each side is a clean copy of the committed files of a revision (``git
 archive``), or of the working tree when ``--head`` is left out (tracked and
@@ -13,33 +13,22 @@ base first, odd pairs the head.  Every run uses the benchmark's own command
 and run length.  A case is a workload, or ``workload@seed`` to run it at
 another benchmark seed than ``--seed``.  Afterwards each side gets one
 traced run (``--trace 1``) of every workload at ``--seed`` for the
-per-layer metrics.
+per-layer records.  Their counters compare across sides; their timings come
+from one run per side and follow the host's drift between those runs, so
+stage timings are ``tools/minor_faults.py``'s.  Both sides inherit this
+tool's environment: the host field ``openblas_num_threads`` records
+``OPENBLAS_NUM_THREADS`` (null when unset) for both.
 
-Six cases are not benchmark workloads but scaled runs of one ``dcal``
-command in a fresh interpreter of each copy, in the same alternating pairs:
-
-- ``screen-20000x200`` writes a 20,000 x 200 features x samples CSV from
-  ``--seed`` (a target row and 2% of the features planted at rho = 0.5)
-  once, and runs ``dcal screen --scheme loo --corrections holm,bh,perm_max
-  --permutations 199`` on it;
-- ``screen-boot632`` and ``screen-boot632-no-fast`` write the benchmark
-  screen's own 5000 x 100 CSV at ``--seed`` once, with
-  ``write_screen_matrix`` of ``benchmarks/workloads.py``, and run ``dcal
-  screen --scheme boot632 --corrections holm,bh`` on it at ``--seed``, with
-  ``--fast`` and with ``--no-fast``: a screen at boot632, which no
-  benchmark workload runs, on the rows the guard passes and on every row;
-- ``sim-null-x20`` runs ``dcal simulate`` on each copy's
-  ``benchmarks/configs/sim-null.cfg`` at 20 repetitions and ``--seed``: the
-  benchmark's null battery, long enough that its permutation and
-  calibration kernels outweigh the interpreter's start-up;
-- ``sim-oos-x10`` runs ``dcal simulate`` on each copy's
-  ``src/dcal/fixtures/fig2.cfg`` (the benchmark's ``sim-oos``) at 10
-  repetitions and ``--seed``: the loo, cv10x10 and boot632 out-of-sample
-  steps over 100 columns, ten times over;
-- ``sim-outlier-x5`` runs ``dcal simulate`` on each copy's
-  ``src/dcal/fixtures/fig6.cfg`` (the benchmark's ``sim-outlier``) at 500
-  repetitions and ``--seed``: the outlier suite's skipped correlations,
-  five times the benchmark's run.
+Every other case is one entry of ``SCALED``: one ``dcal`` command, run in
+a fresh interpreter of each copy in the same alternating pairs.  An entry
+holds the case's battery shape, the writer of the CSV it screens (run once,
+at ``--seed``) and its ``dcal`` arguments.  ``screen-20000x200`` screens a
+20,000 x 200 CSV with 2% of its features planted at rho = 0.5;
+``screen-boot632`` and ``screen-boot632-no-fast`` screen the benchmark's own
+5000 x 100 CSV at boot632, which no workload runs, with and without the fast
+guard; ``sim-null-x20``, ``sim-oos-x10`` and ``sim-outlier-x5`` run a
+workload's config at 20, 10 and 500 repetitions, long enough that its
+kernels outweigh the interpreter's start-up.
 
 Their metrics are the wall time of the command and the child's peak
 resident memory (VmHWM); the output also says, per scaled case, whether
@@ -65,10 +54,12 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
-WORKLOADS = ("screen", "sim-oos", "sim-null", "sim-outlier")
+from workloads import WORKLOADS, write_screen_matrix  # noqa: E402
 
 # shape of each workload's battery, for the record schema
 SHAPES = {
@@ -76,26 +67,9 @@ SHAPES = {
     "sim-oos": {"n": 50, "m": 100, "scheme": "loo,cv10x10,boot632"},
     "sim-null": {"n": 50, "m": 1000, "scheme": "loo"},
     "sim-outlier": {"n": 100, "m": 9, "scheme": "loo"},
-    "screen-20000x200": {"n": 200, "m": 19999, "scheme": "loo"},
-    "sim-null-x20": {"n": 50, "m": 1000, "scheme": "loo"},
-    "sim-oos-x10": {"n": 50, "m": 100, "scheme": "loo,cv10x10,boot632"},
-    "sim-outlier-x5": {"n": 100, "m": 9, "scheme": "loo"},
-    "screen-boot632": {"n": 100, "m": 4989, "scheme": "boot632"},
-    "screen-boot632-no-fast": {"n": 100, "m": 4989, "scheme": "boot632"},
 }
 
 BETTER = {"tests_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
-
-SCALED_SCREEN = "screen-20000x200"
-# boot632 screen case on the benchmark's matrix -> its fast-guard flag
-SCALED_BOOT632 = {"screen-boot632": "--fast", "screen-boot632-no-fast": "--no-fast"}
-# scaled simulate case -> its config, as a path within a copy, and repetitions
-SCALED_SIMULATE = {
-    "sim-null-x20": ("benchmarks/configs/sim-null.cfg", 20),
-    "sim-oos-x10": ("src/dcal/fixtures/fig2.cfg", 10),
-    "sim-outlier-x5": ("src/dcal/fixtures/fig6.cfg", 500),
-}
-SCALED_CASES = (SCALED_SCREEN, *SCALED_BOOT632, *SCALED_SIMULATE)
 SCALED_BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 # runs the dcal command line once; prints its exit code, wall seconds and
@@ -113,7 +87,7 @@ print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_kb": hwm_kb}))
 """
 
 
-def write_scaled_matrix(path: Path, seed: int, features: int = 20000, samples: int = 200) -> None:
+def write_scaled_matrix(seed: int, path: Path, features: int = 20000, samples: int = 200) -> None:
     """The scaled screen's CSV: row 0 is TARGET, and 2% of the other rows
     are planted at rho = 0.5 against it."""
     import numpy
@@ -128,31 +102,48 @@ def write_scaled_matrix(path: Path, seed: int, features: int = 20000, samples: i
             fh.write(("TARGET" if i == 0 else f"F{i:05d}") + "," + ",".join(map(repr, row)) + "\n")
 
 
-def write_benchmark_matrix(path: Path, seed: int) -> None:
-    """The benchmark screen's own CSV at ``seed``, from ``benchmarks/workloads.py``."""
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    from workloads import write_screen_matrix
+class Scaled(NamedTuple):
+    """A scaled case: its battery's shape, the writer ``(seed, path)`` of the
+    CSV it screens (None for ``dcal simulate``), the reports it writes within
+    the copy and its ``dcal`` arguments, in which ``{copy}``, ``{matrix}``
+    and ``{seed}`` stand for a run's copy, CSV and seed."""
 
-    write_screen_matrix(seed, path)
+    shape: dict
+    matrix: Callable[[int, Path], object] | None
+    reports: tuple[str, ...]
+    args: str
+
+
+SCREEN = "screen --matrix {matrix} --target TARGET --output {copy}/scaled-report.csv"
+SCREEN_REPORTS = ("scaled-report.csv",)
+SIMULATE = "simulate --seed {seed} --output {copy}/scaled-report --config {copy}/"
+SIMULATE_REPORTS = ("scaled-report.csv", "scaled-report.json")
+SCALED = {
+    "screen-20000x200": Scaled(
+        {"n": 200, "m": 19999, "scheme": "loo"}, write_scaled_matrix, SCREEN_REPORTS,
+        SCREEN + " --scheme loo --corrections holm,bh,perm_max --permutations 199"),
+    "screen-boot632": Scaled(
+        {"n": 100, "m": 4989, "scheme": "boot632"}, write_screen_matrix, SCREEN_REPORTS,
+        SCREEN + " --scheme boot632 --corrections holm,bh --fast --seed {seed}"),
+    "screen-boot632-no-fast": Scaled(
+        {"n": 100, "m": 4989, "scheme": "boot632"}, write_screen_matrix, SCREEN_REPORTS,
+        SCREEN + " --scheme boot632 --corrections holm,bh --no-fast --seed {seed}"),
+    "sim-null-x20": Scaled(SHAPES["sim-null"], None, SIMULATE_REPORTS,
+                           SIMULATE + "benchmarks/configs/sim-null.cfg --repetitions 20"),
+    "sim-oos-x10": Scaled(SHAPES["sim-oos"], None, SIMULATE_REPORTS,
+                          SIMULATE + "src/dcal/fixtures/fig2.cfg --repetitions 10"),
+    "sim-outlier-x5": Scaled(SHAPES["sim-outlier"], None, SIMULATE_REPORTS,
+                             SIMULATE + "src/dcal/fixtures/fig6.cfg --repetitions 500"),
+}
+SHAPES.update((case, scaled.shape) for case, scaled in SCALED.items())
 
 
 def scaled_command(case: str, copy: Path, matrix: Path, seed: int) -> tuple[list[str], list[Path]]:
     """The ``dcal`` arguments of a scaled case in ``copy`` and the reports it
     writes; ``matrix`` is the CSV a screen case reads."""
-    if case in SCALED_SIMULATE:
-        config, repetitions = SCALED_SIMULATE[case]
-        report = copy / "scaled-report"
-        return ["simulate", "--config", str(copy / config), "--repetitions", str(repetitions),
-                "--seed", str(seed), "--output", str(report)], [
-            report.with_suffix(".csv"), report.with_suffix(".json")]
-    if case == SCALED_SCREEN:
-        flags = ["--scheme", "loo", "--corrections", "holm,bh,perm_max", "--permutations", "199"]
-    else:
-        flags = ["--scheme", "boot632", "--corrections", "holm,bh", SCALED_BOOT632[case],
-                 "--seed", str(seed)]
-    report = copy / "scaled-report.csv"
-    return ["screen", "--matrix", str(matrix), "--target", "TARGET", *flags,
-            "--output", str(report)], [report]
+    scaled = SCALED[case]
+    return ([arg.format(copy=copy, matrix=matrix, seed=seed) for arg in scaled.args.split()],
+            [copy / report for report in scaled.reports])
 
 
 def run_scaled(case: str, copy: Path, matrix: Path, seed: int) -> dict:
@@ -220,7 +211,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]:
     workload, seed = parse_case(case, default_seed)
     records = []
-    for metric in SCALED_BETTER if case in SCALED_CASES else BETTER:
+    for metric in SCALED_BETTER if case in SCALED else BETTER:
         values = [run["metrics"][metric]["value"] for run in runs[side][case]]
         q1, median, q3 = quartiles(values)
         # time per test for throughput, the value itself for set-up time
@@ -238,7 +229,7 @@ def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]
 
 def compare(runs: dict, case: str) -> dict:
     out = {}
-    for metric, better in (SCALED_BETTER if case in SCALED_CASES else BETTER).items():
+    for metric, better in (SCALED_BETTER if case in SCALED else BETTER).items():
         base = [run["metrics"][metric]["value"] for run in runs["base"][case]]
         head = [run["metrics"][metric]["value"] for run in runs["head"][case]]
         wins = sum((h > b) if better == "higher" else (h < b) for b, h in zip(base, head))
@@ -259,7 +250,7 @@ def compare(runs: dict, case: str) -> dict:
 
 def parse_case(case: str, default_seed: int | None) -> tuple[str, int | None]:
     workload, _, seed = case.partition("@")
-    if case in SCALED_CASES:
+    if case in SCALED:
         return case, default_seed
     if workload not in WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}")
@@ -280,6 +271,7 @@ def host() -> dict:
         "cpu": cpu,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 
@@ -290,9 +282,9 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cases", default=",".join(WORKLOADS),
-                        help="comma list of workload or workload@seed")
+                        help="comma list of workload, workload@seed or scaled case")
     parser.add_argument("--scratch", default=None, help="directory for the two copies")
-    parser.add_argument("--output", default="BENCH_2.json")
+    parser.add_argument("--output", required=True)
     args = parser.parse_args()
     cases = [c for c in args.cases.split(",") if c]
     seeds = {case: parse_case(case, args.seed) for case in cases}
@@ -309,22 +301,20 @@ def main() -> int:
         }
         runs = {side: {c: [] for c in cases} for side in copies}
         order = []
-        # the CSV each screen case reads
-        matrices = {SCALED_SCREEN: scratch / "scaled-matrix.csv"}
-        matrices.update(dict.fromkeys(SCALED_BOOT632, scratch / "benchmark-matrix.csv"))
-        if SCALED_SCREEN in cases:
-            write_scaled_matrix(matrices[SCALED_SCREEN], args.seed)
-        if any(case in SCALED_BOOT632 for case in cases):
-            write_benchmark_matrix(matrices["screen-boot632"], args.seed)
-        reports = {c: set() for c in cases if c in SCALED_CASES}  # over every run of both sides
+        # the CSV each screen case reads, by its writer
+        writers = dict.fromkeys(SCALED[c].matrix for c in cases if c in SCALED)
+        matrices = {writer: scratch / f"{writer.__name__}.csv" for writer in writers if writer}
+        for writer, path in matrices.items():
+            writer(args.seed, path)
+        reports = {c: set() for c in cases if c in SCALED}  # over every run of both sides
         for pair in range(args.pairs):
             first = ("base", "head") if pair % 2 == 0 else ("head", "base")
             order.append(first[0])
             for case in cases:
                 workload, seed = seeds[case]
                 for side in first:
-                    if case in SCALED_CASES:
-                        run = run_scaled(case, copies[side], matrices.get(case), seed)
+                    if case in SCALED:
+                        run = run_scaled(case, copies[side], matrices.get(SCALED[case].matrix), seed)
                         reports[case].add(run.pop("report"))
                     else:
                         run = run_benchmark(copies[side], workload, seed, 0)
@@ -351,7 +341,9 @@ def main() -> int:
     doc = {
         "about": "Paired runs of benchmarks/run.py on two versions (tools/bench_pairs.py). "
                  "End-to-end records give per-side medians and quartiles over the pairs; "
-                 "per-layer records come from one traced run per side.",
+                 "per-layer records come from one traced run per side: their counters "
+                 "compare across sides, their timings follow the host's drift between the "
+                 "two runs (stage timings: tools/minor_faults.py).",
         "base": revisions["base"],
         "head": revisions["head"],
         "seed": args.seed,
