@@ -42,9 +42,16 @@ Both phases run in blocks of rows, as many as fit the work-space budget
 ``core.CHUNK_BYTES`` (:func:`~dcal.core.units_per_block`), so their work
 space stays flat in the number of rows: a row of the classical phase is
 charged ``core._CENTRE_BYTES`` per sample, and a row of the out-of-sample
-step :func:`_row_bytes`.  The out-of-sample step allocates its large arrays
-once per call and every chunk writes into them.  Each phase ends with one
-t-tail call for all its rows.
+step :func:`_row_bytes`.  The bootstrap has two levels
+(:func:`_chunk_rows`): its replicates run in sub-blocks of rows charged
+:func:`_row_bytes` (33 bytes per replicate and sample: the replicate arrays),
+and one chunk holds as many whole sub-blocks as its own per-row arrays (64 n +
+128 bytes a row: its rows centred, out-of-bag sums and counts and
+predictions) fit in an eighth of the budget, so the rows are centred and the
+predictions correlated once per chunk, not once per sub-block.  The
+out-of-sample step allocates its large arrays once per call and every chunk
+and sub-block writes into them.  Each phase ends with one t-tail call for all
+its rows.
 """
 
 from __future__ import annotations
@@ -398,16 +405,24 @@ def _bootstrap_block(streams, X, U, y, v, work):
     # BLAS, so a row's sums do not depend on its place in the chunk.
     mu = np.einsum("rbn,rn->rb", counts, U) / n
     mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", counts, v) / n
-    du = np.subtract(U[:, None, :], mu[..., None], out=work("a", shape))
+    # du and dv: a broadcast copy of the sample, then the means subtracted
+    # in place (the same operands as one broadcast subtraction, in fewer passes)
+    du = work("a", shape)
+    np.copyto(du, U[:, None, :])
+    du -= mu[..., None]
     weighted_du = np.multiply(counts, du, out=work("c", shape))
     suu = np.einsum("rbn,rbn->rb", weighted_du, du)
-    dv = np.subtract(v[..., None, :], mv[..., None], out=du)
+    dv = du
+    np.copyto(dv, v[..., None, :])
+    dv -= mv[..., None]
     sxy = np.einsum("rbn,rbn->rb", weighted_du, dv)
     slope_y = sxy / suu
     slope_x = sxy / np.einsum("rbn,rbn,rbn->rb", counts, dv, dv)
-    # the counts become the out-of-bag 0/1 array in place
+    # the counts become the out-of-bag 0/1 array in place; its flags are
+    # counted one byte each in the smallest type that holds B, into int64
     out_of_bag = np.equal(counts, 0.0, out=work("a", shape, bool))
-    oob_count = out_of_bag.sum(axis=1)
+    oob_count = np.add.reduce(out_of_bag.view(np.uint8), axis=1, dtype=np.min_scalar_type(B),
+                              out=np.empty((rows, n), dtype=np.int64))
     np.copyto(counts, out_of_bag)
     coef = np.stack([mv - slope_y * mu, slope_y, mu - slope_x * mv, slope_x], axis=1)
     a_y, b_y, a_x, b_x = np.einsum("rkb,rbn->krn", coef, counts)
@@ -415,9 +430,22 @@ def _bootstrap_block(streams, X, U, y, v, work):
 
 
 def _boot632_rows(X, U, y, v, sums, scheme, seeds, work):
+    rows, n = U.shape
     B = scheme.replicates
-    streams = derive_array(seeds[:, None], np.arange(B))
-    deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(streams, X, U, y, v, work)
+    keys = np.arange(B)
+    # the replicates run in sub-blocks of as many rows as their charge lets
+    # the budget hold, joined (and then freed) before the retries; a chunk
+    # that fits in one sub-block, a one-row call say, passes its arrays as is
+    step = units_per_block(_row_bytes(scheme, n))
+    if rows <= step:
+        deg_x, deg_y, oob_y, oob_x, oob_count = _bootstrap_block(
+            derive_array(seeds[:, None], keys), X, U, y, v, work)
+    else:
+        sub_blocks = (slice(start, start + step) for start in range(0, rows, step))
+        deg_x, deg_y, oob_y, oob_x, oob_count = map(np.concatenate, zip(*[
+            _bootstrap_block(derive_array(seeds[at, None], keys), X[at], U[at], _rows(y, at),
+                             _rows(v, at), work)
+            for at in sub_blocks]))
     for extra in range(_MAX_COVERAGE_RETRIES):
         short = np.flatnonzero((oob_count == 0).any(axis=1))
         if not short.size:
@@ -434,11 +462,16 @@ def _boot632_rows(X, U, y, v, sums, scheme, seeds, work):
     uncovered = oob_count == 0
     missing = np.where(uncovered.any(axis=1), uncovered.argmax(axis=1), -1)
 
+    # _W_IN * full-sample prediction + _W_OOB * (oob / oob_count), in place:
+    # the same products and sum, without their temporaries
     suu, svv, suv = sums
-    full_y = (suv / suu)[:, None] * U
-    full_x = (suv / svv)[:, None] * v
-    y_hat = _W_IN * full_y + _W_OOB * (oob_y / oob_count)
-    x_hat = _W_IN * full_x + _W_OOB * (oob_x / oob_count)
+    y_hat = np.multiply((suv / suu)[:, None], U)
+    x_hat = np.multiply((suv / svv)[:, None], v)
+    for hat, oob in ((y_hat, oob_y), (x_hat, oob_x)):
+        hat *= _W_IN
+        oob /= oob_count
+        oob *= _W_OOB
+        hat += oob
     return y_hat, x_hat, deg_x, deg_y, missing
 
 
@@ -468,7 +501,14 @@ def _row_bytes(scheme: OosScheme, n: int) -> int:
     """Bytes of work space one row of the out-of-sample step is charged,
     from the traced peaks (tracemalloc) of a ``_calibrate`` call at n = 50
     that reuses a previous chunk's work space."""
-    if scheme.kind == "boot632":  # peak 32.4: three 8-byte buffers and bincount's output
+    if scheme.kind == "boot632":
+        # a row of one sub-block of replicates: per replicate and sample,
+        # three 8-byte buffers and bincount's output, traced at 33.1, 32.2
+        # and 32.1 bytes at n = 12, 50 and 100 (100 replicates).  The
+        # chunk's own arrays (its gathered and centred rows, out-of-bag sums
+        # and counts, predictions and their centred copies) are charged in
+        # _chunk_rows: a chunk row traced 52, 44 and 43 n bytes with a shared
+        # y and 69, 60 and 59 n with one y per row.
         return scheme.replicates * n * 33
     if scheme.kind == "loo":
         # peak 48 per sample at 163 rows, but charged about what k-fold is,
@@ -483,6 +523,18 @@ def _row_bytes(scheme: OosScheme, n: int) -> int:
     # (24 n) instead.  The first is the larger below n of about 80 at 10 folds.
     folds = scheme.folds
     return scheme.repeats * (max(64 * n + 132 * folds, 80 * n) + 24 * folds * folds)
+
+
+def _chunk_rows(scheme: OosScheme, n: int) -> int:
+    """Rows of one chunk of the out-of-sample step: as many as fit the
+    budget at :func:`_row_bytes` each.  For boot632 that is one sub-block of
+    its replicates, and a chunk holds as many whole sub-blocks as fit an
+    eighth of the budget at 64 n + 128 bytes a row, its own arrays' charge
+    (see :func:`_row_bytes`)."""
+    step = units_per_block(_row_bytes(scheme, n))
+    if scheme.kind == "boot632":
+        step *= units_per_block(8 * (64 * n + 128) * step)
+    return step
 
 
 def _coverage_error(scheme: OosScheme, missing: int) -> ResampleCoverageError:
@@ -594,7 +646,7 @@ def calibration_phase(
     run = np.flatnonzero(tested & ~skipped)
     r_cal, rest_cal = np.zeros(m), np.zeros(m)
     keep, flipped = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-    step = units_per_block(_row_bytes(scheme, n))
+    step = _chunk_rows(scheme, n)
     work = _Work()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, run.size, step):

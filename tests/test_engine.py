@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -799,13 +800,36 @@ def _same_bits(got, want) -> None:
         assert a.tobytes() == b.tobytes(), k
 
 
+def _assert_rows_are_one_row_tests(X, y, scheme, seeds, batch) -> None:
+    """Every row of ``batch`` is its one-row ``dcal_test``: the same numbers
+    and flags, or the same error."""
+    for j in range(len(X)):
+        want, want_error = _outcome(lambda: dcal_test(
+            DataPair(X[j], engine._rows(y, j)), scheme=scheme.reseeded(seeds[j])))
+        got_error = batch.errors[j]
+        assert want_error == (None if got_error is None else (type(got_error), str(got_error)))
+        if want is not None:
+            assert (want.r, want.p, want.r_dcal, want.p_dcal) == (
+                batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j])
+            assert (want.sign_flip_triggered, want.skipped_by_fast_flag) == (
+                batch.sign_flip[j], batch.skipped[j])
+
+
+def _sub_block_rows(rows: int, replicates: int, n: int):
+    """A budget whose bootstrap sub-blocks hold ``rows`` rows (patches
+    ``core.CHUNK_BYTES``)."""
+    budget = rows * engine._row_bytes(OosScheme.boot632(replicates), n)
+    return mock.patch.object(core, "CHUNK_BYTES", budget)
+
+
 class TestBootstrapKernel:
     """The bootstrap kernel against the frozen one of
     ``pairwise_reference``: the same draws, degeneracy flags, out-of-bag
-    sums and counts, and predictions, bit for bit."""
+    sums and counts, and predictions, bit for bit, in sub-blocks of any
+    number of rows."""
 
     @staticmethod
-    def _compare(X, y, U, v, sums, seeds, replicates):
+    def _compare(X, y, U, v, sums, seeds, replicates, sub_rows=None):
         scheme = OosScheme.boot632(replicates)
         streams = derive_array(seeds[:, None], np.arange(replicates))
         with np.errstate(all="ignore"):
@@ -815,7 +839,8 @@ class TestBootstrapKernel:
                     pairwise_reference.bootstrap_draw(streams, X.shape[1]), X, U, y, v
                 ),
             )
-            got = engine._boot632_rows(X, U, y, v, sums, scheme, seeds, engine._Work())
+            with _sub_block_rows(sub_rows or len(X), replicates, X.shape[1]):
+                got = engine._boot632_rows(X, U, y, v, sums, scheme, seeds, engine._Work())
             _same_bits(got, pairwise_reference.boot632_rows(X, U, y, v, sums, scheme, seeds))
         return got
 
@@ -826,14 +851,55 @@ class TestBootstrapKernel:
         n=st.integers(4, 60),
         replicates=st.integers(1, 3),
         per_row_y=st.booleans(),
+        sub_rows=st.integers(1, 8),
     )
-    def test_matches_frozen_kernel(self, data, seed, n, replicates, per_row_y):
+    def test_matches_frozen_kernel(self, data, seed, n, replicates, per_row_y, sub_rows):
         x_kinds = data.draw(st.lists(st.sampled_from(_SAMPLE_KINDS), min_size=1, max_size=20))
         y_kinds = (
             [data.draw(st.sampled_from(_SAMPLE_KINDS)) for _ in x_kinds] if per_row_y
             else data.draw(st.sampled_from(_SAMPLE_KINDS))
         )
-        self._compare(*_bootstrap_inputs(seed, x_kinds, y_kinds, n), replicates)
+        self._compare(*_bootstrap_inputs(seed, x_kinds, y_kinds, n), replicates, sub_rows)
+
+    @pytest.mark.parametrize("replicates", [1, 2, 3])
+    @pytest.mark.parametrize("per_row_y", [False, True])
+    def test_sub_blocks_of_one_chunk(self, replicates, per_row_y):
+        # 20 rows, tied ones among them, in sub-blocks of 3: six whole ones
+        # and a ragged one of 2; at n = 6 so few replicates leave samples in
+        # every bag, and the coverage retries run once over the whole chunk
+        kinds = list(_SAMPLE_KINDS) * 5
+        X, y, U, v, sums, seeds = _bootstrap_inputs(
+            13, kinds, kinds if per_row_y else "ties", 6
+        )
+        scheme = OosScheme.boot632(replicates)
+        blocks = []
+        real = engine._bootstrap_block
+
+        def spy(streams, *args):
+            blocks.append(streams.shape)
+            return real(streams, *args)
+
+        with mock.patch.object(engine, "_bootstrap_block", spy):
+            self._compare(X, y, U, v, sums, seeds, replicates, sub_rows=3)
+        # after _compare's own call of every row: the sub-blocks, then the retries
+        assert blocks[1:8] == [(3, replicates)] * 6 + [(2, replicates)]
+        assert blocks[8:] and all(shape[1] == 1 for shape in blocks[8:])
+        with _sub_block_rows(3, replicates, 6):
+            batch = dcal_matrix(X, y, scheme, seeds)
+        _assert_rows_are_one_row_tests(X, y, scheme, seeds, batch)
+
+    @pytest.mark.parametrize("replicates", [255, 256, 300])
+    def test_count_at_its_type_limit(self, replicates):
+        # every replicate of a row draws the same bag, so a sample out of it
+        # is out of all B bags: the count reaches B, and its one-byte sum
+        # needs two bytes from B = 256 on
+        X, y, U, v, _, seeds = _bootstrap_inputs(17, list(_SAMPLE_KINDS) * 2, "normal", 9)
+        streams = np.repeat(derive_array(seeds[:, None], np.arange(1)), replicates, axis=1)
+        with np.errstate(all="ignore"):
+            got = engine._bootstrap_block(streams, X, U, y, v, engine._Work())
+            _same_bits(got, pairwise_reference.bootstrap_block(
+                pairwise_reference.bootstrap_draw(streams, 9), X, U, y, v))
+        assert got[4].max() == replicates
 
     @pytest.mark.parametrize("per_row_y", [False, True])
     def test_retries_and_flags_occur(self, per_row_y):
@@ -899,6 +965,30 @@ class TestTiedRowsOnly:
             assert values.shape[0] == 1  # the 0/1 row, in each repeat's order for k-fold
             assert np.array_equal(np.sort(values.reshape(-1, 50), axis=-1),
                                   np.sort(np.broadcast_to(X[4], (values.size // 50, 50)), axis=-1))
+
+    def test_sub_blocks_check_their_own_tied_rows(self, monkeypatch):
+        # 150 rows at n = 12, two of them constant, make one chunk of five
+        # sub-blocks (32 rows each and a ragged 20): each sub-block checks
+        # its own 0/1 rows, once
+        scheme = OosScheme.boot632()
+        assert engine._chunk_rows(scheme, 12) >= 150
+        X, y = _generic_battery(19, 150, 12, 0.3)
+        seen = self._spy(monkeypatch)
+        blocks = []
+        real = engine._bootstrap_block
+
+        def spy(streams, *args):
+            blocks.append(len(streams))
+            return real(streams, *args)
+
+        monkeypatch.setattr(engine, "_bootstrap_block", spy)
+        batch = dcal_matrix(X, y, scheme, np.arange(150))
+        run = X[~np.isnan(batch.r)]
+        assert blocks == [32] * 4 + [20] and len(run) == 148
+        checked = np.vstack([values for _, values in seen])
+        tied = run[engine._tied_rows(run, len(run))]
+        assert 1 < len(seen) <= 5 and checked.tobytes() == tied.tobytes()
+        _assert_rows_are_one_row_tests(X, y, scheme, np.arange(150), batch)
 
     def test_kfold_skips_a_tie_shorter_than_a_training_set(self, monkeypatch):
         # a balanced 0/1 row has ties, but no value fills 45 of 50 samples
@@ -971,22 +1061,11 @@ class TestTiedRowsOnly:
                 assert np.array_equal(deg_y, self._full_scan(y, scheme, seeds, n))
             else:  # the frozen kernel compares every bagged value of every row
                 scheme = OosScheme.boot632(data.draw(st.integers(1, 30)))
-                _same_bits(engine._boot632_rows(X, U, y, v, sums, scheme, seeds, engine._Work()),
-                           pairwise_reference.boot632_rows(X, U, y, v, sums, scheme, seeds))
+                with _sub_block_rows(data.draw(st.integers(1, 3)), scheme.replicates, n):
+                    got = engine._boot632_rows(X, U, y, v, sums, scheme, seeds, engine._Work())
+                _same_bits(got, pairwise_reference.boot632_rows(X, U, y, v, sums, scheme, seeds))
         # every row of the battery is its one-row test
-        batch = dcal_matrix(X, y, scheme, seeds)
-        for j in range(len(x_kinds)):
-            target = y[j] if per_row_y else y
-            want, want_error = _outcome(
-                lambda: dcal_test(DataPair(X[j], target), scheme=scheme.reseeded(seeds[j]))
-            )
-            got_error = batch.errors[j]
-            assert want_error == (None if got_error is None else (type(got_error), str(got_error)))
-            if want is not None:
-                assert (want.r, want.p, want.r_dcal, want.p_dcal) == (
-                    batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j])
-                assert (want.sign_flip_triggered, want.skipped_by_fast_flag) == (
-                    batch.sign_flip[j], batch.skipped[j])
+        _assert_rows_are_one_row_tests(X, y, scheme, seeds, dcal_matrix(X, y, scheme, seeds))
 
 
 class TestChunkMemory:
@@ -1024,6 +1103,15 @@ class TestChunkMemory:
             core.CHUNK_BYTES + self.SLACK_BYTES
         )
 
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_bootstrap_peak_fits_the_budget(self, n):
+        # a chunk of several sub-blocks (5 of 32 rows at n = 12, 8 of 3 at
+        # the boot632 screen's n = 100): the chunk's own arrays fit in the
+        # slack beside the replicate work
+        scheme = OosScheme.boot632()
+        assert engine._chunk_rows(scheme, n) > units_per_block(engine._row_bytes(scheme, n))
+        assert self._traced_peak(scheme, n) <= core.CHUNK_BYTES + self.SLACK_BYTES
+
     def test_fig2_kfold_chunks_unchanged(self):
         # sim-oos runs cv10x10 at n = 50 in chunks of 18 rows
         assert units_per_block(engine._row_bytes(OosScheme.repeated_kfold(), 50)) == 18
@@ -1038,7 +1126,8 @@ class TestChunkMemory:
 
 class TestWorkSpace:
     """The out-of-sample step's large arrays are views of one work space
-    per call, allocated by its first chunk and reused by the others."""
+    per call, allocated by its first chunk and reused by the others, and by
+    every bootstrap sub-block and coverage retry."""
 
     BUFFERS = {"kfold": {"a", "b", "up", "vp", "products", "gu", "gv", "wgu"},
                "boot632": {"a", "b", "c"}}
@@ -1063,10 +1152,13 @@ class TestWorkSpace:
                 return view
 
         monkeypatch.setattr(engine, "_Work", Spy)
-        # 40 rows at n = 12 take several chunks; two replicates also leave
+        # 40 rows at n = 12 take several chunks, and at 100 replicates each
+        # chunk several sub-blocks of 7 rows; two replicates also leave
         # coverage retries, which reuse the buffers too
         X, y = _generic_battery(43, 40, 12, 0.2)
         monkeypatch.setattr(core, "CHUNK_BYTES", 7 * engine._row_bytes(scheme, 12))
+        chunk = engine._chunk_rows(scheme, 12)
+        assert chunk < 40 and (chunk > 7) == (scheme.kind == "boot632" and scheme.replicates > 2)
         batch = dcal_matrix(X, y, scheme, np.arange(40))
         assert len(spaces) == 1
         assert sorted(allocations) == sorted(self.BUFFERS[scheme.kind])

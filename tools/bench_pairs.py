@@ -2,17 +2,24 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_28.json \
-        --cases screen,sim-oos,sim-null,sim-outlier,screen-20000x200,screen-boot632,screen-boot632-no-fast,sim-null-x20,sim-oos-x10,sim-outlier-x5
+    python3 tools/bench_pairs.py --base HEAD --pairs 10 --output BENCH_29.json \
+        --cases screen,sim-oos,sim-null,sim-outlier,screen-boot632,screen-boot632-no-fast,sim-oos-x10
 
-Each side is a clean copy of the committed files of a revision (``git
-archive``), or of the working tree when ``--head`` is left out (tracked and
-untracked files that are not ignored).  ``benchmarks/run.py`` then runs in
-each copy, one workload at a time, in alternating pairs: even pairs run the
-base first, odd pairs the head.  Every run uses the benchmark's own command
-and run length.  A case is a workload, or ``workload@seed`` to run it at
-another benchmark seed than ``--seed``.  Afterwards each side gets one
-traced run (``--trace 1``) of every workload at ``--seed`` for the
+Each side is exported twice, as two clean copies of the committed files of
+a revision (``git archive``), or of the working tree when ``--head`` is left
+out (tracked and untracked files that are not ignored).
+``benchmarks/run.py`` then runs in the copies, one workload at a time, in
+alternating pairs: even pairs run the base first, odd pairs the head, and
+each side runs in its first copy in pairs 1, 2, 5, 6, ... and in its second
+in pairs 3, 4, 7, 8, ..., so each order meets each copy.  Every run records
+its copy.  A copy can carry an offset in peak memory that holds over all
+its runs, so next to each ``peak_rss_mb`` comparison the output gives each
+side's copy gap: the median of its runs in the second copy minus the median
+in the first.  A difference between the sides no larger than those gaps
+shows no memory change.  Every run uses the benchmark's own command and run
+length.  A case is a workload, or ``workload@seed`` to run it at another
+benchmark seed than ``--seed``.  Afterwards each side gets one traced run
+(``--trace 1``, in its first copy) of every workload at ``--seed`` for the
 per-layer records.  Their counters compare across sides; their timings come
 from one run per side and follow the host's drift between those runs, so
 stage timings are ``tools/minor_faults.py``'s.  Both sides inherit this
@@ -36,13 +43,16 @@ every run of both sides wrote the same report bytes.
 
 The output JSON holds every run's metrics, per-side medians and quartiles
 in the record schema ``{case, layer, n, m, scheme, threads,
-seconds_median, seconds_iqr}`` (plus metric name, unit and side), the
-per-pair comparison of each end-to-end metric and the host description.
+seconds_median, seconds_iqr}`` (plus metric name, unit, side, and each
+run's value and copy), the per-pair comparison of each end-to-end metric
+(with the copy gaps of ``peak_rss_mb``), the copy of each pair and the host
+description.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -223,8 +233,17 @@ def summarise(runs: dict, side: str, case: str, default_seed: int) -> list[dict]
             "seconds_median": smedian, "seconds_iqr": None if seconds is None else sq3 - sq1,
             "metric": metric, "unit": runs[side][case][0]["metrics"][metric]["unit"],
             "side": side, "seed": seed, "median": median, "q1": q1, "q3": q3, "values": values,
+            "copies": [run["copy"] for run in runs[side][case]],
         })
     return records
+
+
+def copy_gap(side_runs: list[dict], metric: str) -> float | None:
+    """Median of a side's runs in its second copy minus that in its first."""
+    medians = [statistics.median(run["metrics"][metric]["value"] for run in side_runs
+                                 if run["copy"] == copy) for copy in (0, 1)
+               if any(run["copy"] == copy for run in side_runs)]
+    return medians[1] - medians[0] if len(medians) == 2 else None
 
 
 def compare(runs: dict, case: str) -> dict:
@@ -245,6 +264,9 @@ def compare(runs: dict, case: str) -> dict:
             "base_iqr": q3 - q1,
             "median_gap_exceeds_base_iqr": abs(head_median - median) > q3 - q1,
         }
+        if metric == "peak_rss_mb":
+            out[metric]["copy_gap"] = {side: copy_gap(runs[side][case], metric)
+                                       for side in ("base", "head")}
     return out
 
 
@@ -291,14 +313,15 @@ def main() -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.scratch))
     try:
-        copies = {"base": scratch / "base", "head": scratch / "head"}
-        for copy in copies.values():
-            copy.mkdir()
-        revisions = {
-            "base": export_revision(args.base, copies["base"]),
-            "head": (export_revision(args.head, copies["head"]) if args.head
-                     else export_worktree(copies["head"])),
-        }
+        copies = {side: [scratch / f"{side}-{k}" for k in (1, 2)] for side in ("base", "head")}
+        exports = {"base": functools.partial(export_revision, args.base),
+                   "head": (functools.partial(export_revision, args.head) if args.head
+                            else export_worktree)}
+        revisions = {}
+        for side, paths in copies.items():
+            for copy in paths:
+                copy.mkdir()
+                revisions[side] = exports[side](copy)
         runs = {side: {c: [] for c in cases} for side in copies}
         order = []
         # the CSV each screen case reads, by its writer
@@ -309,20 +332,24 @@ def main() -> int:
         reports = {c: set() for c in cases if c in SCALED}  # over every run of both sides
         for pair in range(args.pairs):
             first = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            copy_index = pair // 2 % 2
             order.append(first[0])
             for case in cases:
                 workload, seed = seeds[case]
                 for side in first:
+                    copy = copies[side][copy_index]
                     if case in SCALED:
-                        run = run_scaled(case, copies[side], matrices.get(SCALED[case].matrix), seed)
+                        run = run_scaled(case, copy, matrices.get(SCALED[case].matrix), seed)
                         reports[case].add(run.pop("report"))
                     else:
-                        run = run_benchmark(copies[side], workload, seed, 0)
+                        run = run_benchmark(copy, workload, seed, 0)
+                    run["copy"] = copy_index
                     runs[side][case].append(run)
-                    print(f"pair {pair + 1}/{args.pairs} {case} {side}: " + ", ".join(
+                    print(f"pair {pair + 1}/{args.pairs} {case} {copy.name}: " + ", ".join(
                         f"{name} {metric['value']:.4g}" for name, metric in run["metrics"].items()
                         if name in ("tests_per_s", "wall_s", "peak_rss_mb")), file=sys.stderr)
-        traced = {side: run_benchmark(copy, "all", args.seed, 1) for side, copy in copies.items()}
+        traced = {side: run_benchmark(paths[0], "all", args.seed, 1)
+                  for side, paths in copies.items()}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -349,6 +376,7 @@ def main() -> int:
         "seed": args.seed,
         "pairs": args.pairs,
         "first_in_pair": order,
+        "copy_in_pair": [pair // 2 % 2 for pair in range(args.pairs)],
         "host": host(),
         "comparison": {c: compare(runs, c) for c in cases},
         **({"scaled_reports_identical": {c: len(r) == 1 for c, r in reports.items()}}
@@ -360,7 +388,11 @@ def main() -> int:
         cmp = doc["comparison"][case]
         print(f"{case}: " + "; ".join(
             f"{metric} {c['base_median']:.4g} -> {c['head_median']:.4g} "
-            f"(head better in {c['head_wins']}/{c['pairs']})" for metric, c in cmp.items()))
+            f"(head better in {c['head_wins']}/{c['pairs']})" + (
+                "" if "copy_gap" not in c else " [copy gap " + ", ".join(
+                    f"{side} {gap:+.3g}" for side, gap in c["copy_gap"].items()
+                    if gap is not None) + "]")
+            for metric, c in cmp.items()))
     return 0
 
 

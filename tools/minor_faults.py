@@ -37,11 +37,17 @@ samples, float64 above), and the floor names it as ``dtype``.
 
 A workload that runs the k-fold or bootstrap out-of-sample step
 (``calibration_phase.kfold``, ``calibration_phase.boot632``) gets the floor
-of its draws: on each call's seeds and in its chunks of the rows that run,
-the seconds of ``raw_block`` (every row's words) plus ``permutation_of``
-(k-fold: one permutation per repeat) or ``integers_of`` (bootstrap: each
-replicate's sample indices), without the coverage retries, and the ratio of
-the stage's seconds to that floor.
+of its draws: on each call's seeds and in its blocks of the rows that run
+(k-fold chunks, bootstrap sub-blocks; both ``engine._row_bytes`` rows, and a
+bootstrap chunk holds whole sub-blocks), the seconds of ``raw_block`` (every
+row's words) plus ``permutation_of`` (k-fold: one permutation per repeat) or
+``integers_of`` (bootstrap: each replicate's sample indices), without the
+coverage retries, and the ratio of the stage's seconds to that floor.  The
+bootstrap also gets its arithmetic floor, on the same sub-blocks: the
+seconds of the ``np.bincount`` of the replicates' multiplicities and of the
+six ``einsum`` contractions of ``engine._bootstrap_block`` (five replicate
+moments and the out-of-bag sums), their operands made untimed, and the ratio
+of the stage's seconds to that floor.
 
 A workload that calls ``skipped_rows`` gets the floor of the projection
 sweep the same way: on each call's pairs and in its blocks, the seconds of
@@ -51,7 +57,8 @@ ratio of ``skipped_rows``'s seconds to that floor.
 
 The output is one JSON line: per run the wall seconds and faults of the
 whole call and, per stage, its calls, seconds and faults (and the ingest,
-permutation, draws and sweep floors); then the median of each over the runs.
+permutation, draws, bootstrap arithmetic and sweep floors); then the median
+of each over the runs.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_p
           "load_matrix", "write_report")
 METHOD_STAGES = (simulate.ExperimentReport, ("write_csv", "write_json"))
 FLOORS = ("ingest_floor", "permutation_floor", "kfold_draws_floor", "boot632_draws_floor",
-          "sweep_floor")
+          "boot632_arithmetic_floor", "sweep_floor")
 
 
 def minor_faults() -> int:
@@ -186,21 +193,28 @@ def permutation_floor(columns, target, plan, rows=None) -> dict:
             "s": draws_s + product_s}
 
 
-def draws_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
-    """Seconds of the resampling draws of one k-fold or bootstrap
-    ``calibration_phase`` call, in that call's chunks of the rows that run:
-    ``raw_block`` of every row's words, then ``permutation_of`` (k-fold) or
-    ``integers_of`` (bootstrap).  Coverage retries are left out."""
+def _draw_blocks(classical, scheme, seeds, alpha, fast):
+    """The rows of each block of one ``calibration_phase`` call whose draws
+    run together (a k-fold chunk, a bootstrap sub-block) and their streams."""
     X, _, r, p, _ = classical
-    n = X.shape[1]
     tested = ~np.isnan(r)
     run = np.flatnonzero(tested & (p < alpha) if fast else tested)
     seeds = np.asarray(seeds, dtype=np.uint64)
     keys = np.arange(scheme.repeats if scheme.kind == "kfold" else scheme.replicates)
-    step = core.units_per_block(engine._row_bytes(scheme, n))
-    raw_s = indices_s = 0.0
+    step = core.units_per_block(engine._row_bytes(scheme, X.shape[1]))
     for start in range(0, run.size, step):
-        streams = derive_array(seeds[run[start : start + step], None], keys)
+        rows = run[start : start + step]
+        yield rows, derive_array(seeds[rows, None], keys)
+
+
+def draws_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
+    """Seconds of the resampling draws of one k-fold or bootstrap
+    ``calibration_phase`` call, in that call's blocks of the rows that run:
+    ``raw_block`` of every row's words, then ``permutation_of`` (k-fold) or
+    ``integers_of`` (bootstrap).  Coverage retries are left out."""
+    n = classical.X.shape[1]
+    raw_s = indices_s = 0.0
+    for _, streams in _draw_blocks(classical, scheme, seeds, alpha, fast):
         words = np.empty(streams.shape + (n,), np.uint64)
         temp = np.empty_like(words)
         begin = time.perf_counter()
@@ -214,6 +228,42 @@ def draws_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
         raw_s += middle - begin
         indices_s += end - middle
     return {"raw_block_s": raw_s, "indices_s": indices_s, "s": raw_s + indices_s}
+
+
+def arithmetic_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
+    """Seconds of the bootstrap's arithmetic in one boot632
+    ``calibration_phase`` call, in its sub-blocks of the rows that run: the
+    ``np.bincount`` of the multiplicities and the six ``einsum`` contractions
+    of ``engine._bootstrap_block``, on operands made untimed.  Coverage
+    retries are left out."""
+    X, y = classical.X, classical.y
+    n = X.shape[1]
+    bincount_s = einsum_s = 0.0
+    for rows, streams in _draw_blocks(classical, scheme, seeds, alpha, fast):
+        U, v, _ = core.centred_rows(X[rows], y if y.ndim == 1 else y[rows])
+        shape = streams.shape + (n,)
+        words = raw_block(streams, n, np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+        idx = integers_of(words, n, words.view(np.int64), np.empty(shape))
+        idx += (np.arange(streams.size) * n).reshape(streams.shape + (1,))
+        begin = time.perf_counter()
+        counts = np.bincount(idx.ravel(), minlength=idx.size)
+        bincount_s += time.perf_counter() - begin
+        counts = counts.reshape(shape).astype(np.float64)
+        mu = np.einsum("rbn,rn->rb", counts, U) / n
+        mv = np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", counts, v) / n
+        du, dv = U[:, None, :] - mu[..., None], v[..., None, :] - mv[..., None]
+        weighted_du = counts * du
+        coef = np.stack([mu, mv, mu, mv], axis=1)  # (rows, 4, B), as the kernel's
+        out_of_bag = (counts == 0.0).astype(np.float64)
+        begin = time.perf_counter()
+        np.einsum("rbn,rn->rb", counts, U)
+        np.einsum("rbn,rn->rb" if v.ndim == 2 else "rbn,n->rb", counts, v)
+        np.einsum("rbn,rbn->rb", weighted_du, du)
+        np.einsum("rbn,rbn->rb", weighted_du, dv)
+        np.einsum("rbn,rbn,rbn->rb", counts, dv, dv)
+        np.einsum("rkb,rbn->krn", coef, out_of_bag)
+        einsum_s += time.perf_counter() - begin
+    return {"bincount_s": bincount_s, "einsum_s": einsum_s, "s": bincount_s + einsum_s}
 
 
 def sweep_floor(X, Y, cutoff=None) -> dict:
@@ -240,12 +290,14 @@ def sweep_floor(X, Y, cutoff=None) -> dict:
     return {"product_s": product_s, "sort_s": sort_s, "s": product_s + sort_s}
 
 
-# stage -> (the run's key for its floor, the floor of one call from its arguments)
+# stage -> its floors: (the run's key for a floor, the floor of one call from
+# the call's arguments)
 CALL_FLOORS = {
-    "permutation_pvalues": ("permutation_floor", permutation_floor),
-    "calibration_phase.kfold": ("kfold_draws_floor", draws_floor),
-    "calibration_phase.boot632": ("boot632_draws_floor", draws_floor),
-    "skipped_rows": ("sweep_floor", sweep_floor),
+    "permutation_pvalues": (("permutation_floor", permutation_floor),),
+    "calibration_phase.kfold": (("kfold_draws_floor", draws_floor),),
+    "calibration_phase.boot632": (("boot632_draws_floor", draws_floor),
+                                  ("boot632_arithmetic_floor", arithmetic_floor)),
+    "skipped_rows": (("sweep_floor", sweep_floor),),
 }
 
 
@@ -302,17 +354,15 @@ def main() -> int:
                 floor["load_matrix_over_floor"] = stages["load_matrix"]["s"] / floor["s"]
                 run["ingest_floor"] = floor
             for stage, stage_calls in calls.items():
-                if not stage_calls:
-                    continue
-                key, floor_of = CALL_FLOORS[stage]
-                parts = [floor_of(*args, **kwargs) for args, kwargs in stage_calls]
-                floor = {name: sum(part[name] for part in parts) for name in parts[0]
-                         if name != "dtype"}
-                if "dtype" in parts[0]:  # the dtypes of the calls' products
-                    floor["dtype"] = ",".join(sorted({part["dtype"] for part in parts}))
-                floor[f"{stage}_over_floor"] = (
-                    stages[stage]["s"] / floor["s"] if floor["s"] else math.nan)
-                run[key] = floor
+                for key, floor_of in CALL_FLOORS[stage] if stage_calls else ():
+                    parts = [floor_of(*args, **kwargs) for args, kwargs in stage_calls]
+                    floor = {name: sum(part[name] for part in parts) for name in parts[0]
+                             if name != "dtype"}
+                    if "dtype" in parts[0]:  # the dtypes of the calls' products
+                        floor["dtype"] = ",".join(sorted({part["dtype"] for part in parts}))
+                    floor[f"{stage}_over_floor"] = (
+                        stages[stage]["s"] / floor["s"] if floor["s"] else math.nan)
+                    run[key] = floor
             runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "dcal": dcal.__file__,
                       "runs": runs, "median": median_of(runs)}))
