@@ -32,6 +32,13 @@ own.  Each training set is fitted from sufficient statistics of mean-centred
 data: k-fold adds up the means and scatter of the other folds, and the
 bootstrap weights each replicate's sums by its multiplicity counts, one float
 array that afterwards holds the out-of-bag 0/1 mask.
+K-fold runs slot-major: every permuted sample is gathered into a (slots,
+folds, rows * repeats) grid, slot t of fold f being permutation position
+``starts[f] + t``, so each per-fold sum, the fold-pair terms of the training
+sums and the predictions are operations on whole rows * repeats vectors,
+added over a leading axis.  When ``n % folds`` is not 0 the folds one sample
+short carry a pad in their last slot, a copy of their last sample that the
+fold sums leave out; the predictions go back into sample order once.
 A row, or a shared y, whose values are all distinct cannot give a constant
 training set (it keeps at least 3 samples) or a bag of one value other than
 its first sample drawn n times, so each chunk finds its rows with a tie
@@ -45,10 +52,11 @@ charged ``core._CENTRE_BYTES`` per sample, and a row of the out-of-sample
 step :func:`_row_bytes`.  The bootstrap has two levels
 (:func:`_chunk_rows`): its replicates run in sub-blocks of rows charged
 :func:`_row_bytes` (33 bytes per replicate and sample: the replicate arrays),
-and one chunk holds as many whole sub-blocks as its own per-row arrays (64 n +
-128 bytes a row: its rows centred, out-of-bag sums and counts and
-predictions) fit in an eighth of the budget, so the rows are centred and the
-predictions correlated once per chunk, not once per sub-block.  The
+and one chunk holds as many whole sub-blocks as its own per-row arrays
+(:func:`_chunk_row_bytes`, 64 n + 128 bytes a row: its rows centred,
+out-of-bag sums and counts and predictions) fit in an eighth of the budget,
+so the rows are centred and the predictions correlated once per chunk, not
+once per sub-block; a sub-block never holds more rows than such a chunk.  The
 out-of-sample step allocates its large arrays once per call and every chunk
 and sub-block writes into them.  Each phase ends with one t-tail call for all
 its rows.
@@ -242,14 +250,6 @@ def _kfold_layout(n: int, scheme: OosScheme) -> tuple[list[int], np.ndarray]:
     return sizes, np.cumsum([0] + sizes[:-1])
 
 
-def _excluding_each(values: np.ndarray, op: np.ufunc, identity: float) -> np.ndarray:
-    """``op`` over the last axis with each position left out in turn."""
-    pad = np.full(values.shape[:-1] + (1,), identity)
-    before = op.accumulate(np.concatenate([pad, values[..., :-1]], axis=-1), axis=-1)
-    after = op.accumulate(np.concatenate([pad, values[..., :0:-1]], axis=-1), axis=-1)
-    return op(before, after[..., ::-1])
-
-
 def _constant_training(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per row: does some fold leave a training set of one repeated value?
 
@@ -270,80 +270,91 @@ def _constant_training(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _kfold_rows(X, U, y, v, sums, scheme, seeds, work):
     rows, n = U.shape
     sizes, starts = _kfold_layout(n, scheme)
-    shape, keys = (rows, scheme.repeats, n), np.arange(scheme.repeats)
-    # "a" and "b" hold the raw words and the mixer's temporary, the gather
-    # positions and each permuted sample, du and dv, and each prediction
-    a, b = work("a", shape), work("b", shape)
-    words = raw_block(derive_array(seeds[:, None], keys), n, a.view(np.uint64), b.view(np.uint64))
-    order = permutation_of(words)
-    flat = np.add(order, (np.arange(rows) * n)[:, None, None], out=a.view(np.int64))
-
-    def positions(values):  # of a shared sample or of one per row, in each repeat's order
-        return order if values.ndim == 1 else flat
-
-    def permuted(values, out):
-        return np.take(values, positions(values), out=out, mode="clip")
+    folds, repeats = scheme.folds, scheme.repeats
+    width = rows * repeats
+    # Slot-major: slot t of fold f is permutation position starts[f] + t.
+    # The folds one sample short (the last ones) repeat their last sample in
+    # the last slot: a pad that the fold sums leave out and whose prediction
+    # is that sample's again.
+    slots, full = sizes[0], sizes.count(sizes[0])
+    at = np.minimum(starts + np.arange(slots)[:, None], starts + np.array(sizes) - 1)
+    grid, blocks = (slots, folds, width), (2, rows, repeats, n)
+    # "a" holds in turn the raw words and the mixer's temporary, the rows and
+    # a per-row y repeated once per repeat, du and dv, the fold-pair gaps and
+    # the predictions in sample order
+    work("a", (max(2 * slots, 3 * folds), folds, width))  # its largest use first
+    words = work("a", blocks, np.uint64)
+    order = permutation_of(raw_block(derive_array(seeds[:, None], np.arange(repeats)), n,
+                                     words[0], words[1]))
 
     # A training set of one repeated value needs that value at least as
     # often as the smallest training set holds samples (3 or more), so only
-    # rows (or a shared y) with such a tie are permuted and scanned, their
-    # positions gathered into "up" and their values into "b"; a row whose
-    # values are all distinct never is.
+    # rows (or a shared y) with such a tie are permuted and scanned; a row
+    # whose values are all distinct never is.
     deg_x, deg_y = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
     for deg, values in ((deg_x, X), (deg_y, y)):
         tied = _tied_rows(values, rows, n - sizes[0])
         if tied.size:
-            at = positions(values)
-            if tied.size < rows:
-                at = np.take(at, tied, axis=0, mode="clip",
-                             out=work("up", shape, np.int64)[: tied.size])
-            tied_values = np.take(values, at, out=b[: tied.size], mode="clip")
-            deg[tied] = _constant_training(tied_values, starts)
+            at_tied = order[tied] if values.ndim == 1 else order[tied] + (tied * n)[:, None, None]
+            deg[tied] = _constant_training(np.take(values, at_tied), starts)
+
+    # each slot's sample: its place in a shared sample, and in the rows
+    # repeated once per repeat, which is its place in the predictions too
+    pos = order.reshape(width, n).T[at.ravel()].reshape(grid)
+    del order
+    flat = np.add(pos, np.arange(width) * n, out=work("flat", grid, np.int64))
+    samples = work("samples", (2,) + grid)  # [0] u, [1] v
+    for values, out, block in zip((U, v), samples, work("a", blocks)):
+        if values.ndim == 1:
+            np.take(values, pos, out=out)
+        else:
+            np.copyto(block, values[:, None])
+            np.take(block, flat, out=out)
 
     # Training set of fold k = every other fold.  Its sums come from each
     # fold's mean and scatter about that mean (parallel axis theorem), added
     # over the other folds, so no step subtracts nearly equal totals.
-    up = permuted(U, work("up", shape))
-    vp = permuted(v, work("vp", shape))
-    fold = np.repeat(np.arange(len(sizes)), sizes)
+    size = np.array(sizes, dtype=np.float64)[:, None]
+    per_fold = work("per_fold", (5, folds, width))  # scatters uu, vv, uv; sums of u, v
+    totals = per_fold[3:]
+    np.add.reduce(samples[:, :-1], axis=1, out=totals)
+    totals[:, :full] += samples[:, -1, :full]
+    means = totals / size
+    dev = np.subtract(samples, means[:, None], out=work("a", (2,) + grid))
+    dev[:, -1, full:] = 0.0  # the pads
+    np.add.reduce(np.multiply(dev[0], dev[1], out=work("b", grid)), axis=0, out=per_fold[2])
+    np.add.reduce(np.square(dev, out=dev), axis=1, out=per_fold[:2])
+    # the training means: the sample's total less the fold's own sum (the
+    # samples are centred, so the total is about 0 and nothing cancels)
+    whole = np.empty((2, rows))
+    whole[0], whole[1] = np.add.reduce(U, axis=-1), np.add.reduce(v, axis=-1)
+    mu_mv = (np.repeat(whole, repeats, axis=1)[:, None] - totals) / (n - size)
+    # each fold's mean about every other fold's training mean, [j, k] for
+    # fold j and training set k: their squares and products, plus fold j's
+    # own scatter per sample, are added up over the full folds and the
+    # short ones (not j = k) and weighted by their fold sizes
+    gaps = work("a", (3, folds, folds, width))
+    np.copyto(gaps[:2], means[:, :, None])
+    gaps[:2] -= mu_mv[:, None]
+    np.multiply(gaps[0], gaps[1], out=gaps[2])
+    np.square(gaps[:2], out=gaps[:2])
+    gaps += (per_fold[:3] / size)[:, :, None]
+    gaps.reshape(3, folds * folds, width)[:, :: folds + 1] = 0.0
+    scatter = np.add.reduce(gaps[:, :full], axis=1)
+    scatter *= slots
+    scatter += (slots - 1) * np.add.reduce(gaps[:, full:], axis=1)
+    slopes = scatter[2] / scatter[:2]  # slope_y = suv / suu, slope_x = suv / svv
 
-    def spread(coef, out):  # per-fold coefficient -> every sample of that fold
-        return np.take(coef, fold, axis=-1, out=out, mode="clip")
-
-    size = np.array(sizes, dtype=np.float64)
-    cu = np.add.reduceat(up, starts, axis=-1) / size
-    cv = np.add.reduceat(vp, starts, axis=-1) / size
-    du = np.subtract(up, spread(cu, a), out=a)
-    dv = np.subtract(vp, spread(cv, b), out=b)
-    products = work("products", (3,) + shape)
-    for out, (left, right) in zip(products, ((du, du), (dv, dv), (du, dv))):
-        np.multiply(left, right, out=out)
-    suu, svv, suv = _excluding_each(np.add.reduceat(products, starts, axis=-1), np.add, 0.0)
-    count = n - size
-    mu = _excluding_each(cu * size, np.add, 0.0) / count
-    mv = _excluding_each(cv * size, np.add, 0.0) / count
-    weight = size * (1.0 - np.eye(len(sizes)))  # [k, j]: size of fold j, if j != k
-    pairs = shape[:2] + weight.shape  # (rows, R, folds, folds)
-    gu = np.subtract(cu[..., None, :], mu[..., :, None], out=work("gu", pairs))
-    gv = np.subtract(cv[..., None, :], mv[..., :, None], out=work("gv", pairs))
-    wgu = np.multiply(weight, gu, out=work("wgu", pairs))
-    # each product overwrites a factor that no later product reads
-    suu = suu + np.multiply(wgu, gu, out=gu).sum(axis=-1)
-    suv = suv + np.multiply(wgu, gv, out=wgu).sum(axis=-1)
-    svv = svv + np.multiply(np.multiply(weight, gv, out=gu), gv, out=gu).sum(axis=-1)
-    slope_y, slope_x = suv / suu, suv / svv
-
-    # predictions mv + slope_y * (up - mu) and mu + slope_x * (vp - mv),
-    # scattered back to sample order into the products' buffer
-    y_hat, x_hat = products[0], products[1]
-    order += (np.arange(rows * scheme.repeats) * n).reshape(rows, -1, 1)  # flat positions
-    for hat, sample, mean, slope, other in ((y_hat, up, mu, slope_y, mv),
-                                            (x_hat, vp, mv, slope_x, mu)):
-        pred = np.subtract(sample, spread(mean, a), out=a)
-        np.multiply(spread(slope, b), pred, out=pred)
-        np.add(spread(other, b), pred, out=pred)
-        np.put(hat, order, pred, mode="clip")
-    return y_hat.reshape(rows, -1), x_hat.reshape(rows, -1), deg_x, deg_y, None
+    # predictions mv + slope_y * (up - mu) and mu + slope_x * (vp - mv), in
+    # place of the samples, then put back into sample order
+    np.subtract(samples, mu_mv[:, None], out=samples)
+    samples *= slopes[:, None]
+    samples += mu_mv[::-1, None]
+    hats = work("a", (2, width * n))
+    for hat, pred in zip(hats, samples):
+        hat[flat] = pred
+    y_hat, x_hat = hats.reshape(2, rows, -1)
+    return y_hat, x_hat, deg_x, deg_y, None
 
 
 def _tied_rows(values: np.ndarray, rows: int, count: int = 2) -> np.ndarray:
@@ -393,9 +404,11 @@ def _bootstrap_block(streams, X, U, y, v, work):
     idx = integers_of(words, n, work("a", shape, np.int64), work("b", shape))
     first = idx[..., 0].copy()  # always in the bag
     idx += (np.arange(rows * B) * n).reshape(rows, B, 1)
-    # one float array of multiplicities; its integer values are exact
+    # one float array of multiplicities; its integer values are exact.
+    # bincount's own array then holds the weighted du.
     counts = work("b", shape)
-    np.copyto(counts.reshape(-1), np.bincount(idx.ravel(), minlength=rows * B * n))
+    tally = np.bincount(idx.ravel(), minlength=rows * B * n)
+    np.copyto(counts.reshape(-1), tally)
     single = counts.reshape(-1)[idx[..., 0]] == n  # idx[..., 0]: each first draw, flat
     deg_x = _one_value_bags(X, counts, first, single)
     deg_y = _one_value_bags(y, counts, first, single)
@@ -410,7 +423,7 @@ def _bootstrap_block(streams, X, U, y, v, work):
     du = work("a", shape)
     np.copyto(du, U[:, None, :])
     du -= mu[..., None]
-    weighted_du = np.multiply(counts, du, out=work("c", shape))
+    weighted_du = np.multiply(counts, du, out=tally.view(np.float64).reshape(shape))
     suu = np.einsum("rbn,rbn->rb", weighted_du, du)
     dv = du
     np.copyto(dv, v[..., None, :])
@@ -499,41 +512,56 @@ _SCHEME_ROWS = {"loo": _loo_rows, "kfold": _kfold_rows, "boot632": _boot632_rows
 
 def _row_bytes(scheme: OosScheme, n: int) -> int:
     """Bytes of work space one row of the out-of-sample step is charged,
-    from the traced peaks (tracemalloc) of a ``_calibrate`` call at n = 50
-    that reuses a previous chunk's work space."""
+    from the traced peaks (tracemalloc) of ``_calibrate`` calls."""
     if scheme.kind == "boot632":
         # a row of one sub-block of replicates: per replicate and sample,
-        # three 8-byte buffers and bincount's output, traced at 33.1, 32.2
-        # and 32.1 bytes at n = 12, 50 and 100 (100 replicates).  The
+        # two 8-byte buffers and bincount's output (which then holds the
+        # weighted du), and per replicate about ten vectors, traced at 33.1,
+        # 26.7 and 26.6 bytes at n = 12, 50 and 100 (100 replicates).  The
         # chunk's own arrays (its gathered and centred rows, out-of-bag sums
-        # and counts, predictions and their centred copies) are charged in
-        # _chunk_rows: a chunk row traced 52, 44 and 43 n bytes with a shared
-        # y and 69, 60 and 59 n with one y per row.
-        return scheme.replicates * n * 33
+        # and counts, predictions and their centred copies) are charged
+        # _chunk_row_bytes: a chunk row traced 52, 44 and 43 n bytes with a
+        # shared y and 69, 60 and 59 n with one y per row.  A sub-block
+        # holds no more rows than a chunk may, so at few replicates the
+        # chunk's charge bounds it: at 8 times that charge, as the chunk's
+        # arrays have an eighth of the budget.
+        return max(scheme.replicates * n * 33, 8 * _chunk_row_bytes(n))
     if scheme.kind == "loo":
         # peak 48 per sample at 163 rows, but charged about what k-fold is,
         # so that its chunks keep 163 rows at n = 50: a loo-only run such as
         # the null battery allocates nothing larger, and 546-row chunks
         # raised its peak RSS by 0.4 MB.
         return 160 * n
-    # per repeat: seven n-sample buffers (56 n) and the three (folds, folds)
-    # buffers (24 folds**2) are held throughout; while the training sums are
-    # formed, the permutation (8 n) and about 16 per-fold arrays (132 folds)
-    # more, and in the calibrated correlation three n-sample temporaries
-    # (24 n) instead.  The first is the larger below n of about 80 at 10 folds.
+    # per repeat, on the slot-major grid of slots * folds >= n entries (see
+    # _kfold_rows): buffer "a" (du and dv, or the three fold-pair arrays of
+    # folds**2 entries), five grid arrays (the two samples, their places
+    # twice and du * dv) and the five per-fold sums are held throughout;
+    # while the training sums are formed about 20 per-fold temporaries more
+    # (160 folds), and in the calibrated correlation three n-sample arrays
+    # (24 n) instead.  Traced peaks per repeat of 18-row chunks (shared y,
+    # one y per row): 4691 and 4700 bytes at n = 12, 5922 and 5962 at 50,
+    # 14996 and 15148 at 200 (10 folds); 3749 and 3788 at 2 folds and n = 50;
+    # 16601 and 16679 at 20 folds and n = 100.  A margin of 16 n more keeps
+    # fig2's chunks (n = 50) at 18 rows; the terms alone would give 20.
     folds = scheme.folds
-    return scheme.repeats * (max(64 * n + 132 * folds, 80 * n) + 24 * folds * folds)
+    grid = -(-n // folds) * folds
+    return scheme.repeats * (8 * max(2 * grid, 3 * folds * folds) + 40 * grid + 40 * folds
+                             + max(160 * folds, 24 * n) + 16 * n)
+
+
+def _chunk_row_bytes(n: int) -> int:
+    """A boot632 chunk row's own arrays' charge (see :func:`_row_bytes`)."""
+    return 64 * n + 128
 
 
 def _chunk_rows(scheme: OosScheme, n: int) -> int:
     """Rows of one chunk of the out-of-sample step: as many as fit the
     budget at :func:`_row_bytes` each.  For boot632 that is one sub-block of
     its replicates, and a chunk holds as many whole sub-blocks as fit an
-    eighth of the budget at 64 n + 128 bytes a row, its own arrays' charge
-    (see :func:`_row_bytes`)."""
+    eighth of the budget at :func:`_chunk_row_bytes` a row."""
     step = units_per_block(_row_bytes(scheme, n))
     if scheme.kind == "boot632":
-        step *= units_per_block(8 * (64 * n + 128) * step)
+        step *= units_per_block(8 * _chunk_row_bytes(n) * step)
     return step
 
 

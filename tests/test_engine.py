@@ -188,6 +188,39 @@ class TestOosPredict:
             oos_predict(pair, "sideways", OosScheme.loo())
 
 
+class TestKfoldOutlierStability:
+    """One value of 1e8 among N(0, 1) values, at every position of a
+    permutation: each k-fold prediction stays within ``BOUND`` of a per-fold
+    refit (``pairwise_reference``), relative to its size plus the median
+    absolute deviation of the predicted sample.  A training mean sits far
+    from the row mean when a fold holds the outlier; expanding the square
+    there cancels.  Centring the row about its mean (about 2e6) already
+    costs the kernel about 1e-8 of that scale."""
+
+    BOUND = 1e-6
+
+    @pytest.mark.parametrize("n, folds", [(50, 10), (47, 10), (50, 2), (21, 2)])
+    @pytest.mark.parametrize("per_row_y", [False, True], ids=["shared-y", "per-row-y"])
+    def test_outlier_at_every_position(self, n, folds, per_row_y):
+        scheme = OosScheme.repeated_kfold(folds, 2, seed=7)
+        rng = np.random.default_rng(n + folds)
+        y = rng.standard_normal((n, n) if per_row_y else n)
+        X = np.tile(rng.standard_normal(n), (n, 1))
+        # row p holds the outlier at position p of the first repeat's order
+        X[np.arange(n), Stream(derive(7, 0)).permutation(n)] = 1e8
+        U, v, sums = centred_rows(X, y)
+        seeds = np.full(n, scheme.seed, dtype=np.uint64)
+        with np.errstate(all="ignore"):
+            y_hat, x_hat = engine._kfold_rows(X, U, y, v, sums, scheme, seeds, engine._Work())[:2]
+        for j in range(n):
+            pair = DataPair(X[j], engine._rows(y, j))
+            for got, sample, direction in ((y_hat[j], pair.y, Y_FROM_X), (x_hat[j], pair.x, X_FROM_Y)):
+                want = pairwise_reference.oos_predict(pair, direction, scheme)
+                spread = np.median(np.abs(sample - np.median(sample)))
+                gap = np.abs(got + sample.mean() - want) / (np.abs(want) + spread)
+                assert gap.max() <= self.BOUND, (j, direction)
+
+
 class TestDcalTest:
     def test_anscombe_golden_values(self, anscombe_pairs):
         for name, (r_expected, p_expected) in GOLDEN_DCAL.items():
@@ -1075,10 +1108,11 @@ class TestChunkMemory:
     SLACK_BYTES = 256 * 1024
 
     @staticmethod
-    def _traced_peak(scheme, n: int = 50) -> int:
-        """Traced peak of one warm call of 100 rows (fig2's size at n = 50)."""
-        X, y = _generic_battery(5, 100, n, 0.0)
-        seeds = np.arange(100)
+    def _traced_peak(scheme, n: int = 50, rows: int = 100) -> int:
+        """Traced peak of one warm call of ``rows`` rows (by default fig2's
+        size at n = 50)."""
+        X, y = _generic_battery(5, rows, n, 0.0)
+        seeds = np.arange(rows)
         dcal_matrix(X, y, scheme, seeds)
         tracemalloc.start()
         try:
@@ -1112,9 +1146,24 @@ class TestChunkMemory:
         assert engine._chunk_rows(scheme, n) > units_per_block(engine._row_bytes(scheme, n))
         assert self._traced_peak(scheme, n) <= core.CHUNK_BYTES + self.SLACK_BYTES
 
+    @pytest.mark.parametrize("replicates", [1, 3, 10])
+    def test_few_replicates_peak_fits_the_budget(self, replicates):
+        # a sub-block's replicate work is small here, so the chunk's own
+        # arrays bound its rows: 1000 rows at n = 50 traced 6.66, 3.05 and
+        # 1.47 MB when one sub-block took 790, 263 and 79 of them
+        scheme = OosScheme.boot632(replicates)
+        assert engine._chunk_rows(scheme, 50) < units_per_block(replicates * 50 * 33)
+        assert self._traced_peak(scheme, 50, rows=1000) <= core.CHUNK_BYTES + self.SLACK_BYTES
+
     def test_fig2_kfold_chunks_unchanged(self):
         # sim-oos runs cv10x10 at n = 50 in chunks of 18 rows
         assert units_per_block(engine._row_bytes(OosScheme.repeated_kfold(), 50)) == 18
+
+    def test_fig2_bootstrap_chunks_unchanged(self):
+        # and boot632 in sub-blocks of 7 rows, 6 to a chunk
+        scheme = OosScheme.boot632()
+        assert units_per_block(engine._row_bytes(scheme, 50)) == 7
+        assert engine._chunk_rows(scheme, 50) == 42
 
     def test_bootstrap_peak_within_kfold_peak(self):
         # the bootstrap's larger chunks take no more than the k-fold chunk,
@@ -1129,8 +1178,8 @@ class TestWorkSpace:
     per call, allocated by its first chunk and reused by the others, and by
     every bootstrap sub-block and coverage retry."""
 
-    BUFFERS = {"kfold": {"a", "b", "up", "vp", "products", "gu", "gv", "wgu"},
-               "boot632": {"a", "b", "c"}}
+    BUFFERS = {"kfold": {"a", "b", "flat", "samples", "per_fold"},
+               "boot632": {"a", "b"}}
 
     @pytest.mark.parametrize("scheme", [
         OosScheme.repeated_kfold(), OosScheme.boot632(), OosScheme.boot632(2)

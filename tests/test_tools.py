@@ -79,3 +79,33 @@ def test_every_floor_takes_time(stage):
         floor = floor_of(*args)
         assert floor["s"] > 0.0, key
         assert all(value >= 0.0 for name, value in floor.items() if name.endswith("_s")), key
+
+
+compare_reports = _load_tool("compare_reports")
+
+# a screen report and a `dcal test` output, each with one p-value to move
+SCREEN_REPORT = ("name,r,p,r_dcal,p_dcal,flip,p_holm,p_bh,error\n"
+                 "f1,0.61,0.0123,0.58,{p},false,0.0369,0.0246,\n"
+                 "f2,-0.2,0.52,0.0,0.5,false,0.52,0.52,\n")
+TEST_OUTPUT = "     n  12\n     r  0.61\n     p  0.0123\nr_dcal  0.58\np_dcal  {p}\n"
+JUDGES = [(compare_reports.judge_screen, SCREEN_REPORT, "row f1 p_dcal"),
+          (compare_reports.judge_text, TEST_OUTPUT, "p_dcal")]
+
+
+@pytest.mark.parametrize("judge, template, column", JUDGES, ids=["screen", "stdout"])
+def test_decision_gate_passes_a_last_bit_gap(judge, template, column):
+    p = 0.0321
+    verdict = judge(template.format(p=repr(p)), template.format(p=repr(p * (1 + 1e-12))))
+    assert verdict.passed
+    assert verdict.gaps["p_dcal"] == pytest.approx(1e-12, rel=1e-3)
+    assert max(gap for name, gap in verdict.gaps.items() if name != "p_dcal") == 0.0
+
+
+@pytest.mark.parametrize("judge, template, column", JUDGES, ids=["screen", "stdout"])
+def test_decision_gate_fails_and_lists_a_changed_decision(judge, template, column):
+    # a move far below checks.RTOL, across alpha
+    base, head = 0.05 * (1 - 1e-13), 0.05 * (1 + 1e-13)
+    verdict = judge(template.format(p=repr(base)), template.format(p=repr(head)))
+    assert not verdict.passed
+    assert verdict.decisions == [f"{column}: {base!r} -> {head!r} "
+                                 "(margin to alpha -5e-15 -> +5e-15)"]

@@ -40,12 +40,34 @@ differing standard output the differing lines are shown.  A differing field
 or line whose text differs in numbers only is marked with the largest
 relative difference between its numbers.  The script exits 1 if any case
 differs, after running every case.
+
+With ``--decisions`` a case whose bytes differ still passes when only its
+numbers moved and no decision changed.  Its exit code and standard error
+must be equal.  Each report goes to the comparator of
+``benchmarks/checks.py`` for its kind, which must find no mismatch:
+``compare_simulate_csv`` and ``compare_simulate_json`` for the simulation
+reports, and ``compare_screen`` for a screen CSV that has every column it
+reads (``checks.SCREEN_NUMBERS``).  Standard output and screen reports
+must be equal apart from numbers, each within ``checks.RTOL`` of the other
+side's (``checks.close``).  A decision is a p-value's side of
+``checks.ALPHA`` and a screen row's flip flag: in a screen CSV its p-value
+columns (``checks.SCREEN_PVALUES`` and ``p_perm``), and in text every
+number between 0 and 1, read as a possible p-value.  A simulation report
+holds rates and counts of decisions, whose comparator fails a rate that one
+changed decision moves.  Every changed decision fails the case and is
+listed with its margin to alpha on each side.  For each case that differs
+the mode prints the largest relative gap per column: a screen report's
+column, a simulation record's method and metric, or in text the word
+before each number (a JSON key or an output label).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import random
 import re
@@ -54,11 +76,15 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import export_revision, export_worktree  # noqa: E402
+from bench_pairs import ROOT, export_revision, export_worktree  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import checks  # noqa: E402
 
 CONFIG_GLOBS = ("src/dcal/fixtures/fig*.cfg", "benchmarks/configs/*.cfg")
 
@@ -141,6 +167,7 @@ BUILT_IN_CONFIGS = {
 
 ELAPSED = re.compile(r" in \d+\.\d+ s$", re.MULTILINE)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+LABEL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # the word before a number names its column
 
 WIDE_FEATURES = 800
 
@@ -296,13 +323,19 @@ def run_cli(copy: Path, cases: list, out_dir: Path) -> list[tuple]:
     return results
 
 
+def relative_gap(base: float, head: float) -> float:
+    if base == head or (math.isnan(base) and math.isnan(head)):
+        return 0.0
+    return abs(base - head) / max(abs(base), abs(head))
+
+
 def numeric_change(base: str, head: str) -> float | None:
     """The largest relative difference between the numbers of two texts
     that differ in numbers only, or None if any other text differs."""
     if NUMBER.split(base) != NUMBER.split(head):
         return None
-    pairs = [(float(b), float(h)) for b, h in zip(NUMBER.findall(base), NUMBER.findall(head))]
-    return max((abs(b - h) / max(abs(b), abs(h)) for b, h in pairs if b != h), default=0.0)
+    pairs = zip(NUMBER.findall(base), NUMBER.findall(head))
+    return max((relative_gap(float(b), float(h)) for b, h in pairs), default=0.0)
 
 
 def numbers_note(base, head) -> str:
@@ -328,6 +361,115 @@ def describe(fields: tuple[str, ...], base: tuple, head: tuple) -> str:
     return text
 
 
+def crossing(name: str, base: float, head: float) -> str | None:
+    """A changed decision: ``base`` and ``head`` on two sides of alpha."""
+    if (base < checks.ALPHA) == (head < checks.ALPHA):
+        return None
+    return (f"{name}: {base!r} -> {head!r} (margin to alpha "
+            f"{base - checks.ALPHA:+.3g} -> {head - checks.ALPHA:+.3g})")
+
+
+class Verdict(NamedTuple):
+    """One output of a case under ``--decisions``: the comparator's
+    mismatches, the largest relative gap per column and the changed
+    decisions.  It passes when the last and the first are empty."""
+
+    mismatches: list
+    gaps: dict
+    decisions: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.mismatches and not self.decisions
+
+
+def _csv_rows(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def _widen(gaps: dict, column: str, gap: float) -> None:
+    gaps[column] = max(gaps.get(column, 0.0), gap)
+
+
+def judge_text(base: str, head: str) -> Verdict:
+    """Text equal apart from numbers, each within ``checks.RTOL``."""
+    if NUMBER.split(base) != NUMBER.split(head):
+        return Verdict(["text other than numbers differs"], {}, [])
+    mismatches, gaps, decisions = [], {}, []
+    for b, h in zip(NUMBER.finditer(base), NUMBER.finditer(head)):
+        labels = LABEL.findall(base[base.rfind("\n", 0, b.start()) + 1 : b.start()])
+        column = labels[-1] if labels else "numbers"
+        x, y = float(b.group()), float(h.group())
+        _widen(gaps, column, relative_gap(x, y))
+        if not checks.close(x, y):
+            mismatches.append(f"{column}: {b.group()} vs {h.group()} beyond rtol {checks.RTOL}")
+        if 0.0 <= min(x, y) and max(x, y) <= 1.0:
+            decisions += filter(None, [crossing(column, x, y)])
+    return Verdict(mismatches, gaps, decisions)
+
+
+def judge_screen(base: str, head: str) -> Verdict:
+    """``checks.compare_screen`` where the report has every column it reads
+    (``checks.SCREEN_NUMBERS``), the text rule for every number, per-column
+    gaps and the rows whose p-values crossed alpha or whose flip changed."""
+    mismatches = judge_text(base, head).mismatches
+    if set(checks.SCREEN_NUMBERS) <= set(base.partition("\n")[0].split(",")):
+        mismatches += checks.compare_screen(head, base)[1]
+    gaps, decisions = {}, []
+    for b, h in zip(_csv_rows(base), _csv_rows(head)):
+        if b["flip"] != h["flip"]:
+            decisions.append(f"row {b['name']} flip: {b['flip']} -> {h['flip']}")
+        for column in b.keys() - {"name", "flip", "error"}:
+            if b[column] and h.get(column):
+                x, y = float(b[column]), float(h[column])
+                _widen(gaps, column, relative_gap(x, y))
+                if column.startswith("p"):  # checks.SCREEN_PVALUES and p_perm
+                    decisions += filter(None, [crossing(f"row {b['name']} {column}", x, y)])
+    return Verdict(mismatches, gaps, decisions)
+
+
+def judge_simulate_csv(base: str, head: str) -> Verdict:
+    """``checks.compare_simulate_csv`` and the gaps per method and metric."""
+    gaps = {}
+    for b, h in zip(_csv_rows(base), _csv_rows(head)):
+        if b["value"] and h["value"]:
+            _widen(gaps, f"{b['method']} {b['metric']}",
+                   relative_gap(float(b["value"]), float(h["value"])))
+    return Verdict(checks.compare_simulate_csv(head, base)[1], gaps, [])
+
+
+def judge_simulate_json(base: str, head: str) -> Verdict:
+    """``checks.compare_simulate_json`` (the meta) and the records' gaps."""
+    return Verdict(checks.compare_simulate_json(head, base)[1], judge_text(base, head).gaps, [])
+
+
+def same_decisions(name: str, fields: tuple[str, ...], kinds: tuple, base: tuple,
+                   head: tuple) -> bool:
+    """Under ``--decisions``, whether a case whose bytes differ passes: each
+    output field that differs passes its judge in ``kinds`` (a field of kind
+    None must be equal).  Prints each verdict's gaps and decisions."""
+    print(f"{name}: bytes differ")
+    failures = []
+    for field, kind, b, h in zip(fields, kinds, base, head):
+        if b == h:
+            continue
+        if kind is None or b is None or h is None:
+            failures.append(f"{field} differs")
+            continue
+        b, h = (x.decode("utf-8") if isinstance(x, bytes) else x for x in (b, h))
+        verdict = kind(b, h)
+        largest = ", ".join(f"{column} {gap:.3g}" for column, gap in
+                            sorted(verdict.gaps.items(), key=lambda item: -item[1]) if gap)
+        print(f"    {field}: largest relative gap per column: {largest or 'none'}")
+        for line in verdict.mismatches + [f"changed decision: {d}" for d in verdict.decisions]:
+            print(f"    {field}: {line}")
+        if not verdict.passed:
+            failures.append(f"{field}: {len(verdict.mismatches)} mismatches, "
+                            f"{len(verdict.decisions)} changed decisions")
+    print(f"{name}: {'DIFFERENT ' + '; '.join(failures) if failures else 'same decisions'}")
+    return not failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
@@ -335,6 +477,9 @@ def main() -> int:
     parser.add_argument("--repetitions", type=int, default=None,
                         help="repetitions of every config (default: each config's own)")
     parser.add_argument("--scratch", default=None, help="directory for the two copies")
+    parser.add_argument("--decisions", action="store_true",
+                        help="pass a differing case whose numbers moved within checks.RTOL "
+                             "and whose decisions did not change")
     args = parser.parse_args()
 
     scratch = Path(tempfile.mkdtemp(prefix="compare-reports-", dir=args.scratch))
@@ -363,27 +508,38 @@ def main() -> int:
                 side: simulate(copy, config, scratch / f"{side}-{config.stem}", args.repetitions)
                 for side, copy in copies.items()
             }
-            code, _, csv, json_bytes = outcome["head"]
+            code, _, csv_bytes, json_bytes = outcome["head"]
+            fields = ("exit code", "stdout", "csv", "json")
             if outcome["base"] == outcome["head"]:
-                sizes = "" if csv is None else f", csv {len(csv)} and json {len(json_bytes)} bytes"
+                sizes = ("" if csv_bytes is None
+                         else f", csv {len(csv_bytes)} and json {len(json_bytes)} bytes")
                 print(f"{name}: identical (exit {code}{sizes})")
+            elif args.decisions:
+                kinds = (None, judge_text, judge_simulate_csv, judge_simulate_json)
+                failures += not same_decisions(name, fields, kinds, outcome["base"],
+                                           outcome["head"])
             else:
                 failures += 1
-                fields = ("exit code", "stdout", "csv", "json")
                 print(f"{name}: DIFFERENT {describe(fields, outcome['base'], outcome['head'])}")
 
         cases = write_inputs(copies["head"], inputs)
         outcome = {side: run_cli(copy, cases, scratch / f"{side}-cli")
                    for side, copy in copies.items()}
-        identical = 0
-        for (name, _, _), base, head in zip(cases, outcome["base"], outcome["head"]):
+        identical = same = 0
+        fields = ("exit code", "stdout", "report", "stderr")
+        for (name, _, report), base, head in zip(cases, outcome["base"], outcome["head"]):
             if base == head:
                 identical += 1
+            elif args.decisions:
+                kind = report and (judge_screen if report.endswith(".csv") else judge_text)
+                passed = same_decisions(name, fields, (None, judge_text, kind, None), base, head)
+                failures += not passed
+                same += passed
             else:
                 failures += 1
-                fields = ("exit code", "stdout", "report", "stderr")
                 print(f"{name}: DIFFERENT {describe(fields, base, head)}")
-        print(f"CLI cases: {identical} of {len(cases)} identical")
+        decided = f", {same} more with the same decisions" if args.decisions else ""
+        print(f"CLI cases: {identical} of {len(cases)} identical{decided}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 1 if failures else 0

@@ -42,12 +42,16 @@ of its draws: on each call's seeds and in its blocks of the rows that run
 bootstrap chunk holds whole sub-blocks), the seconds of ``raw_block`` (every
 row's words) plus ``permutation_of`` (k-fold: one permutation per repeat) or
 ``integers_of`` (bootstrap: each replicate's sample indices), without the
-coverage retries, and the ratio of the stage's seconds to that floor.  The
-bootstrap also gets its arithmetic floor, on the same sub-blocks: the
+coverage retries, and the ratio of the stage's seconds to that floor.  Each
+also gets its arithmetic floor, on the same blocks and on operands made
+untimed, and the ratio of the stage's seconds to it.  The bootstrap's is the
 seconds of the ``np.bincount`` of the replicates' multiplicities and of the
 six ``einsum`` contractions of ``engine._bootstrap_block`` (five replicate
-moments and the out-of-bag sums), their operands made untimed, and the ratio
-of the stage's seconds to that floor.
+moments and the out-of-bag sums).  The k-fold's is the seconds of the
+per-fold reductions on the slot-major grid of ``engine._kfold_rows``
+(slots x folds x rows·repeats): the sums of u and v and of their three
+products (the products made too), plus one prediction pass (a multiply
+and an add per direction).
 
 A workload that calls ``skipped_rows`` gets the floor of the projection
 sweep the same way: on each call's pairs and in its blocks, the seconds of
@@ -57,8 +61,8 @@ ratio of ``skipped_rows``'s seconds to that floor.
 
 The output is one JSON line: per run the wall seconds and faults of the
 whole call and, per stage, its calls, seconds and faults (and the ingest,
-permutation, draws, bootstrap arithmetic and sweep floors); then the median
-of each over the runs.
+permutation, draws, arithmetic and sweep floors); then the median of each
+over the runs.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ from workloads import WORKLOADS  # noqa: E402
 STAGES = ("classical_phase", "calibration_phase", "skipped_rows", "permutation_pvalues",
           "load_matrix", "write_report")
 METHOD_STAGES = (simulate.ExperimentReport, ("write_csv", "write_json"))
-FLOORS = ("ingest_floor", "permutation_floor", "kfold_draws_floor", "boot632_draws_floor",
-          "boot632_arithmetic_floor", "sweep_floor")
+FLOORS = ("ingest_floor", "permutation_floor", "kfold_draws_floor", "kfold_arithmetic_floor",
+          "boot632_draws_floor", "boot632_arithmetic_floor", "sweep_floor")
 
 
 def minor_faults() -> int:
@@ -230,7 +234,41 @@ def draws_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
     return {"raw_block_s": raw_s, "indices_s": indices_s, "s": raw_s + indices_s}
 
 
-def arithmetic_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
+def kfold_arithmetic_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
+    """Seconds of the k-fold's arithmetic in one cv ``calibration_phase``
+    call, in its chunks of the rows that run, on the slot-major grid of
+    ``engine._kfold_rows``: the sums over each fold's slots of u, v and
+    their three products (the products made too), then one prediction pass,
+    a multiply and an add per direction.  The grid holds each chunk's rows
+    repeated once per repeat (its layout does not change the arithmetic)."""
+    X, y = classical.X, classical.y
+    n = X.shape[1]
+    slots, folds = engine._kfold_layout(n, scheme)[0][0], scheme.folds
+    reduce_s = predict_s = 0.0
+    for rows, streams in _draw_blocks(classical, scheme, seeds, alpha, fast):
+        U, v, _ = core.centred_rows(X[rows], y if y.ndim == 1 else y[rows])
+        width = streams.size
+        samples = np.stack([
+            np.resize(np.broadcast_to(values, (len(rows), n)).repeat(scheme.repeats, axis=0).T,
+                      (slots * folds, width)).reshape(slots, folds, width)
+            for values in (U, v)])
+        products = np.empty((3,) + samples.shape[1:])
+        coef = samples[:, 0]  # (2, folds, width), as the kernel's means and slopes
+        begin = time.perf_counter()
+        np.multiply(samples, samples, out=products[:2])
+        np.multiply(samples[0], samples[1], out=products[2])
+        np.add.reduce(samples, axis=1)
+        np.add.reduce(products, axis=1)
+        middle = time.perf_counter()
+        np.multiply(samples, coef[:, None], out=products[:2])
+        np.add(products[:2], coef[:, None], out=products[:2])
+        end = time.perf_counter()
+        reduce_s += middle - begin
+        predict_s += end - middle
+    return {"reduce_s": reduce_s, "predict_s": predict_s, "s": reduce_s + predict_s}
+
+
+def bootstrap_arithmetic_floor(classical, scheme, seeds, alpha=0.05, fast=False) -> dict:
     """Seconds of the bootstrap's arithmetic in one boot632
     ``calibration_phase`` call, in its sub-blocks of the rows that run: the
     ``np.bincount`` of the multiplicities and the six ``einsum`` contractions
@@ -294,9 +332,10 @@ def sweep_floor(X, Y, cutoff=None) -> dict:
 # the call's arguments)
 CALL_FLOORS = {
     "permutation_pvalues": (("permutation_floor", permutation_floor),),
-    "calibration_phase.kfold": (("kfold_draws_floor", draws_floor),),
+    "calibration_phase.kfold": (("kfold_draws_floor", draws_floor),
+                                ("kfold_arithmetic_floor", kfold_arithmetic_floor)),
     "calibration_phase.boot632": (("boot632_draws_floor", draws_floor),
-                                  ("boot632_arithmetic_floor", arithmetic_floor)),
+                                  ("boot632_arithmetic_floor", bootstrap_arithmetic_floor)),
     "skipped_rows": (("sweep_floor", sweep_floor),),
 }
 
