@@ -727,13 +727,13 @@ class TestDcalMatrix:
 
     def test_one_row_call_is_dcal_test(self):
         X, y = _generic_battery(17, 6, 30, 0.3)
-        scheme = OosScheme.boot632(20, 4)
-        batch = dcal_matrix(X, y, scheme, [4] * 6)
-        for j in range(6):
-            res = dcal_test(DataPair(X[j], y), scheme=scheme)
-            assert (res.r, res.p, res.r_dcal, res.p_dcal) == (
-                batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]
-            )
+        for scheme in (OosScheme.boot632(20, 4), OosScheme.repeated_kfold(10, 10, 4)):
+            batch = dcal_matrix(X, y, scheme, [4] * 6)
+            for j in range(6):
+                res = dcal_test(DataPair(X[j], y), scheme=scheme)
+                assert (res.r, res.p, res.r_dcal, res.p_dcal) == (
+                    batch.r[j], batch.p[j], batch.r_dcal[j], batch.p_dcal[j]
+                ), (scheme.label, j)
 
     def test_invalid_rows_carry_their_errors(self):
         y = Stream(3).normals(12)
