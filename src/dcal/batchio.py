@@ -36,8 +36,18 @@ __all__ = [
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 
 # bytes charged per data cell of a block of rows converted by one numpy
-# call (its string, its list slot and its float); a block holds whole rows
-_CELL_BYTES = 80
+# call (its string, its list slot and its float), and per row of the block
+# (its line number and its share of the kept rows' bookkeeping); a block
+# holds whole rows.  Charged 80 per cell alone, a block of one-cell rows
+# traced about 180 bytes a row, 2.2 budgets.
+_CELL_BYTES = 79
+_LINE_BYTES = 100
+
+
+def _line_bytes(cells: int) -> int:
+    """Work space charged for a row of ``cells`` data cells in a block."""
+    return _CELL_BYTES * cells + _LINE_BYTES
+
 
 # bytes charged per field of a report row written in one block (its Python
 # value, its text and its share of the block's lines)
@@ -241,7 +251,7 @@ def load_matrix(
         if len(header) < 2:
             raise ParseError("line 1: expected a name column plus data columns")
         width = len(header)
-        block_rows = units_per_block(_CELL_BYTES * (width - 1))
+        block_rows = units_per_block(_line_bytes(width - 1))
         limit = csv.field_size_limit()
         line_no = reader.line_num
         error = None

@@ -46,9 +46,13 @@ __all__ = [
 _INV_E = 1.0 / math.e
 
 # Bayes-factor series: the term cap, and the bytes charged per term of a
-# block, the largest traced per-term peak of its blocks (33-51 B)
+# block: per row, the largest traced per-term peak of its blocks (33-51 B
+# while a block's arrays lived on beside the next one's), and once, the term
+# indices and their ratio's temporaries.  Charged per row alone, one row
+# near |r| = 1 took blocks of 25,568 terms and 1.26 budgets.
 _SERIES_MAX_TERMS = 2 ** 22
 _TERM_BYTES = 51
+_RATIO_BYTES = 48
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -158,10 +162,11 @@ def _hyp2f1_rows(z: np.ndarray, c: float) -> np.ndarray:
         sums = np.cumsum(terms, axis=1)
         total[active] = sums[:, -1]
         active = active[sums[:, -1] != sums[:, -2]]
+        del terms, sums  # before the next block's arrays are made
         k += width
         # double the block while the active rows' terms fit in the budget
-        width = min(max(8, min(2 * width, units_per_block(_TERM_BYTES * active.size))),
-                    _SERIES_MAX_TERMS - k)
+        fit = units_per_block(_TERM_BYTES * active.size + _RATIO_BYTES)
+        width = min(max(8, min(2 * width, fit)), _SERIES_MAX_TERMS - k)
     total[active] = np.nan
     return total
 

@@ -51,8 +51,9 @@ space stays flat in the number of rows: a row of the classical phase is
 charged ``core._CENTRE_BYTES`` per sample, and a row of the out-of-sample
 step :func:`_row_bytes`.  The bootstrap has two levels
 (:func:`_chunk_rows`): its replicates run in sub-blocks of rows charged
-:func:`_row_bytes` (33 bytes per replicate and sample: the replicate arrays),
-and one chunk holds as many whole sub-blocks as its own per-row arrays
+:func:`_row_bytes` (33 bytes per replicate and sample, for the replicate
+arrays, and 96 per replicate, for its vectors), and one chunk holds as many
+whole sub-blocks as its own per-row arrays
 (:func:`_chunk_row_bytes`, 64 n + 128 bytes a row: its rows centred,
 out-of-bag sums and counts and predictions) fit in an eighth of the budget,
 so the rows are centred and the predictions correlated once per chunk, not
@@ -429,6 +430,7 @@ def _bootstrap_block(streams, X, U, y, v, work):
     np.copyto(dv, v[..., None, :])
     dv -= mv[..., None]
     sxy = np.einsum("rbn,rbn->rb", weighted_du, dv)
+    del tally, weighted_du  # bincount's array, freed before the out-of-bag arrays
     slope_y = sxy / suu
     slope_x = sxy / np.einsum("rbn,rbn,rbn->rb", counts, dv, dv)
     # the counts become the out-of-bag 0/1 array in place; its flags are
@@ -516,8 +518,11 @@ def _row_bytes(scheme: OosScheme, n: int) -> int:
     if scheme.kind == "boot632":
         # a row of one sub-block of replicates: per replicate and sample,
         # two 8-byte buffers and bincount's output (which then holds the
-        # weighted du), and per replicate about ten vectors, traced at 33.1,
-        # 26.7 and 26.6 bytes at n = 12, 50 and 100 (100 replicates).  The
+        # weighted du), and per replicate its stream and about ten vectors
+        # (means, sums, slopes and their stack).  Traced per replicate of
+        # one sub-block: about 25 n + 110 bytes from n = 4 to 200 (213 at
+        # n = 4, 1339 at 50, 2573 at 100); charged 33 n alone, 300 rows at
+        # n = 4 peaked at 2.14 MB.  The
         # chunk's own arrays (its gathered and centred rows, out-of-bag sums
         # and counts, predictions and their centred copies) are charged
         # _chunk_row_bytes: a chunk row traced 52, 44 and 43 n bytes with a
@@ -525,7 +530,7 @@ def _row_bytes(scheme: OosScheme, n: int) -> int:
         # holds no more rows than a chunk may, so at few replicates the
         # chunk's charge bounds it: at 8 times that charge, as the chunk's
         # arrays have an eighth of the budget.
-        return max(scheme.replicates * n * 33, 8 * _chunk_row_bytes(n))
+        return max(scheme.replicates * (33 * n + 96), 8 * _chunk_row_bytes(n))
     if scheme.kind == "loo":
         # peak 48 per sample at 163 rows, but charged about what k-fold is,
         # so that its chunks keep 163 rows at n = 50: a loo-only run such as
@@ -541,12 +546,15 @@ def _row_bytes(scheme: OosScheme, n: int) -> int:
     # (24 n) instead.  Traced peaks per repeat of 18-row chunks (shared y,
     # one y per row): 4691 and 4700 bytes at n = 12, 5922 and 5962 at 50,
     # 14996 and 15148 at 200 (10 folds); 3749 and 3788 at 2 folds and n = 50;
-    # 16601 and 16679 at 20 folds and n = 100.  A margin of 16 n more keeps
-    # fig2's chunks (n = 50) at 18 rows; the terms alone would give 20.
+    # 16601 and 16679 at 20 folds and n = 100.  Once per row, the chunk's
+    # gathered and centred rows and targets (32 n with one y per row) and a
+    # margin take 160 n, which keeps fig2's chunks (n = 50) at 18 rows; the
+    # terms alone would give 20.  Charged 16 n per repeat instead, one
+    # repeat at n = 299 and 2 folds peaked at 1.43 MB.
     folds = scheme.folds
     grid = -(-n // folds) * folds
     return scheme.repeats * (8 * max(2 * grid, 3 * folds * folds) + 40 * grid + 40 * folds
-                             + max(160 * folds, 24 * n) + 16 * n)
+                             + max(160 * folds, 24 * n)) + 160 * n
 
 
 def _chunk_row_bytes(n: int) -> int:

@@ -90,6 +90,7 @@ class NullBattery:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"a null battery needs m >= 1 columns, got {self.m}")
+        _check_samples(self.n)
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ class CorrelatedBattery:
                 "need m_true, m_null >= 0 and at least one column, "
                 f"got {self.m_true}, {self.m_null}"
             )
+        _check_samples(self.n)
+        _check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,18 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _check_pair_design(n: int, rho: float) -> None:
+def _check_samples(n: int) -> None:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+
+
+def _check_rho(rho: float) -> None:
+    if not -1.0 <= rho <= 1.0:  # NaN too
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+
+
+def _check_pair_design(n: int, rho: float) -> None:
+    _check_samples(n)
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly inside (-1, 1), got {rho}")
 
@@ -200,8 +212,7 @@ def contaminated_rows(
     """
     if not 0.0 <= fraction <= 0.5:
         raise ValueError(f"fraction must lie in [0, 0.5], got {fraction}")
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    _check_rho(rho)
     mix = math.sqrt(1.0 - rho * rho)
     count = int(fraction * n)
     if fraction > 0.0 and count < 1:

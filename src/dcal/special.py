@@ -44,7 +44,12 @@ _FPMIN = 1e-300
 # Calls with fewer entries than this evaluate entry by entry.  On a 2-core
 # Xeon at df 48 and 98 the scalar tail took 6-13 us per entry and the array
 # tail 0.4-0.6 ms per call at one entry; they broke even near 80 entries,
-# and at 96 the array tail took 0.7-0.8 of the scalar time.
+# and at 96 the array tail took 0.7-0.8 of the scalar time.  At df 498 (the
+# cv10x10 tail at n = 50, whose continued fraction runs longer), medians of
+# 30 calls on three draws each, scalar against array: 0.06-0.09 against
+# 0.31-0.48 ms at 10 entries, 0.28-0.30 against 0.48-0.52 at 50, 0.53-0.63
+# against 0.56-0.62 at 96 and 1.07-1.22 against 0.68-0.74 at 200, so they
+# break even near 96 there too.
 ARRAY_MIN_ROWS = 96
 
 # Iterations of the array continued fraction between convergence checks: an

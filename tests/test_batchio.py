@@ -4,8 +4,8 @@ import json
 import math
 import re
 import tempfile
-import tracemalloc
 import warnings
+from functools import partial
 from itertools import compress, islice
 from pathlib import Path
 from unittest import mock
@@ -32,6 +32,7 @@ from dcal.rng import Stream, derive
 
 import screen_reference
 from conftest import csv_tables, steep_pair
+from test_work_space import assert_fits, traced_peak
 
 
 def _rows(report) -> list[tuple]:
@@ -314,40 +315,24 @@ class TestLoaderEquivalence:
 
 
 class TestLoadMemory:
-    """The traced peak of one warm ``load_matrix`` call stays within 2.25
-    times the matrix it returns: the kept blocks and their one concatenation,
-    plus one block's cell strings while it is read.  The per-row arrays,
+    """The traced peak of one warm ``load_matrix`` call: the kept blocks
+    and their one concatenation, plus each feature's name (row
+    ``load_matrix`` of ``tests/test_work_space.py``).  The per-row arrays,
     their stack and the compacting copy that earlier versions made peaked at
-    3.26 times at this size."""
+    3.26 times the matrix at this size."""
 
-    def test_traced_peak(self, tmp_path):
-        m, n = 2000, 200
-        path = tmp_path / "m.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("id," + ",".join(f"s{j}" for j in range(n)) + "\n")
-            for i, row in enumerate(Stream(7).normals(m * n).reshape(m, n).tolist()):
-                fh.write(f"f{i}," + ",".join(map(repr, row)) + "\n")
-        load_matrix(path)
-        tracemalloc.start()
-        try:
-            matrix = load_matrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert matrix.values.shape == (m, n)
-        assert peak <= 2.25 * matrix.values.nbytes
+    def test_traced_peak(self):
+        assert_fits("load_matrix", m=2000, n=200)
 
 
 class TestScreenMemory:
     """The traced peak of one warm ``screen`` call beyond the loaded matrix
     stays within one budget of block work space, the (B, n) shuffled
-    targets of ``perm_max`` and ROW_BYTES per feature for the per-feature
-    vectors (162 to 208 bytes per feature measured; the t tail runs in
-    blocks of the budget, and as one tail over every row it took about 590
-    and the peak up to 504).  It holds no (m, n) copy: from 2000 to 8000
-    features at n = 100 the peak grows by less than a copy of the added
-    rows.  Gathering the tested rows, centring them and standardizing them
-    for the permutations took 22 MB at 8000 features."""
+    targets of ``perm_max`` and 250 bytes per feature for the per-feature
+    vectors (162 to 208 bytes per feature measured).  It holds no (m, n)
+    copy: from 2000 to 8000 features at n = 100 the peak grows by less than
+    a copy of the added rows.  Gathering the tested rows, centring them and
+    standardizing them for the permutations took 22 MB at 8000 features."""
 
     ROW_BYTES = 250
 
@@ -358,21 +343,12 @@ class TestScreenMemory:
         for m in (2000, 8000):
             values = Stream(m).normals(m * n).reshape(m, n)
             values[1 : m // 50] += 0.5 * values[0]  # planted features run the calibration
-            names = tuple(f"f{i}" for i in range(m))
-            matrix = FeatureMatrix(names, values, tuple(f"s{j}" for j in range(n)))
-
-            def run():
-                return screen(matrix, "f0", scheme=scheme, corrections=("holm", "bh", "perm_max"),
-                              plan=plan)
-
-            run()
-            tracemalloc.start()
-            try:
-                report = run()
-                peaks[m] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert report.summary["tested"] == m - 1
+            matrix = FeatureMatrix(tuple(f"f{i}" for i in range(m)), values,
+                                   tuple(f"s{j}" for j in range(n)))
+            run = partial(screen, matrix, "f0", scheme=scheme,
+                          corrections=("holm", "bh", "perm_max"), plan=plan)
+            assert run().summary["tested"] == m - 1
+            peaks[m] = traced_peak(run)
             targets = 8 * plan.n_permutations * n
             assert peaks[m] <= core.CHUNK_BYTES + targets + self.ROW_BYTES * m
         assert peaks[8000] - peaks[2000] < 8 * n * 6000

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from dcal import (
 )
 
 from conftest import ANSCOMBE, seeded_pair
+from test_work_space import assert_fits
 
 
 class TestSellke:
@@ -352,21 +352,11 @@ class TestBfRows:
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
     @pytest.mark.parametrize("n", [3, 5, 8, 10])
-    def test_traced_peak_fits_the_budget(self, monkeypatch, n, gap):
-        # 1000 rows near |r| = 1: no row converges within 1024 terms, so
-        # their first blocks are the widest the budget allows, and a later
-        # block of fewer rows holds no more terms; the cap stops the series
-        # there (run in full, it peaks about 2% higher)
-        monkeypatch.setattr(calibration, "_SERIES_MAX_TERMS", 2 ** 10)
-        r = np.full(1000, 1.0 - gap)
-        calibration._bf_series(r, n)
-        tracemalloc.start()
-        try:
-            calibration._bf_series(r, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= core.CHUNK_BYTES
+    def test_traced_peak_fits_the_budget(self, n, gap):
+        # 1000 rows near |r| = 1: no row converges within 1024 terms, where
+        # the row caps the series, so their first blocks are the widest
+        # the budget allows, and a later block of fewer rows holds no more
+        assert_fits("bf_series", m=1000, n=n, gap=gap)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from dcal.rng import Stream, derive
 from dcal.special import student_t_sf_two_sided
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair
+from test_work_space import assert_fits
 
 
 class TestDataPair:
@@ -187,18 +187,9 @@ class TestTPvalueBlocks:
             assert got.tobytes() == np.array(want).tobytes()
 
     def test_traced_peak_on_8000_rows(self):
-        # one budget of tail work space plus about 48 bytes per row of
-        # per-row vectors (p, the tail mask, r, 1 - r**2, t**2 and their
-        # temporaries); one tail over all rows traced 4.69 MB here
-        r, rest = self._correlations(8000, 9)
-        t_pvalues(r, rest, 98)
-        tracemalloc.start()
-        try:
-            t_pvalues(r, rest, 98)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= core.CHUNK_BYTES + 48 * 8000 + 64 * 1024
+        # one budget of tail work space plus 48 bytes a row of per-row
+        # vectors; one tail over all rows traced 4.69 MB here
+        assert_fits("t_pvalues", m=8000, n=98, per_row=False)
 
 
 class TestOlsFit:

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +32,7 @@ from dcal.methods import Rows
 from dcal.rng import Stream, derive, derive_array, permutation_of, raw_block
 
 from conftest import ANSCOMBE, naive_loo, seeded_pair, steep_pair
+from test_work_space import assert_fits
 
 # golden calibrated values for the quartet, computed once with the naive
 # refit-per-fold oracle and a 50-digit p evaluation, then frozen
@@ -1000,12 +1000,14 @@ class TestTiedRowsOnly:
                                   np.sort(np.broadcast_to(X[4], (values.size // 50, 50)), axis=-1))
 
     def test_sub_blocks_check_their_own_tied_rows(self, monkeypatch):
-        # 150 rows at n = 12, two of them constant, make one chunk of five
-        # sub-blocks (32 rows each and a ragged 20): each sub-block checks
-        # its own 0/1 rows, once
+        # rows at n = 12, two of them constant, whose others make one chunk
+        # of five sub-blocks (four full and a ragged 20): each sub-block
+        # checks its own 0/1 rows, once
         scheme = OosScheme.boot632()
-        assert engine._chunk_rows(scheme, 12) >= 150
-        X, y = _generic_battery(19, 150, 12, 0.3)
+        step = units_per_block(engine._row_bytes(scheme, 12))
+        m = 4 * step + 22
+        assert engine._chunk_rows(scheme, 12) >= m
+        X, y = _generic_battery(19, m, 12, 0.3)
         seen = self._spy(monkeypatch)
         blocks = []
         real = engine._bootstrap_block
@@ -1015,13 +1017,13 @@ class TestTiedRowsOnly:
             return real(streams, *args)
 
         monkeypatch.setattr(engine, "_bootstrap_block", spy)
-        batch = dcal_matrix(X, y, scheme, np.arange(150))
+        batch = dcal_matrix(X, y, scheme, np.arange(m))
         run = X[~np.isnan(batch.r)]
-        assert blocks == [32] * 4 + [20] and len(run) == 148
+        assert blocks == [step] * 4 + [20] and len(run) == m - 2
         checked = np.vstack([values for _, values in seen])
         tied = run[engine._tied_rows(run, len(run))]
         assert 1 < len(seen) <= 5 and checked.tobytes() == tied.tobytes()
-        _assert_rows_are_one_row_tests(X, y, scheme, np.arange(150), batch)
+        _assert_rows_are_one_row_tests(X, y, scheme, np.arange(m), batch)
 
     def test_kfold_skips_a_tie_shorter_than_a_training_set(self, monkeypatch):
         # a balanced 0/1 row has ties, but no value fills 45 of 50 samples
@@ -1102,24 +1104,16 @@ class TestTiedRowsOnly:
 
 
 class TestChunkMemory:
-    # Work space outside the chunks: the classical phase's centred rows and
-    # sums, the gathered rows of one chunk and the per-row results.  At
-    # 100 x 50 they take about 0.1 MB.
-    SLACK_BYTES = 256 * 1024
+    """Rows ``kfold`` and ``boot632`` of ``tests/test_work_space.py`` at
+    fig2's size (100 rows at n = 50, a shared y) and at the shapes where
+    undercharges showed: one chunk (for boot632 one sub-block and the
+    chunk's own arrays), 64 bytes a row and 16 KB, within 256 KB of the
+    budget."""
 
     @staticmethod
-    def _traced_peak(scheme, n: int = 50, rows: int = 100) -> int:
-        """Traced peak of one warm call of ``rows`` rows (by default fig2's
-        size at n = 50)."""
-        X, y = _generic_battery(5, rows, n, 0.0)
-        seeds = np.arange(rows)
-        dcal_matrix(X, y, scheme, seeds)
-        tracemalloc.start()
-        try:
-            dcal_matrix(X, y, scheme, seeds)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def _peak(kind, n=50, rows=100, param=None):
+        param = param or {"kfold": 10, "boot632": 100}[kind]
+        return assert_fits(kind, m=rows, n=n, per_row=False, kind=kind, param=param, repeats=10)
 
     @pytest.mark.parametrize("scheme", [OosScheme.repeated_kfold(), OosScheme.boot632()],
                              ids=lambda scheme: scheme.label)
@@ -1127,24 +1121,21 @@ class TestChunkMemory:
         # a larger budget or a kernel that holds more than it is charged
         # for shows here before it shows in peak RSS
         assert units_per_block(engine._row_bytes(scheme, 50)) > 1
-        assert self._traced_peak(scheme) <= core.CHUNK_BYTES + self.SLACK_BYTES
+        self._peak(scheme.kind)
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_small_n_kfold_peak_fits_the_budget(self, n):
         # at small n the (folds, folds) arrays of the training sums and the
         # per-fold arrays outweigh the n-sample buffers
-        assert self._traced_peak(OosScheme.repeated_kfold(), n) <= (
-            core.CHUNK_BYTES + self.SLACK_BYTES
-        )
+        self._peak("kfold", n)
 
     @pytest.mark.parametrize("n", [12, 100])
     def test_bootstrap_peak_fits_the_budget(self, n):
-        # a chunk of several sub-blocks (5 of 32 rows at n = 12, 8 of 3 at
-        # the boot632 screen's n = 100): the chunk's own arrays fit in the
-        # slack beside the replicate work
+        # a chunk of several sub-blocks (6 of 26 rows at n = 12, 8 of 3 at
+        # the boot632 screen's n = 100)
         scheme = OosScheme.boot632()
         assert engine._chunk_rows(scheme, n) > units_per_block(engine._row_bytes(scheme, n))
-        assert self._traced_peak(scheme, n) <= core.CHUNK_BYTES + self.SLACK_BYTES
+        self._peak("boot632", n)
 
     @pytest.mark.parametrize("replicates", [1, 3, 10])
     def test_few_replicates_peak_fits_the_budget(self, replicates):
@@ -1153,7 +1144,7 @@ class TestChunkMemory:
         # 1.47 MB when one sub-block took 790, 263 and 79 of them
         scheme = OosScheme.boot632(replicates)
         assert engine._chunk_rows(scheme, 50) < units_per_block(replicates * 50 * 33)
-        assert self._traced_peak(scheme, 50, rows=1000) <= core.CHUNK_BYTES + self.SLACK_BYTES
+        self._peak("boot632", rows=1000, param=replicates)
 
     def test_fig2_kfold_chunks_unchanged(self):
         # sim-oos runs cv10x10 at n = 50 in chunks of 18 rows
@@ -1168,9 +1159,7 @@ class TestChunkMemory:
     def test_bootstrap_peak_within_kfold_peak(self):
         # the bootstrap's larger chunks take no more than the k-fold chunk,
         # the largest before them
-        assert self._traced_peak(OosScheme.boot632()) <= self._traced_peak(
-            OosScheme.repeated_kfold()
-        )
+        assert self._peak("boot632") <= self._peak("kfold")
 
 
 class TestWorkSpace:
@@ -1201,14 +1190,14 @@ class TestWorkSpace:
                 return view
 
         monkeypatch.setattr(engine, "_Work", Spy)
-        # 40 rows at n = 12 take several chunks, and at 100 replicates each
+        # 50 rows at n = 12 take several chunks, and at 100 replicates each
         # chunk several sub-blocks of 7 rows; two replicates also leave
         # coverage retries, which reuse the buffers too
-        X, y = _generic_battery(43, 40, 12, 0.2)
+        X, y = _generic_battery(43, 50, 12, 0.2)
         monkeypatch.setattr(core, "CHUNK_BYTES", 7 * engine._row_bytes(scheme, 12))
         chunk = engine._chunk_rows(scheme, 12)
-        assert chunk < 40 and (chunk > 7) == (scheme.kind == "boot632" and scheme.replicates > 2)
-        batch = dcal_matrix(X, y, scheme, np.arange(40))
+        assert chunk < 50 and (chunk > 7) == (scheme.kind == "boot632" and scheme.replicates > 2)
+        batch = dcal_matrix(X, y, scheme, np.arange(50))
         assert len(spaces) == 1
         assert sorted(allocations) == sorted(self.BUFFERS[scheme.kind])
         if scheme.replicates == 2:

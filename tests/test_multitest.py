@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,6 +25,7 @@ from dcal.rng import Stream, derive
 
 import screen_reference
 from conftest import brute_bh, brute_holm
+from test_work_space import assert_fits
 
 
 class TestHolm:
@@ -367,29 +367,14 @@ class TestFloat32Scoring:
 
 
 class TestPermutationMemory:
-    """The traced peak of one call stays within the (B, n) shuffled
-    targets (8 bytes per value, and 4 more for their float32 copy when the
-    blocks are scored in float32), plus one budget of column-block work
-    space, plus 64 bytes per column for the per-column vectors (the tested
-    rows' indices, observed statistics, counts, their sorted copy and the
-    max-statistic counts) and a slack of 64 KB.  It holds no copy of the
-    battery: 4989 x 100 took 9.6 MB with the standardized rows and their
-    transposed copy."""
-
-    COLUMN_BYTES = 64
-    SLACK_BYTES = 64 * 1024
+    """At the benchmark's shapes the traced peak of one call also stays
+    within the (B, n) shuffled targets (and their float32 copy), one budget
+    of column-block work space, 64 bytes a column and 64 KB.  It holds no
+    copy of the battery: 4989 x 100 took 9.6 MB with the standardized rows
+    and their transposed copy."""
 
     @pytest.mark.parametrize("m,n", [(4989, 100), (1000, 50)], ids=["screen", "sim-null"])
     def test_traced_peak(self, m, n):
-        X, y = Stream(m).normals(m * n).reshape(m, n), Stream(n).normals(n)
-        plan = PermutationPlan(999, 0)
-        permutation_pvalues(X, y, plan)
-        tracemalloc.start()
-        try:
-            permutation_pvalues(X, y, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        per_value = 12 if _scoring(n)[0] is np.float32 else 8
-        targets = per_value * plan.n_permutations * n
-        assert peak <= targets + core.CHUNK_BYTES + self.COLUMN_BYTES * m + self.SLACK_BYTES
+        targets = (12 if _scoring(n)[0] is np.float32 else 8) * 999 * n
+        assert_fits("permutation_pvalues", targets + core.CHUNK_BYTES + 64 * m + 64 * 1024,
+                    m=m, n=n, B=999)

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -30,6 +29,8 @@ import dcal
 from dcal import core, robust
 from dcal.robust import DEFAULT_CUTOFF
 from dcal.rng import Stream, derive
+
+from test_work_space import assert_fits
 
 KINDS = [
     OutlierKind("high_variance", sd_outlier=3.0),
@@ -373,18 +374,10 @@ class TestBlockedSweep:
 
     @pytest.mark.parametrize("n", [10, 30, 100])
     def test_traced_peak_fits_the_budget(self, n):
-        # a warm default block of the sweep; charged 20 n**2 per pair, one
-        # at n = 10 traced 1.33 budgets
-        X, Y = (Stream(seed).normals(1000 * n).reshape(1000, n) for seed in (3, 4))
+        # one default block of pairs, in one budget; charged 20 n**2 per
+        # pair, a sweep block at n = 10 traced 1.33 budgets
         block = core.units_per_block(robust._pair_bytes(n))
-        robust._sweep(X[:block], Y[:block], DEFAULT_CUTOFF)
-        tracemalloc.start()
-        try:
-            robust._sweep(X[:block], Y[:block], DEFAULT_CUTOFF)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= core.CHUNK_BYTES
+        assert_fits("skipped_rows", core.CHUNK_BYTES, m=block, n=n)
 
     def test_short_pairs_fail_every_row(self):
         X = np.arange(27.0).reshape(3, 9)

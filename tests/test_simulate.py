@@ -255,6 +255,32 @@ class TestOosComparison:
         for m_true, m_null in ((-1, 3), (3, -1), (0, 0)):
             with pytest.raises(ValueError, match="at least one column"):
                 CorrelatedBattery(m_true, m_null, 0.5, 20, 1)
+        # as the outlier suite and the effect grid do
+        for rho in (2.0, -1.5, float("nan")):
+            with pytest.raises(ValueError, match=rf"rho must lie in \[-1, 1\], got {rho}"):
+                CorrelatedBattery(2, 2, rho, 20, 1)
+        for n in (3, -5):
+            with pytest.raises(ValueError, match=f"need n >= 4, got {n}"):
+                NullBattery(3, n, 1)
+            with pytest.raises(ValueError, match=f"need n >= 4, got {n}"):
+                CorrelatedBattery(2, 2, 0.5, n, 1)
+
+    @pytest.mark.parametrize("design, keys, message", [
+        ("correlated_battery", "m_true = 2\nrho = 2\nn = 20", "rho must lie in [-1, 1], got 2.0"),
+        ("oos_comparison", "m_true = 2\nrho = 2\nn = 20", "rho must lie in [-1, 1], got 2.0"),
+        ("correlated_battery", "m_true = 2\nrho = nan\nn = 20", "rho must lie in [-1, 1], got nan"),
+        ("null_battery", "m = 3\nn = 3", "need n >= 4, got 3"),
+        ("oos_comparison", "n = -5", "need n >= 4, got -5"),
+        ("correlated_battery", "m_true = 2\nrho = 0.5\nn = 3", "need n >= 4, got 3"),
+    ], ids=["correlated-rho-2", "oos-rho-2", "correlated-rho-nan", "null-n-3", "oos-n--5",
+            "correlated-n-3"])
+    def test_cli_names_the_invalid_design(self, tmp_path, capsys, design, keys, message):
+        # before: "math domain error", "x contains non-finite values" and
+        # "every repetition failed"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"design = {design}\nm_null = 3\n{keys}\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_repeat_runs_deterministic(self):
         design = NullBattery(m=10, n=40, seed=22)
